@@ -1,4 +1,4 @@
-.PHONY: all test bench bench-full bench-placer bench-placer-check \
+.PHONY: all test bench-placer bench-placer-check \
 	bench-paths bench-paths-check bench-parallel bench-incremental \
 	bench-routability bench-multilevel bench-multilevel-check bench-all \
 	clean
@@ -8,15 +8,6 @@ all:
 
 test:
 	dune build && dune runtest
-
-# Quick forward/backward micro-benchmark of the differentiable timer;
-# writes BENCH_difftimer.json at the repo root.
-bench:
-	dune exec bench/main.exe -- difftimer --quick
-
-# Same benchmark with the full iteration count (slower, less noisy).
-bench-full:
-	dune exec bench/main.exe -- difftimer
 
 # Per-kernel timing of one full placement iteration at 1/2/4 worker
 # domains; writes BENCH_placeriter.json at the repo root.
@@ -70,7 +61,7 @@ bench-multilevel-check: bench-multilevel
 	python3 scripts/check_bench.py BENCH_multilevel.json
 
 # Every JSON-emitting benchmark in one go.
-bench-all: bench bench-placer bench-paths bench-parallel bench-incremental \
+bench-all: bench-placer bench-paths bench-parallel bench-incremental \
 	bench-routability bench-multilevel
 
 clean:

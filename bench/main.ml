@@ -4,12 +4,10 @@
 
    Usage:  dune exec bench/main.exe [-- <target> ...]
    Targets: table1 table2 table3 figure8 kernels ablation-gamma
-            ablation-reuse ablation-extensions gradcheck difftimer
-            placer-iter paths parallel incremental routability
-            multilevel all (default: all)
+            ablation-reuse ablation-extensions gradcheck placer-iter
+            paths parallel incremental routability multilevel all
+            (default: all)
    Options: --scale <f>       benchmark scale factor (default 0.01)
-            --quick           fewer iterations for difftimer
-            --out <f>         difftimer JSON path (default BENCH_difftimer.json)
             --smoke           tiny placer-iter/paths/parallel/incremental
                               run for CI
             --placer-out <f>  placer-iter JSON path
@@ -576,131 +574,6 @@ let gradcheck () =
   Printf.printf
     "  end-to-end TNS/WNS gradient: max relative error vs FD = %.3e\n" !worst;
   Printf.printf "  (see test/ for the per-pass Elmore and Steiner checks)\n"
-
-(* ---- differentiable-timer forward/backward benchmark ---- *)
-
-let quick = ref false
-let bench_out = ref "BENCH_difftimer.json"
-
-(* Seed (pre-CSR) timings, microseconds per call, measured on this
-   machine with the same workload spec (seed 17, 16 in/out, depth 10,
-   clock 520 ps, gamma 20) at the base revision: mean of two runs. *)
-let seed_reference =
-  [ (400, (1165.9, 766.2)); (1500, (4381.9, 3526.9));
-    (5000, (15431.7, 12949.1)) ]
-
-let bench_difftimer () =
-  section "Differentiable timer: forward/backward (CSR graph + LUT tape)";
-  let sizes = [ 400; 1500; 5000 ] in
-  let iters = if !quick then 12 else 40 in
-  let time_us f =
-    ignore (f ());
-    let t0 = Obs.Clock.now () in
-    for _ = 1 to iters do
-      ignore (f ())
-    done;
-    (Obs.Clock.now () -. t0) /. float_of_int iters *. 1e6
-  in
-  let t =
-    Report.Table.create
-      [ "cells"; "domains"; "fwd(us)"; "bwd(us)"; "comb(us)"; "seed comb(us)";
-        "speedup" ]
-  in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    (Printf.sprintf "  \"bench\": \"difftimer\",\n  \"mode\": \"%s\",\n\
-                    \  \"iters\": %d,\n"
-       (if !quick then "quick" else "full")
-       iters);
-  Buffer.add_string buf (json_meta ());
-  Buffer.add_string buf
-    "  \"workload\": { \"seed\": 17, \"inputs\": 16, \"outputs\": 16, \
-     \"depth\": 10, \"clock_period_ps\": 520.0, \"gamma_ps\": 20.0 },\n\
-    \  \"sizes\": [\n";
-  List.iteri
-    (fun si cells ->
-      let spec =
-        { Workload.default_spec with
-          Workload.sp_cells = cells; sp_seed = 17; sp_inputs = 16;
-          sp_outputs = 16; sp_depth = 10; sp_clock_period = 520.0 }
-      in
-      let design, graph = build_bench spec in
-      let dt = Difftimer.create ~gamma:20.0 graph in
-      Sta.Nets.rebuild (Difftimer.nets dt);
-      ignore (Difftimer.forward dt);
-      let ncells = Netlist.num_cells design in
-      let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
-      let measure pool =
-        let fwd = time_us (fun () -> Difftimer.forward ?pool dt) in
-        let bwd =
-          time_us (fun () ->
-            Array.fill gx 0 ncells 0.0;
-            Array.fill gy 0 ncells 0.0;
-            Difftimer.backward ?pool dt ~w_tns:1.0 ~w_wns:1.0 ~grad_x:gx
-              ~grad_y:gy)
-        in
-        (fwd, bwd)
-      in
-      let fwd1, bwd1 = measure None in
-      let seed_fwd, seed_bwd = List.assoc cells seed_reference in
-      let seed_comb = seed_fwd +. seed_bwd in
-      let comb1 = fwd1 +. bwd1 in
-      Report.Table.add_row t
-        [ string_of_int cells; "1";
-          Printf.sprintf "%.1f" fwd1;
-          Printf.sprintf "%.1f" bwd1;
-          Printf.sprintf "%.1f" comb1;
-          Printf.sprintf "%.1f" seed_comb;
-          Printf.sprintf "%.2fx" (seed_comb /. comb1) ];
-      let pooled =
-        List.map
-          (fun domains ->
-            let pool = Parallel.create ~domains () in
-            let fwd, bwd =
-              Fun.protect
-                ~finally:(fun () -> Parallel.shutdown pool)
-                (fun () -> measure (Some pool))
-            in
-            Report.Table.add_row t
-              [ string_of_int cells; string_of_int domains;
-                Printf.sprintf "%.1f" fwd;
-                Printf.sprintf "%.1f" bwd;
-                Printf.sprintf "%.1f" (fwd +. bwd); "-";
-                Printf.sprintf "%.2fx" (comb1 /. (fwd +. bwd)) ];
-            (domains, fwd, bwd))
-          [ 2; 4 ]
-      in
-      Printf.printf "  [done] %d cells\n%!" cells;
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    { \"cells\": %d,\n      \"seed\": { \"forward_us\": %.1f, \
-            \"backward_us\": %.1f, \"combined_us\": %.1f },\n      \
-            \"current\": { \"forward_us\": %.1f, \"backward_us\": %.1f, \
-            \"combined_us\": %.1f },\n      \"combined_speedup_vs_seed\": \
-            %.3f,\n      \"domain_scaling\": [\n"
-           cells seed_fwd seed_bwd seed_comb fwd1 bwd1 comb1
-           (seed_comb /. comb1));
-      List.iteri
-        (fun i (domains, fwd, bwd) ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "        { \"domains\": %d, \"forward_us\": %.1f, \
-                \"backward_us\": %.1f, \"combined_us\": %.1f }%s\n"
-               domains fwd bwd (fwd +. bwd)
-               (if i = List.length pooled - 1 then "" else ",")))
-        pooled;
-      Buffer.add_string buf
-        (Printf.sprintf "      ]\n    }%s\n"
-           (if si = List.length sizes - 1 then "" else ",")))
-    sizes;
-  Buffer.add_string buf "  ]\n}\n";
-  print_newline ();
-  print_string (Report.Table.render t);
-  let oc = open_out !bench_out in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "\nWrote %s\n" !bench_out
 
 (* ---- full placement iteration benchmark ---- *)
 
@@ -1786,7 +1659,7 @@ let all_targets =
     ("figure8", figure8); ("kernels", kernels);
     ("ablation-gamma", ablation_gamma); ("ablation-reuse", ablation_reuse);
     ("ablation-extensions", ablation_extensions); ("gradcheck", gradcheck);
-    ("difftimer", bench_difftimer); ("placer-iter", placer_iter);
+    ("placer-iter", placer_iter);
     ("paths", bench_paths); ("parallel", bench_parallel);
     ("incremental", bench_incremental); ("routability", bench_routability);
     ("multilevel", bench_multilevel) ]
@@ -1797,12 +1670,6 @@ let () =
     | [] -> List.rev acc
     | "--scale" :: v :: rest ->
       scale := float_of_string v;
-      parse acc rest
-    | "--quick" :: rest ->
-      quick := true;
-      parse acc rest
-    | "--out" :: v :: rest ->
-      bench_out := v;
       parse acc rest
     | "--smoke" :: rest ->
       placer_smoke := true;

@@ -24,10 +24,8 @@ type net_scratch = {
 
 type t = {
   graph : Sta.Graph.t;
-  nets : Sta.Nets.t;
+  fwd : Sta.Forward.t;  (* smoothed late state + LUT tape at [gamma_] *)
   mutable gamma_ : float;
-  at_ : float array;   (* 2 * pin + transition, late/setup *)
-  slew_ : float array;
   g_at : float array;
   g_slew : float array;
   ep_slack_tr : float array;  (* per transition endpoint slack *)
@@ -37,17 +35,6 @@ type t = {
   g_i2 : float array;
   g_root_load : float array;  (* per net *)
   mutable wns_smooth_ : float;
-  (* forward tape: per (arc, tr_out, tr_in) slot [4a + 2*tr_out + tr_in],
-     the delay/slew LUT values and their partials, written once by the
-     forward max-pass and reused by the sum-pass and the backward
-     gather.  A slot is meaningful only under the same reachability and
-     compatibility guards that wrote it. *)
-  tape_d : float array;
-  tape_dd_ds : float array;
-  tape_dd_dl : float array;
-  tape_s : float array;
-  tape_ds_ds : float array;
-  tape_ds_dl : float array;
   mutable slices : net_scratch array;
   mutable hint_nodes : int;  (* initial sizing for fresh slices *)
   mutable hint_pins : int;
@@ -116,7 +103,6 @@ let create ?(gamma = 100.0) graph =
   let design = graph.Sta.Graph.design in
   let npins = Netlist.num_pins design in
   let nnets = Netlist.num_nets design in
-  let narcs = Sta.Graph.num_arcs graph in
   let nets = Sta.Nets.create graph in
   let max_nodes = ref 1 and max_pins = ref 1 in
   Array.iter
@@ -127,9 +113,7 @@ let create ?(gamma = 100.0) graph =
         max_nodes := max !max_nodes (Steiner.node_count tree);
         max_pins := max !max_pins tree.Steiner.pin_count)
     nets.Sta.Nets.trees;
-  { graph; nets; gamma_ = gamma;
-    at_ = Array.make (2 * npins) neg_infinity;
-    slew_ = Array.make (2 * npins) 0.0;
+  { graph; fwd = Sta.Forward.create ~smooth:true nets; gamma_ = gamma;
     g_at = Array.make (2 * npins) 0.0;
     g_slew = Array.make (2 * npins) 0.0;
     ep_slack_tr = Array.make (2 * npins) infinity;
@@ -139,134 +123,21 @@ let create ?(gamma = 100.0) graph =
     g_i2 = Array.make npins 0.0;
     g_root_load = Array.make nnets 0.0;
     wns_smooth_ = 0.0;
-    tape_d = Array.make (4 * narcs) 0.0;
-    tape_dd_ds = Array.make (4 * narcs) 0.0;
-    tape_dd_dl = Array.make (4 * narcs) 0.0;
-    tape_s = Array.make (4 * narcs) 0.0;
-    tape_ds_ds = Array.make (4 * narcs) 0.0;
-    tape_ds_dl = Array.make (4 * narcs) 0.0;
     slices = [||];
     hint_nodes = !max_nodes;
     hint_pins = !max_pins }
 
-let nets t = t.nets
+let nets t = t.fwd.Sta.Forward.nets
 let gamma t = t.gamma_
 let set_gamma t g = t.gamma_ <- g
 
 let idx p tr = (2 * p) + Sta.transition_index tr
-let at t p tr = t.at_.(idx p tr)
-let slew t p tr = t.slew_.(idx p tr)
+let at t p tr = t.fwd.Sta.Forward.at.(idx p tr)
+let slew t p tr = t.fwd.Sta.Forward.slew.(idx p tr)
 let endpoint_slack t p = t.ep_slack.(p)
-
-let both = [ Sta.Rise; Sta.Fall ]
-
-(* LUT selection keyed by transition index (0 = rise, 1 = fall) *)
-let delay_lut_i (arc : Liberty.timing_arc) oi =
-  if oi = 0 then arc.Liberty.cell_rise else arc.Liberty.cell_fall
-
-let slew_lut_i (arc : Liberty.timing_arc) oi =
-  if oi = 0 then arc.Liberty.rise_transition else arc.Liberty.fall_transition
 
 let check_setup_lut_i (ck : Liberty.check_arc) ti =
   if ti = 0 then ck.Liberty.setup_rise else ck.Liberty.setup_fall
-
-let tree_of t pin =
-  let net = t.graph.Sta.Graph.design.Netlist.pins.(pin).Netlist.net in
-  if net < 0 then None else t.nets.Sta.Nets.trees.(net)
-
-let root_load_of t pin =
-  match tree_of t pin with None -> 0.0 | Some (_, rc) -> Rc.root_load rc
-
-(* forward kernel for one pin: reads strictly lower levels only, writes
-   only this pin's state and this pin's fan-in tape slots. *)
-let forward_pin t v =
-  let g = t.graph in
-  let gamma = t.gamma_ in
-  let pin = g.Sta.Graph.design.Netlist.pins.(v) in
-  let net = pin.Netlist.net in
-  (* net arc: at most one fan-in, no smoothing needed (Eq. 9) *)
-  (if pin.Netlist.direction = Netlist.Input && net >= 0 then begin
-     let u = g.Sta.Graph.net_driver_of.(net) in
-     if u >= 0 && u <> v then
-       match t.nets.Sta.Nets.trees.(net) with
-       | Some (_, rc) ->
-         let node = t.nets.Sta.Nets.tree_index.(v) in
-         let d = Rc.sink_delay rc node in
-         let i2 = Rc.sink_impulse2 rc node in
-         for ti = 0 to 1 do
-           let iu = (2 * u) + ti and iv = (2 * v) + ti in
-           if t.at_.(iu) > neg_infinity then begin
-             t.at_.(iv) <- t.at_.(iu) +. d;
-             t.slew_.(iv) <- sqrt ((t.slew_.(iu) *. t.slew_.(iu)) +. i2)
-           end
-         done
-       | None -> ()
-   end);
-  (* cell arcs: LSE aggregation over fan-in contributions (Eq. 11).  The
-     max-pass evaluates every (arc, transition) LUT pair exactly once
-     into the tape; the sum-pass and the backward gather reuse it. *)
-  let lo = g.Sta.Graph.fanin_off.(v) and hi = g.Sta.Graph.fanin_off.(v + 1) in
-  if hi > lo then begin
-    let load = root_load_of t v in
-    for oi = 0 to 1 do
-      let iv = (2 * v) + oi in
-      (* pass 1: evaluate LUTs into the tape, tracking the shift maxima *)
-      let max_a = ref neg_infinity and max_s = ref neg_infinity in
-      for k = lo to hi - 1 do
-        let a = g.Sta.Graph.fanin_arc.(k) in
-        let u = g.Sta.Graph.arc_from.(a) in
-        let arc = g.Sta.Graph.arc_table.(a) in
-        let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-        for ii = 0 to 1 do
-          if sub land (1 lsl ii) <> 0 then begin
-            let iu = (2 * u) + ii in
-            if t.at_.(iu) > neg_infinity then begin
-              let e = (4 * a) + (2 * oi) + ii in
-              let d, dd_ds, dd_dl =
-                Liberty.Lut.lookup_with_gradient (delay_lut_i arc oi)
-                  t.slew_.(iu) load
-              in
-              let s, ds_ds, ds_dl =
-                Liberty.Lut.lookup_with_gradient (slew_lut_i arc oi)
-                  t.slew_.(iu) load
-              in
-              t.tape_d.(e) <- d;
-              t.tape_dd_ds.(e) <- dd_ds;
-              t.tape_dd_dl.(e) <- dd_dl;
-              t.tape_s.(e) <- s;
-              t.tape_ds_ds.(e) <- ds_ds;
-              t.tape_ds_dl.(e) <- ds_dl;
-              if t.at_.(iu) +. d > !max_a then max_a := t.at_.(iu) +. d;
-              if s > !max_s then max_s := s
-            end
-          end
-        done
-      done;
-      if !max_a > neg_infinity then begin
-        (* pass 2: shifted sums from the taped values, no LUT re-query *)
-        let sum_a = ref 0.0 and sum_s = ref 0.0 in
-        for k = lo to hi - 1 do
-          let a = g.Sta.Graph.fanin_arc.(k) in
-          let u = g.Sta.Graph.arc_from.(a) in
-          let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-          for ii = 0 to 1 do
-            if sub land (1 lsl ii) <> 0 then begin
-              let iu = (2 * u) + ii in
-              if t.at_.(iu) > neg_infinity then begin
-                let e = (4 * a) + (2 * oi) + ii in
-                sum_a :=
-                  !sum_a +. exp ((t.at_.(iu) +. t.tape_d.(e) -. !max_a)
-                                 /. gamma);
-                sum_s := !sum_s +. exp ((t.tape_s.(e) -. !max_s) /. gamma)
-              end
-            end
-          done
-        done;
-        t.at_.(iv) <- !max_a +. (gamma *. log !sum_a);
-        t.slew_.(iv) <- !max_s +. (gamma *. log !sum_s)
-      end
-    done
-  end
 
 (* partial reduction over endpoints (merged in chunk order) *)
 type ep_stats = {
@@ -283,35 +154,10 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
   let g = t.graph in
   let cs = g.Sta.Graph.constraints in
   let gamma = t.gamma_ in
-  let npins = Netlist.num_pins g.Sta.Graph.design in
   let pool = match pool with Some p -> p | None -> Parallel.sequential_pool in
-  Array.fill t.at_ 0 (2 * npins) neg_infinity;
-  Array.fill t.slew_ 0 (2 * npins) 0.0;
-  List.iter
-    (fun p ->
-      List.iter
-        (fun tr ->
-          let i = idx p tr in
-          t.at_.(i) <- cs.Sta.Constraints.input_delay;
-          t.slew_.(i) <- cs.Sta.Constraints.input_slew)
-        both)
-    g.Sta.Graph.primary_inputs;
-  Array.iteri
-    (fun p clock ->
-      if clock then
-        List.iter
-          (fun tr ->
-            let i = idx p tr in
-            t.at_.(i) <- 0.0;
-            t.slew_.(i) <- cs.Sta.Constraints.clock_slew)
-          both)
-    g.Sta.Graph.is_clock_pin;
-  Array.iter
-    (fun level_pins ->
-      (* per-pin cost: a few LUT lookups + per-sink Elmore terms *)
-      Parallel.parallel_for pool ~obs ~cost:16.0 (Array.length level_pins)
-        (fun k -> forward_pin t level_pins.(k)))
-    g.Sta.Graph.levels;
+  let at = t.fwd.Sta.Forward.at and slew = t.fwd.Sta.Forward.slew in
+  Sta.Forward.reset t.fwd;
+  Sta.Forward.sweep ~pool ~obs t.fwd (Sta.Forward.pin t.fwd ~gamma);
   (* endpoint slacks (setup/late), smoothed across transitions; global
      statistics reduced with per-chunk partial accumulators *)
   let period = cs.Sta.Constraints.clock_period in
@@ -325,18 +171,18 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
       let i = (2 * p) + ti in
       t.ep_slack_tr.(i) <- infinity;
       t.ep_dsetup.(i) <- 0.0;
-      if t.at_.(i) > neg_infinity then begin
+      if at.(i) > neg_infinity then begin
         let slack =
           match g.Sta.Graph.check_of_pin.(p) with
           | Some ck ->
             let setup, dsu, _ =
               Liberty.Lut.lookup_with_gradient
                 (check_setup_lut_i ck.Sta.Graph.ck_arc ti)
-                t.slew_.(i) cs.Sta.Constraints.clock_slew
+                slew.(i) cs.Sta.Constraints.clock_slew
             in
             t.ep_dsetup.(i) <- dsu;
-            period -. setup -. t.at_.(i)
-          | None -> period -. cs.Sta.Constraints.output_delay -. t.at_.(i)
+            period -. setup -. at.(i)
+          | None -> period -. cs.Sta.Constraints.output_delay -. at.(i)
         in
         t.ep_slack_tr.(i) <- slack;
         if slack < !hard then hard := slack;
@@ -409,6 +255,10 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
 let backward_pin t u =
   let g = t.graph in
   let gamma = t.gamma_ in
+  let { Sta.Forward.nets; at; slew; tape_d; tape_dd_ds; tape_dd_dl; tape_s;
+        tape_ds_ds; tape_ds_dl } =
+    t.fwd
+  in
   (* cell arcs: gather the fan-out contributions of this pin *)
   let lo = g.Sta.Graph.fanout_off.(u) in
   let hi = g.Sta.Graph.fanout_off.(u + 1) in
@@ -418,26 +268,26 @@ let backward_pin t u =
     let mask = g.Sta.Graph.arc_mask.(a) in
     for oi = 0 to 1 do
       let iv = (2 * v) + oi in
-      if t.at_.(iv) > neg_infinity
+      if at.(iv) > neg_infinity
          && (t.g_at.(iv) <> 0.0 || t.g_slew.(iv) <> 0.0)
       then begin
         let sub = (mask lsr (2 * oi)) land 3 in
         for ii = 0 to 1 do
           if sub land (1 lsl ii) <> 0 then begin
             let iu = (2 * u) + ii in
-            if t.at_.(iu) > neg_infinity then begin
+            if at.(iu) > neg_infinity then begin
               let e = (4 * a) + (2 * oi) + ii in
               let wa =
-                exp ((t.at_.(iu) +. t.tape_d.(e) -. t.at_.(iv)) /. gamma)
+                exp ((at.(iu) +. tape_d.(e) -. at.(iv)) /. gamma)
               in
-              let ws = exp ((t.tape_s.(e) -. t.slew_.(iv)) /. gamma) in
+              let ws = exp ((tape_s.(e) -. slew.(iv)) /. gamma) in
               let g_contrib_at = wa *. t.g_at.(iv) in
               let g_contrib_slew = ws *. t.g_slew.(iv) in
               t.g_at.(iu) <- t.g_at.(iu) +. g_contrib_at;
               t.g_slew.(iu) <-
                 t.g_slew.(iu)
-                +. (t.tape_dd_ds.(e) *. g_contrib_at)
-                +. (t.tape_ds_ds.(e) *. g_contrib_slew)
+                +. (tape_dd_ds.(e) *. g_contrib_at)
+                +. (tape_ds_ds.(e) *. g_contrib_slew)
             end
           end
         done
@@ -451,7 +301,7 @@ let backward_pin t u =
      net-delay/impulse adjoints (each sink has exactly one driver) *)
   (if net >= 0 && pin.Netlist.direction = Netlist.Output
       && g.Sta.Graph.net_driver_of.(net) = u
-      && t.nets.Sta.Nets.trees.(net) <> None
+      && nets.Sta.Nets.trees.(net) <> None
    then
      for k = g.Sta.Graph.net_sink_off.(net)
          to g.Sta.Graph.net_sink_off.(net + 1) - 1
@@ -459,12 +309,12 @@ let backward_pin t u =
        let v = g.Sta.Graph.net_sink.(k) in
        for ti = 0 to 1 do
          let iv = (2 * v) + ti and iu = (2 * u) + ti in
-         if t.at_.(iv) > neg_infinity then begin
+         if at.(iv) > neg_infinity then begin
            t.g_at.(iu) <- t.g_at.(iu) +. t.g_at.(iv);
            t.g_net_delay.(v) <- t.g_net_delay.(v) +. t.g_at.(iv);
-           let slew_v = Float.max 1e-9 t.slew_.(iv) in
+           let slew_v = Float.max 1e-9 slew.(iv) in
            t.g_slew.(iu) <-
-             t.g_slew.(iu) +. (t.slew_.(iu) /. slew_v *. t.g_slew.(iv));
+             t.g_slew.(iu) +. (slew.(iu) /. slew_v *. t.g_slew.(iv));
            t.g_i2.(v) <- t.g_i2.(v) +. (t.g_slew.(iv) /. (2.0 *. slew_v))
          end
        done
@@ -478,10 +328,10 @@ let backward_pin t u =
   if hi > lo && net >= 0 then
     for oi = 0 to 1 do
       let iu_out = (2 * u) + oi in
-      if t.at_.(iu_out) > neg_infinity
+      if at.(iu_out) > neg_infinity
          && (t.g_at.(iu_out) <> 0.0 || t.g_slew.(iu_out) <> 0.0)
       then begin
-        let at_u = t.at_.(iu_out) and slew_u = t.slew_.(iu_out) in
+        let at_u = at.(iu_out) and slew_u = slew.(iu_out) in
         let acc = ref 0.0 in
         for k = lo to hi - 1 do
           let a = g.Sta.Graph.fanin_arc.(k) in
@@ -490,16 +340,16 @@ let backward_pin t u =
           for ii = 0 to 1 do
             if sub land (1 lsl ii) <> 0 then begin
               let iw = (2 * w) + ii in
-              if t.at_.(iw) > neg_infinity then begin
+              if at.(iw) > neg_infinity then begin
                 let e = (4 * a) + (2 * oi) + ii in
                 let wa =
-                  exp ((t.at_.(iw) +. t.tape_d.(e) -. at_u) /. gamma)
+                  exp ((at.(iw) +. tape_d.(e) -. at_u) /. gamma)
                 in
-                let ws = exp ((t.tape_s.(e) -. slew_u) /. gamma) in
+                let ws = exp ((tape_s.(e) -. slew_u) /. gamma) in
                 acc :=
                   !acc
-                  +. (t.tape_dd_dl.(e) *. wa *. t.g_at.(iu_out))
-                  +. (t.tape_ds_dl.(e) *. ws *. t.g_slew.(iu_out))
+                  +. (tape_dd_dl.(e) *. wa *. t.g_at.(iu_out))
+                  +. (tape_ds_dl.(e) *. ws *. t.g_slew.(iu_out))
               end
             end
           done
@@ -511,7 +361,8 @@ let backward_pin t u =
 (* Elmore adjoint, Steiner provenance and cell gradients for one net,
    accumulated into [gx]/[gy] (per cell) using [ns] as scratch. *)
 let net_backward t ns ~gx ~gy net =
-  match t.nets.Sta.Nets.trees.(net) with
+  let nets = nets t in
+  match nets.Sta.Nets.trees.(net) with
   | None -> ()
   | Some (tree, rc) ->
     let design = t.graph.Sta.Graph.design in
@@ -526,7 +377,7 @@ let net_backward t ns ~gx ~gy net =
     let any = ref (t.g_root_load.(net) <> 0.0) in
     Array.iter
       (fun p ->
-        let node = t.nets.Sta.Nets.tree_index.(p) in
+        let node = nets.Sta.Nets.tree_index.(p) in
         if t.g_net_delay.(p) <> 0.0 || t.g_i2.(p) <> 0.0 then begin
           ns.ns_node_gd.(node) <- t.g_net_delay.(p);
           ns.ns_node_gi2.(node) <- t.g_i2.(p);

@@ -14,12 +14,15 @@
     passes (Eq. 8) and finally the Steiner-point provenance (Fig. 4),
     producing d/d(cell center) for every movable cell.
 
-    Level kernels in the forward pass only read strictly lower levels, so
-    they are dispatched data-parallel over the pins of a level (the CPU
-    stand-in for the paper's CUDA kernels).  The forward pass records
-    every NLDM LUT evaluation (value and partials) in a flat tape indexed
-    by timing arc and transition pair, so each LUT is queried exactly
-    once per forward/backward round trip.  The backward pass {e gathers}:
+    The forward pass is the kernel shared with the exact timer,
+    {!Sta.Forward} at this engine's [gamma] (the exact timer runs it at
+    [gamma = 0]); this module adds the endpoint slack smoothing and the
+    backward pass.  The kernel only reads strictly lower levels, so it is
+    dispatched data-parallel over the pins of a level (the CPU stand-in
+    for the paper's CUDA kernels), and it records every NLDM LUT
+    evaluation (value and partials) in a flat tape indexed by timing arc
+    and transition pair, so each LUT is queried exactly once per
+    forward/backward round trip.  The backward pass {e gathers}:
     each pin's adjoints are accumulated by that pin's own task from its
     fan-out state, which makes the reverse level sweep race-free and
     dispatchable through the same worker pool; the per-net Elmore adjoint

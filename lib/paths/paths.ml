@@ -57,6 +57,8 @@ type path = {
 }
 
 let num_edges t = Array.length t.tin_src
+let edge_delay t e = t.tin_delay.(e)
+let pred t n = t.pred.(n)
 
 let analyze_run ?pool ?obs timer =
   let nets = Sta.Timer.nets timer in
@@ -66,8 +68,7 @@ let analyze_run ?pool ?obs timer =
   let nnodes = 2 * npins in
   let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
   let at v ti = Sta.Timer.at_late timer v (tr_of ti) in
-  let slew v ti = Sta.Timer.slew_late timer v (tr_of ti) in
-  (* pass 1: in-degree of every node (no LUT evaluations needed) *)
+  (* pass 1: in-degree of every node *)
   let counts = Array.make nnodes 0 in
   Parallel.parallel_for p ?obs ~cost:8.0 nnodes (fun node ->
       let v = node / 2 and oi = node land 1 in
@@ -124,35 +125,21 @@ let analyze_run ?pool ?obs timer =
              incr cursor
            end
          | None -> ());
-      let lo = g.Sta.Graph.fanin_off.(v) and hi = g.Sta.Graph.fanin_off.(v + 1) in
-      if hi > lo then begin
-        (* cell-arc delay is looked up against the output net's root
-           load, as in propagation and retrace *)
-        let load =
-          if net >= 0 then
-            match nets.Sta.Nets.trees.(net) with
-            | Some (_, rc) -> Rc.root_load rc
-            | None -> 0.0
-          else 0.0
-        in
-        for k = lo to hi - 1 do
-          let a = g.Sta.Graph.fanin_arc.(k) in
-          let u = g.Sta.Graph.arc_from.(a) in
-          let arc = g.Sta.Graph.arc_table.(a) in
-          let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-          for ii = 0 to 1 do
-            if sub land (1 lsl ii) <> 0 && at u ii > neg_infinity then begin
-              let lut =
-                if oi = 0 then arc.Liberty.cell_rise else arc.Liberty.cell_fall
-              in
-              tin_src.(!cursor) <- (2 * u) + ii;
-              tin_delay.(!cursor) <- Liberty.Lut.lookup lut (slew u ii) load;
-              tin_arc.(!cursor) <- a;
-              incr cursor
-            end
-          done
+      (* cell-arc delays as the timer's propagation computed them *)
+      for k = g.Sta.Graph.fanin_off.(v) to g.Sta.Graph.fanin_off.(v + 1) - 1 do
+        let a = g.Sta.Graph.fanin_arc.(k) in
+        let u = g.Sta.Graph.arc_from.(a) in
+        let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+        for ii = 0 to 1 do
+          if sub land (1 lsl ii) <> 0 && at u ii > neg_infinity then begin
+            tin_src.(!cursor) <- (2 * u) + ii;
+            tin_delay.(!cursor) <-
+              Sta.Timer.arc_delay timer a ~tr_out:(tr_of oi) ~tr_in:(tr_of ii);
+            tin_arc.(!cursor) <- a;
+            incr cursor
+          end
         done
-      end;
+      done;
       if !has_net_edge then pred.(node) <- tin_off.(node)
       else begin
         let best = ref (-1) and best_err = ref infinity in

@@ -46,6 +46,14 @@ val analyze : ?pool:Parallel.pool -> ?obs:Obs.t -> Sta.Timer.t -> t
 val num_edges : t -> int
 (** Number of flattened timing in-edges (net + cell, both transitions). *)
 
+val edge_delay : t -> int -> float
+(** Delay of flattened in-edge [e], [0 <= e < num_edges]: the net arc's
+    Elmore delay or the cell arc's taped delay ({!Sta.Timer.arc_delay}). *)
+
+val pred : t -> int -> int
+(** The in-edge realising timing node [n]'s arrival (its back-pointer),
+    or [-1] when it has none. *)
+
 (** One enumerated path, startpoint first.  [pt_rank] is the path's
     0-based rank within its endpoint's enumeration; [pt_nets] and
     [pt_arcs] list the net ids and cell-arc ids traversed, in path

@@ -303,7 +303,7 @@ module Nets = struct
     anchor_ys : float array;
   }
 
-  let build_tree ?exact_limit (g : Graph.t) net_id =
+  let build_tree (g : Graph.t) net_id =
     let design = g.Graph.design in
     let pins = design.Netlist.nets.(net_id).Netlist.net_pins in
     let n = Array.length pins in
@@ -311,7 +311,7 @@ module Nets = struct
     else begin
       let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
       let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-      let tree = Steiner.build ?exact_limit ~xs ~ys () in
+      let tree = Steiner.build ~xs ~ys () in
       let pin_caps = Array.map (fun p -> g.Graph.pin_cap.(p)) pins in
       let rc =
         Rc.create ~r_unit:g.Graph.lib.Liberty.r_unit
@@ -400,128 +400,121 @@ module Nets = struct
      nets whose class is not generated yet are flagged and patched
      sequentially after the parallel phase, so the final state never
      depends on worker scheduling or domain count. *)
-  let rebuild ?exact_limit ?dirty_threshold ?pool ?(obs = Obs.disabled) t =
+  let rebuild ?dirty_threshold ?pool ?(obs = Obs.disabled) t =
     Obs.start obs Obs.Steiner_rebuild;
     let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
     let design = t.graph.Graph.design in
     let nnets = Array.length t.trees in
-    (match exact_limit with
-     | Some _ ->
-       (* legacy oracle path: every net through the exhaustive builder *)
-       Parallel.parallel_for p ~obs ~cost:400.0 nnets (fun n ->
-         t.trees.(n) <- build_tree ?exact_limit t.graph n;
-         if t.trees.(n) <> None then record_anchor t n)
-     | None ->
-       (* classify: clean (refresh), LUT degree, or heuristic degree *)
-       let wl_clean = Array.make nnets 0 and n_clean = ref 0 in
-       let wl_lut = Array.make nnets 0 and n_lut = ref 0 in
-       let wl_full = Array.make nnets 0 and n_full = ref 0 in
-       for n = 0 to nnets - 1 do
-         match t.trees.(n) with
-         | None -> ()
-         | Some _ ->
-           let pins = design.Netlist.nets.(n).Netlist.net_pins in
-           let dirty =
-             match dirty_threshold with
-             | None -> true
-             | Some thr ->
-               let off = t.anchor_off.(n) in
-               let d = ref false in
-               let k = ref 0 in
-               let m = Array.length pins in
-               (* Scale the threshold with degree: under a fixed one,
-                  every high-fanout net is permanently dirty (some pin
-                  always moves) yet a single pin's jitter has vanishing
-                  influence on a big net's topology.  At 0 the scaled
-                  threshold is still 0, so threshold-0 remains
-                  bit-identical to an unconditional rebuild. *)
-               let thr =
-                 thr
-                 *. Float.max 1.0
-                      (float_of_int m
-                       /. float_of_int Steiner.Lut.max_degree)
-               in
-               while (not !d) && !k < m do
-                 let pin = pins.(!k) in
-                 if
-                   Float.abs
-                     (Netlist.pin_x design pin -. t.anchor_xs.(off + !k))
+    (* classify: clean (refresh), LUT degree, or heuristic degree *)
+    let wl_clean = Array.make nnets 0 and n_clean = ref 0 in
+    let wl_lut = Array.make nnets 0 and n_lut = ref 0 in
+    let wl_full = Array.make nnets 0 and n_full = ref 0 in
+    for n = 0 to nnets - 1 do
+      match t.trees.(n) with
+      | None -> ()
+      | Some _ ->
+        let pins = design.Netlist.nets.(n).Netlist.net_pins in
+        let dirty =
+          match dirty_threshold with
+          | None -> true
+          | Some thr ->
+            let off = t.anchor_off.(n) in
+            let d = ref false in
+            let k = ref 0 in
+            let m = Array.length pins in
+            (* Scale the threshold with degree: under a fixed one,
+               every high-fanout net is permanently dirty (some pin
+               always moves) yet a single pin's jitter has vanishing
+               influence on a big net's topology.  At 0 the scaled
+               threshold is still 0, so threshold-0 remains
+               bit-identical to an unconditional rebuild. *)
+            let thr =
+              thr
+              *. Float.max 1.0
+                   (float_of_int m
+                    /. float_of_int Steiner.Lut.max_degree)
+            in
+            while (not !d) && !k < m do
+              let pin = pins.(!k) in
+              if
+                Float.abs
+                  (Netlist.pin_x design pin -. t.anchor_xs.(off + !k))
+                > thr
+                || Float.abs
+                     (Netlist.pin_y design pin -. t.anchor_ys.(off + !k))
                    > thr
-                   || Float.abs
-                        (Netlist.pin_y design pin -. t.anchor_ys.(off + !k))
-                      > thr
-                 then d := true;
-                 incr k
-               done;
-               !d
-           in
-           if not dirty then begin
-             wl_clean.(!n_clean) <- n;
-             incr n_clean
-           end
-           else if Array.length pins <= Steiner.Lut.max_degree then begin
-             wl_lut.(!n_lut) <- n;
-             incr n_lut
-           end
-           else begin
-             wl_full.(!n_full) <- n;
-             incr n_full
-           end
-       done;
-       if Obs.enabled obs then begin
-         Obs.add obs "steiner.nets_clean" (float_of_int !n_clean);
-         Obs.add obs "steiner.nets_lut" (float_of_int !n_lut);
-         Obs.add obs "steiner.nets_full" (float_of_int !n_full)
-       end;
-       (* clean nets: O(1) provenance refresh on the frozen topology *)
-       Obs.start obs Obs.Steiner_dirty;
-       Parallel.parallel_for p ~obs ~cost:200.0 !n_clean (fun i ->
-         let n = wl_clean.(i) in
-         match t.trees.(n) with
-         | None -> ()
-         | Some entry ->
-           refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
-       Obs.stop obs Obs.Steiner_dirty;
-       (* LUT-degree nets: parallel read-only lookups, sequential patch
-          for classes seen for the first time *)
-       Obs.start obs Obs.Steiner_lut;
-       let missing = Array.make (max 1 !n_lut) false in
-       Parallel.parallel_for p ~obs ~cost:600.0 !n_lut (fun i ->
-         let n = wl_lut.(i) in
-         let pins = design.Netlist.nets.(n).Netlist.net_pins in
-         let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
-         let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-         match Steiner.Lut.try_build ~xs ~ys with
-         | Some tree ->
-           (match t.trees.(n) with
-            | Some (old_tree, rc) when same_topology old_tree tree ->
-              (* topology unchanged (the common case under small moves):
-                 keep the installed tree and RC, adopt the coordinates *)
-              let m = Steiner.node_count tree in
-              Array.blit tree.Steiner.xs 0 old_tree.Steiner.xs 0 m;
-              Array.blit tree.Steiner.ys 0 old_tree.Steiner.ys 0 m;
-              Rc.evaluate rc
-            | _ -> install_tree t n tree);
-           record_anchor t n
-         | None -> missing.(i) <- true);
-       for i = 0 to !n_lut - 1 do
-         if missing.(i) then begin
-           let n = wl_lut.(i) in
-           let pins = design.Netlist.nets.(n).Netlist.net_pins in
-           let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
-           let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-           install_tree t n (Steiner.Lut.build ~xs ~ys);
-           record_anchor t n
-         end
-       done;
-       Obs.stop obs Obs.Steiner_lut;
-       (* above-LUT degrees: Prim + Steinerisation *)
-       Obs.start obs Obs.Steiner_full;
-       Parallel.parallel_for p ~obs ~cost:4000.0 !n_full (fun i ->
-         let n = wl_full.(i) in
-         t.trees.(n) <- build_tree t.graph n;
-         record_anchor t n);
-       Obs.stop obs Obs.Steiner_full);
+              then d := true;
+              incr k
+            done;
+            !d
+        in
+        if not dirty then begin
+          wl_clean.(!n_clean) <- n;
+          incr n_clean
+        end
+        else if Array.length pins <= Steiner.Lut.max_degree then begin
+          wl_lut.(!n_lut) <- n;
+          incr n_lut
+        end
+        else begin
+          wl_full.(!n_full) <- n;
+          incr n_full
+        end
+    done;
+    if Obs.enabled obs then begin
+      Obs.add obs "steiner.nets_clean" (float_of_int !n_clean);
+      Obs.add obs "steiner.nets_lut" (float_of_int !n_lut);
+      Obs.add obs "steiner.nets_full" (float_of_int !n_full)
+    end;
+    (* clean nets: O(1) provenance refresh on the frozen topology *)
+    Obs.start obs Obs.Steiner_dirty;
+    Parallel.parallel_for p ~obs ~cost:200.0 !n_clean (fun i ->
+      let n = wl_clean.(i) in
+      match t.trees.(n) with
+      | None -> ()
+      | Some entry ->
+        refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
+    Obs.stop obs Obs.Steiner_dirty;
+    (* LUT-degree nets: parallel read-only lookups, sequential patch
+       for classes seen for the first time *)
+    Obs.start obs Obs.Steiner_lut;
+    let missing = Array.make (max 1 !n_lut) false in
+    Parallel.parallel_for p ~obs ~cost:600.0 !n_lut (fun i ->
+      let n = wl_lut.(i) in
+      let pins = design.Netlist.nets.(n).Netlist.net_pins in
+      let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
+      let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
+      match Steiner.Lut.try_build ~xs ~ys with
+      | Some tree ->
+        (match t.trees.(n) with
+         | Some (old_tree, rc) when same_topology old_tree tree ->
+           (* topology unchanged (the common case under small moves):
+              keep the installed tree and RC, adopt the coordinates *)
+           let m = Steiner.node_count tree in
+           Array.blit tree.Steiner.xs 0 old_tree.Steiner.xs 0 m;
+           Array.blit tree.Steiner.ys 0 old_tree.Steiner.ys 0 m;
+           Rc.evaluate rc
+         | _ -> install_tree t n tree);
+        record_anchor t n
+      | None -> missing.(i) <- true);
+    for i = 0 to !n_lut - 1 do
+      if missing.(i) then begin
+        let n = wl_lut.(i) in
+        let pins = design.Netlist.nets.(n).Netlist.net_pins in
+        let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
+        let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
+        install_tree t n (Steiner.Lut.build ~xs ~ys);
+        record_anchor t n
+      end
+    done;
+    Obs.stop obs Obs.Steiner_lut;
+    (* above-LUT degrees: Prim + Steinerisation *)
+    Obs.start obs Obs.Steiner_full;
+    Parallel.parallel_for p ~obs ~cost:4000.0 !n_full (fun i ->
+      let n = wl_full.(i) in
+      t.trees.(n) <- build_tree t.graph n;
+      record_anchor t n);
+    Obs.stop obs Obs.Steiner_full;
     Obs.stop obs Obs.Steiner_rebuild
 
   let refresh ?pool ?(obs = Obs.disabled) t =
@@ -548,6 +541,178 @@ module Nets = struct
       0.0 t.trees
 end
 
+(* The forward timing kernel shared by the exact and the differentiable
+   timer; see the interface for the tape layout and the gamma contract. *)
+module Forward = struct
+  type t = {
+    nets : Nets.t;
+    at : float array;    (* 2 * pin + transition *)
+    slew : float array;
+    tape_d : float array;
+    (* written at gamma > 0 only; empty in an exact-only state *)
+    tape_dd_ds : float array;
+    tape_dd_dl : float array;
+    tape_s : float array;
+    tape_ds_ds : float array;
+    tape_ds_dl : float array;
+  }
+
+  let create ?(smooth = false) nets =
+    let g = nets.Nets.graph in
+    let n = 2 * Netlist.num_pins g.Graph.design in
+    let m = 4 * Graph.num_arcs g in
+    let smooth_tape () = Array.make (if smooth then m else 0) 0.0 in
+    { nets;
+      at = Array.make n neg_infinity;
+      slew = Array.make n 0.0;
+      tape_d = Array.make m 0.0;
+      tape_dd_ds = smooth_tape ();
+      tape_dd_dl = smooth_tape ();
+      tape_s = smooth_tape ();
+      tape_ds_ds = smooth_tape ();
+      tape_ds_dl = smooth_tape () }
+
+  (* LUT selection keyed by transition index (0 = rise, 1 = fall) *)
+  let delay_lut (arc : Liberty.timing_arc) oi =
+    if oi = 0 then arc.Liberty.cell_rise else arc.Liberty.cell_fall
+
+  let slew_lut (arc : Liberty.timing_arc) oi =
+    if oi = 0 then arc.Liberty.rise_transition else arc.Liberty.fall_transition
+
+  (* cell arcs into [v] see the root load of the net [v] drives *)
+  let root_load nets v =
+    let net = nets.Nets.graph.Graph.design.Netlist.pins.(v).Netlist.net in
+    if net < 0 then 0.0
+    else
+      match nets.Nets.trees.(net) with
+      | None -> 0.0
+      | Some (_, rc) -> Rc.root_load rc
+
+  let reset t =
+    let g = t.nets.Nets.graph in
+    let cs = g.Graph.constraints in
+    Array.fill t.at 0 (Array.length t.at) neg_infinity;
+    Array.fill t.slew 0 (Array.length t.slew) 0.0;
+    let start p at slew =
+      for ti = 0 to 1 do
+        t.at.((2 * p) + ti) <- at;
+        t.slew.((2 * p) + ti) <- slew
+      done
+    in
+    List.iter
+      (fun p ->
+        start p cs.Constraints.input_delay cs.Constraints.input_slew)
+      g.Graph.primary_inputs;
+    Array.iteri
+      (fun p clock -> if clock then start p 0.0 cs.Constraints.clock_slew)
+      g.Graph.is_clock_pin
+
+  (* The kernel for one pin: reads strictly lower levels only, writes
+     only this pin's state and this pin's fan-in tape slots. *)
+  let pin t ~gamma v =
+    let g = t.nets.Nets.graph in
+    let at = t.at and slew = t.slew in
+    let pin = g.Graph.design.Netlist.pins.(v) in
+    let net = pin.Netlist.net in
+    (* net arc: at most one fan-in, no aggregation (Eq. 9, 10) *)
+    (if pin.Netlist.direction = Netlist.Input && net >= 0 then
+       let u = g.Graph.net_driver_of.(net) in
+       if u >= 0 && u <> v then
+         match t.nets.Nets.trees.(net) with
+         | Some (_, rc) ->
+           let node = t.nets.Nets.tree_index.(v) in
+           let d = Rc.sink_delay rc node in
+           let i2 = Rc.sink_impulse2 rc node in
+           for ti = 0 to 1 do
+             let iu = (2 * u) + ti and iv = (2 * v) + ti in
+             if at.(iu) > neg_infinity then begin
+               at.(iv) <- at.(iu) +. d;
+               slew.(iv) <- sqrt ((slew.(iu) *. slew.(iu)) +. i2)
+             end
+           done
+         | None -> ());
+    (* cell arcs: the max pass evaluates every admitted (arc, transition)
+       LUT pair exactly once into the tape; the hard max is done there,
+       the LSE (Eq. 11) adds the shifted-sum pass over the taped values *)
+    let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
+    if hi > lo then begin
+      let load = root_load t.nets v in
+      for oi = 0 to 1 do
+        let iv = (2 * v) + oi in
+        let max_a = ref neg_infinity and max_s = ref neg_infinity in
+        for k = lo to hi - 1 do
+          let a = g.Graph.fanin_arc.(k) in
+          let u = g.Graph.arc_from.(a) in
+          let arc = g.Graph.arc_table.(a) in
+          let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+          for ii = 0 to 1 do
+            if sub land (1 lsl ii) <> 0 then begin
+              let iu = (2 * u) + ii in
+              if at.(iu) > neg_infinity then begin
+                let e = (4 * a) + (2 * oi) + ii in
+                let d, dd_ds, dd_dl =
+                  Liberty.Lut.lookup_with_gradient (delay_lut arc oi)
+                    slew.(iu) load
+                in
+                let s, ds_ds, ds_dl =
+                  Liberty.Lut.lookup_with_gradient (slew_lut arc oi)
+                    slew.(iu) load
+                in
+                t.tape_d.(e) <- d;
+                if gamma > 0.0 then begin
+                  t.tape_dd_ds.(e) <- dd_ds;
+                  t.tape_dd_dl.(e) <- dd_dl;
+                  t.tape_s.(e) <- s;
+                  t.tape_ds_ds.(e) <- ds_ds;
+                  t.tape_ds_dl.(e) <- ds_dl
+                end;
+                if at.(iu) +. d > !max_a then max_a := at.(iu) +. d;
+                if s > !max_s then max_s := s
+              end
+            end
+          done
+        done;
+        if gamma <= 0.0 then begin
+          if !max_a > at.(iv) then at.(iv) <- !max_a;
+          if !max_s > slew.(iv) then slew.(iv) <- !max_s
+        end
+        else if !max_a > neg_infinity then begin
+          let sum_a = ref 0.0 and sum_s = ref 0.0 in
+          for k = lo to hi - 1 do
+            let a = g.Graph.fanin_arc.(k) in
+            let u = g.Graph.arc_from.(a) in
+            let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+            for ii = 0 to 1 do
+              if sub land (1 lsl ii) <> 0 then begin
+                let iu = (2 * u) + ii in
+                if at.(iu) > neg_infinity then begin
+                  let e = (4 * a) + (2 * oi) + ii in
+                  sum_a :=
+                    !sum_a
+                    +. exp ((at.(iu) +. t.tape_d.(e) -. !max_a) /. gamma);
+                  sum_s := !sum_s +. exp ((t.tape_s.(e) -. !max_s) /. gamma)
+                end
+              end
+            done
+          done;
+          at.(iv) <- !max_a +. (gamma *. log !sum_a);
+          slew.(iv) <- !max_s +. (gamma *. log !sum_s)
+        end
+      done
+    end
+
+  (* level-synchronous sweep: [f v] may read strictly lower levels only,
+     so the pins of one level run data-parallel through [pool] *)
+  let sweep ?pool ?obs t f =
+    let pool = match pool with Some p -> p | None -> Parallel.sequential_pool in
+    Array.iter
+      (fun level_pins ->
+        (* per-pin cost: a few LUT lookups + per-sink Elmore terms *)
+        Parallel.parallel_for pool ?obs ~cost:16.0 (Array.length level_pins)
+          (fun k -> f level_pins.(k)))
+      t.nets.Nets.graph.Graph.levels
+end
+
 module Timer = struct
   type endpoint_slack = {
     ep_pin : int;
@@ -566,9 +731,8 @@ module Timer = struct
   type t = {
     graph : Graph.t;
     nets : Nets.t;
-    at_l : float array;   (* 2 * pin + transition *)
-    at_e : float array;
-    sl_l : float array;
+    fwd : Forward.t;      (* late state + arc tape, the kernel at gamma 0 *)
+    at_e : float array;   (* 2 * pin + transition *)
     sl_e : float array;
     rat_l : float array;
     rat_e : float array;
@@ -576,69 +740,50 @@ module Timer = struct
 
   let create graph =
     let n = 2 * Netlist.num_pins graph.Graph.design in
-    { graph;
-      nets = Nets.create graph;
-      at_l = Array.make n neg_infinity;
+    let nets = Nets.create graph in
+    { graph; nets;
+      fwd = Forward.create nets;
       at_e = Array.make n infinity;
-      sl_l = Array.make n 0.0;
       sl_e = Array.make n infinity;
       rat_l = Array.make n infinity;
       rat_e = Array.make n neg_infinity }
 
   let nets t = t.nets
   let idx p tr = (2 * p) + transition_index tr
-  let at_late t p tr = t.at_l.(idx p tr)
+  let at_late t p tr = t.fwd.Forward.at.(idx p tr)
   let at_early t p tr = t.at_e.(idx p tr)
-  let slew_late t p tr = t.sl_l.(idx p tr)
+  let slew_late t p tr = t.fwd.Forward.slew.(idx p tr)
   let rat_late t p tr = t.rat_l.(idx p tr)
 
-  (* LUT selection keyed by transition index (0 = rise, 1 = fall) *)
-  let delay_lut_i (arc : Liberty.timing_arc) oi =
-    if oi = 0 then arc.Liberty.cell_rise else arc.Liberty.cell_fall
+  let arc_delay t a ~tr_out ~tr_in =
+    t.fwd.Forward.tape_d.((4 * a) + (2 * transition_index tr_out)
+                          + transition_index tr_in)
 
-  let slew_lut_i (arc : Liberty.timing_arc) oi =
-    if oi = 0 then arc.Liberty.rise_transition
-    else arc.Liberty.fall_transition
-
-  let tree_of t pin =
-    let design = t.graph.Graph.design in
-    let net = design.Netlist.pins.(pin).Netlist.net in
-    if net < 0 then None else t.nets.Nets.trees.(net)
-
-  let root_load_of t pin =
-    match tree_of t pin with None -> 0.0 | Some (_, rc) -> Rc.root_load rc
-
-  let propagate_net_arc t v =
+  (* Early (hold) arrival and slew of one pin: the hard-min counterpart
+     of the kernel's late pass, kept by the exact timer only. *)
+  let early_pin t v =
     let g = t.graph in
     let pin = g.Graph.design.Netlist.pins.(v) in
     let net = pin.Netlist.net in
-    if pin.Netlist.direction = Netlist.Input && net >= 0 then begin
-      let u = g.Graph.net_driver_of.(net) in
-      if u >= 0 && u <> v then
-        match t.nets.Nets.trees.(net) with
-        | Some (_, rc) ->
-          let node = t.nets.Nets.tree_index.(v) in
-          let d = Rc.sink_delay rc node in
-          let i2 = Rc.sink_impulse2 rc node in
-          for ti = 0 to 1 do
-            let iu = (2 * u) + ti and iv = (2 * v) + ti in
-            if t.at_l.(iu) > neg_infinity then begin
-              t.at_l.(iv) <- t.at_l.(iu) +. d;
-              t.sl_l.(iv) <- sqrt ((t.sl_l.(iu) *. t.sl_l.(iu)) +. i2)
-            end;
-            if t.at_e.(iu) < infinity then begin
-              t.at_e.(iv) <- t.at_e.(iu) +. d;
-              t.sl_e.(iv) <- sqrt ((t.sl_e.(iu) *. t.sl_e.(iu)) +. i2)
-            end
-          done
-        | None -> ()
-    end
-
-  let propagate_cell_arcs t v =
-    let g = t.graph in
+    (if pin.Netlist.direction = Netlist.Input && net >= 0 then
+       let u = g.Graph.net_driver_of.(net) in
+       if u >= 0 && u <> v then
+         match t.nets.Nets.trees.(net) with
+         | Some (_, rc) ->
+           let node = t.nets.Nets.tree_index.(v) in
+           let d = Rc.sink_delay rc node in
+           let i2 = Rc.sink_impulse2 rc node in
+           for ti = 0 to 1 do
+             let iu = (2 * u) + ti and iv = (2 * v) + ti in
+             if t.at_e.(iu) < infinity then begin
+               t.at_e.(iv) <- t.at_e.(iu) +. d;
+               t.sl_e.(iv) <- sqrt ((t.sl_e.(iu) *. t.sl_e.(iu)) +. i2)
+             end
+           done
+         | None -> ());
     let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
     if hi > lo then begin
-      let load = root_load_of t v in
+      let load = Forward.root_load t.nets v in
       for k = lo to hi - 1 do
         let a = g.Graph.fanin_arc.(k) in
         let u = g.Graph.arc_from.(a) in
@@ -650,23 +795,14 @@ module Timer = struct
           for ii = 0 to 1 do
             if sub land (1 lsl ii) <> 0 then begin
               let iu = (2 * u) + ii in
-              if t.at_l.(iu) > neg_infinity then begin
-                let d =
-                  Liberty.Lut.lookup (delay_lut_i arc oi) t.sl_l.(iu) load
-                in
-                let s =
-                  Liberty.Lut.lookup (slew_lut_i arc oi) t.sl_l.(iu) load
-                in
-                if t.at_l.(iu) +. d > t.at_l.(iv) then
-                  t.at_l.(iv) <- t.at_l.(iu) +. d;
-                if s > t.sl_l.(iv) then t.sl_l.(iv) <- s
-              end;
               if t.at_e.(iu) < infinity then begin
                 let d =
-                  Liberty.Lut.lookup (delay_lut_i arc oi) t.sl_e.(iu) load
+                  Liberty.Lut.lookup (Forward.delay_lut arc oi) t.sl_e.(iu)
+                    load
                 in
                 let s =
-                  Liberty.Lut.lookup (slew_lut_i arc oi) t.sl_e.(iu) load
+                  Liberty.Lut.lookup (Forward.slew_lut arc oi) t.sl_e.(iu)
+                    load
                 in
                 if t.at_e.(iu) +. d < t.at_e.(iv) then
                   t.at_e.(iv) <- t.at_e.(iu) +. d;
@@ -687,6 +823,7 @@ module Timer = struct
   let endpoint_slack t p =
     let cs = t.graph.Graph.constraints in
     let period = cs.Constraints.clock_period in
+    let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
     let setup = ref infinity and hold = ref infinity in
     let reachable = ref false in
     List.iter
@@ -694,16 +831,16 @@ module Timer = struct
         let i = idx p tr in
         (match t.graph.Graph.check_of_pin.(p) with
          | Some ck ->
-           if t.at_l.(i) > neg_infinity then begin
+           if at_l.(i) > neg_infinity then begin
              reachable := true;
              let su =
                Liberty.Lut.lookup
                  (check_lut ck.Graph.ck_arc ~setup:true tr)
-                 t.sl_l.(i) cs.Constraints.clock_slew
+                 sl_l.(i) cs.Constraints.clock_slew
              in
              let rat = period -. su in
              if rat < t.rat_l.(i) then t.rat_l.(i) <- rat;
-             let sl = rat -. t.at_l.(i) in
+             let sl = rat -. at_l.(i) in
              if sl < !setup then setup := sl
            end;
            if t.at_e.(i) < infinity then begin
@@ -719,11 +856,11 @@ module Timer = struct
            end
          | None ->
            (* primary output *)
-           if t.at_l.(i) > neg_infinity then begin
+           if at_l.(i) > neg_infinity then begin
              reachable := true;
              let rat = period -. cs.Constraints.output_delay in
              if rat < t.rat_l.(i) then t.rat_l.(i) <- rat;
-             let sl = rat -. t.at_l.(i) in
+             let sl = rat -. at_l.(i) in
              if sl < !setup then setup := sl
            end;
            if t.at_e.(i) < infinity then begin
@@ -735,11 +872,13 @@ module Timer = struct
       both_transitions;
     if !reachable then Some (!setup, !hold) else None
 
-  (* Late RAT back-propagation for per-pin slack reporting. *)
+  (* Late RAT back-propagation for per-pin slack reporting; cell-arc
+     delays come from the forward tape. *)
   let propagate_rat t =
     let g = t.graph in
     let design = g.Graph.design in
     let levels = g.Graph.levels in
+    let at_l = t.fwd.Forward.at and tape_d = t.fwd.Forward.tape_d in
     for l = Array.length levels - 1 downto 0 do
       Array.iter
         (fun v ->
@@ -761,87 +900,39 @@ module Timer = struct
                  done
                | None -> ());
           (* push through cell arcs into the arc inputs *)
-          let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
-          if hi > lo then begin
-            let load = root_load_of t v in
-            for k = lo to hi - 1 do
-              let a = g.Graph.fanin_arc.(k) in
-              let u = g.Graph.arc_from.(a) in
-              let arc = g.Graph.arc_table.(a) in
-              let mask = g.Graph.arc_mask.(a) in
-              for oi = 0 to 1 do
-                let iv = (2 * v) + oi in
-                if t.rat_l.(iv) < infinity then begin
-                  let sub = (mask lsr (2 * oi)) land 3 in
-                  for ii = 0 to 1 do
-                    if sub land (1 lsl ii) <> 0 then begin
-                      let iu = (2 * u) + ii in
-                      if t.at_l.(iu) > neg_infinity then begin
-                        let d =
-                          Liberty.Lut.lookup (delay_lut_i arc oi)
-                            t.sl_l.(iu) load
-                        in
-                        let cand = t.rat_l.(iv) -. d in
-                        if cand < t.rat_l.(iu) then t.rat_l.(iu) <- cand
-                      end
+          for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1 do
+            let a = g.Graph.fanin_arc.(k) in
+            let u = g.Graph.arc_from.(a) in
+            let mask = g.Graph.arc_mask.(a) in
+            for oi = 0 to 1 do
+              let iv = (2 * v) + oi in
+              if t.rat_l.(iv) < infinity then begin
+                let sub = (mask lsr (2 * oi)) land 3 in
+                for ii = 0 to 1 do
+                  if sub land (1 lsl ii) <> 0 then begin
+                    let iu = (2 * u) + ii in
+                    if at_l.(iu) > neg_infinity then begin
+                      let d = tape_d.((4 * a) + (2 * oi) + ii) in
+                      let cand = t.rat_l.(iv) -. d in
+                      if cand < t.rat_l.(iu) then t.rat_l.(iu) <- cand
                     end
-                  done
-                end
-              done
+                  end
+                done
+              end
             done
-          end)
+          done)
         levels.(l)
     done
 
-  let run ?(rebuild_trees = true) ?pool ?(obs = Obs.disabled) t =
-    let g = t.graph in
-    let cs = g.Graph.constraints in
-    if rebuild_trees then Nets.rebuild ?pool ~obs t.nets
-    else Nets.refresh ?pool ~obs t.nets;
-    Obs.start obs Obs.Sta_exact;
-    Array.fill t.at_l 0 (Array.length t.at_l) neg_infinity;
-    Array.fill t.at_e 0 (Array.length t.at_e) infinity;
-    Array.fill t.sl_l 0 (Array.length t.sl_l) 0.0;
-    Array.fill t.sl_e 0 (Array.length t.sl_e) infinity;
-    Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
-    Array.fill t.rat_e 0 (Array.length t.rat_e) neg_infinity;
-    List.iter
-      (fun p ->
-        List.iter
-          (fun tr ->
-            let i = idx p tr in
-            t.at_l.(i) <- cs.Constraints.input_delay;
-            t.at_e.(i) <- cs.Constraints.input_delay;
-            t.sl_l.(i) <- cs.Constraints.input_slew;
-            t.sl_e.(i) <- cs.Constraints.input_slew)
-          both_transitions)
-      g.Graph.primary_inputs;
-    Array.iteri
-      (fun p clock ->
-        if clock then
-          List.iter
-            (fun tr ->
-              let i = idx p tr in
-              t.at_l.(i) <- 0.0;
-              t.at_e.(i) <- 0.0;
-              t.sl_l.(i) <- cs.Constraints.clock_slew;
-              t.sl_e.(i) <- cs.Constraints.clock_slew)
-            both_transitions)
-      g.Graph.is_clock_pin;
-    Array.iter
-      (fun level_pins ->
-        Array.iter
-          (fun v ->
-            propagate_net_arc t v;
-            propagate_cell_arcs t v)
-          level_pins)
-      g.Graph.levels;
+  (* The report over the endpoints, in endpoint order; [slack_of p] is
+     the endpoint's (setup, hold) slack pair, None when unconstrained. *)
+  let report_of g slack_of =
     let slacks = ref [] in
     let setup_wns = ref infinity and setup_tns = ref 0.0 in
     let hold_wns = ref infinity and hold_tns = ref 0.0 in
     Array.iter
       (fun p ->
-        match endpoint_slack t p with
+        match slack_of p with
         | None -> ()
         | Some (su, ho) ->
           slacks := { ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho }
@@ -851,29 +942,51 @@ module Timer = struct
           if ho < !hold_wns then hold_wns := ho;
           if ho < 0.0 then hold_tns := !hold_tns +. ho)
       g.Graph.endpoints;
+    { setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
+      setup_tns = !setup_tns;
+      hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
+      hold_tns = !hold_tns;
+      endpoint_slacks =
+        List.sort
+          (fun a b -> Float.compare a.ep_setup_slack b.ep_setup_slack)
+          !slacks }
+
+  let run ?(rebuild_trees = true) ?pool ?(obs = Obs.disabled) t =
+    let g = t.graph in
+    if rebuild_trees then Nets.rebuild ?pool ~obs t.nets
+    else Nets.refresh ?pool ~obs t.nets;
+    Obs.start obs Obs.Sta_exact;
+    Forward.reset t.fwd;
+    Array.fill t.at_e 0 (Array.length t.at_e) infinity;
+    Array.fill t.sl_e 0 (Array.length t.sl_e) infinity;
+    Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
+    Array.fill t.rat_e 0 (Array.length t.rat_e) neg_infinity;
+    (* the early state starts where the late one does: [is_start] marks
+       exactly the pins [Forward.reset] seeds *)
+    Array.iteri
+      (fun p start ->
+        if start then
+          for i = 2 * p to (2 * p) + 1 do
+            t.at_e.(i) <- t.fwd.Forward.at.(i);
+            t.sl_e.(i) <- t.fwd.Forward.slew.(i)
+          done)
+      g.Graph.is_start;
+    Forward.sweep ?pool ~obs t.fwd (fun v ->
+      Forward.pin t.fwd ~gamma:0.0 v;
+      early_pin t v);
+    let report = report_of g (endpoint_slack t) in
     propagate_rat t;
-    let sorted =
-      List.sort
-        (fun a b -> Float.compare a.ep_setup_slack b.ep_setup_slack)
-        !slacks
-    in
-    let report =
-      { setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
-        setup_tns = !setup_tns;
-        hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
-        hold_tns = !hold_tns;
-        endpoint_slacks = sorted }
-    in
     Obs.stop obs Obs.Sta_exact;
     report
 
   let pin_slack_late t p =
+    let at_l = t.fwd.Forward.at in
     let best = ref infinity in
     List.iter
       (fun tr ->
         let i = idx p tr in
-        if t.at_l.(i) > neg_infinity && t.rat_l.(i) < infinity then begin
-          let s = t.rat_l.(i) -. t.at_l.(i) in
+        if at_l.(i) > neg_infinity && t.rat_l.(i) < infinity then begin
+          let s = t.rat_l.(i) -. at_l.(i) in
           if s < !best then best := s
         end)
       both_transitions;
@@ -891,9 +1004,11 @@ module Timer = struct
   }
 
   (* Trace the arrival-time realisation backwards: at every pin, find
-     the fan-in contribution whose (at + delay) reproduces the pin's AT. *)
+     the fan-in contribution whose (at + taped delay) reproduces the
+     pin's AT. *)
   let critical_path ?endpoint t =
     let design = t.graph.Graph.design in
+    let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
     let pick_endpoint () =
       let best = ref (-1) and best_slack = ref infinity in
       Array.iter
@@ -911,18 +1026,18 @@ module Timer = struct
     else begin
       let start_tr =
         let slack tr =
-          if t.at_l.(idx p0 tr) > neg_infinity then
-            t.rat_l.(idx p0 tr) -. t.at_l.(idx p0 tr)
+          if at_l.(idx p0 tr) > neg_infinity then
+            t.rat_l.(idx p0 tr) -. at_l.(idx p0 tr)
           else infinity
         in
         if slack Rise <= slack Fall then Rise else Fall
       in
-      if t.at_l.(idx p0 start_tr) = neg_infinity then []
+      if at_l.(idx p0 start_tr) = neg_infinity then []
       else begin
         let rec walk acc v tr guard =
           let step =
-            { ps_pin = v; ps_transition = tr; ps_at = t.at_l.(idx v tr);
-              ps_slew = t.sl_l.(idx v tr) }
+            { ps_pin = v; ps_transition = tr; ps_at = at_l.(idx v tr);
+              ps_slew = sl_l.(idx v tr) }
           in
           let acc = step :: acc in
           if guard <= 0 then acc
@@ -936,7 +1051,7 @@ module Timer = struct
                  && t.nets.Nets.trees.(net) <> None
               then begin
                 let u = g.Graph.net_driver_of.(net) in
-                if u >= 0 && u <> v && t.at_l.(idx u tr) > neg_infinity then
+                if u >= 0 && u <> v && at_l.(idx u tr) > neg_infinity then
                   Some (u, tr)
                 else None
               end
@@ -946,25 +1061,20 @@ module Timer = struct
             | Some (u, tr_in) -> walk acc u tr_in (guard - 1)
             | None ->
               (* cell arc predecessor: the contribution realising AT *)
-              let load = root_load_of t v in
               let oi = transition_index tr in
               let best = ref None and best_err = ref infinity in
               for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1
               do
                 let a = g.Graph.fanin_arc.(k) in
                 let u = g.Graph.arc_from.(a) in
-                let arc = g.Graph.arc_table.(a) in
                 let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
                 for ii = 0 to 1 do
                   if sub land (1 lsl ii) <> 0 then begin
                     let iu = (2 * u) + ii in
-                    if t.at_l.(iu) > neg_infinity then begin
-                      let d =
-                        Liberty.Lut.lookup (delay_lut_i arc oi)
-                          t.sl_l.(iu) load
-                      in
+                    if at_l.(iu) > neg_infinity then begin
+                      let d = t.fwd.Forward.tape_d.((4 * a) + (2 * oi) + ii) in
                       let err =
-                        Float.abs (t.at_l.(iu) +. d -. t.at_l.(idx v tr))
+                        Float.abs (at_l.(iu) +. d -. at_l.(idx v tr))
                       in
                       if err < !best_err then begin
                         best_err := err;
@@ -1041,17 +1151,16 @@ module Incremental = struct
         t.ep_hold.(e.Timer.ep_pin) <- e.Timer.ep_hold_slack)
       report.Timer.endpoint_slacks
 
-  let seed_endpoints_from_state t =
-    Array.iter
-      (fun p ->
-        match Timer.endpoint_slack t.tm p with
-        | Some (setup, hold) ->
-          t.ep_setup.(p) <- setup;
-          t.ep_hold.(p) <- hold
-        | None ->
-          t.ep_setup.(p) <- Float.nan;
-          t.ep_hold.(p) <- Float.nan)
-      t.graph.Graph.endpoints
+  (* cache an endpoint's slack pair from the timer state (nan when
+     unconstrained) *)
+  let store_endpoint t p =
+    match Timer.endpoint_slack t.tm p with
+    | Some (setup, hold) ->
+      t.ep_setup.(p) <- setup;
+      t.ep_hold.(p) <- hold
+    | None ->
+      t.ep_setup.(p) <- Float.nan;
+      t.ep_hold.(p) <- Float.nan
 
   let of_timer ?report tm =
     let graph = tm.Timer.graph in
@@ -1068,7 +1177,7 @@ module Incremental = struct
     in
     (match report with
      | Some r -> record_endpoints t r
-     | None -> seed_endpoints_from_state t);
+     | None -> Array.iter (store_endpoint t) graph.Graph.endpoints);
     t
 
   let create graph =
@@ -1141,36 +1250,38 @@ module Incremental = struct
     c.Netlist.y <- y;
     touch_cell t cell
 
-  (* Re-evaluate one pin from its fan-in state; returns true when any of
-     its eight timing values changed.  The comparison must be NaN-aware
-     ([Float.equal], not [<>]): a NaN-valued pin (e.g. below an
-     unconstrained input) recomputes to the same NaN, and the naive
-     [nan <> nan = true] would re-dirty its entire fanout cone on every
-     pass. *)
+  (* Re-evaluate one pin from its fan-in state: the shared kernel at
+     gamma 0 (which also refreshes the pin's fan-in tape slots) plus the
+     early pass.  Returns true when any of its eight timing values
+     changed.  The comparison must be NaN-aware ([Float.equal], not
+     [<>]): a NaN-valued pin (e.g. below an unconstrained input)
+     recomputes to the same NaN, and the naive [nan <> nan = true] would
+     re-dirty its entire fanout cone on every pass. *)
   let reevaluate t v =
     let tm = t.tm in
+    let at_l = tm.Timer.fwd.Forward.at and sl_l = tm.Timer.fwd.Forward.slew in
     let ir = Timer.idx v Rise and if_ = Timer.idx v Fall in
-    let o1 = tm.Timer.at_l.(ir) and o2 = tm.Timer.at_l.(if_) in
+    let o1 = at_l.(ir) and o2 = at_l.(if_) in
     let o3 = tm.Timer.at_e.(ir) and o4 = tm.Timer.at_e.(if_) in
-    let o5 = tm.Timer.sl_l.(ir) and o6 = tm.Timer.sl_l.(if_) in
+    let o5 = sl_l.(ir) and o6 = sl_l.(if_) in
     let o7 = tm.Timer.sl_e.(ir) and o8 = tm.Timer.sl_e.(if_) in
-    tm.Timer.at_l.(ir) <- neg_infinity;
-    tm.Timer.at_l.(if_) <- neg_infinity;
+    at_l.(ir) <- neg_infinity;
+    at_l.(if_) <- neg_infinity;
     tm.Timer.at_e.(ir) <- infinity;
     tm.Timer.at_e.(if_) <- infinity;
-    tm.Timer.sl_l.(ir) <- 0.0;
-    tm.Timer.sl_l.(if_) <- 0.0;
+    sl_l.(ir) <- 0.0;
+    sl_l.(if_) <- 0.0;
     tm.Timer.sl_e.(ir) <- infinity;
     tm.Timer.sl_e.(if_) <- infinity;
-    Timer.propagate_net_arc tm v;
-    Timer.propagate_cell_arcs tm v;
+    Forward.pin tm.Timer.fwd ~gamma:0.0 v;
+    Timer.early_pin tm v;
     not
-      (Float.equal o1 tm.Timer.at_l.(ir)
-       && Float.equal o2 tm.Timer.at_l.(if_)
+      (Float.equal o1 at_l.(ir)
+       && Float.equal o2 at_l.(if_)
        && Float.equal o3 tm.Timer.at_e.(ir)
        && Float.equal o4 tm.Timer.at_e.(if_)
-       && Float.equal o5 tm.Timer.sl_l.(ir)
-       && Float.equal o6 tm.Timer.sl_l.(if_)
+       && Float.equal o5 sl_l.(ir)
+       && Float.equal o6 sl_l.(if_)
        && Float.equal o7 tm.Timer.sl_e.(ir)
        && Float.equal o8 tm.Timer.sl_e.(if_))
 
@@ -1182,13 +1293,7 @@ module Incremental = struct
         tm.Timer.rat_l.(i) <- infinity;
         tm.Timer.rat_e.(i) <- neg_infinity)
       both_transitions;
-    match Timer.endpoint_slack tm p with
-    | Some (setup, hold) ->
-      t.ep_setup.(p) <- setup;
-      t.ep_hold.(p) <- hold
-    | None ->
-      t.ep_setup.(p) <- Float.nan;
-      t.ep_hold.(p) <- Float.nan
+    store_endpoint t p
 
   let update ?(obs = Obs.disabled) t =
     Obs.start obs Obs.Sta_incremental;
@@ -1264,27 +1369,10 @@ module Incremental = struct
     if !changed_count > 0 then t.rats_stale <- true;
     List.iter (fun p -> refresh_endpoint t p) !dirty_endpoints;
     (* aggregate the report from the cached endpoint slacks *)
-    let slacks = ref [] in
-    let setup_wns = ref infinity and setup_tns = ref 0.0 in
-    let hold_wns = ref infinity and hold_tns = ref 0.0 in
-    Array.iter
-      (fun p ->
-        let su = t.ep_setup.(p) and ho = t.ep_hold.(p) in
-        if not (Float.is_nan su) then begin
-          slacks :=
-            { Timer.ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho }
-            :: !slacks;
-          if su < !setup_wns then setup_wns := su;
-          if su < 0.0 then setup_tns := !setup_tns +. su;
-          if ho < !hold_wns then hold_wns := ho;
-          if ho < 0.0 then hold_tns := !hold_tns +. ho
-        end)
-      t.graph.Graph.endpoints;
-    let sorted =
-      List.sort
-        (fun (a : Timer.endpoint_slack) b ->
-          Float.compare a.Timer.ep_setup_slack b.Timer.ep_setup_slack)
-        !slacks
+    let report =
+      Timer.report_of t.graph (fun p ->
+        let su = t.ep_setup.(p) in
+        if Float.is_nan su then None else Some (su, t.ep_hold.(p)))
     in
     if Obs.enabled obs then begin
       Obs.add obs "sta.inc.pins" (float_of_int !count);
@@ -1292,11 +1380,7 @@ module Incremental = struct
       Obs.add obs "sta.inc.changed" (float_of_int !changed_count)
     end;
     Obs.stop obs Obs.Sta_incremental;
-    { Timer.setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
-      setup_tns = !setup_tns;
-      hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
-      hold_tns = !hold_tns;
-      endpoint_slacks = sorted }
+    report
 
   (* Full backward RAT sweep over the current (incrementally maintained)
      arrival state: exactly the reset + endpoint-required + back-

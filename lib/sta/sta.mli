@@ -10,8 +10,9 @@
 
     This module hosts the {b exact} timer (hard min/max), used for final
     scoring and for the net-weighting baseline; the differentiable
-    (smoothed) engine lives in [Difftimer] and shares {!Graph} and
-    {!Nets}. *)
+    (smoothed) engine lives in [Difftimer] and shares {!Graph}, {!Nets}
+    and the forward kernel {!Forward}, of which exact STA is the
+    [gamma = 0] case. *)
 
 type transition = Rise | Fall
 
@@ -119,8 +120,7 @@ module Nets : sig
   (** Builds topologies from the current placement and evaluates RC. *)
 
   val rebuild :
-    ?exact_limit:int -> ?dirty_threshold:float -> ?pool:Parallel.pool ->
-    ?obs:Obs.t -> t -> unit
+    ?dirty_threshold:float -> ?pool:Parallel.pool -> ?obs:Obs.t -> t -> unit
   (** Re-run Steiner construction from current pin positions (the
       periodic "call FLUTE" step of §3.6) and re-evaluate RC.  The
       default path splits the work into three observable sub-kernels:
@@ -135,13 +135,11 @@ module Nets : sig
       [steiner.full] (dirty nets above the LUT degree: Prim +
       Steinerisation).  Omitting [dirty_threshold] re-topologises every
       net; a threshold of [0.] is bit-identical to that (a rebuild of an
-      unmoved net reproduces its tree exactly).  Passing [exact_limit]
-      instead routes every net through the legacy exhaustive builder
-      (test oracle).  With [pool], nets build in parallel; each task
-      writes only its own slot and the LUT phase only reads the shared
-      tables (first-seen classes are generated sequentially afterwards),
-      so the result is bit-identical to sequential at any domain
-      count. *)
+      unmoved net reproduces its tree exactly).  With [pool], nets build
+      in parallel; each task writes only its own slot and the LUT phase
+      only reads the shared tables (first-seen classes are generated
+      sequentially afterwards), so the result is bit-identical to
+      sequential at any domain count. *)
 
   val refresh : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> unit
   (** Keep topologies; refresh coordinates via Steiner provenance and
@@ -150,6 +148,60 @@ module Nets : sig
 
   val total_tree_length : t -> float
   (** Total Steiner wirelength (a routing-aware wirelength metric). *)
+end
+
+(** The forward timing kernel shared by {!Timer}, {!Incremental} and
+    [Difftimer]: the only code that walks a pin's fan-in and queries the
+    delay/slew LUTs of its timing arcs.  Paper §3 defines the
+    differentiable timer as exact STA with every max over fan-in
+    replaced by a [gamma]-wide Log-Sum-Exp (Eq. 5, 9-11); the kernel is
+    parameterised by that [gamma] alone.  [gamma = 0] takes the hard max
+    (exact STA); [gamma > 0] follows the max pass with the shifted-sum
+    LSE pass.
+
+    Both write the late arrival/slew state and a tape with one slot per
+    [(arc, tr_out, tr_in)] at [4 * a + 2 * tr_out + tr_in], evaluated at
+    the arc input's slew and the arc output's load.  [tape_d] (the delay)
+    is written at every [gamma]; the slew value and the four partials in
+    slew and load, which only the LSE pass and the difftimer's backward
+    gather read, are written at [gamma > 0] only.  A slot is meaningful
+    only when [tr_in] is reachable at [arc_from.(a)] and the arc admits
+    the pair.  Every later reader of an arc delay (RAT sweep, path
+    retrace, top-K paths, the difftimer's backward gather) replays the
+    tape instead of querying the LUTs again. *)
+module Forward : sig
+  type t = {
+    nets : Nets.t;
+    at : float array;          (** late arrival, [2 * pin + transition]. *)
+    slew : float array;
+    tape_d : float array;      (** delay LUT value. *)
+    tape_dd_ds : float array;  (** d delay / d input slew. *)
+    tape_dd_dl : float array;  (** d delay / d load. *)
+    tape_s : float array;      (** output slew LUT value. *)
+    tape_ds_ds : float array;
+    tape_ds_dl : float array;
+  }
+
+  val create : ?smooth:bool -> Nets.t -> t
+  (** [smooth] (default false) allocates the slew and partial tapes that
+      {!pin} writes at [gamma > 0]; without it they are empty and the
+      state supports [gamma = 0] only (the exact timer's, a sixth of the
+      tape memory). *)
+
+  val reset : t -> unit
+  (** Every pin unreached ([at = neg_infinity], [slew = 0]), then the
+      startpoints: primary inputs at the input delay and slew, clock
+      pins at 0 with the clock slew. *)
+
+  val pin : t -> gamma:float -> int -> unit
+  (** Propagate into one pin from its net-arc and cell-arc fan-in,
+      refreshing the pin's fan-in tape slots.  Reads strictly lower
+      levels only and writes only this pin's state and slots. *)
+
+  val sweep : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> (int -> unit) -> unit
+  (** [sweep t f] calls [f] on every pin, level by level; the pins of one
+      level run data-parallel under [pool], so [f] must read strictly
+      lower levels only and write only the pin's own state. *)
 end
 
 (** Exact timer. *)
@@ -179,10 +231,14 @@ module Timer : sig
   (** Full analysis on the current placement.  [rebuild_trees] (default
       true) reconstructs Steiner topologies first; pass false to reuse
       topologies and only refresh coordinates.  [pool] parallelises the
-      Steiner/RC construction over nets (the propagation itself stays
-      sequential).  [obs] records the tree maintenance as
-      [steiner.rebuild]/[steiner.refresh] and the propagation as
-      [sta.exact]. *)
+      Steiner/RC construction over nets and the forward propagation over
+      the pins of each level: the late pass is {!Forward.pin} at
+      [gamma = 0] and the early (hold) pass is its hard-min counterpart,
+      both reading only lower levels and writing only the pin's own
+      state, so pooled reports are bit-identical to sequential ones.
+      The endpoint and RAT sweeps stay sequential.  [obs] records the
+      tree maintenance as [steiner.rebuild]/[steiner.refresh] and the
+      propagation as [sta.exact]. *)
 
   val at_late : t -> int -> transition -> float
   (** Latest arrival time at a pin after {!run}; [neg_infinity] when the
@@ -192,6 +248,13 @@ module Timer : sig
   val slew_late : t -> int -> transition -> float
   val rat_late : t -> int -> transition -> float
   (** Required arrival time (late/setup), [infinity] if unconstrained. *)
+
+  val arc_delay : t -> int -> tr_out:transition -> tr_in:transition -> float
+  (** [arc_delay t a ~tr_out ~tr_in] is the late delay of cell arc [a]
+      from [tr_in] to [tr_out] that the last propagation used (the
+      {!Forward} tape).  Meaningful only when [tr_in] is reachable at the
+      arc's input ([at_late > neg_infinity]) and the arc admits the pair
+      ({!Graph.arc_admits}). *)
 
   val pin_slack_late : t -> int -> float
   (** [min over transitions (rat - at)]; [infinity] when unconstrained. *)

@@ -1183,7 +1183,7 @@ module Lut = struct
     end
 end
 
-let build ?exact_limit ?(lut = true) ~xs ~ys () =
+let build ?exact_limit ~xs ~ys () =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Steiner.build: empty net";
   if Array.length ys <> n then invalid_arg "Steiner.build: xs/ys mismatch";
@@ -1214,7 +1214,7 @@ let build ?exact_limit ?(lut = true) ~xs ~ys () =
     if n = 1 then build_single xs ys
     else if n = 2 then build_two xs ys
     else if n = 3 then build_three xs ys
-    else if lut && n <= Lut.max_degree then Lut.build ~xs ~ys
+    else if n <= Lut.max_degree then Lut.build ~xs ~ys
     else heuristic_tree xs ys n
 
 let update_coordinates t ~xs ~ys =

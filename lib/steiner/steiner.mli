@@ -80,19 +80,14 @@ module Lut : sig
       bypassing the tables (test oracle; exponential in degree). *)
 end
 
-val build :
-  ?exact_limit:int -> ?lut:bool -> xs:float array -> ys:float array ->
-  unit -> t
+val build : ?exact_limit:int -> xs:float array -> ys:float array -> unit -> t
 (** [build ~xs ~ys ()] constructs a tree over pins at [(xs, ys)] (driver
     at index 0).  The default path is: direct construction for degree
     <= 3, the topology LUT (exact RSMT) for degree <= [Lut.max_degree],
-    and Prim + Steinerisation beyond; pass [~lut:false] to skip the LUT
-    and use the heuristic from degree 4 up (used by parallel callers
-    when a class is not generated yet, and by benchmarks as the
-    baseline).  Passing [?exact_limit] instead selects the legacy
-    oracle path: exhaustive Hanan-subset search up to that degree
-    (clamped to [2, 6] — the subset enumeration is O(2^[n^2]) and
-    unusable beyond), Prim + Steinerisation above it.
+    and Prim + Steinerisation beyond.  Passing [?exact_limit] instead
+    selects the legacy oracle path: exhaustive Hanan-subset search up to
+    that degree (clamped to [2, 6] — the subset enumeration is
+    O(2^[n^2]) and unusable beyond), Prim + Steinerisation above it.
     @raise Invalid_argument on empty input or mismatched lengths. *)
 
 val update_coordinates : t -> xs:float array -> ys:float array -> unit

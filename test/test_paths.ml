@@ -592,6 +592,68 @@ let test_pathweight_placement_runs () =
        r.Core.res_trace);
   ignore design
 
+(* The cell-arc delays a view reads come from the timer's forward tape,
+   so the tape must stay in step with incremental re-propagation: after
+   random move batches, a view of the incremental engine's timer equals
+   a view of a fresh full analysis of the same placement bit for bit
+   (every edge delay, every back-pointer, the top-K paths), and so do
+   the guarded per-pin slacks. *)
+let test_tape_fresh_after_incremental () =
+  let spec =
+    { (List.nth specs_under_test 1) with Workload.sp_seed = 11 }
+  in
+  let design, cons = Workload.generate lib spec in
+  let graph = Sta.Graph.build design lib cons in
+  let inc = Sta.Incremental.create graph in
+  let reference = Sta.Timer.create graph in
+  ignore (Sta.Timer.run reference);
+  let rng = Workload.Rng.create 4242 in
+  let ncells = Netlist.num_cells design in
+  for round = 1 to 5 do
+    let moved = ref 0 in
+    while !moved < 6 do
+      let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+      if not c.Netlist.fixed then begin
+        incr moved;
+        let x, y = Test_sta.random_legal_position rng design c in
+        Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+      end
+    done;
+    ignore (Sta.Incremental.update inc);
+    ignore (Sta.Timer.run ~rebuild_trees:false reference);
+    let label = Printf.sprintf "round %d" round in
+    let vi = Paths.analyze (Sta.Incremental.timer inc) in
+    let vf = Paths.analyze reference in
+    Alcotest.(check int) (label ^ ": edge count") (Paths.num_edges vf)
+      (Paths.num_edges vi);
+    for e = 0 to Paths.num_edges vf - 1 do
+      if bits (Paths.edge_delay vi e) <> bits (Paths.edge_delay vf e) then
+        Alcotest.failf "%s: delay of edge %d differs" label e
+    done;
+    for n = 0 to (2 * Netlist.num_pins design) - 1 do
+      if Paths.pred vi n <> Paths.pred vf n then
+        Alcotest.failf "%s: back-pointer of node %d differs" label n
+    done;
+    let pi = Paths.enumerate ~k:32 vi and pf = Paths.enumerate ~k:32 vf in
+    Alcotest.(check int) (label ^ ": path count") (List.length pf)
+      (List.length pi);
+    List.iter2
+      (fun (a : Paths.path) (b : Paths.path) ->
+        if a.Paths.pt_endpoint <> b.Paths.pt_endpoint
+           || a.Paths.pt_rank <> b.Paths.pt_rank
+           || bits a.Paths.pt_slack <> bits b.Paths.pt_slack
+           || a.Paths.pt_nets <> b.Paths.pt_nets
+           || a.Paths.pt_arcs <> b.Paths.pt_arcs
+        then Alcotest.failf "%s: top-K paths differ" label;
+        check_steps_equal label b.Paths.pt_steps a.Paths.pt_steps)
+      pi pf;
+    for p = 0 to Netlist.num_pins design - 1 do
+      if bits (Sta.Incremental.pin_slack_late inc p)
+         <> bits (Sta.Timer.pin_slack_late reference p)
+      then Alcotest.failf "%s: pin_slack_late differs at pin %d" label p
+    done
+  done
+
 let suite =
   [ Alcotest.test_case "top-1 bit-matches critical_path (3 specs x 2 seeds)"
       `Slow test_top1_bit_matches_critical_path;
@@ -618,4 +680,6 @@ let suite =
     Alcotest.test_case "transient net weight decays" `Slow
       test_pathweight_weight_decays;
     Alcotest.test_case "pathweight placement runs" `Slow
-      test_pathweight_placement_runs ]
+      test_pathweight_placement_runs;
+    Alcotest.test_case "arc-delay tape fresh after incremental updates"
+      `Quick test_tape_fresh_after_incremental ]

@@ -862,3 +862,146 @@ let suite =
         test_dirty_rebuild_pool_bit_identical;
       Alcotest.test_case "dirty rebuild skips unmoved nets" `Quick
         test_dirty_skips_unmoved ]
+
+(* --- the shared forward kernel vs the pre-kernel timer --- *)
+
+let kernel_specs =
+  [ { Workload.default_spec with
+      Workload.sp_cells = 220; sp_clock_period = 700.0 };
+    { Workload.default_spec with
+      Workload.sp_cells = 320; sp_depth = 12; sp_clock_period = 600.0 };
+    { Workload.default_spec with
+      Workload.sp_cells = 260; sp_inputs = 12; sp_outputs = 12;
+      sp_clock_period = 900.0 } ]
+
+let bits = Int64.bits_of_float
+
+let check_reports_bitwise label (a : Sta.Timer.report) (b : Sta.Timer.report) =
+  if bits a.Sta.Timer.setup_wns <> bits b.Sta.Timer.setup_wns
+     || bits a.Sta.Timer.setup_tns <> bits b.Sta.Timer.setup_tns
+     || bits a.Sta.Timer.hold_wns <> bits b.Sta.Timer.hold_wns
+     || bits a.Sta.Timer.hold_tns <> bits b.Sta.Timer.hold_tns
+  then Alcotest.failf "%s: WNS/TNS not bit-identical" label;
+  Alcotest.(check int) (label ^ ": endpoint count")
+    (List.length a.Sta.Timer.endpoint_slacks)
+    (List.length b.Sta.Timer.endpoint_slacks);
+  List.iter2
+    (fun (x : Sta.Timer.endpoint_slack) (y : Sta.Timer.endpoint_slack) ->
+      if x.Sta.Timer.ep_pin <> y.Sta.Timer.ep_pin
+         || bits x.Sta.Timer.ep_setup_slack <> bits y.Sta.Timer.ep_setup_slack
+         || bits x.Sta.Timer.ep_hold_slack <> bits y.Sta.Timer.ep_hold_slack
+      then Alcotest.failf "%s: endpoint %d differs" label x.Sta.Timer.ep_pin)
+    a.Sta.Timer.endpoint_slacks b.Sta.Timer.endpoint_slacks
+
+(* every per-pin read of [tm] against the oracle's arrays; [rat] is the
+   late RAT reader (the incremental engine's guarded one after updates) *)
+let check_pins_vs_oracle label ?rat tm (o : Sta_oracle.t) =
+  let rat = match rat with Some f -> f | None -> Sta.Timer.rat_late tm in
+  let npins = Netlist.num_pins o.Sta_oracle.graph.Sta.Graph.design in
+  for p = 0 to npins - 1 do
+    List.iter
+      (fun tr ->
+        let i = Sta_oracle.idx p tr in
+        let same what a b =
+          if bits a <> bits b then
+            Alcotest.failf "%s: %s differs at pin %d (%h vs %h)" label what p
+              a b
+        in
+        same "at_late" o.Sta_oracle.at_l.(i) (Sta.Timer.at_late tm p tr);
+        same "at_early" o.Sta_oracle.at_e.(i) (Sta.Timer.at_early tm p tr);
+        same "slew_late" o.Sta_oracle.sl_l.(i) (Sta.Timer.slew_late tm p tr);
+        same "rat_late" o.Sta_oracle.rat_l.(i) (rat p tr))
+      [ Sta.Rise; Sta.Fall ]
+  done
+
+let check_vs_oracle label tm report =
+  let o = Sta_oracle.create (Sta.Timer.nets tm) in
+  check_reports_bitwise label (Sta_oracle.run o) report;
+  check_pins_vs_oracle label tm o
+
+(* Gate for the shared kernel: [Timer.run] (hard max through
+   [Sta.Forward.pin] plus the Timer-only early pass) reproduces the
+   pre-kernel exact timer bit for bit, sequential and pooled, and so
+   does the incremental engine after move batches. *)
+let test_kernel_matches_oracle () =
+  List.iter
+    (fun domains ->
+      let pool = Parallel.create ~domains ~oversubscribe:true () in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      List.iteri
+        (fun si spec ->
+          List.iter
+            (fun seed ->
+              let label = Printf.sprintf "spec %d seed %d @%dd" si seed domains in
+              let design, cons =
+                Workload.generate lib { spec with Workload.sp_seed = seed }
+              in
+              let g = Sta.Graph.build design lib cons in
+              let tm = Sta.Timer.create g in
+              check_vs_oracle label tm (Sta.Timer.run ~pool tm);
+              let inc = Sta.Incremental.of_timer tm in
+              let rng = Workload.Rng.create (seed + (7 * si)) in
+              let ncells = Netlist.num_cells design in
+              for round = 1 to 3 do
+                let moved = ref 0 in
+                while !moved < 4 do
+                  let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+                  if not c.Netlist.fixed then begin
+                    incr moved;
+                    let x, y = random_legal_position rng design c in
+                    Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+                  end
+                done;
+                let r = Sta.Incremental.update inc in
+                let o = Sta_oracle.create (Sta.Timer.nets tm) in
+                let label = Printf.sprintf "%s update %d" label round in
+                check_reports_bitwise label (Sta_oracle.run o) r;
+                check_pins_vs_oracle label ~rat:(Sta.Incremental.rat_late inc)
+                  tm o
+              done)
+            [ 3; 11 ])
+        kernel_specs)
+    [ 1; 4 ]
+
+(* The forward sweep runs level-parallel under [pool]: reports and every
+   per-pin value are bitwise equal at 1 domain and at the suite's
+   domain count. *)
+let test_pooled_exact_sta () =
+  List.iter
+    (fun spec ->
+      let design, cons = Workload.generate lib spec in
+      let g = Sta.Graph.build design lib cons in
+      let run domains =
+        let pool = Parallel.create ~domains ~oversubscribe:true () in
+        Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+        let tm = Sta.Timer.create g in
+        (tm, Sta.Timer.run ~pool tm)
+      in
+      let t1, r1 = run 1 in
+      let domains = Test_parallel.env_domains () in
+      let tk, rk = run domains in
+      let label = Printf.sprintf "%d cells @1d vs @%dd" spec.Workload.sp_cells domains in
+      check_reports_bitwise label r1 rk;
+      for p = 0 to Netlist.num_pins design - 1 do
+        List.iter
+          (fun tr ->
+            List.iter
+              (fun (what, read) ->
+                if bits (read t1 p tr) <> bits (read tk p tr) then
+                  Alcotest.failf "%s: %s differs at pin %d" label what p)
+              [ ("at_late", Sta.Timer.at_late);
+                ("at_early", Sta.Timer.at_early);
+                ("slew_late", Sta.Timer.slew_late);
+                ("rat_late", Sta.Timer.rat_late) ])
+          [ Sta.Rise; Sta.Fall ]
+      done)
+    [ List.nth kernel_specs 0;
+      { Workload.default_spec with
+        Workload.sp_cells = 900; sp_seed = 5; sp_clock_period = 650.0 } ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "kernel timer bit-identical to oracle" `Quick
+        test_kernel_matches_oracle;
+      Alcotest.test_case "pooled exact STA bit-identical" `Quick
+        test_pooled_exact_sta ]

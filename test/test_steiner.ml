@@ -272,15 +272,16 @@ let test_lut_gradient_fd () =
   done
 
 let test_lut_oracle_path_unaffected () =
-  (* ?exact_limit keeps selecting the legacy exhaustive/heuristic path
+  (* above Lut.max_degree the default path is the Prim + Steinerisation
+     heuristic, the same tree the legacy ?exact_limit path builds there
      (the test oracle must not silently route through the tables) *)
   let rng = Workload.Rng.create 1234 in
   let xs, ys = rand_net rng 9 in
-  let lut_off = Steiner.build ~lut:false ~xs ~ys () in
+  let default = Steiner.build ~xs ~ys () in
   let heur = Steiner.build ~exact_limit:2 ~xs ~ys () in
-  Alcotest.(check (float 1e-9)) "lut:false = heuristic"
+  Alcotest.(check (float 1e-9)) "above LUT degree = heuristic"
     (Steiner.total_length heur)
-    (Steiner.total_length lut_off)
+    (Steiner.total_length default)
 
 let suite =
   suite
@@ -292,5 +293,5 @@ let suite =
         test_lut_degenerate;
       Alcotest.test_case "lut gradient vs finite differences" `Quick
         test_lut_gradient_fd;
-      Alcotest.test_case "lut:false selects heuristic" `Quick
+      Alcotest.test_case "above LUT degree selects heuristic" `Quick
         test_lut_oracle_path_unaffected ]
