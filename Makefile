@@ -1,7 +1,7 @@
 .PHONY: all test bench-placer bench-placer-check \
 	bench-paths bench-paths-check bench-parallel bench-incremental \
 	bench-routability bench-multilevel bench-multilevel-check bench-all \
-	clean
+	steiner-table steiner-table-check clean
 
 all:
 	dune build
@@ -63,6 +63,19 @@ bench-multilevel-check: bench-multilevel
 # Every JSON-emitting benchmark in one go.
 bench-all: bench-placer bench-paths bench-parallel bench-incremental \
 	bench-routability bench-multilevel
+
+# Regenerate the shipped Steiner topology table
+# (lib/steiner/steiner_table.bin): every class of degree 2-8,
+# class-parallel over STEINER_DOMAINS domains (~45 min on one core).
+STEINER_DOMAINS ?= 2
+steiner-table:
+	dune exec tools/steiner_table.exe -- --domains $(STEINER_DOMAINS)
+
+# Check the committed table against its generator: header, per-degree
+# class counts and keys, and every class of degree <= 6 regenerated
+# bytewise (a few seconds).
+steiner-table-check:
+	dune exec tools/steiner_table.exe -- --check lib/steiner/steiner_table.bin
 
 clean:
 	dune clean

@@ -741,25 +741,6 @@ let placer_iter () =
       0.0 kernels
   in
   let seed_iter_us = iteration_us placer_seed_reference in
-  (* Warm the topology LUT by replaying the motion stream a row
-     performs (same RNG stream) with an *unconditional* rebuild at every
-     tick: that generates every class any net can request at any tick
-     position, whatever the dirty classification does.  Class generation
-     is a once-per-process cost amortised over a whole placement run,
-     not a per-iteration cost, so it must not land inside a timed
-     region. *)
-  let () =
-    reset_state None;
-    for _ = 1 to iters + 1 + max 2 (iters / 4) do
-      motion_tick ();
-      Sta.Nets.rebuild nets
-    done;
-    Printf.printf "  [lut warmed] classes per degree:";
-    for d = 4 to Steiner.Lut.max_degree do
-      Printf.printf " %d:%d" d (Steiner.Lut.class_count d)
-    done;
-    print_newline ()
-  in
   let domain_counts = if !placer_smoke then [ 1; 2 ] else [ 1; 2; 4 ] in
   let results =
     List.map

@@ -396,10 +396,8 @@ module Nets = struct
   (* Steiner construction and RC evaluation are per-net: every task
      touches only [trees.(n)] and freshly allocated tree/RC state, so
      net-parallel dispatch is race-free and bit-identical.  The LUT
-     phase only *reads* the shared topology tables ([Lut.try_build]);
-     nets whose class is not generated yet are flagged and patched
-     sequentially after the parallel phase, so the final state never
-     depends on worker scheduling or domain count. *)
+     phase only reads the shipped topology table ([Lut.try_build]),
+     which covers every class of every LUT degree. *)
   let rebuild ?dirty_threshold ?pool ?(obs = Obs.disabled) t =
     Obs.start obs Obs.Steiner_rebuild;
     let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
@@ -475,38 +473,24 @@ module Nets = struct
       | Some entry ->
         refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
     Obs.stop obs Obs.Steiner_dirty;
-    (* LUT-degree nets: parallel read-only lookups, sequential patch
-       for classes seen for the first time *)
+    (* LUT-degree nets: parallel read-only lookups *)
     Obs.start obs Obs.Steiner_lut;
-    let missing = Array.make (max 1 !n_lut) false in
     Parallel.parallel_for p ~obs ~cost:600.0 !n_lut (fun i ->
       let n = wl_lut.(i) in
       let pins = design.Netlist.nets.(n).Netlist.net_pins in
       let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
       let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-      match Steiner.Lut.try_build ~xs ~ys with
-      | Some tree ->
-        (match t.trees.(n) with
-         | Some (old_tree, rc) when same_topology old_tree tree ->
-           (* topology unchanged (the common case under small moves):
-              keep the installed tree and RC, adopt the coordinates *)
-           let m = Steiner.node_count tree in
-           Array.blit tree.Steiner.xs 0 old_tree.Steiner.xs 0 m;
-           Array.blit tree.Steiner.ys 0 old_tree.Steiner.ys 0 m;
-           Rc.evaluate rc
-         | _ -> install_tree t n tree);
-        record_anchor t n
-      | None -> missing.(i) <- true);
-    for i = 0 to !n_lut - 1 do
-      if missing.(i) then begin
-        let n = wl_lut.(i) in
-        let pins = design.Netlist.nets.(n).Netlist.net_pins in
-        let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
-        let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-        install_tree t n (Steiner.Lut.build ~xs ~ys);
-        record_anchor t n
-      end
-    done;
+      let tree = Option.get (Steiner.Lut.try_build ~xs ~ys) in
+      (match t.trees.(n) with
+       | Some (old_tree, rc) when same_topology old_tree tree ->
+         (* topology unchanged (the common case under small moves):
+            keep the installed tree and RC, adopt the coordinates *)
+         let m = Steiner.node_count tree in
+         Array.blit tree.Steiner.xs 0 old_tree.Steiner.xs 0 m;
+         Array.blit tree.Steiner.ys 0 old_tree.Steiner.ys 0 m;
+         Rc.evaluate rc
+       | _ -> install_tree t n tree);
+      record_anchor t n);
     Obs.stop obs Obs.Steiner_lut;
     (* above-LUT degrees: Prim + Steinerisation *)
     Obs.start obs Obs.Steiner_full;

@@ -137,9 +137,8 @@ module Nets : sig
       net; a threshold of [0.] is bit-identical to that (a rebuild of an
       unmoved net reproduces its tree exactly).  With [pool], nets build
       in parallel; each task writes only its own slot and the LUT phase
-      only reads the shared tables (first-seen classes are generated
-      sequentially afterwards), so the result is bit-identical to
-      sequential at any domain count. *)
+      only reads the shipped topology table, so the result is
+      bit-identical to sequential at any domain count. *)
 
   val refresh : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> unit
   (** Keep topologies; refresh coordinates via Steiner provenance and

@@ -191,73 +191,6 @@ let steinerize g =
       improved := true
   done
 
-(* ---- exact RSMT for small nets by Hanan enumeration ----
-
-   An optimal RSMT uses at most n-2 Steiner points, all on the Hanan
-   grid.  For each subset of candidate grid points up to that size we
-   compute the MST over pins + subset; the minimum over subsets realises
-   the optimal length. *)
-
-let exact_rsmt pins_x pins_y =
-  let n = Array.length pins_x in
-  let candidates = ref [] in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let x = pins_x.(i) and y = pins_y.(j) in
-      let coincides = ref false in
-      for p = 0 to n - 1 do
-        if pins_x.(p) = x && pins_y.(p) = y then coincides := true
-      done;
-      if not !coincides
-         && not
-              (List.exists
-                 (fun (cx, cy, _, _) -> cx = x && cy = y)
-                 !candidates)
-      then candidates := (x, y, i, j) :: !candidates
-    done
-  done;
-  let candidates = Array.of_list !candidates in
-  let ncand = Array.length candidates in
-  let max_extra = max 0 (n - 2) in
-  let best_len = ref infinity in
-  let best_subset = ref [] in
-  let rec enumerate start chosen size =
-    (* evaluate current subset *)
-    let k = n + size in
-    let xs = Array.make k 0.0 and ys = Array.make k 0.0 in
-    Array.blit pins_x 0 xs 0 n;
-    Array.blit pins_y 0 ys 0 n;
-    List.iteri
-      (fun idx c ->
-        let cx, cy, _, _ = candidates.(c) in
-        xs.(n + idx) <- cx;
-        ys.(n + idx) <- cy)
-      chosen;
-    let _, len = prim_edges xs ys k in
-    if len < !best_len -. 1e-12 then begin
-      best_len := len;
-      best_subset := chosen
-    end;
-    if size < max_extra then
-      for c = start to ncand - 1 do
-        enumerate (c + 1) (c :: chosen) (size + 1)
-      done
-  in
-  enumerate 0 [] 0;
-  (* rebuild the winning tree *)
-  let chosen = !best_subset in
-  let size = List.length chosen in
-  let g = make_graph (n + size) pins_x pins_y in
-  List.iter
-    (fun c ->
-      let cx, cy, si, sj = candidates.(c) in
-      ignore (add_node g cx cy si sj))
-    chosen;
-  let xs = Array.sub g.gx 0 g.n and ys = Array.sub g.gy 0 g.n in
-  let edges, _ = prim_edges xs ys g.n in
-  List.iter (fun (a, b) -> add_edge g a b) edges;
-  g
-
 (* ---- finalisation: prune useless Steiner points, root at node 0 ---- *)
 
 let finalize g npins =
@@ -328,31 +261,6 @@ let finalize g npins =
     invalid_arg "Steiner: internal error, tree is disconnected";
   { pin_count = npins; xs; ys; parent; x_source; y_source; order }
 
-let build_median3 pins_x pins_y =
-  let g = make_graph 4 pins_x pins_y in
-  let mx, mxs =
-    median3 (pins_x.(0), 0) (pins_x.(1), 1) (pins_x.(2), 2)
-  and my, mys =
-    median3 (pins_y.(0), 0) (pins_y.(1), 1) (pins_y.(2), 2)
-  in
-  let coincident = ref (-1) in
-  for p = 0 to 2 do
-    if pins_x.(p) = mx && pins_y.(p) = my then coincident := p
-  done;
-  if !coincident >= 0 then begin
-    let c = !coincident in
-    for p = 0 to 2 do
-      if p <> c then add_edge g c p
-    done
-  end
-  else begin
-    let s = add_node g mx my mxs mys in
-    for p = 0 to 2 do
-      add_edge g s p
-    done
-  end;
-  g
-
 (* ---- direct constructors for trivial degrees ----
 
    Degrees 1-3 account for the bulk of real netlists; building them
@@ -414,554 +322,18 @@ let heuristic_tree xs ys n =
    pins by x and record the permutation [pi] mapping each x-rank to its
    y-rank.  Nets sharing [pi] (up to the 8 dihedral symmetries of the
    plane) share a small set of candidate topologies; for given
-   coordinate spans the shortest candidate is the exact optimum.  We
-   build the candidate set per class on first use with a Dreyfus-Wagner
-   Steiner DP on the Hanan grid (exact), probing a family of span
-   vectors and patching with randomized verification draws until the
-   stored set covers every draw.  Runtime [build] for a net of degree
-   <= [max_degree] is then: canonicalize the permutation, evaluate the
-   stored candidates on the actual spans, materialize the winner with
-   x/y-source provenance intact.
+   coordinate spans the shortest candidate is the exact optimum.  The
+   candidate sets of every class of degree 2 .. [max_degree] are
+   generated offline (tools/steiner_gen, a Dreyfus-Wagner Steiner DP on
+   the Hanan grid) and shipped as one byte table embedded in this
+   library.  Runtime [build] for a net of degree <= [max_degree] is:
+   canonicalize the permutation, binary-search the class, evaluate the
+   stored candidates on the actual spans straight from the bytes,
+   materialize the winner with x/y-source provenance intact.
    ==================================================================== *)
 
 module Lut = struct
   let max_degree = 8
-
-  (* deterministic splitmix64: probe generation must not depend on any
-     ambient RNG state so tables are identical across runs and domains *)
-  let rng_next st =
-    st := Int64.add !st 0x9E3779B97F4A7C15L;
-    let z = !st in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
-        0xBF58476D1CE4E5B9L
-    in
-    let z =
-      Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
-        0x94D049BB133111EBL
-    in
-    Int64.logxor z (Int64.shift_right_logical z 31)
-
-  let rng_float st =
-    Int64.to_float (Int64.shift_right_logical (rng_next st) 11)
-    *. (1.0 /. 9007199254740992.0)
-
-  (* -- Dreyfus-Wagner Steiner DP on the n x n Hanan grid --
-
-     Grid vertex [i * n + j] sits at (xg.(i), yg.(j)); terminal p is the
-     vertex (p, pi.(p)).  Distances are the metric closure of the plane,
-     so a single relaxation pass after each merge step suffices.
-     [dp.(mask * v + u)] = minimal length of a tree spanning the
-     terminals in [mask] plus vertex [u].  Complexity 3^n n^2 + 2^n n^4
-     float ops: ~0.1 ms for n = 6, ~2 ms for n = 8 per span vector. *)
-
-  type dw = {
-    dw_n : int;
-    dw_dist : float array;  (* v * v pairwise rectilinear distances *)
-    dw_dp : float array;    (* 2^n * v *)
-    dw_merge : float array; (* v scratch for the current mask *)
-  }
-
-  let dw_make n =
-    let v = n * n in
-    { dw_n = n;
-      dw_dist = Array.make (v * v) 0.0;
-      dw_dp = Array.make ((1 lsl n) * v) infinity;
-      dw_merge = Array.make v infinity }
-
-  (* best two-way split of [mask] at every vertex; reconstruction
-     recomputes these exact float expressions, so minima can be matched
-     back with [=] *)
-  let dw_merge_pass d mask =
-    let v = d.dw_n * d.dw_n in
-    Array.fill d.dw_merge 0 v infinity;
-    let low = mask land (-mask) in
-    let sub = ref ((mask - 1) land mask) in
-    while !sub <> 0 do
-      if !sub land low <> 0 then begin
-        let bs = !sub * v and br = (mask lxor !sub) * v in
-        for u = 0 to v - 1 do
-          let c = d.dw_dp.(bs + u) +. d.dw_dp.(br + u) in
-          if c < d.dw_merge.(u) then d.dw_merge.(u) <- c
-        done
-      end;
-      sub := (!sub - 1) land mask
-    done
-
-  let dw_solve d pi xg yg =
-    let n = d.dw_n in
-    let v = n * n in
-    for a = 0 to v - 1 do
-      let xa = xg.(a / n) and ya = yg.(a mod n) in
-      for b = 0 to v - 1 do
-        d.dw_dist.((a * v) + b) <-
-          Float.abs (xa -. xg.(b / n)) +. Float.abs (ya -. yg.(b mod n))
-      done
-    done;
-    let full = (1 lsl n) - 1 in
-    Array.fill d.dw_dp 0 ((full + 1) * v) infinity;
-    for p = 0 to n - 1 do
-      let t = (p * n) + pi.(p) in
-      let base = (1 lsl p) * v in
-      for u = 0 to v - 1 do
-        d.dw_dp.(base + u) <- d.dw_dist.((t * v) + u)
-      done
-    done;
-    for mask = 3 to full do
-      if mask land (mask - 1) <> 0 then begin
-        dw_merge_pass d mask;
-        let bm = mask * v in
-        for vtx = 0 to v - 1 do
-          let best = ref infinity in
-          for u = 0 to v - 1 do
-            let c = d.dw_merge.(u) +. d.dw_dist.((u * v) + vtx) in
-            if c < !best then best := c
-          done;
-          d.dw_dp.(bm + vtx) <- !best
-        done
-      end
-    done;
-    d.dw_dp.((full * v) + pi.(0))
-
-  (* reconstruct one optimal tree as a list of grid-vertex edges *)
-  let dw_tree d pi =
-    let n = d.dw_n in
-    let v = n * n in
-    let edges = ref [] in
-    let rec tree mask vtx =
-      if mask land (mask - 1) = 0 then begin
-        let p =
-          let rec bit i m = if m land 1 = 1 then i else bit (i + 1) (m lsr 1) in
-          bit 0 mask
-        in
-        let t = (p * n) + pi.(p) in
-        if t <> vtx then edges := (t, vtx) :: !edges
-      end
-      else begin
-        dw_merge_pass d mask;
-        let target = d.dw_dp.((mask * v) + vtx) in
-        let u = ref (-1) in
-        let k = ref 0 in
-        while !u < 0 && !k < v do
-          if d.dw_merge.(!k) +. d.dw_dist.((!k * v) + vtx) = target then
-            u := !k;
-          incr k
-        done;
-        let u = !u in
-        assert (u >= 0);
-        if u <> vtx then edges := (u, vtx) :: !edges;
-        split mask u d.dw_merge.(u)
-      end
-    and split mask u target =
-      let low = mask land (-mask) in
-      let sub = ref ((mask - 1) land mask) in
-      let found = ref 0 in
-      while !found = 0 && !sub <> 0 do
-        if !sub land low <> 0
-           && d.dw_dp.((!sub * v) + u)
-              +. d.dw_dp.(((mask lxor !sub) * v) + u)
-              = target
-        then found := !sub
-        else sub := (!sub - 1) land mask
-      done;
-      assert (!found <> 0);
-      tree !found u;
-      tree (mask lxor !found) u
-    in
-    tree ((1 lsl n) - 1) pi.(0);
-    !edges
-
-  (* -- stored topology entries --
-
-     Node ids 0 .. n-1 are the canonical pins (pin a at Hanan ranks
-     (a, pi.(a))); ids n .. n+s-1 are Steiner points at ranks
-     (e_sx.(k), e_sy.(k)).  Edges are abstract rectilinear
-     connections. *)
-  type entry = {
-    e_s : int;
-    e_sx : int array;
-    e_sy : int array;
-    e_ea : int array;
-    e_eb : int array;
-  }
-
-  let entry_of_edges n pi edges =
-    let v = n * n in
-    let is_term = Array.make v false in
-    for p = 0 to n - 1 do is_term.((p * n) + pi.(p)) <- true done;
-    let adj = Array.make v [] in
-    List.iter
-      (fun (a, b) ->
-        adj.(a) <- b :: adj.(a);
-        adj.(b) <- a :: adj.(b))
-      edges;
-    (* prune non-terminal leaves and splice non-terminal degree-2
-       vertices; with distinct grid coordinates both operations preserve
-       the (optimal) tree length *)
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for u = 0 to v - 1 do
-        if not is_term.(u) then
-          match adj.(u) with
-          | [] -> ()
-          | [ a ] ->
-            adj.(u) <- [];
-            adj.(a) <- List.filter (fun w -> w <> u) adj.(a);
-            changed := true
-          | [ a; b ] when a <> b ->
-            adj.(u) <- [];
-            adj.(a) <- b :: List.filter (fun w -> w <> u) adj.(a);
-            adj.(b) <- a :: List.filter (fun w -> w <> u) adj.(b);
-            changed := true
-          | [ a; _ ] ->
-            adj.(u) <- [];
-            adj.(a) <- List.filter (fun w -> w <> u) adj.(a);
-            changed := true
-          | _ -> ()
-      done
-    done;
-    let sid = Array.make v (-1) in
-    let steiners = ref [] in
-    let s = ref 0 in
-    for u = 0 to v - 1 do
-      if (not is_term.(u)) && adj.(u) <> [] then begin
-        sid.(u) <- n + !s;
-        steiners := u :: !steiners;
-        incr s
-      end
-    done;
-    let term_id = Array.make v (-1) in
-    for p = 0 to n - 1 do term_id.((p * n) + pi.(p)) <- p done;
-    let id_of u = if is_term.(u) then term_id.(u) else sid.(u) in
-    let edge_list = ref [] in
-    for u = 0 to v - 1 do
-      List.iter
-        (fun w ->
-          if u < w then begin
-            let a = id_of u and b = id_of w in
-            edge_list := ((min a b, max a b) :: !edge_list)
-          end)
-        adj.(u)
-    done;
-    let es = List.sort_uniq compare !edge_list in
-    let sarr = Array.of_list (List.rev !steiners) in
-    { e_s = !s;
-      e_sx = Array.map (fun u -> u / n) sarr;
-      e_sy = Array.map (fun u -> u mod n) sarr;
-      e_ea = Array.of_list (List.map fst es);
-      e_eb = Array.of_list (List.map snd es) }
-
-  let entry_key e =
-    let b = Buffer.create 64 in
-    let p x =
-      Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int x)
-    in
-    Buffer.add_string b (string_of_int e.e_s);
-    Array.iter p e.e_sx;
-    Array.iter p e.e_sy;
-    Array.iter p e.e_ea;
-    Array.iter p e.e_eb;
-    Buffer.contents b
-
-  (* length of a stored topology for canonical axis values [cx]/[cy]
-     (cx.(a) = coordinate of canonical x-rank a, likewise cy) *)
-  let entry_length e n pi cx cy =
-    let m = Array.length e.e_ea in
-    let len = ref 0.0 in
-    for k = 0 to m - 1 do
-      let a = e.e_ea.(k) and b = e.e_eb.(k) in
-      let xa = if a < n then cx.(a) else cx.(e.e_sx.(a - n))
-      and ya = if a < n then cy.(pi.(a)) else cy.(e.e_sy.(a - n)) in
-      let xb = if b < n then cx.(b) else cx.(e.e_sx.(b - n))
-      and yb = if b < n then cy.(pi.(b)) else cy.(e.e_sy.(b - n)) in
-      len := !len +. Float.abs (xa -. xb) +. Float.abs (ya -. yb)
-    done;
-    !len
-
-  (* -- class generation --
-
-     The optimal-length function is a min of linear functionals of the
-     rank spans, so a topology optimal somewhere in the open span cone
-     stays optimal on the closure (ties included).  We seed with a fixed
-     probe family (uniform spans; one stretched / shrunk span at a
-     time), then draw random log-uniform span vectors, solving each
-     exactly and patching the table whenever the stored candidates fall
-     short, until [clean_target] consecutive draws need no patch. *)
-
-  let probe_spans n =
-    let m = (2 * n) - 2 in
-    let probes = ref [ Array.make m 1.0 ] in
-    for k = 0 to m - 1 do
-      let p = Array.make m 1.0 in
-      p.(k) <- 8.0;
-      probes := p :: !probes;
-      let q = Array.make m 1.0 in
-      q.(k) <- 0.125;
-      probes := q :: !probes
-    done;
-    List.rev !probes
-
-  let coords_of_spans n spans xg yg =
-    xg.(0) <- 0.0;
-    yg.(0) <- 0.0;
-    for i = 1 to n - 1 do
-      xg.(i) <- xg.(i - 1) +. spans.(i - 1);
-      yg.(i) <- yg.(i - 1) +. spans.(n - 2 + i)
-    done
-
-  (* ---- complete candidate generation: Pareto Dreyfus-Wagner ----
-
-     A topology's length is a linear function of the rank spans:
-     sum_k a_k xspan_k + sum_k b_k yspan_k, where a_k counts the edges
-     whose x-interval crosses gap k (FLUTE's "potentially optimal
-     wirelength vector").  Running the DW recursion over Pareto-minimal
-     sets of these integer vectors instead of scalar lengths yields
-     every vector that can be uniquely optimal for some span assignment
-     — a provably complete candidate set, independent of sampling.
-     Coefficients are bounded by the edge count (<= 2n - 1 <= 15), so a
-     vector packs one byte per gap into a single int per axis: addition
-     is machine addition and componentwise dominance is a SWAR guard-bit
-     test.  Used for degrees <= [pareto_limit]; the set sizes (and DP
-     cost) grow too fast beyond that. *)
-
-  let pareto_limit = 7
-
-  let gen_pareto n pic =
-    let v = n * n in
-    let h =
-      let g = ref 0 in
-      for _ = 1 to n - 1 do g := (!g lsl 8) lor 0x80 done;
-      !g
-    in
-    (* seg.(i1 * n + i2), i1 <= i2: one count in each byte i1 .. i2-1 *)
-    let seg = Array.make (n * n) 0 in
-    for i1 = 0 to n - 1 do
-      for i2 = i1 to n - 1 do
-        let s = ref 0 in
-        for k = i1 to i2 - 1 do s := !s + (1 lsl (8 * k)) done;
-        seg.((i1 * n) + i2) <- !s
-      done
-    done;
-    let segij a b = if a <= b then seg.((a * n) + b) else seg.((b * n) + a) in
-    let dvx a b = segij (a / n) (b / n)
-    and dvy a b = segij (a mod n) (b mod n) in
-    (* a <= b in every byte: adding the guard bit to b_i - a_i leaves it
-       set iff b_i >= a_i, and fields <= 15 never carry across bytes *)
-    let dominates ax ay bx by =
-      (bx + h - ax) land h = h && (by + h - ay) land h = h
-    in
-    let insert cell vx vy =
-      if
-        not (List.exists (fun (ax, ay) -> dominates ax ay vx vy) !cell)
-      then
-        cell :=
-          (vx, vy)
-          :: List.filter (fun (ax, ay) -> not (dominates vx vy ax ay)) !cell
-    in
-    let full = (1 lsl n) - 1 in
-    let dp = Array.make ((full + 1) * v) [] in
-    for p = 0 to n - 1 do
-      let t = (p * n) + pic.(p) in
-      let base = (1 lsl p) * v in
-      for u = 0 to v - 1 do dp.(base + u) <- [ (dvx t u, dvy t u) ] done
-    done;
-    let merge = Array.make v [] in
-    let merge_pass mask =
-      Array.fill merge 0 v [];
-      let low = mask land (-mask) in
-      let sub = ref ((mask - 1) land mask) in
-      while !sub <> 0 do
-        if !sub land low <> 0 then begin
-          let bs = !sub * v and br = (mask lxor !sub) * v in
-          for u = 0 to v - 1 do
-            let cell = ref merge.(u) in
-            List.iter
-              (fun (ax, ay) ->
-                List.iter
-                  (fun (bx, by) -> insert cell (ax + bx) (ay + by))
-                  dp.(br + u))
-              dp.(bs + u);
-            merge.(u) <- !cell
-          done
-        end;
-        sub := (!sub - 1) land mask
-      done
-    in
-    for mask = 3 to full do
-      if mask land (mask - 1) <> 0 then begin
-        merge_pass mask;
-        let bm = mask * v in
-        for vtx = 0 to v - 1 do
-          let cell = ref [] in
-          for u = 0 to v - 1 do
-            let dx = dvx u vtx and dy = dvy u vtx in
-            List.iter (fun (mx, my) -> insert cell (mx + dx) (my + dy))
-              merge.(u)
-          done;
-          dp.(bm + vtx) <- !cell
-        done
-      end
-    done;
-    let root = pic.(0) in
-    (* reconstruct one topology per final Pareto vector, matching the
-       integer vector sums back through the recursion *)
-    let reconstruct fvx fvy =
-      let edges = ref [] in
-      let rec tree mask vtx vx vy =
-        if mask land (mask - 1) = 0 then begin
-          let p =
-            let rec bit i m =
-              if m land 1 = 1 then i else bit (i + 1) (m lsr 1)
-            in
-            bit 0 mask
-          in
-          let t = (p * n) + pic.(p) in
-          if t <> vtx then edges := (t, vtx) :: !edges
-        end
-        else begin
-          merge_pass mask;
-          let ru = ref (-1) and rmx = ref 0 and rmy = ref 0 in
-          let u = ref 0 in
-          while !ru < 0 && !u < v do
-            let dx = dvx !u vtx and dy = dvy !u vtx in
-            if
-              dominates dx dy vx vy
-              && List.mem (vx - dx, vy - dy) merge.(!u)
-            then begin
-              ru := !u;
-              rmx := vx - dx;
-              rmy := vy - dy
-            end
-            else incr u
-          done;
-          assert (!ru >= 0);
-          if !ru <> vtx then edges := (!ru, vtx) :: !edges;
-          split mask !ru !rmx !rmy
-        end
-      and split mask u mx my =
-        let low = mask land (-mask) in
-        let sub = ref ((mask - 1) land mask) in
-        let fs = ref 0 and fax = ref 0 and fay = ref 0 in
-        while !fs = 0 && !sub <> 0 do
-          (if !sub land low <> 0 then
-             let rest = mask lxor !sub in
-             match
-               List.find_opt
-                 (fun (ax, ay) ->
-                   dominates ax ay mx my
-                   && List.mem (mx - ax, my - ay) dp.((rest * v) + u))
-                 dp.((!sub * v) + u)
-             with
-             | Some (ax, ay) ->
-               fs := !sub;
-               fax := ax;
-               fay := ay
-             | None -> ());
-          if !fs = 0 then sub := (!sub - 1) land mask
-        done;
-        assert (!fs <> 0);
-        tree !fs u !fax !fay;
-        tree (mask lxor !fs) u (mx - !fax) (my - !fay)
-      in
-      tree full root fvx fvy;
-      !edges
-    in
-    let seen = Hashtbl.create 16 in
-    let entries = ref [] in
-    List.iter
-      (fun (fvx, fvy) ->
-        let e = entry_of_edges n pic (reconstruct fvx fvy) in
-        let k = entry_key e in
-        if not (Hashtbl.mem seen k) then begin
-          Hashtbl.add seen k ();
-          entries := e :: !entries
-        end)
-      (List.rev dp.((full * v) + root));
-    Array.of_list (List.rev !entries)
-
-  (* ---- sampled generation for degrees above [pareto_limit] ----
-
-     Seeded probe family plus randomized verification draws against the
-     scalar DW oracle; deterministic, and near-exhaustive in practice,
-     but without the completeness proof of the Pareto path (documented
-     in DESIGN.md §11). *)
-
-  let gen_sampled n key pic =
-    let d = dw_make n in
-    let xg = Array.make n 0.0 and yg = Array.make n 0.0 in
-    let seen = Hashtbl.create 16 in
-    let entries = ref [] in
-    let solve_and_add () =
-      let e = entry_of_edges n pic (dw_tree d pic) in
-      let k = entry_key e in
-      if not (Hashtbl.mem seen k) then begin
-        Hashtbl.add seen k ();
-        entries := e :: !entries
-      end
-    in
-    List.iter
-      (fun spans ->
-        coords_of_spans n spans xg yg;
-        ignore (dw_solve d pic xg yg);
-        solve_and_add ())
-      (probe_spans n);
-    let st =
-      ref
-        (Int64.add
-           (Int64.mul 0x100000001B3L (Int64.of_int n))
-           (Int64.of_int key))
-    in
-    let clean_target = if n <= 6 then 24 else 48 in
-    let max_draws = if n <= 6 then 600 else 1600 in
-    let clean = ref 0 and draws = ref 0 in
-    let spans = Array.make ((2 * n) - 2) 1.0 in
-    let vals = Array.make n 0.0 in
-    (* spans from n sorted uniform draws: matches the span statistics of
-       uniformly placed pins, including near-coincident clusters *)
-    let uniform_axis_spans off =
-      for i = 0 to n - 1 do vals.(i) <- rng_float st done;
-      Array.sort Float.compare vals;
-      for i = 0 to n - 2 do
-        spans.(off + i) <- vals.(i + 1) -. vals.(i)
-      done
-    in
-    while !clean < clean_target && !draws < max_draws do
-      incr draws;
-      (match !draws mod 3 with
-       | 0 ->
-         (* log-uniform spans in [2^-3, 2^3] *)
-         for k = 0 to (2 * n) - 3 do
-           spans.(k) <-
-             Float.exp ((rng_float st -. 0.5) *. (6.0 *. Float.log 2.0))
-         done
-       | 1 ->
-         uniform_axis_spans 0;
-         uniform_axis_spans (n - 1)
-       | _ ->
-         (* wide log-uniform in [2^-6, 2^6]: extreme aspect ratios *)
-         for k = 0 to (2 * n) - 3 do
-           spans.(k) <-
-             Float.exp ((rng_float st -. 0.5) *. (12.0 *. Float.log 2.0))
-         done);
-      coords_of_spans n spans xg yg;
-      let opt = dw_solve d pic xg yg in
-      let best =
-        List.fold_left
-          (fun acc e -> Float.min acc (entry_length e n pic xg yg))
-          infinity !entries
-      in
-      if best > opt +. 1e-9 +. (1e-12 *. opt) then begin
-        solve_and_add ();
-        clean := 0
-      end
-      else incr clean
-    done;
-    Array.of_list (List.rev !entries)
-
-  let generate n key pic =
-    if n <= pareto_limit then gen_pareto n pic else gen_sampled n key pic
 
   (* -- canonicalization --
 
@@ -1012,40 +384,226 @@ module Lut = struct
         Array.blit pit 0 pic 0 n
       end
     done;
-    (perm, yperm, pi, !best_key, !best_t, pic)
+    (perm, yperm, !best_key, !best_t, pic)
 
-  (* -- tables: one per degree, process-wide --
+  let canonical pi =
+    let n = Array.length pi in
+    let seen = Array.make n false in
+    Array.iter
+      (fun j ->
+        if j < 0 || j >= n || seen.(j) then
+          invalid_arg "Steiner.Lut.canonical: not a permutation";
+        seen.(j) <- true)
+      pi;
+    let xs = Array.init n float_of_int and ys = Array.map float_of_int pi in
+    let _, _, key, _, pic = canonicalize n xs ys in
+    (key, pic)
 
-     [try_build] only reads.  Generation mutates the tables and must
-     run from sequential code (Sta.Nets patches missing classes after
-     its parallel phase); [gen_lock] additionally serializes generators
-     so a class is published only once, fully built. *)
+  (* -- the shipped table --
 
-  let tables : (int, entry array) Hashtbl.t array =
-    Array.init (max_degree + 1) (fun _ -> Hashtbl.create 64)
+     Little-endian u32 fields; every node and rank index is below 16,
+     so an entry packs two indices per byte.
 
-  let gen_lock = Mutex.create ()
+       0            magic "DGPSTLUT"
+       8            version
+       12           total length in bytes
+       16 + 8 d     class count of degree d, offset of its section
+                    (d = 0 .. max_degree)
+     section        count class keys, strictly ascending; then
+                    count + 1 offsets: class i's entries are the bytes
+                    [off i, off (i + 1))
+     entry          1 byte    s | m << 4   (Steiner points, edges)
+                    s bytes   x-rank << 4 | y-rank of Steiner point k
+                    m bytes   a << 4 | b of edge k, a < b
 
-  let class_count n =
-    if n >= 0 && n <= max_degree then Hashtbl.length tables.(n) else 0
+     Node ids 0 .. n-1 are the canonical pins (pin a at Hanan ranks
+     (a, pic.(a))); ids n .. n+s-1 are Steiner points.  A class's
+     entries are kept in generation order: [materialize] keeps the first
+     minimum on a tie.  The table is validated once when loaded and then
+     read in place, never decoded. *)
 
-  let ensure_class n key pic =
-    match Hashtbl.find_opt tables.(n) key with
-    | Some es -> es
-    | None ->
-      Mutex.lock gen_lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock gen_lock)
-        (fun () ->
-          match Hashtbl.find_opt tables.(n) key with
-          | Some es -> es
-          | None ->
-            let es = generate n key pic in
-            Hashtbl.replace tables.(n) key es;
-            es)
+  module Table = struct
+    type t = string
 
-  (* -- materialization: canonical entry -> rooted tree in pin space -- *)
-  let materialize n entries perm yperm tr pic xs ys =
+    let magic = "DGPSTLUT"
+    let version = 1
+    let header_bytes = 16 + (8 * (max_degree + 1))
+
+    let u32 s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFF_FFFF
+    let count s n = u32 s (16 + (8 * n))
+    let section s n = u32 s (20 + (8 * n))
+    let run_start s n i = u32 s (section s n + (4 * count s n) + (4 * i))
+
+    exception Bad of string
+
+    let validate s =
+      let bad fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt in
+      let len = String.length s in
+      if len < String.length magic || String.sub s 0 (String.length magic) <> magic
+      then bad "bad magic (not a Steiner topology table)";
+      if len < header_bytes then
+        bad "truncated header (%d bytes, need %d)" len header_bytes;
+      if u32 s 8 <> version then
+        bad "unsupported version %d (this build reads version %d)" (u32 s 8)
+          version;
+      if u32 s 12 <> len then
+        bad "length %d bytes but the header says %d (truncated or padded)" len
+          (u32 s 12);
+      for n = 0 to max_degree do
+        let c = count s n and sec = section s n in
+        if c > 0 then begin
+          if n < 2 then bad "degree %d has %d classes" n c;
+          if sec < header_bytes || sec + (8 * c) + 4 > len then
+            bad "degree %d: section at %d out of bounds" n sec;
+          let limit = int_of_float (float_of_int n ** float_of_int n) in
+          let prev = ref (-1) in
+          for i = 0 to c - 1 do
+            let k = u32 s (sec + (4 * i)) in
+            if k <= !prev || k >= limit then
+              bad "degree %d: class key %d at %d not ascending or out of range"
+                n k i;
+            prev := k
+          done;
+          for i = 0 to c - 1 do
+            let a = run_start s n i and b = run_start s n (i + 1) in
+            if not (header_bytes <= a && a < b && b <= len) then
+              bad "degree %d class %d: entry bytes [%d, %d) out of bounds" n
+                i a b;
+            let pos = ref a in
+            while !pos < b do
+              let h = Char.code s.[!pos] in
+              let st = h land 15 and m = h lsr 4 in
+              if st > n - 2 || m <> n + st - 1 || !pos + 1 + st + m > b then
+                bad "degree %d class %d: malformed entry at byte %d" n i !pos;
+              for k = 1 to st do
+                let r = Char.code s.[!pos + k] in
+                if r lsr 4 >= n || r land 15 >= n then
+                  bad "degree %d class %d: Steiner rank out of range at byte %d"
+                    n i (!pos + k)
+              done;
+              for k = 1 + st to st + m do
+                let e = Char.code s.[!pos + k] in
+                if e lsr 4 >= e land 15 || e land 15 >= n + st then
+                  bad "degree %d class %d: bad edge at byte %d" n i (!pos + k)
+              done;
+              pos := !pos + 1 + st + m
+            done
+          done
+        end
+      done
+
+    let of_string ~name s =
+      match validate s with
+      | () -> Ok s
+      | exception Bad msg -> Error (Printf.sprintf "Steiner table %s: %s" name msg)
+
+    let to_string t = t
+
+    let encode_entry b ~sx ~sy ~ea ~eb =
+      let nib v =
+        if v < 0 || v > 15 then invalid_arg "Steiner.Lut.Table: index above 15";
+        v
+      in
+      let pack hi lo = Buffer.add_char b (Char.chr ((nib hi lsl 4) lor nib lo)) in
+      pack (Array.length ea) (Array.length sx);
+      Array.iteri (fun k x -> pack x sy.(k)) sx;
+      Array.iteri (fun k a -> pack a eb.(k)) ea
+
+    let assemble ~name degrees =
+      let section = Array.make (max_degree + 1) 0 in
+      let pos = ref header_bytes in
+      Array.iteri
+        (fun d runs ->
+          let c = Array.length runs in
+          if c > 0 then begin
+            section.(d) <- !pos;
+            pos := !pos + (8 * c) + 4;
+            Array.iter (fun (_, r) -> pos := !pos + String.length r) runs
+          end)
+        degrees;
+      let b = Buffer.create !pos in
+      let u32 v = Buffer.add_int32_le b (Int32.of_int v) in
+      Buffer.add_string b magic;
+      u32 version;
+      u32 !pos;
+      for d = 0 to max_degree do
+        u32 (Array.length degrees.(d));
+        u32 section.(d)
+      done;
+      Array.iteri
+        (fun d runs ->
+          let off = ref (section.(d) + (8 * Array.length runs) + 4) in
+          Array.iter (fun (key, _) -> u32 key) runs;
+          if runs <> [||] then u32 !off;
+          Array.iter
+            (fun (_, r) ->
+              off := !off + String.length r;
+              u32 !off)
+            runs;
+          Array.iter (fun (_, r) -> Buffer.add_string b r) runs)
+        degrees;
+      of_string ~name (Buffer.contents b)
+
+    let embedded =
+      match of_string ~name:"steiner_table.bin" Steiner_table_data.data with
+      | Ok t -> t
+      | Error msg -> failwith msg
+
+    let class_count t n =
+      if n >= 0 && n <= max_degree then count t n else 0
+
+    (* index of [key] among degree [n]'s classes, or -1 *)
+    let find t n key =
+      if n < 0 || n > max_degree then -1
+      else begin
+        let sec = section t n in
+        let lo = ref 0 and hi = ref (count t n - 1) and found = ref (-1) in
+        while !found < 0 && !lo <= !hi do
+          let mid = (!lo + !hi) lsr 1 in
+          let k = u32 t (sec + (4 * mid)) in
+          if k = key then found := mid
+          else if k < key then lo := mid + 1
+          else hi := mid - 1
+        done;
+        !found
+      end
+
+    let class_bytes t n key =
+      let i = find t n key in
+      if i < 0 then None
+      else begin
+        let a = run_start t n i in
+        Some (String.sub t a (run_start t n (i + 1) - a))
+      end
+  end
+
+  let class_count n = Table.class_count Table.embedded n
+
+  (* length of the entry at byte [e] for canonical axis values [cx]/[cy]
+     (cx.(a) = coordinate of canonical x-rank a, likewise cy) *)
+  let entry_length tb e n pic cx cy =
+    let h = Char.code tb.[e] in
+    let s = h land 15 and m = h lsr 4 in
+    let len = ref 0.0 in
+    for k = 0 to m - 1 do
+      let ab = Char.code tb.[e + 1 + s + k] in
+      let a = ab lsr 4 and b = ab land 15 in
+      let ra = if a < n then 0 else Char.code tb.[e + 1 + a - n]
+      and rb = if b < n then 0 else Char.code tb.[e + 1 + b - n] in
+      let xa = if a < n then cx.(a) else cx.(ra lsr 4)
+      and ya = if a < n then cy.(pic.(a)) else cy.(ra land 15) in
+      let xb = if b < n then cx.(b) else cx.(rb lsr 4)
+      and yb = if b < n then cy.(pic.(b)) else cy.(rb land 15) in
+      len := !len +. Float.abs (xa -. xb) +. Float.abs (ya -. yb)
+    done;
+    !len
+
+  let entry_size tb e =
+    let h = Char.code tb.[e] in
+    1 + (h land 15) + (h lsr 4)
+
+  (* -- materialization: entries [a, b) -> rooted tree in pin space -- *)
+  let materialize tb a b n perm yperm tr pic xs ys =
     let sx = Array.make n 0.0 and sy = Array.make n 0.0 in
     for i = 0 to n - 1 do
       sx.(i) <- xs.(perm.(i));
@@ -1066,14 +624,16 @@ module Lut = struct
         cy.(a) <- sy.(if fy then n - 1 - a else a)
       end
     done;
-    let best = ref entries.(0) in
-    let best_len = ref (entry_length entries.(0) n pic cx cy) in
-    for k = 1 to Array.length entries - 1 do
-      let l = entry_length entries.(k) n pic cx cy in
+    let best = ref a in
+    let best_len = ref (entry_length tb a n pic cx cy) in
+    let pos = ref (a + entry_size tb a) in
+    while !pos < b do
+      let l = entry_length tb !pos n pic cx cy in
       if l < !best_len then begin
         best_len := l;
-        best := entries.(k)
-      end
+        best := !pos
+      end;
+      pos := !pos + entry_size tb !pos
     done;
     let e = !best in
     (* inverse transform: canonical ranks (a, b) -> our ranks (i, j) *)
@@ -1086,7 +646,8 @@ module Lut = struct
       else if fy then n - 1 - b
       else b
     in
-    let s = e.e_s in
+    let h = Char.code tb.[e] in
+    let s = h land 15 and m = h lsr 4 in
     let total = n + s in
     let txs = Array.make total 0.0 and tys = Array.make total 0.0 in
     let xsrc = Array.make total 0 and ysrc = Array.make total 0 in
@@ -1097,7 +658,8 @@ module Lut = struct
       ysrc.(p) <- p
     done;
     for k = 0 to s - 1 do
-      let a = e.e_sx.(k) and b = e.e_sy.(k) in
+      let r = Char.code tb.[e + 1 + k] in
+      let a = r lsr 4 and b = r land 15 in
       let i = inv_i a b and j = inv_j a b in
       txs.(n + k) <- sx.(i);
       tys.(n + k) <- sy.(j);
@@ -1108,8 +670,9 @@ module Lut = struct
       if id >= n then id else perm.(inv_i id pic.(id))
     in
     let adj = Array.make total [] in
-    for k = 0 to Array.length e.e_ea - 1 do
-      let a = node_of e.e_ea.(k) and b = node_of e.e_eb.(k) in
+    for k = 0 to m - 1 do
+      let ab = Char.code tb.[e + 1 + s + k] in
+      let a = node_of (ab lsr 4) and b = node_of (ab land 15) in
       adj.(a) <- b :: adj.(a);
       adj.(b) <- a :: adj.(b)
     done;
@@ -1142,80 +705,27 @@ module Lut = struct
     let n = Array.length xs in
     if n < 2 || n > max_degree then None
     else begin
-      let perm, yperm, _, key, tr, pic = canonicalize n xs ys in
-      match Hashtbl.find_opt tables.(n) key with
-      | None -> None
-      | Some entries -> Some (materialize n entries perm yperm tr pic xs ys)
-    end
-
-  let ensure ~xs ~ys =
-    let n = Array.length xs in
-    if n >= 2 && n <= max_degree then begin
-      let _, _, _, key, _, pic = canonicalize n xs ys in
-      ignore (ensure_class n key pic)
-    end
-
-  let build ~xs ~ys =
-    let n = Array.length xs in
-    if n < 2 || n > max_degree then
-      invalid_arg "Steiner.Lut.build: degree out of range";
-    let perm, yperm, _, key, tr, pic = canonicalize n xs ys in
-    let entries = ensure_class n key pic in
-    materialize n entries perm yperm tr pic xs ys
-
-  (* exact RSMT length by Dreyfus-Wagner on the real coordinates
-     (no symmetry reduction); independent oracle for tests *)
-  let optimal_length ~xs ~ys =
-    let n = Array.length xs in
-    if n < 2 then 0.0
-    else begin
-      let perm = Array.make n 0 and yperm = Array.make n 0 in
-      sort_ranks n xs perm;
-      sort_ranks n ys yperm;
-      let yrank = Array.make n 0 in
-      for j = 0 to n - 1 do yrank.(yperm.(j)) <- j done;
-      let pi = Array.make n 0 in
-      for i = 0 to n - 1 do pi.(i) <- yrank.(perm.(i)) done;
-      let sx = Array.map (fun p -> xs.(p)) perm in
-      let sy = Array.map (fun p -> ys.(p)) yperm in
-      let d = dw_make n in
-      dw_solve d pi sx sy
+      let perm, yperm, key, tr, pic = canonicalize n xs ys in
+      let tb = Table.embedded in
+      let i = Table.find tb n key in
+      if i < 0 then None
+      else
+        Some
+          (materialize tb (Table.run_start tb n i)
+             (Table.run_start tb n (i + 1))
+             n perm yperm tr pic xs ys)
     end
 end
 
-let build ?exact_limit ~xs ~ys () =
+let build ~xs ~ys () =
   let n = Array.length xs in
   if n = 0 then invalid_arg "Steiner.build: empty net";
   if Array.length ys <> n then invalid_arg "Steiner.build: xs/ys mismatch";
-  match exact_limit with
-  | Some exact_limit ->
-    (* legacy oracle path: exhaustive Hanan-subset optimum up to the
-       clamped limit, Prim + Steinerisation beyond *)
-    let exact_limit = max 2 (min 6 exact_limit) in
-    let g =
-      if n = 1 then make_graph 1 xs ys
-      else if n = 2 then begin
-        let g = make_graph 2 xs ys in
-        add_edge g 0 1;
-        g
-      end
-      else if n = 3 then build_median3 xs ys
-      else if n <= exact_limit then exact_rsmt xs ys
-      else begin
-        let g = make_graph ((2 * n) - 2) xs ys in
-        let edges, _ = prim_edges xs ys n in
-        List.iter (fun (a, b) -> add_edge g a b) edges;
-        steinerize g;
-        g
-      end
-    in
-    finalize g n
-  | None ->
-    if n = 1 then build_single xs ys
-    else if n = 2 then build_two xs ys
-    else if n = 3 then build_three xs ys
-    else if n <= Lut.max_degree then Lut.build ~xs ~ys
-    else heuristic_tree xs ys n
+  if n = 1 then build_single xs ys
+  else if n = 2 then build_two xs ys
+  else if n = 3 then build_three xs ys
+  else if n <= Lut.max_degree then Option.get (Lut.try_build ~xs ~ys)
+  else heuristic_tree xs ys n
 
 let update_coordinates t ~xs ~ys =
   if Array.length xs <> t.pin_count || Array.length ys <> t.pin_count then

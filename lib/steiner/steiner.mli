@@ -4,13 +4,12 @@
     This is the FLUTE analogue: nets of degree 2 and 3 are built
     directly; degrees 4 to [Lut.max_degree] get an {e optimal} RSMT from
     a topology lookup table keyed by the pin-permutation class (the
-    POWV/POST idea of Chu & Wong's FLUTE), with per-class candidate sets
-    generated exactly on first use by a Dreyfus-Wagner Steiner DP on the
-    Hanan grid; larger nets use a rectilinear Prim MST refined by greedy
-    local Steinerisation (inserting the median point of two adjacent
-    tree edges while it shortens the tree).  The pre-LUT exhaustive
-    Hanan-subset search survives behind [?exact_limit] as an independent
-    test oracle.
+    POWV/POST idea of Chu & Wong's FLUTE), whose per-class candidate
+    sets were generated offline by a Dreyfus-Wagner Steiner DP on the
+    Hanan grid and ship precomputed with the library; larger nets use a
+    rectilinear Prim MST refined by greedy local Steinerisation
+    (inserting the median point of two adjacent tree edges while it
+    shortens the tree).
 
     Every Steiner point's coordinates equal coordinates of specific pins
     of the net (Hanan's theorem): point [s] takes its x from pin
@@ -51,43 +50,81 @@ module Lut : sig
   (** FLUTE-style topology lookup tables: per pin-permutation class
       (reduced by the 8 dihedral symmetries of the plane), a small set
       of candidate topologies whose per-instance shortest member is the
-      exact RSMT.  Classes are generated on first use by an exact
-      Dreyfus-Wagner Steiner DP over a probe family of coordinate-span
-      vectors, then verified (and patched) against randomized draws.
-      Generation is deterministic, keyed only by the class, so tables
-      are identical across runs and domain counts. *)
+      exact RSMT.  Every class of degree 2 to [max_degree] is generated
+      offline by [tools/steiner_gen] (an exact Dreyfus-Wagner Steiner DP
+      over probe and randomized span vectors, keyed only by the class)
+      and shipped as one versioned byte table compiled into this
+      library, so lookups are pure reads of constant data: identical
+      across runs, hosts and domain counts, and safe from any number of
+      parallel workers. *)
 
   val max_degree : int
   (** Largest net degree served by the tables (8). *)
 
   val try_build : xs:float array -> ys:float array -> t option
-  (** Read-only lookup: [None] when the degree is out of range or the
-      class has not been generated yet.  Never mutates the tables, so it
-      is safe to call from parallel workers while no generator runs. *)
-
-  val ensure : xs:float array -> ys:float array -> unit
-  (** Generate (and publish) the class covering this net if missing.
-      Mutates the shared tables: call only from sequential code. *)
-
-  val build : xs:float array -> ys:float array -> t
-  (** [ensure] followed by [try_build], for sequential callers. *)
+  (** Table lookup: [None] only when the degree is outside
+      [2 .. max_degree].  Allocates nothing but the returned tree. *)
 
   val class_count : int -> int
-  (** Number of generated classes for a given degree (observability). *)
+  (** Number of classes the shipped table holds for a degree
+      (constant; 0 outside [2 .. max_degree]). *)
 
-  val optimal_length : xs:float array -> ys:float array -> float
-  (** Exact RSMT length by Dreyfus-Wagner on the net's own Hanan grid,
-      bypassing the tables (test oracle; exponential in degree). *)
+  val canonical : int array -> int * int array
+  (** [canonical pi] is the class key and canonical representative of
+      the rank permutation [pi] ([pi.(i)] = y-rank of the pin at x-rank
+      [i]): the dihedral image with the smallest base-n encoding.
+      @raise Invalid_argument if [pi] is not a permutation. *)
+
+  (** The byte table: little-endian header (magic, version, length,
+      per-degree class counts and section offsets), per-degree sorted
+      class keys with entry offsets, and each class's candidate
+      topologies in generation order, two 4-bit indices per byte (the
+      layout is documented in steiner.ml). *)
+  module Table : sig
+    type t
+
+    val magic : string
+    val version : int
+
+    val embedded : t
+    (** The table compiled into the library
+        (lib/steiner/steiner_table.bin). *)
+
+    val of_string : name:string -> string -> (t, string) result
+    (** Validate a whole table (header, bounds of every section, class
+        run and entry).  The error names the table ([name]) and what is
+        wrong; a table that passes can be read without any
+        out-of-bounds access. *)
+
+    val to_string : t -> string
+
+    val encode_entry :
+      Buffer.t -> sx:int array -> sy:int array -> ea:int array ->
+      eb:int array -> unit
+    (** Append one candidate topology: Steiner point [k] at canonical
+        ranks [(sx.(k), sy.(k))], edge [k] joining nodes [ea.(k) <
+        eb.(k)] (pins [0 .. n-1], then the Steiner points).
+        @raise Invalid_argument if an index or a count exceeds 15. *)
+
+    val assemble :
+      name:string -> (int * string) array array -> (t, string) result
+    (** [assemble ~name degrees]: the table whose degree [d] holds the
+        classes [degrees.(d)] (ascending keys, each with its
+        [encode_entry] bytes), validated as by [of_string]. *)
+
+    val class_count : t -> int -> int
+
+    val class_bytes : t -> int -> int -> string option
+    (** [class_bytes t degree key]: the class's encoded candidate
+        entries, in order, or [None] if the table lacks the class. *)
+  end
 end
 
-val build : ?exact_limit:int -> xs:float array -> ys:float array -> unit -> t
+val build : xs:float array -> ys:float array -> unit -> t
 (** [build ~xs ~ys ()] constructs a tree over pins at [(xs, ys)] (driver
-    at index 0).  The default path is: direct construction for degree
-    <= 3, the topology LUT (exact RSMT) for degree <= [Lut.max_degree],
-    and Prim + Steinerisation beyond.  Passing [?exact_limit] instead
-    selects the legacy oracle path: exhaustive Hanan-subset search up to
-    that degree (clamped to [2, 6] — the subset enumeration is
-    O(2^[n^2]) and unusable beyond), Prim + Steinerisation above it.
+    at index 0): direct construction for degree <= 3, the topology LUT
+    (exact RSMT) for degree <= [Lut.max_degree], and Prim +
+    Steinerisation beyond.
     @raise Invalid_argument on empty input or mismatched lengths. *)
 
 val update_coordinates : t -> xs:float array -> ys:float array -> unit

@@ -108,8 +108,8 @@ let test_exact_beats_heuristic () =
   let better = ref 0 in
   for _ = 1 to 200 do
     let xs, ys = rand_net rng 4 in
-    let exact = Steiner.total_length (Steiner.build ~exact_limit:4 ~xs ~ys ()) in
-    let heur = Steiner.total_length (Steiner.build ~exact_limit:2 ~xs ~ys ()) in
+    let exact = Steiner.total_length (Steiner_oracle.build ~exact_limit:4 ~xs ~ys) in
+    let heur = Steiner.total_length (Steiner_oracle.build ~exact_limit:2 ~xs ~ys) in
     if exact > heur +. 1e-9 then
       Alcotest.failf "exact worse than heuristic: %f > %f" exact heur;
     if exact < heur -. 1e-9 then incr better
@@ -164,8 +164,8 @@ let suite =
 let test_exact_limit_clamped () =
   (* out-of-range exact limits are clamped, not rejected *)
   let xs = [| 0.0; 10.0; 5.0 |] and ys = [| 0.0; 10.0; 2.0 |] in
-  let a = Steiner.build ~exact_limit:99 ~xs ~ys () in
-  let b = Steiner.build ~exact_limit:(-3) ~xs ~ys () in
+  let a = Steiner_oracle.build ~exact_limit:99 ~xs ~ys in
+  let b = Steiner_oracle.build ~exact_limit:(-3) ~xs ~ys in
   Alcotest.(check (float 1e-9)) "same optimal length" (Steiner.total_length a)
     (Steiner.total_length b)
 
@@ -184,7 +184,7 @@ let test_lut_matches_exhaustive () =
       let xs, ys = rand_net rng n in
       let lut = Steiner.total_length (Steiner.build ~xs ~ys ()) in
       let oracle =
-        Steiner.total_length (Steiner.build ~exact_limit:6 ~xs ~ys ())
+        Steiner.total_length (Steiner_oracle.build ~exact_limit:6 ~xs ~ys)
       in
       if Float.abs (lut -. oracle) > 1e-9 then
         Alcotest.failf "deg %d: lut %f vs exhaustive %f" n lut oracle
@@ -201,7 +201,7 @@ let test_lut_matches_dw_oracle () =
     for _ = 1 to 25 do
       let xs, ys = rand_net rng n in
       let lut = Steiner.total_length (Steiner.build ~xs ~ys ()) in
-      let opt = Steiner.Lut.optimal_length ~xs ~ys in
+      let opt = Steiner_gen.optimal_length ~xs ~ys in
       if Float.abs (lut -. opt) > 1e-9 then
         Alcotest.failf "deg %d: lut %f vs DW %f" n lut opt
     done
@@ -222,7 +222,7 @@ let test_lut_degenerate () =
       let t = Steiner.build ~xs ~ys () in
       if not (tree_is_connected t) then Alcotest.fail "disconnected";
       Alcotest.(check (float 1e-9)) "optimal on ties"
-        (Steiner.Lut.optimal_length ~xs ~ys)
+        (Steiner_gen.optimal_length ~xs ~ys)
         (Steiner.total_length t))
     cases
 
@@ -273,12 +273,12 @@ let test_lut_gradient_fd () =
 
 let test_lut_oracle_path_unaffected () =
   (* above Lut.max_degree the default path is the Prim + Steinerisation
-     heuristic, the same tree the legacy ?exact_limit path builds there
+     heuristic, the same tree the legacy exhaustive oracle builds there
      (the test oracle must not silently route through the tables) *)
   let rng = Workload.Rng.create 1234 in
   let xs, ys = rand_net rng 9 in
   let default = Steiner.build ~xs ~ys () in
-  let heur = Steiner.build ~exact_limit:2 ~xs ~ys () in
+  let heur = Steiner_oracle.build ~exact_limit:2 ~xs ~ys in
   Alcotest.(check (float 1e-9)) "above LUT degree = heuristic"
     (Steiner.total_length heur)
     (Steiner.total_length default)
@@ -295,3 +295,164 @@ let suite =
         test_lut_gradient_fd;
       Alcotest.test_case "above LUT degree selects heuristic" `Quick
         test_lut_oracle_path_unaffected ]
+
+(* --- the shipped topology table --- *)
+
+let iter_permutations n f =
+  let pi = Array.init n Fun.id in
+  let swap i j =
+    let t = pi.(i) in
+    pi.(i) <- pi.(j);
+    pi.(j) <- t
+  in
+  let rec go k =
+    if k = n then f pi
+    else
+      for i = k to n - 1 do
+        swap k i;
+        go (k + 1);
+        swap k i
+      done
+  in
+  go 0
+
+let test_table_complete () =
+  (* every permutation of every LUT degree (8! = 40320 at degree 8)
+     canonicalises to a class the table holds, and a net with exactly
+     those ranks builds through the lookup *)
+  let table = Steiner.Lut.Table.embedded in
+  List.iter
+    (fun (n, classes) ->
+      Alcotest.(check int) (Printf.sprintf "degree %d classes" n) classes
+        (Steiner.Lut.class_count n);
+      iter_permutations n (fun pi ->
+        let key, _ = Steiner.Lut.canonical pi in
+        if Steiner.Lut.Table.class_bytes table n key = None then
+          Alcotest.failf "degree %d: class %d missing" n key;
+        let xs = Array.init n float_of_int and ys = Array.map float_of_int pi in
+        if Steiner.Lut.try_build ~xs ~ys = None then
+          Alcotest.failf "degree %d: lookup of class %d missed" n key))
+    [ (2, 1); (3, 2); (4, 7); (5, 23); (6, 115); (7, 694); (8, 5282) ]
+
+let test_table_regeneration () =
+  (* the generator reproduces the shipped entries bitwise and in order:
+     every class up to degree 6, a fixed spread of degree 7 and 8 *)
+  for n = 2 to Steiner.Lut.max_degree do
+    let cls = Steiner_gen.classes n in
+    let len = Array.length cls in
+    let picks =
+      match n with
+      | 7 -> List.init 8 (fun j -> ((2 * j) + 1) * len / 16)
+      | 8 -> List.init 3 (fun j -> ((2 * j) + 1) * len / 6)
+      | _ -> List.init len Fun.id
+    in
+    List.iter
+      (fun i ->
+        let key, _ = cls.(i) in
+        match Steiner.Lut.Table.class_bytes Steiner.Lut.Table.embedded n key with
+        | None -> Alcotest.failf "degree %d: class %d missing" n key
+        | Some shipped ->
+          if Steiner_gen.class_bytes n cls.(i) <> shipped then
+            Alcotest.failf "degree %d: class %d differs from its regeneration"
+              n key)
+      picks
+  done
+
+let same_tree (a : Steiner.t) (b : Steiner.t) =
+  let bits x = Array.map Int64.bits_of_float x in
+  a.Steiner.pin_count = b.Steiner.pin_count
+  && bits a.Steiner.xs = bits b.Steiner.xs
+  && bits a.Steiner.ys = bits b.Steiner.ys
+  && a.Steiner.parent = b.Steiner.parent
+  && a.Steiner.x_source = b.Steiner.x_source
+  && a.Steiner.y_source = b.Steiner.y_source
+  && a.Steiner.order = b.Steiner.order
+
+let test_table_pooled_lookups () =
+  (* lookups are pure reads: trees built from a 4-domain pool equal the
+     sequential ones bitwise *)
+  let rng = Workload.Rng.create 808 in
+  let nets =
+    Array.init 3000 (fun i ->
+      (* every 5th net snaps to a coarse grid, so ties are covered *)
+      let n = 2 + (i mod (Steiner.Lut.max_degree - 1)) in
+      let xs, ys = rand_net rng n in
+      if i mod 5 = 0 then
+        (Array.map (fun v -> Float.round (v /. 25.0)) xs,
+         Array.map (fun v -> Float.round (v /. 25.0)) ys)
+      else (xs, ys))
+  in
+  let build (xs, ys) = Option.get (Steiner.Lut.try_build ~xs ~ys) in
+  let sequential = Array.map build nets in
+  let pooled = Array.make (Array.length nets) sequential.(0) in
+  let pool = Parallel.create ~domains:4 ~oversubscribe:true () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.shutdown pool)
+    (fun () ->
+      Parallel.parallel_for pool ~grain:16 (Array.length nets) (fun i ->
+        pooled.(i) <- build nets.(i)));
+  Array.iteri
+    (fun i t ->
+      if not (same_tree t pooled.(i)) then
+        Alcotest.failf "net %d: pooled tree differs" i)
+    sequential
+
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
+  at 0
+
+let test_table_rejects_bad () =
+  let good = Steiner.Lut.Table.(to_string embedded) in
+  let len = String.length good in
+  let with_u32 pos v =
+    let b = Bytes.of_string good in
+    Bytes.set_int32_le b pos (Int32.of_int v);
+    Bytes.to_string b
+  in
+  let expect what data words =
+    match Steiner.Lut.Table.of_string ~name:"bad.bin" data with
+    | Ok _ -> Alcotest.failf "%s: table accepted" what
+    | Error msg ->
+      List.iter
+        (fun w ->
+          if not (contains msg w) then
+            Alcotest.failf "%s: error %S does not mention %S" what msg w)
+        ("bad.bin" :: words)
+  in
+  expect "wrong magic" ("X" ^ String.sub good 1 (len - 1)) [ "magic" ];
+  expect "empty" "" [ "magic" ];
+  expect "wrong version" (with_u32 8 (Steiner.Lut.Table.version + 1))
+    [ "version" ];
+  expect "truncated" (String.sub good 0 (len - 1)) [ "truncated" ];
+  expect "truncated header" (String.sub good 0 40) [ "truncated" ];
+  (* truncated with a consistent length field: caught by the bounds of
+     the last class's entries, never read past the end *)
+  let cut = String.sub good 0 (len - 7) in
+  let b = Bytes.of_string cut in
+  Bytes.set_int32_le b 12 (Int32.of_int (len - 7));
+  expect "truncated, length patched" (Bytes.to_string b) [ "out of bounds" ];
+  (* arbitrary single-byte corruption is either accepted or rejected
+     with an error, never an exception from a bad read *)
+  let rng = Workload.Rng.create 17 in
+  for _ = 1 to 200 do
+    let b = Bytes.of_string good in
+    let pos = Workload.Rng.int rng len in
+    Bytes.set b pos (Char.chr (Workload.Rng.int rng 256));
+    match Steiner.Lut.Table.of_string ~name:"fuzz" (Bytes.to_string b) with
+    | Ok _ | Error _ -> ()
+  done;
+  match Steiner.Lut.Table.of_string ~name:"good" good with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail msg
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "table complete (deg 2-8)" `Quick
+        test_table_complete;
+      Alcotest.test_case "table regenerates bitwise" `Quick
+        test_table_regeneration;
+      Alcotest.test_case "table pooled lookups bit-identical" `Quick
+        test_table_pooled_lookups;
+      Alcotest.test_case "table rejects bad bytes" `Quick
+        test_table_rejects_bad ]
