@@ -989,8 +989,8 @@ let bench_paths () =
     (Printf.sprintf
        "  \"workload\": { \"cells\": %d, \"seed\": 17, \"inputs\": 16, \
         \"outputs\": 16, \"depth\": 10, \"clock_period_ps\": 520.0 },\n\
-       \  \"endpoints\": %d,\n  \"timing_edges\": %d,\n  \"domains\": [\n"
-       cells nend (Paths.num_edges view));
+       \  \"endpoints\": %d,\n  \"domains\": [\n"
+       cells nend);
   List.iteri
     (fun i (domains, analyze_us, per_k) ->
       Buffer.add_string buf

@@ -1,13 +1,14 @@
 (* dgp_serve: placement-as-a-service daemon.
 
    Loads a design + liberty once, keeps a resident Sta.Incremental
-   snapshot plus the lib/paths in-edge CSR, and serves a line-oriented
-   what-if protocol over stdin or a Unix socket:
+   snapshot plus the lib/paths back-pointer view, and serves a
+   line-oriented what-if protocol over stdin or a Unix socket:
 
      move <cell> <x> <y>   queue a cell move (validated, not propagated)
      commit                propagate pending moves, report WNS/TNS
      slack <pin>           late slack of one pin (guarded RAT read)
-     paths <K>             top-K critical paths via lib/paths
+     paths <K>             top-K critical paths via lib/paths (K capped
+                           at max_paths)
      place <iters> <mode>  batched Core.run job from current positions
      stats                 design + incremental-work counters
      help                  command list
@@ -31,7 +32,7 @@ type state = {
   obs : Obs.t;
   mutable last_report : Sta.Timer.report;
   mutable dirty : bool;          (* queued moves not yet committed *)
-  mutable view : Paths.t option; (* path CSR, invalidated by mutations *)
+  mutable view : Paths.t option; (* path view, invalidated by mutations *)
   mutable requests : int;
   journal : out_channel option;
 }
@@ -82,6 +83,11 @@ let path_view st =
     in
     st.view <- Some v;
     v
+
+(* The most paths one [paths] request answers: path counts grow
+   exponentially with logic depth, so an unbounded K would let one
+   request line enumerate (and print) millions of paths. *)
+let max_paths = 10_000
 
 let mode_of_string = function
   | "wl" | "wirelength" -> Some Core.Wirelength_only
@@ -161,6 +167,7 @@ let handle st ~out line =
       match int_of_string_opt k with
       | Some k when k > 0 ->
         let view = path_view st in
+        let k = Int.min k max_paths in
         let paths = Paths.enumerate ?pool:st.pool ~obs:st.obs ~k view in
         List.iteri
           (fun i (p : Paths.path) ->

@@ -256,7 +256,7 @@ let backward_pin t u =
   let g = t.graph in
   let gamma = t.gamma_ in
   let { Sta.Forward.nets; at; slew; tape_d; tape_dd_ds; tape_dd_dl; tape_s;
-        tape_ds_ds; tape_ds_dl } =
+        tape_ds_ds; tape_ds_dl; _ } =
     t.fwd
   in
   (* cell arcs: gather the fan-out contributions of this pin *)

@@ -1,10 +1,11 @@
 (* Top-K worst-slack path enumeration over the exact timer.
 
    Timing nodes are (pin, transition) pairs at index
-   [2 * pin + transition_index].  [analyze] flattens the timer state
-   into an in-edge CSR over these nodes plus one back-pointer per node
-   (the in-edge realising its arrival time, with critical_path's exact
-   tie-breaks), so the back-pointer walk from any node reproduces
+   [2 * pin + transition_index].  A node's in-edges are read in place
+   from the timing graph's fan-in CSR, the net driver and the timer's
+   arc-delay tape ([iter_in]); [analyze] only picks one back-pointer per
+   node (the in-edge realising its arrival time, with critical_path's
+   exact tie-breaks), so the back-pointer walk from any node reproduces
    Sta.Timer.critical_path bitwise.  Enumeration is per-endpoint
    deviation-based branch-and-bound: a candidate fixes a suffix of the
    path and lets the prefix follow back-pointers; its priority is the
@@ -29,15 +30,11 @@ let tr_of ti = if ti = 0 then Sta.Rise else Sta.Fall
 type t = {
   timer : Sta.Timer.t;
   graph : Sta.Graph.t;
-  (* in-edge CSR over timing nodes: edge [e] enters node [v] from
-     [tin_src.(e)] with delay [tin_delay.(e)]; exactly one of
-     [tin_net]/[tin_arc] is >= 0, identifying a net arc or a cell arc. *)
-  tin_off : int array;
-  tin_src : int array;
-  tin_delay : float array;
-  tin_net : int array;
-  tin_arc : int array;
-  pred : int array;  (* per node: in-edge realising its arrival, or -1 *)
+  nets : Sta.Nets.t;
+  (* per node: the in-edge realising its arrival, or [no_edge].  An
+     in-edge of node [2 * v + tr_out] is a cell arc's tape slot
+     [4 * a + 2 * tr_out + tr_in] or [net_edge], the net arc into [v]. *)
+  pred : int array;
   (* Memoized worst-first endpoint prescan (per-endpoint rank-0 slack +
      the worst-first visit order).  A view is a frozen snapshot of one
      placement's timing, so the prescan is computed once per view and
@@ -56,106 +53,86 @@ type path = {
   pt_arcs : int list;
 }
 
-let num_edges t = Array.length t.tin_src
-let edge_delay t e = t.tin_delay.(e)
+let no_edge = -1
+let net_edge = -2
 let pred t n = t.pred.(n)
+let at t node = Sta.Timer.at_late t.timer (node / 2) (tr_of (node land 1))
+let net_of t node =
+  t.graph.Sta.Graph.design.Netlist.pins.(node / 2).Netlist.net
 
+(* source node and delay of in-edge [e] of [node] *)
+let src_of t node e =
+  if e = net_edge then
+    (2 * t.graph.Sta.Graph.net_driver_of.(net_of t node)) + (node land 1)
+  else (2 * t.graph.Sta.Graph.arc_from.(e / 4)) + (e land 1)
+
+let delay_of t node e =
+  if e = net_edge then
+    match t.nets.Sta.Nets.trees.(net_of t node) with
+    | Some (_, rc) -> Rc.sink_delay rc t.nets.Sta.Nets.tree_index.(node / 2)
+    | None -> Float.nan
+  else
+    Sta.Timer.arc_delay t.timer (e / 4) ~tr_out:(tr_of ((e lsr 1) land 1))
+      ~tr_in:(tr_of (e land 1))
+
+(* [f e src delay] over the in-edges of [node] in the timer's retrace
+   order: the net arc first, then every admitted (cell arc, input
+   transition) pair whose source is reachable. *)
+let iter_in t node f =
+  let g = t.graph in
+  let v = node / 2 and oi = node land 1 in
+  let pin = g.Sta.Graph.design.Netlist.pins.(v) in
+  let net = pin.Netlist.net in
+  if
+    pin.Netlist.direction = Netlist.Input
+    && net >= 0
+    && t.nets.Sta.Nets.trees.(net) <> None
+  then begin
+    let u = g.Sta.Graph.net_driver_of.(net) in
+    if u >= 0 && u <> v && at t ((2 * u) + oi) > neg_infinity then
+      f net_edge ((2 * u) + oi) (delay_of t node net_edge)
+  end;
+  for k = g.Sta.Graph.fanin_off.(v) to g.Sta.Graph.fanin_off.(v + 1) - 1 do
+    let a = g.Sta.Graph.fanin_arc.(k) in
+    let u = g.Sta.Graph.arc_from.(a) in
+    let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+    for ii = 0 to 1 do
+      if sub land (1 lsl ii) <> 0 && at t ((2 * u) + ii) > neg_infinity then
+        let e = (4 * a) + (2 * oi) + ii in
+        f e ((2 * u) + ii) (delay_of t node e)
+    done
+  done
+
+(* One back-pointer per node.  The net edge comes first and wins
+   outright when present (the timer's retrace tries it first);
+   otherwise the cell contribution minimising |at(u) + d - at(v)| wins,
+   first strict minimum in (arc, transition) order — the same selection
+   critical_path makes. *)
 let analyze_run ?pool ?obs timer =
   let nets = Sta.Timer.nets timer in
   let g = nets.Sta.Nets.graph in
-  let design = g.Sta.Graph.design in
-  let npins = Netlist.num_pins design in
-  let nnodes = 2 * npins in
+  let nnodes = 2 * Netlist.num_pins g.Sta.Graph.design in
   let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
-  let at v ti = Sta.Timer.at_late timer v (tr_of ti) in
-  (* pass 1: in-degree of every node *)
-  let counts = Array.make nnodes 0 in
-  Parallel.parallel_for p ?obs ~cost:8.0 nnodes (fun node ->
-      let v = node / 2 and oi = node land 1 in
-      let pin = design.Netlist.pins.(v) in
-      let net = pin.Netlist.net in
-      let c = ref 0 in
-      if
-        pin.Netlist.direction = Netlist.Input
-        && net >= 0
-        && nets.Sta.Nets.trees.(net) <> None
-      then begin
-        let u = g.Sta.Graph.net_driver_of.(net) in
-        if u >= 0 && u <> v && at u oi > neg_infinity then incr c
-      end;
-      for k = g.Sta.Graph.fanin_off.(v) to g.Sta.Graph.fanin_off.(v + 1) - 1 do
-        let a = g.Sta.Graph.fanin_arc.(k) in
-        let u = g.Sta.Graph.arc_from.(a) in
-        let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-        for ii = 0 to 1 do
-          if sub land (1 lsl ii) <> 0 && at u ii > neg_infinity then incr c
-        done
-      done;
-      counts.(node) <- !c);
-  let tin_off = Array.make (nnodes + 1) 0 in
-  for i = 0 to nnodes - 1 do
-    tin_off.(i + 1) <- tin_off.(i) + counts.(i)
-  done;
-  let nedges = tin_off.(nnodes) in
-  let tin_src = Array.make nedges 0 in
-  let tin_delay = Array.make nedges 0.0 in
-  let tin_net = Array.make nedges (-1) in
-  let tin_arc = Array.make nedges (-1) in
-  let pred = Array.make nnodes (-1) in
-  (* pass 2: fill each node's edge slice and pick its back-pointer.  The
-     net edge comes first and wins outright when present (the timer's
-     retrace tries it first); otherwise the cell contribution minimising
-     |at(u) + d - at(v)| wins, first strict minimum in (arc, transition)
-     order — the same selection critical_path makes. *)
+  let t =
+    { timer; graph = g; nets; pred = Array.make nnodes no_edge;
+      prescan = None }
+  in
   Parallel.parallel_for p ?obs ~cost:16.0 nnodes (fun node ->
-      let v = node / 2 and oi = node land 1 in
-      let pin = design.Netlist.pins.(v) in
-      let net = pin.Netlist.net in
-      let cursor = ref tin_off.(node) in
-      let has_net_edge = ref false in
-      (if pin.Netlist.direction = Netlist.Input && net >= 0 then
-         match nets.Sta.Nets.trees.(net) with
-         | Some (_, rc) ->
-           let u = g.Sta.Graph.net_driver_of.(net) in
-           if u >= 0 && u <> v && at u oi > neg_infinity then begin
-             tin_src.(!cursor) <- (2 * u) + oi;
-             tin_delay.(!cursor) <- Rc.sink_delay rc nets.Sta.Nets.tree_index.(v);
-             tin_net.(!cursor) <- net;
-             has_net_edge := true;
-             incr cursor
-           end
-         | None -> ());
-      (* cell-arc delays as the timer's propagation computed them *)
-      for k = g.Sta.Graph.fanin_off.(v) to g.Sta.Graph.fanin_off.(v + 1) - 1 do
-        let a = g.Sta.Graph.fanin_arc.(k) in
-        let u = g.Sta.Graph.arc_from.(a) in
-        let sub = (g.Sta.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-        for ii = 0 to 1 do
-          if sub land (1 lsl ii) <> 0 && at u ii > neg_infinity then begin
-            tin_src.(!cursor) <- (2 * u) + ii;
-            tin_delay.(!cursor) <-
-              Sta.Timer.arc_delay timer a ~tr_out:(tr_of oi) ~tr_in:(tr_of ii);
-            tin_arc.(!cursor) <- a;
-            incr cursor
+      let av = at t node in
+      let best = ref no_edge and best_err = ref infinity in
+      iter_in t node (fun e u d ->
+          if e = net_edge then begin
+            best := e;
+            best_err := neg_infinity
           end
-        done
-      done;
-      if !has_net_edge then pred.(node) <- tin_off.(node)
-      else begin
-        let best = ref (-1) and best_err = ref infinity in
-        let av = at v oi in
-        for e = tin_off.(node) to !cursor - 1 do
-          let u = tin_src.(e) in
-          let err = Float.abs (at (u / 2) (u land 1) +. tin_delay.(e) -. av) in
-          if err < !best_err then begin
-            best_err := err;
-            best := e
-          end
-        done;
-        pred.(node) <- !best
-      end);
-  { timer; graph = g; tin_off; tin_src; tin_delay; tin_net; tin_arc; pred;
-    prescan = None }
+          else
+            let err = Float.abs (at t u +. d -. av) in
+            if err < !best_err then begin
+              best_err := err;
+              best := e
+            end);
+      t.pred.(node) <- !best);
+  t
 
 (* binary min-heap, shared by the eager reference and the lazy engine *)
 module MakeHeap (E : sig
@@ -216,8 +193,8 @@ let materialize t ep rank ~head ~suffix ~slack =
   let tm = t.timer in
   let rec walk acc node =
     let e = t.pred.(node) in
-    if e < 0 then (-1, node) :: acc
-    else walk ((e, node) :: acc) t.tin_src.(e)
+    if e = no_edge then (no_edge, node) :: acc
+    else walk ((e, node) :: acc) (src_of t node e)
   in
   let seq = walk suffix head in
   let steps =
@@ -231,13 +208,11 @@ let materialize t ep rank ~head ~suffix ~slack =
   in
   let nets =
     List.filter_map
-      (fun (e, _) -> if e >= 0 && t.tin_net.(e) >= 0 then Some t.tin_net.(e) else None)
+      (fun (e, node) -> if e = net_edge then Some (net_of t node) else None)
       seq
   in
   let arcs =
-    List.filter_map
-      (fun (e, _) -> if e >= 0 && t.tin_arc.(e) >= 0 then Some t.tin_arc.(e) else None)
-      seq
+    List.filter_map (fun (e, _) -> if e >= 0 then Some (e / 4) else None) seq
   in
   { pt_endpoint = ep; pt_rank = rank; pt_slack = slack; pt_steps = steps;
     pt_nets = nets; pt_arcs = arcs }
@@ -308,19 +283,19 @@ module Reference = struct
       let expand c =
         let rec go node seg dseg =
           let p = t.pred.(node) in
-          for e = t.tin_off.(node) to t.tin_off.(node + 1) - 1 do
-            if e <> p then begin
-              let w = t.tin_src.(e) in
-              let dsuf = t.tin_delay.(e) +. dseg +. c.c_dsuf in
-              let aw = Sta.Timer.at_late tm (w / 2) (tr_of (w land 1)) in
-              let slack = Float.max c.c_slack (c.c_rat -. (aw +. dsuf)) in
-              if slack < slack_limit then
-                push
-                  { c_head = w; c_dsuf = dsuf; c_rat = c.c_rat; c_slack = slack;
-                    c_seq = !seq; c_suffix = (e, node) :: seg }
-            end
-          done;
-          if p >= 0 then go t.tin_src.(p) ((p, node) :: seg) (dseg +. t.tin_delay.(p))
+          iter_in t node (fun e w d ->
+              if e <> p then begin
+                let dsuf = d +. dseg +. c.c_dsuf in
+                let slack = Float.max c.c_slack (c.c_rat -. (at t w +. dsuf)) in
+                if slack < slack_limit then
+                  push
+                    { c_head = w; c_dsuf = dsuf; c_rat = c.c_rat;
+                      c_slack = slack; c_seq = !seq;
+                      c_suffix = (e, node) :: seg }
+              end);
+          if p <> no_edge then
+            go (src_of t node p) ((p, node) :: seg)
+              (dseg +. delay_of t node p)
         in
         go c.c_head c.c_suffix 0.0
       in
@@ -445,14 +420,14 @@ let dev_compare a b = Float.compare a.dv_slack b.dv_slack
 
 let cand_of_dev t ~parent_pop sibs pos =
   let d = sibs.(pos) in
-  if d.dv_edge < 0 then
+  if d.dv_edge = no_edge then
     { l_head = d.dv_node; l_dsuf = 0.0; l_rat = d.dv_rat; l_slack = d.dv_slack;
       l_suffix = []; l_parent_pop = parent_pop; l_sibs = sibs;
       l_sib_pos = pos }
   else
-    { l_head = t.tin_src.(d.dv_edge); l_dsuf = d.dv_dsuf; l_rat = d.dv_rat;
-      l_slack = d.dv_slack; l_suffix = (d.dv_edge, d.dv_node) :: d.dv_seg;
-      l_parent_pop = parent_pop; l_sibs = sibs; l_sib_pos = pos }
+    { l_head = src_of t d.dv_node d.dv_edge; l_dsuf = d.dv_dsuf;
+      l_rat = d.dv_rat; l_slack = d.dv_slack;
+      l_suffix = (d.dv_edge, d.dv_node) :: d.dv_seg; l_parent_pop = parent_pop; l_sibs = sibs; l_sib_pos = pos }
 
 (* All deviations off [c]'s prefix spine, slacks computed exactly as the
    eager expand does (same walk, same association of the delay sums),
@@ -460,25 +435,22 @@ let cand_of_dev t ~parent_pop sibs pos =
    chain is monotone in heap priority while slack ties keep the
    canonical (spine, edge) order. *)
 let deviations t ~limit ~counts c =
-  let tm = t.timer in
   let out = ref [] in
   let rec go node seg dseg =
     let p = t.pred.(node) in
-    for e = t.tin_off.(node) to t.tin_off.(node + 1) - 1 do
-      if e <> p then begin
-        let w = t.tin_src.(e) in
-        let dsuf = t.tin_delay.(e) +. dseg +. c.l_dsuf in
-        let aw = Sta.Timer.at_late tm (w / 2) (tr_of (w land 1)) in
-        let slack = Float.max c.l_slack (c.l_rat -. (aw +. dsuf)) in
-        if slack < limit then
-          out :=
-            { dv_slack = slack; dv_dsuf = dsuf; dv_rat = c.l_rat; dv_edge = e;
-              dv_node = node; dv_seg = seg }
-            :: !out
-        else counts.ct_pruned <- counts.ct_pruned + 1
-      end
-    done;
-    if p >= 0 then go t.tin_src.(p) ((p, node) :: seg) (dseg +. t.tin_delay.(p))
+    iter_in t node (fun e w d ->
+        if e <> p then begin
+          let dsuf = d +. dseg +. c.l_dsuf in
+          let slack = Float.max c.l_slack (c.l_rat -. (at t w +. dsuf)) in
+          if slack < limit then
+            out :=
+              { dv_slack = slack; dv_dsuf = dsuf; dv_rat = c.l_rat;
+                dv_edge = e; dv_node = node; dv_seg = seg }
+              :: !out
+          else counts.ct_pruned <- counts.ct_pruned + 1
+        end);
+    if p <> no_edge then
+      go (src_of t node p) ((p, node) :: seg) (dseg +. delay_of t node p)
   in
   go c.l_head c.l_suffix 0.0;
   let arr = Array.of_list (List.rev !out) in
@@ -559,65 +531,45 @@ let enumerate_grain ~k n =
   let ways = 16 * Int.max 1 (Int.min 8 (k / 8)) in
   Int.max 1 ((n + ways - 1) / ways)
 
-(* per-run shared bound: a size-k max-heap of the best slacks seen so
-   far across all endpoints; once full, its top is the running k-th-best
+(* per-run shared bound: a max-heap of the k best slacks seen so far
+   across all endpoints; once full, its top is the running k-th-best
    and becomes (via Float.succ, to keep global ties alive for the
    endpoint-order tie-break) every later endpoint's effective slack
-   limit.  The bound only ever tightens and any stale read is a valid
-   looser bound, so the pruning — and therefore the post-sort output —
-   is identical at every domain count even though the pruned work is
-   not. *)
+   limit.  The heap grows with the slacks actually offered, never to k
+   up front.  The bound only ever tightens and any stale read is a
+   valid looser bound, so the pruning — and therefore the post-sort
+   output — is identical at every domain count even though the pruned
+   work is not. *)
+module Maxq = MakeHeap (struct
+  type elt = float
+
+  let dummy = neg_infinity
+  let less x y = x > y
+end)
+
 type gbound = {
   gb_mutex : Mutex.t;
-  gb_heap : float array;
-  mutable gb_n : int;
+  gb_k : int;
+  gb_heap : Maxq.t;
   gb_bound : float Atomic.t;
 }
 
 let gbound_create k =
-  { gb_mutex = Mutex.create (); gb_heap = Array.make k neg_infinity;
-    gb_n = 0; gb_bound = Atomic.make infinity }
+  { gb_mutex = Mutex.create (); gb_k = k; gb_heap = Maxq.create ();
+    gb_bound = Atomic.make infinity }
 
 let gbound_offer gb slacks =
   Mutex.lock gb.gb_mutex;
   let h = gb.gb_heap in
-  let k = Array.length h in
   List.iter
     (fun s ->
-      if gb.gb_n < k then begin
-        (* max-heap sift-up *)
-        let i = ref gb.gb_n in
-        gb.gb_n <- gb.gb_n + 1;
-        h.(!i) <- s;
-        while !i > 0 && h.(!i) > h.((!i - 1) / 2) do
-          let p = (!i - 1) / 2 in
-          let tmp = h.(p) in
-          h.(p) <- h.(!i);
-          h.(!i) <- tmp;
-          i := p
-        done
-      end
-      else if s < h.(0) then begin
-        (* replace the root, sift down *)
-        h.(0) <- s;
-        let i = ref 0 in
-        let continue_ = ref true in
-        while !continue_ do
-          let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-          let m = ref !i in
-          if l < gb.gb_n && h.(l) > h.(!m) then m := l;
-          if r < gb.gb_n && h.(r) > h.(!m) then m := r;
-          if !m = !i then continue_ := false
-          else begin
-            let tmp = h.(!m) in
-            h.(!m) <- h.(!i);
-            h.(!i) <- tmp;
-            i := !m
-          end
-        done
+      if h.Maxq.n < gb.gb_k then Maxq.push h s
+      else if s < h.Maxq.a.(0) then begin
+        ignore (Maxq.pop h);
+        Maxq.push h s
       end)
     slacks;
-  if gb.gb_n = k then Atomic.set gb.gb_bound h.(0);
+  if h.Maxq.n = gb.gb_k then Atomic.set gb.gb_bound h.Maxq.a.(0);
   Mutex.unlock gb.gb_mutex
 
 type gacc = { mutable ga_entries : (int * int * lcand) list; ga_counts : counts }

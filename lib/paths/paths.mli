@@ -1,14 +1,16 @@
 (** Top-K worst-slack path enumeration over the exact timer.
 
-    The engine flattens the timer's post-{!Sta.Timer.run} state into an
-    in-edge CSR over timing nodes (a node is a [(pin, transition)] pair,
-    stored at [2 * pin + transition_index]) with one back-pointer per
-    node: the in-edge whose [at(source) + delay] realises the node's
-    arrival time, selected with exactly the tie-breaks of
-    {!Sta.Timer.critical_path}.  The back-pointer tree is the "worst
-    path" tree; the K worst paths per endpoint are then enumerated by
-    deviation-based branch-and-bound (Yen/Eppstein adapted to the
-    max-plus DAG).  Because the timer's arrival times are exact
+    The engine works on the timer's post-{!Sta.Timer.run} state over
+    timing nodes (a node is a [(pin, transition)] pair, stored at
+    [2 * pin + transition_index]).  A node's in-edges are read in place
+    from the timing graph's fan-in CSR, the net driver with its Elmore
+    delay, and the timer's arc-delay tape; the view adds one
+    back-pointer per node: the in-edge whose [at(source) + delay]
+    realises the node's arrival time, selected with exactly the
+    tie-breaks of {!Sta.Timer.critical_path}.  The back-pointer tree is
+    the "worst path" tree; the K worst paths per endpoint are then
+    enumerated by deviation-based branch-and-bound (Yen/Eppstein
+    adapted to the max-plus DAG).  Because the timer's arrival times are exact
     max-prefix arrivals, every candidate's priority {e is} its final
     path slack, so the best-first search pops paths in slack order and
     pruning against a slack limit is exact — no candidate is ever
@@ -39,20 +41,15 @@ type t
     it was built; rebuild after the next {!Sta.Timer.run}. *)
 
 val analyze : ?pool:Parallel.pool -> ?obs:Obs.t -> Sta.Timer.t -> t
-(** Build the in-edge CSR and arrival back-pointers from the timer's
-    current state (one sweep over the CSR arc structure, node-parallel
-    under [pool]).  The timer must have been {!Sta.Timer.run} first. *)
-
-val num_edges : t -> int
-(** Number of flattened timing in-edges (net + cell, both transitions). *)
-
-val edge_delay : t -> int -> float
-(** Delay of flattened in-edge [e], [0 <= e < num_edges]: the net arc's
-    Elmore delay or the cell arc's taped delay ({!Sta.Timer.arc_delay}). *)
+(** Pick the arrival back-pointers from the timer's current state (one
+    walk over every node's in-edges, node-parallel under [pool]).  The
+    timer must have been {!Sta.Timer.run} first. *)
 
 val pred : t -> int -> int
-(** The in-edge realising timing node [n]'s arrival (its back-pointer),
-    or [-1] when it has none. *)
+(** The in-edge realising timing node [n = 2 * v + tr_out]'s arrival
+    (its back-pointer): the cell arc's tape slot
+    [4 * a + 2 * tr_out + tr_in], [-2] for the net arc into [v], or [-1]
+    when it has none. *)
 
 (** One enumerated path, startpoint first.  [pt_rank] is the path's
     0-based rank within its endpoint's enumeration; [pt_nets] and

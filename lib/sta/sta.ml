@@ -532,6 +532,9 @@ module Forward = struct
     nets : Nets.t;
     at : float array;    (* 2 * pin + transition *)
     slew : float array;
+    (* the early (hold) lane: exact state only, empty when smooth *)
+    at_e : float array;
+    sl_e : float array;
     tape_d : float array;
     (* written at gamma > 0 only; empty in an exact-only state *)
     tape_dd_ds : float array;
@@ -546,9 +549,12 @@ module Forward = struct
     let n = 2 * Netlist.num_pins g.Graph.design in
     let m = 4 * Graph.num_arcs g in
     let smooth_tape () = Array.make (if smooth then m else 0) 0.0 in
+    let early () = Array.make (if smooth then 0 else n) infinity in
     { nets;
       at = Array.make n neg_infinity;
       slew = Array.make n 0.0;
+      at_e = early ();
+      sl_e = early ();
       tape_d = Array.make m 0.0;
       tape_dd_ds = smooth_tape ();
       tape_dd_dl = smooth_tape ();
@@ -577,10 +583,17 @@ module Forward = struct
     let cs = g.Graph.constraints in
     Array.fill t.at 0 (Array.length t.at) neg_infinity;
     Array.fill t.slew 0 (Array.length t.slew) 0.0;
+    Array.fill t.at_e 0 (Array.length t.at_e) infinity;
+    Array.fill t.sl_e 0 (Array.length t.sl_e) infinity;
+    let early = Array.length t.at_e > 0 in
     let start p at slew =
-      for ti = 0 to 1 do
-        t.at.((2 * p) + ti) <- at;
-        t.slew.((2 * p) + ti) <- slew
+      for i = 2 * p to (2 * p) + 1 do
+        t.at.(i) <- at;
+        t.slew.(i) <- slew;
+        if early then begin
+          t.at_e.(i) <- at;
+          t.sl_e.(i) <- slew
+        end
       done
     in
     List.iter
@@ -592,10 +605,12 @@ module Forward = struct
       g.Graph.is_clock_pin
 
   (* The kernel for one pin: reads strictly lower levels only, writes
-     only this pin's state and this pin's fan-in tape slots. *)
+     only this pin's state and this pin's fan-in tape slots.  An exact
+     state takes the early lane's hard min in the same fan-in walk. *)
   let pin t ~gamma v =
     let g = t.nets.Nets.graph in
-    let at = t.at and slew = t.slew in
+    let at = t.at and slew = t.slew and at_e = t.at_e and sl_e = t.sl_e in
+    let early = Array.length at_e > 0 in
     let pin = g.Graph.design.Netlist.pins.(v) in
     let net = pin.Netlist.net in
     (* net arc: at most one fan-in, no aggregation (Eq. 9, 10) *)
@@ -612,12 +627,17 @@ module Forward = struct
              if at.(iu) > neg_infinity then begin
                at.(iv) <- at.(iu) +. d;
                slew.(iv) <- sqrt ((slew.(iu) *. slew.(iu)) +. i2)
+             end;
+             if early && at_e.(iu) < infinity then begin
+               at_e.(iv) <- at_e.(iu) +. d;
+               sl_e.(iv) <- sqrt ((sl_e.(iu) *. sl_e.(iu)) +. i2)
              end
            done
          | None -> ());
     (* cell arcs: the max pass evaluates every admitted (arc, transition)
        LUT pair exactly once into the tape; the hard max is done there,
-       the LSE (Eq. 11) adds the shifted-sum pass over the taped values *)
+       the LSE (Eq. 11) adds the shifted-sum pass over the taped values.
+       The early lane's min runs at the early slew, untaped. *)
     let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
     if hi > lo then begin
       let load = root_load t.nets v in
@@ -652,6 +672,12 @@ module Forward = struct
                 end;
                 if at.(iu) +. d > !max_a then max_a := at.(iu) +. d;
                 if s > !max_s then max_s := s
+              end;
+              if early && at_e.(iu) < infinity then begin
+                let d = Liberty.Lut.lookup (delay_lut arc oi) sl_e.(iu) load in
+                let s = Liberty.Lut.lookup (slew_lut arc oi) sl_e.(iu) load in
+                if at_e.(iu) +. d < at_e.(iv) then at_e.(iv) <- at_e.(iu) +. d;
+                if s < sl_e.(iv) then sl_e.(iv) <- s
               end
             end
           done
@@ -715,9 +741,7 @@ module Timer = struct
   type t = {
     graph : Graph.t;
     nets : Nets.t;
-    fwd : Forward.t;      (* late state + arc tape, the kernel at gamma 0 *)
-    at_e : float array;   (* 2 * pin + transition *)
-    sl_e : float array;
+    fwd : Forward.t;  (* late + early state, arc tape; the kernel at gamma 0 *)
     rat_l : float array;
     rat_e : float array;
   }
@@ -727,76 +751,19 @@ module Timer = struct
     let nets = Nets.create graph in
     { graph; nets;
       fwd = Forward.create nets;
-      at_e = Array.make n infinity;
-      sl_e = Array.make n infinity;
       rat_l = Array.make n infinity;
       rat_e = Array.make n neg_infinity }
 
   let nets t = t.nets
   let idx p tr = (2 * p) + transition_index tr
   let at_late t p tr = t.fwd.Forward.at.(idx p tr)
-  let at_early t p tr = t.at_e.(idx p tr)
+  let at_early t p tr = t.fwd.Forward.at_e.(idx p tr)
   let slew_late t p tr = t.fwd.Forward.slew.(idx p tr)
   let rat_late t p tr = t.rat_l.(idx p tr)
 
   let arc_delay t a ~tr_out ~tr_in =
     t.fwd.Forward.tape_d.((4 * a) + (2 * transition_index tr_out)
                           + transition_index tr_in)
-
-  (* Early (hold) arrival and slew of one pin: the hard-min counterpart
-     of the kernel's late pass, kept by the exact timer only. *)
-  let early_pin t v =
-    let g = t.graph in
-    let pin = g.Graph.design.Netlist.pins.(v) in
-    let net = pin.Netlist.net in
-    (if pin.Netlist.direction = Netlist.Input && net >= 0 then
-       let u = g.Graph.net_driver_of.(net) in
-       if u >= 0 && u <> v then
-         match t.nets.Nets.trees.(net) with
-         | Some (_, rc) ->
-           let node = t.nets.Nets.tree_index.(v) in
-           let d = Rc.sink_delay rc node in
-           let i2 = Rc.sink_impulse2 rc node in
-           for ti = 0 to 1 do
-             let iu = (2 * u) + ti and iv = (2 * v) + ti in
-             if t.at_e.(iu) < infinity then begin
-               t.at_e.(iv) <- t.at_e.(iu) +. d;
-               t.sl_e.(iv) <- sqrt ((t.sl_e.(iu) *. t.sl_e.(iu)) +. i2)
-             end
-           done
-         | None -> ());
-    let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
-    if hi > lo then begin
-      let load = Forward.root_load t.nets v in
-      for k = lo to hi - 1 do
-        let a = g.Graph.fanin_arc.(k) in
-        let u = g.Graph.arc_from.(a) in
-        let arc = g.Graph.arc_table.(a) in
-        let mask = g.Graph.arc_mask.(a) in
-        for oi = 0 to 1 do
-          let iv = (2 * v) + oi in
-          let sub = (mask lsr (2 * oi)) land 3 in
-          for ii = 0 to 1 do
-            if sub land (1 lsl ii) <> 0 then begin
-              let iu = (2 * u) + ii in
-              if t.at_e.(iu) < infinity then begin
-                let d =
-                  Liberty.Lut.lookup (Forward.delay_lut arc oi) t.sl_e.(iu)
-                    load
-                in
-                let s =
-                  Liberty.Lut.lookup (Forward.slew_lut arc oi) t.sl_e.(iu)
-                    load
-                in
-                if t.at_e.(iu) +. d < t.at_e.(iv) then
-                  t.at_e.(iv) <- t.at_e.(iu) +. d;
-                if s < t.sl_e.(iv) then t.sl_e.(iv) <- s
-              end
-            end
-          done
-        done
-      done
-    end
 
   let check_lut (ck : Liberty.check_arc) ~setup = function
     | Rise -> if setup then ck.Liberty.setup_rise else ck.Liberty.hold_rise
@@ -808,6 +775,7 @@ module Timer = struct
     let cs = t.graph.Graph.constraints in
     let period = cs.Constraints.clock_period in
     let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
+    let at_e = t.fwd.Forward.at_e and sl_e = t.fwd.Forward.sl_e in
     let setup = ref infinity and hold = ref infinity in
     let reachable = ref false in
     List.iter
@@ -827,15 +795,15 @@ module Timer = struct
              let sl = rat -. at_l.(i) in
              if sl < !setup then setup := sl
            end;
-           if t.at_e.(i) < infinity then begin
+           if at_e.(i) < infinity then begin
              reachable := true;
              let ho =
                Liberty.Lut.lookup
                  (check_lut ck.Graph.ck_arc ~setup:false tr)
-                 t.sl_e.(i) cs.Constraints.clock_slew
+                 sl_e.(i) cs.Constraints.clock_slew
              in
              if ho > t.rat_e.(i) then t.rat_e.(i) <- ho;
-             let sl = t.at_e.(i) -. ho in
+             let sl = at_e.(i) -. ho in
              if sl < !hold then hold := sl
            end
          | None ->
@@ -847,10 +815,10 @@ module Timer = struct
              let sl = rat -. at_l.(i) in
              if sl < !setup then setup := sl
            end;
-           if t.at_e.(i) < infinity then begin
+           if at_e.(i) < infinity then begin
              reachable := true;
              t.rat_e.(i) <- Float.max t.rat_e.(i) 0.0;
-             let sl = t.at_e.(i) in
+             let sl = at_e.(i) in
              if sl < !hold then hold := sl
            end))
       both_transitions;
@@ -941,23 +909,9 @@ module Timer = struct
     else Nets.refresh ?pool ~obs t.nets;
     Obs.start obs Obs.Sta_exact;
     Forward.reset t.fwd;
-    Array.fill t.at_e 0 (Array.length t.at_e) infinity;
-    Array.fill t.sl_e 0 (Array.length t.sl_e) infinity;
     Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
     Array.fill t.rat_e 0 (Array.length t.rat_e) neg_infinity;
-    (* the early state starts where the late one does: [is_start] marks
-       exactly the pins [Forward.reset] seeds *)
-    Array.iteri
-      (fun p start ->
-        if start then
-          for i = 2 * p to (2 * p) + 1 do
-            t.at_e.(i) <- t.fwd.Forward.at.(i);
-            t.sl_e.(i) <- t.fwd.Forward.slew.(i)
-          done)
-      g.Graph.is_start;
-    Forward.sweep ?pool ~obs t.fwd (fun v ->
-      Forward.pin t.fwd ~gamma:0.0 v;
-      early_pin t v);
+    Forward.sweep ?pool ~obs t.fwd (Forward.pin t.fwd ~gamma:0.0);
     let report = report_of g (endpoint_slack t) in
     propagate_rat t;
     Obs.stop obs Obs.Sta_exact;
@@ -1235,39 +1189,37 @@ module Incremental = struct
     touch_cell t cell
 
   (* Re-evaluate one pin from its fan-in state: the shared kernel at
-     gamma 0 (which also refreshes the pin's fan-in tape slots) plus the
-     early pass.  Returns true when any of its eight timing values
+     gamma 0, which also refreshes the pin's fan-in tape slots and its
+     early lane.  Returns true when any of its eight timing values
      changed.  The comparison must be NaN-aware ([Float.equal], not
      [<>]): a NaN-valued pin (e.g. below an unconstrained input)
      recomputes to the same NaN, and the naive [nan <> nan = true] would
      re-dirty its entire fanout cone on every pass. *)
   let reevaluate t v =
-    let tm = t.tm in
-    let at_l = tm.Timer.fwd.Forward.at and sl_l = tm.Timer.fwd.Forward.slew in
+    let { Forward.at; slew; at_e; sl_e; _ } = t.tm.Timer.fwd in
     let ir = Timer.idx v Rise and if_ = Timer.idx v Fall in
-    let o1 = at_l.(ir) and o2 = at_l.(if_) in
-    let o3 = tm.Timer.at_e.(ir) and o4 = tm.Timer.at_e.(if_) in
-    let o5 = sl_l.(ir) and o6 = sl_l.(if_) in
-    let o7 = tm.Timer.sl_e.(ir) and o8 = tm.Timer.sl_e.(if_) in
-    at_l.(ir) <- neg_infinity;
-    at_l.(if_) <- neg_infinity;
-    tm.Timer.at_e.(ir) <- infinity;
-    tm.Timer.at_e.(if_) <- infinity;
-    sl_l.(ir) <- 0.0;
-    sl_l.(if_) <- 0.0;
-    tm.Timer.sl_e.(ir) <- infinity;
-    tm.Timer.sl_e.(if_) <- infinity;
-    Forward.pin tm.Timer.fwd ~gamma:0.0 v;
-    Timer.early_pin tm v;
+    let o1 = at.(ir) and o2 = at.(if_) in
+    let o3 = at_e.(ir) and o4 = at_e.(if_) in
+    let o5 = slew.(ir) and o6 = slew.(if_) in
+    let o7 = sl_e.(ir) and o8 = sl_e.(if_) in
+    at.(ir) <- neg_infinity;
+    at.(if_) <- neg_infinity;
+    at_e.(ir) <- infinity;
+    at_e.(if_) <- infinity;
+    slew.(ir) <- 0.0;
+    slew.(if_) <- 0.0;
+    sl_e.(ir) <- infinity;
+    sl_e.(if_) <- infinity;
+    Forward.pin t.tm.Timer.fwd ~gamma:0.0 v;
     not
-      (Float.equal o1 at_l.(ir)
-       && Float.equal o2 at_l.(if_)
-       && Float.equal o3 tm.Timer.at_e.(ir)
-       && Float.equal o4 tm.Timer.at_e.(if_)
-       && Float.equal o5 sl_l.(ir)
-       && Float.equal o6 sl_l.(if_)
-       && Float.equal o7 tm.Timer.sl_e.(ir)
-       && Float.equal o8 tm.Timer.sl_e.(if_))
+      (Float.equal o1 at.(ir)
+       && Float.equal o2 at.(if_)
+       && Float.equal o3 at_e.(ir)
+       && Float.equal o4 at_e.(if_)
+       && Float.equal o5 slew.(ir)
+       && Float.equal o6 slew.(if_)
+       && Float.equal o7 sl_e.(ir)
+       && Float.equal o8 sl_e.(if_))
 
   let refresh_endpoint t p =
     let tm = t.tm in

@@ -167,12 +167,20 @@ end
     only when [tr_in] is reachable at [arc_from.(a)] and the arc admits
     the pair.  Every later reader of an arc delay (RAT sweep, path
     retrace, top-K paths, the difftimer's backward gather) replays the
-    tape instead of querying the LUTs again. *)
+    tape instead of querying the LUTs again.
+
+    An exact state (created without [smooth]) also carries the early
+    (hold) lane [at_e]/[sl_e]: the same fan-in walk takes the hard min
+    of the early arrivals and slews, with LUTs evaluated at the early
+    slew and not taped.  A smooth state has empty early arrays and never
+    enters the lane. *)
 module Forward : sig
   type t = {
     nets : Nets.t;
     at : float array;          (** late arrival, [2 * pin + transition]. *)
     slew : float array;
+    at_e : float array;        (** early arrival; empty when smooth. *)
+    sl_e : float array;        (** early slew; empty when smooth. *)
     tape_d : float array;      (** delay LUT value. *)
     tape_dd_ds : float array;  (** d delay / d input slew. *)
     tape_dd_dl : float array;  (** d delay / d load. *)
@@ -183,19 +191,22 @@ module Forward : sig
 
   val create : ?smooth:bool -> Nets.t -> t
   (** [smooth] (default false) allocates the slew and partial tapes that
-      {!pin} writes at [gamma > 0]; without it they are empty and the
-      state supports [gamma = 0] only (the exact timer's, a sixth of the
-      tape memory). *)
+      {!pin} writes at [gamma > 0] and leaves the early lane empty;
+      without it the state carries the early lane, its smooth tapes are
+      empty and it supports [gamma = 0] only (the exact timer's, a sixth
+      of the tape memory). *)
 
   val reset : t -> unit
-  (** Every pin unreached ([at = neg_infinity], [slew = 0]), then the
-      startpoints: primary inputs at the input delay and slew, clock
-      pins at 0 with the clock slew. *)
+  (** Every pin unreached ([at = neg_infinity], [slew = 0]; early lane
+      [infinity]), then the startpoints, in both lanes: primary inputs
+      at the input delay and slew, clock pins at 0 with the clock
+      slew. *)
 
   val pin : t -> gamma:float -> int -> unit
   (** Propagate into one pin from its net-arc and cell-arc fan-in,
-      refreshing the pin's fan-in tape slots.  Reads strictly lower
-      levels only and writes only this pin's state and slots. *)
+      refreshing the pin's fan-in tape slots (and, in an exact state,
+      its early lane, in the same walk).  Reads strictly lower levels
+      only and writes only this pin's state and slots. *)
 
   val sweep : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> (int -> unit) -> unit
   (** [sweep t f] calls [f] on every pin, level by level; the pins of one
@@ -231,10 +242,10 @@ module Timer : sig
       true) reconstructs Steiner topologies first; pass false to reuse
       topologies and only refresh coordinates.  [pool] parallelises the
       Steiner/RC construction over nets and the forward propagation over
-      the pins of each level: the late pass is {!Forward.pin} at
-      [gamma = 0] and the early (hold) pass is its hard-min counterpart,
-      both reading only lower levels and writing only the pin's own
-      state, so pooled reports are bit-identical to sequential ones.
+      the pins of each level: {!Forward.pin} at [gamma = 0] computes the
+      late max and the early (hold) min in one walk, reading only lower
+      levels and writing only the pin's own state, so pooled reports are
+      bit-identical to sequential ones.
       The endpoint and RAT sweeps stay sequential.  [obs] records the
       tree maintenance as [steiner.rebuild]/[steiner.refresh] and the
       propagation as [sta.exact]. *)
@@ -244,6 +255,9 @@ module Timer : sig
       pin is unreachable from any startpoint. *)
 
   val at_early : t -> int -> transition -> float
+  (** Earliest arrival time (the {!Forward} early lane), [infinity] when
+      the pin is unreachable. *)
+
   val slew_late : t -> int -> transition -> float
   val rat_late : t -> int -> transition -> float
   (** Required arrival time (late/setup), [infinity] if unconstrained. *)

@@ -11,6 +11,9 @@ design and asserts that:
     batch dgp_sta run (the incremental snapshot is the same analysis);
   * an out-of-core `move` is rejected with an `err` line instead of
     desynchronising the timer;
+  * hostile `paths` lines (a K far beyond the design's path count, zero,
+    negative, non-numeric) get `ok`/`err` answers and the session goes
+    on;
   * the JSONL profiling trace contains the per-request serve.parse /
     serve.update / serve.query spans.
 
@@ -58,6 +61,10 @@ def main():
             "commit",
             "move u10 1e9 1e9",  # rejected: leaves the core region
             "paths 4",
+            "paths 100000000000",
+            "paths 0",
+            "paths -3",
+            "paths x",
             "stats",
             "place 2 wl",
             "help",
@@ -76,13 +83,13 @@ def main():
             f"stdout:\n{serve.stdout}\nstderr:\n{serve.stderr}"
         )
     lines = [l for l in serve.stdout.splitlines() if l.strip()]
-    print("serve_smoke: session transcript:")
-    for l in lines:
+    responses = [l for l in lines if not l.startswith("path ")]
+    print("serve_smoke: session transcript ('path' lines omitted):")
+    for l in responses:
         print(f"  {l}")
 
-    responses = [l for l in lines if not l.startswith("path ")]
-    if len(responses) != 9:
-        fail(f"expected 9 response lines, got {len(responses)}")
+    if len(responses) != 13:
+        fail(f"expected 13 response lines, got {len(responses)}")
 
     # 1: commit with no pending moves == the batch analysis
     m = re.match(r"ok wns (-?[\d.]+) tns (-?[\d.]+) endpoints (\d+)", responses[0])
@@ -101,23 +108,31 @@ def main():
         (2, r"ok wns -?[\d.]+ tns -?[\d.]+ endpoints \d+ pins \d+ "
             r"changed \d+ nets \d+"),
         (3, r"err .*core region"),
-        (4, r"ok paths 4"),
-        (5, r"ok cells \d+ nets \d+ pins \d+ wns "),
-        (6, r"ok iterations \d+ hpwl "),
-        (7, r"ok commands: "),
-        (8, r"ok bye"),
+        (4, r"ok paths 4$"),
+        (5, r"ok paths \d+$"),
+        (6, r"err paths expects a positive K$"),
+        (7, r"err paths expects a positive K$"),
+        (8, r"err paths expects a positive K$"),
+        (9, r"ok cells \d+ nets \d+ pins \d+ wns "),
+        (10, r"ok iterations \d+ hpwl "),
+        (11, r"ok commands: "),
+        (12, r"ok bye"),
     ]
     for idx, pat in expectations:
         if not re.match(pat, responses[idx]):
             fail(f"response {idx} {responses[idx]!r} does not match {pat!r}")
 
     npaths = len([l for l in lines if l.startswith("path ")])
-    if npaths != 4:
-        fail(f"expected 4 'path' lines from `paths 4`, got {npaths}")
+    nhuge = int(responses[5].split()[2])
+    if nhuge < 4 or npaths != 4 + nhuge:
+        fail(
+            f"expected 4 + {nhuge} 'path' lines from `paths 4` and "
+            f"`paths 100000000000`, got {npaths}"
+        )
 
     # incremental commit after one move must re-evaluate a strict subset
     m = re.search(r"pins (\d+)", responses[2])
-    stats_pins = re.search(r"ok cells \d+ nets \d+ pins (\d+)", responses[5])
+    stats_pins = re.search(r"ok cells \d+ nets \d+ pins (\d+)", responses[9])
     if m and stats_pins and int(m.group(1)) >= int(stats_pins.group(1)):
         fail(
             f"incremental commit re-evaluated {m.group(1)} pins, "

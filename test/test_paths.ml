@@ -301,6 +301,22 @@ let test_matches_reference () =
         seeds)
     specs_under_test
 
+(* a K beyond any path count costs what the paths cost: the k-th-best
+   bound heap grows with the slacks offered, so [max_int] neither
+   allocates K slots up front nor changes the answer *)
+let test_huge_k () =
+  let spec =
+    { Workload.default_spec with
+      Workload.sp_cells = 60; sp_inputs = 4; sp_outputs = 4; sp_depth = 4;
+      sp_clock_period = 500.0 }
+  in
+  with_timer spec 5 (fun _ _ timer ->
+    let view = Paths.analyze timer in
+    let all = Paths.enumerate ~k:100_000 view in
+    Alcotest.(check bool) "every path fits in k = 100000" true
+      (List.length all < 100_000);
+    check_paths_equal "k max_int" all (Paths.enumerate ~k:max_int view))
+
 (* property: enumeration at slack_limit L equals the unrestricted
    enumeration filtered to slack < L — globally and per endpoint, with
    L spanning the slack range including exact path slacks (strictness) *)
@@ -596,8 +612,9 @@ let test_pathweight_placement_runs () =
    so the tape must stay in step with incremental re-propagation: after
    random move batches, a view of the incremental engine's timer equals
    a view of a fresh full analysis of the same placement bit for bit
-   (every edge delay, every back-pointer, the top-K paths), and so do
-   the guarded per-pin slacks. *)
+   (every taped arc delay and net delay a view reads, every
+   back-pointer, the top-K paths), and so do the guarded per-pin
+   slacks. *)
 let test_tape_fresh_after_incremental () =
   let spec =
     { (List.nth specs_under_test 1) with Workload.sp_seed = 11 }
@@ -622,14 +639,46 @@ let test_tape_fresh_after_incremental () =
     ignore (Sta.Incremental.update inc);
     ignore (Sta.Timer.run ~rebuild_trees:false reference);
     let label = Printf.sprintf "round %d" round in
-    let vi = Paths.analyze (Sta.Incremental.timer inc) in
-    let vf = Paths.analyze reference in
-    Alcotest.(check int) (label ^ ": edge count") (Paths.num_edges vf)
-      (Paths.num_edges vi);
-    for e = 0 to Paths.num_edges vf - 1 do
-      if bits (Paths.edge_delay vi e) <> bits (Paths.edge_delay vf e) then
-        Alcotest.failf "%s: delay of edge %d differs" label e
+    let ti = Sta.Incremental.timer inc in
+    let reached tm p tr = Sta.Timer.at_late tm p tr > neg_infinity in
+    (* every in-edge a view reads: each admitted (arc, transition) pair
+       with a reachable source, and each net arc's Elmore delay *)
+    for a = 0 to Sta.Graph.num_arcs graph - 1 do
+      let u = graph.Sta.Graph.arc_from.(a) in
+      List.iter
+        (fun tr_out ->
+          List.iter
+            (fun tr_in ->
+              if Sta.Graph.arc_admits graph a ~tr_out ~tr_in then begin
+                if reached ti u tr_in <> reached reference u tr_in then
+                  Alcotest.failf "%s: reachability of arc %d differs" label a;
+                if reached reference u tr_in
+                   && bits (Sta.Timer.arc_delay ti a ~tr_out ~tr_in)
+                      <> bits (Sta.Timer.arc_delay reference a ~tr_out ~tr_in)
+                then Alcotest.failf "%s: taped delay of arc %d differs" label a
+              end)
+            [ Sta.Rise; Sta.Fall ])
+        [ Sta.Rise; Sta.Fall ]
     done;
+    let ni = Sta.Timer.nets ti and nf = Sta.Timer.nets reference in
+    for net = 0 to Netlist.num_nets design - 1 do
+      match ni.Sta.Nets.trees.(net), nf.Sta.Nets.trees.(net) with
+      | Some (_, rci), Some (_, rcf) ->
+        let u = graph.Sta.Graph.net_driver_of.(net) in
+        for k = graph.Sta.Graph.net_sink_off.(net)
+            to graph.Sta.Graph.net_sink_off.(net + 1) - 1 do
+          let v = graph.Sta.Graph.net_sink.(k) in
+          let node = nf.Sta.Nets.tree_index.(v) in
+          if u >= 0 && u <> v
+             && bits (Rc.sink_delay rci node) <> bits (Rc.sink_delay rcf node)
+          then Alcotest.failf "%s: delay of net %d into pin %d differs"
+                 label net v
+        done
+      | None, None -> ()
+      | _ -> Alcotest.failf "%s: tree presence of net %d differs" label net
+    done;
+    let vi = Paths.analyze ti in
+    let vf = Paths.analyze reference in
     for n = 0 to (2 * Netlist.num_pins design) - 1 do
       if Paths.pred vi n <> Paths.pred vf n then
         Alcotest.failf "%s: back-pointer of node %d differs" label n
@@ -665,6 +714,7 @@ let suite =
       test_matches_brute_force;
     Alcotest.test_case "bitwise identical to eager reference" `Slow
       test_matches_reference;
+    Alcotest.test_case "k = max_int equals k = 100000" `Quick test_huge_k;
     Alcotest.test_case "slack limit prunes exactly" `Quick
       test_slack_limit_exact;
     Alcotest.test_case "slack limit == unrestricted filtered (property)"

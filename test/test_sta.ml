@@ -919,10 +919,11 @@ let check_vs_oracle label tm report =
   check_reports_bitwise label (Sta_oracle.run o) report;
   check_pins_vs_oracle label tm o
 
-(* Gate for the shared kernel: [Timer.run] (hard max through
-   [Sta.Forward.pin] plus the Timer-only early pass) reproduces the
-   pre-kernel exact timer bit for bit, sequential and pooled, and so
-   does the incremental engine after move batches. *)
+(* Gate for the shared kernel: [Timer.run] ([Sta.Forward.pin] at
+   gamma 0: the late hard max and the early lane's hard min in one
+   fan-in walk) reproduces the pre-kernel exact timer bit for bit,
+   sequential and pooled, and so does the incremental engine after move
+   batches. *)
 let test_kernel_matches_oracle () =
   List.iter
     (fun domains ->
@@ -999,9 +1000,39 @@ let test_pooled_exact_sta () =
       { Workload.default_spec with
         Workload.sp_cells = 900; sp_seed = 5; sp_clock_period = 650.0 } ]
 
+(* The difftimer pays nothing for the early lane: a smooth state has
+   empty early arrays, and driven at gamma 0 its late arrival and slew
+   equal the exact timer's bit for bit. *)
+let test_smooth_state_no_early_lane () =
+  let design, cons = Workload.generate lib (List.hd kernel_specs) in
+  let g = Sta.Graph.build design lib cons in
+  let tm = Sta.Timer.create g in
+  ignore (Sta.Timer.run tm);
+  let n = 2 * Netlist.num_pins design in
+  let exact = Sta.Forward.create (Sta.Timer.nets tm) in
+  Alcotest.(check int) "exact state has the lane" n
+    (Array.length exact.Sta.Forward.at_e);
+  let fwd = Sta.Forward.create ~smooth:true (Sta.Timer.nets tm) in
+  Alcotest.(check int) "no early arrival" 0 (Array.length fwd.Sta.Forward.at_e);
+  Alcotest.(check int) "no early slew" 0 (Array.length fwd.Sta.Forward.sl_e);
+  Sta.Forward.reset fwd;
+  Sta.Forward.sweep fwd (Sta.Forward.pin fwd ~gamma:0.0);
+  for p = 0 to Netlist.num_pins design - 1 do
+    List.iter
+      (fun tr ->
+        let i = (2 * p) + Sta.transition_index tr in
+        let at = fwd.Sta.Forward.at.(i) and slew = fwd.Sta.Forward.slew.(i) in
+        if bits at <> bits (Sta.Timer.at_late tm p tr)
+           || bits slew <> bits (Sta.Timer.slew_late tm p tr)
+        then Alcotest.failf "late state differs at pin %d" p)
+      [ Sta.Rise; Sta.Fall ]
+  done
+
 let suite =
   suite
   @ [ Alcotest.test_case "kernel timer bit-identical to oracle" `Quick
         test_kernel_matches_oracle;
       Alcotest.test_case "pooled exact STA bit-identical" `Quick
-        test_pooled_exact_sta ]
+        test_pooled_exact_sta;
+      Alcotest.test_case "smooth state has no early lane" `Quick
+        test_smooth_state_no_early_lane ]
