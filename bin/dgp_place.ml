@@ -36,17 +36,36 @@ let iterations =
   let doc = "Maximum placement iterations." in
   Arg.(value & opt int 600 & info [ "iterations"; "i" ] ~docv:"N" ~doc)
 
+(* A float flag that must be finite, and positive when [positive]. *)
+let finite_float ~positive =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok v when Float.is_finite v && (v > 0.0 || not positive) -> Ok v
+    | Ok _ ->
+      Error
+        (`Msg
+           (Printf.sprintf "%S is not a finite%s number" s
+              (if positive then " positive" else "")))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
 let t1 =
-  let doc = "TNS objective weight (timing mode)." in
-  Arg.(value & opt float Core.default_timing.Core.t1 & info [ "t1" ] ~doc)
+  let doc = "TNS objective weight (timing mode); finite." in
+  Arg.(value & opt (finite_float ~positive:false) Core.default_timing.Core.t1
+       & info [ "t1" ] ~doc)
 
 let t2 =
-  let doc = "WNS objective weight (timing mode)." in
-  Arg.(value & opt float Core.default_timing.Core.t2 & info [ "t2" ] ~doc)
+  let doc = "WNS objective weight (timing mode); finite." in
+  Arg.(value & opt (finite_float ~positive:false) Core.default_timing.Core.t2
+       & info [ "t2" ] ~doc)
 
 let gamma =
-  let doc = "LSE smoothing width in ps (timing mode)." in
-  Arg.(value & opt float Core.default_timing.Core.gamma & info [ "gamma" ] ~doc)
+  let doc = "LSE smoothing width in ps (timing mode); finite and \
+             positive (a negative width turns the LSE max into a \
+             soft-min)." in
+  Arg.(value & opt (finite_float ~positive:true) Core.default_timing.Core.gamma
+       & info [ "gamma" ] ~doc)
 
 let steiner_period =
   let doc = "Steiner topology rebuild cadence in iterations (timing \
@@ -228,6 +247,10 @@ let run lib_file design_file bench cells seed clock hotspot hotspot_clusters
   (match pool with Some p -> Parallel.shutdown p | None -> ());
   Printf.printf "placement: %d iterations in %.2f s (overflow %.3f)\n"
     result.Core.res_iterations result.Core.res_runtime result.Core.res_overflow;
+  Option.iter
+    (Printf.printf "placement: non-finite gradient at iteration %d, stopped \
+                    on the last finite positions\n")
+    result.Core.res_diverged;
   (match result.Core.res_route with
    | Some s ->
      Format.printf "congestion: %a (%d inflation rounds)@." Route.pp_summary s

@@ -38,7 +38,7 @@ type config = {
   optimizer : Optim.algorithm;
   wirelength_gamma : float option;
   density_bins : int option;
-  density_relax : float option;
+  density_relax : bool;
   target_density : float;
   lambda_relative : float;
   lambda_growth : float;
@@ -59,7 +59,7 @@ let default_config =
     optimizer = Optim.adam;
     wirelength_gamma = None;
     density_bins = None;
-    density_relax = None;
+    density_relax = false;
     target_density = 1.0;
     lambda_relative = 0.05;
     lambda_growth = 1.035;
@@ -87,6 +87,7 @@ type result = {
   res_trace : trace_point list;
   res_route : Route.summary option;
   res_inflation_rounds : int;
+  res_diverged : int option;
 }
 
 let l1_norm mask g =
@@ -172,10 +173,296 @@ let score ?(obs = Obs.disabled) graph =
   let report = Sta.Timer.run ~obs timer in
   (report, Netlist.total_hpwl graph.Sta.Graph.design)
 
+let region_side (design : Netlist.t) =
+  let r = design.Netlist.region in
+  Float.max (Geometry.Rect.width r) (Geometry.Rect.height r)
+
+(* The configured step size, by default the region side / 350. *)
+let step_size config design =
+  Option.value config.learning_rate ~default:(region_side design /. 350.0)
+
+(* y += a x *)
+let axpy a x y =
+  for k = 0 to Array.length y - 1 do
+    y.(k) <- y.(k) +. (a *. x.(k))
+  done
+
+(* true when every movable cell's gradient is finite *)
+let all_finite mask gx gy =
+  let rec from i =
+    i < 0
+    || ((not mask.(i) || (Float.is_finite gx.(i) && Float.is_finite gy.(i)))
+        && from (i - 1))
+  in
+  from (Array.length gx - 1)
+
+(* Clamp the movable cells into the region and write them back. *)
+let sync_to_design (design : Netlist.t) mask xs ys =
+  let region = design.Netlist.region in
+  Array.iteri
+    (fun i (c : Netlist.cell) ->
+      if mask.(i) then begin
+        let hw = c.Netlist.width /. 2.0 and hh = c.Netlist.height /. 2.0 in
+        xs.(i) <-
+          Geometry.clamp ~lo:(region.Geometry.Rect.lx +. hw)
+            ~hi:(region.Geometry.Rect.hx -. hw) xs.(i);
+        ys.(i) <-
+          Geometry.clamp ~lo:(region.Geometry.Rect.ly +. hh)
+            ~hi:(region.Geometry.Rect.hy -. hh) ys.(i);
+        c.Netlist.x <- xs.(i);
+        c.Netlist.y <- ys.(i)
+      end)
+    design.Netlist.cells
+
+(* ---- The placement term: WL + lambda D (the driver owns lambda). ---- *)
+
+(* The density model at full or (relaxed) half grid resolution.  Rebuilt
+   when the relaxation ends and after every change of cell footprints:
+   routability inflation invalidates the area totals the model caches
+   at creation. *)
+let rebuild_density config design ~relaxed =
+  let bins =
+    Option.value config.density_bins ~default:(Density.default_bins design)
+  in
+  Density.create
+    ~bins:(if relaxed then max 16 (bins / 2) else bins)
+    ~target_density:config.target_density design
+
+type placement = {
+  wl : Wirelength.t;
+  mutable dens : Density.t;
+  mutable relaxed : bool;  (* still on the half-resolution grid *)
+  dgx : float array;       (* unit-weight density gradient *)
+  dgy : float array;
+  route : (Route.config * Route.Inflate.t * Route.Rudy.t) option;
+}
+
+let placement_term config design =
+  let n = Netlist.num_cells design in
+  let gamma =
+    Option.value config.wirelength_gamma ~default:(0.01 *. region_side design)
+  in
+  { wl = Wirelength.create ~gamma design;
+    dens = rebuild_density config design ~relaxed:config.density_relax;
+    relaxed = config.density_relax;
+    dgx = Array.make n 0.0;
+    dgy = Array.make n 0.0;
+    route =
+      Option.map
+        (fun (rc : Route.config) ->
+          ( rc, Route.Inflate.create design,
+            Route.Rudy.create ~capacity:rc.rt_capacity
+              ~pin_weight:rc.rt_pin_weight design ))
+        config.routability }
+
+let density_norm mask p =
+  Float.max 1e-12 (l1_norm mask p.dgx +. l1_norm mask p.dgy)
+
+(* The net-weighted WL gradient into [gx]/[gy], the unit-weight density
+   gradient into [p.dgx]/[p.dgy].  Returns the overflow and, when the
+   relaxed grid ends, the half grid's density-gradient L1 norm.  Half
+   grids under-report overflow, so the full grid takes over once the
+   half grid meets the stop target and its overflow counts from then. *)
+let placement_gradient ?pool ~obs config design mask p ~gx ~gy =
+  let n = Array.length gx in
+  Array.fill gx 0 n 0.0;
+  Array.fill gy 0 n 0.0;
+  ignore
+    (Wirelength.evaluate p.wl ?pool ~obs ~weighted:true ~grad_x:gx ~grad_y:gy
+       ());
+  let density () =
+    Density.update ?pool ~obs p.dens;
+    let overflow = Density.overflow p.dens in
+    Array.fill p.dgx 0 n 0.0;
+    Array.fill p.dgy 0 n 0.0;
+    Density.gradient ?pool ~obs p.dens ~scale:1.0 ~grad_x:p.dgx ~grad_y:p.dgy;
+    overflow
+  in
+  let overflow = density () in
+  if p.relaxed && overflow <= config.stop_overflow then begin
+    p.relaxed <- false;
+    let d_old = l1_norm mask p.dgx +. l1_norm mask p.dgy in
+    p.dens <- rebuild_density config design ~relaxed:false;
+    (density (), Some d_old)
+  end
+  else (overflow, None)
+
+(* The routability hook: once cells have spread enough for bin demand to
+   be meaningful, periodically measure RUDY congestion, deflate cells
+   whose bins fell back below target (freeing area first), then bloat
+   cells in over-utilized bins.  Uncongested runs only read, so they stay
+   bit-identical to routability-off ones. *)
+let route_step ?pool ~obs config design p i overflow =
+  match p.route with
+  | Some (rc, infl, rd)
+    when overflow < rc.Route.rt_check_overflow
+         && rc.Route.rt_check_period > 0
+         && i mod rc.Route.rt_check_period = 0
+         && (Route.Inflate.rounds infl < rc.Route.rt_max_rounds
+             || Route.Inflate.rounds infl > 0) ->
+    Route.Rudy.update ?pool ~obs rd;
+    let s = Route.overflow ~obs rd in
+    let deflated = Route.Inflate.deflate ~obs rc infl rd in
+    let inflated =
+      if s.Route.ov_peak > rc.Route.rt_target then
+        Route.Inflate.step ~obs rc infl rd
+      else 0
+    in
+    if inflated > 0 || deflated > 0 then begin
+      p.dens <- rebuild_density config design ~relaxed:p.relaxed;
+      if config.verbose then
+        Format.eprintf
+          "[core] it %4d  routability: peak %.2f rc %.2f, inflated %d / \
+           deflated %d cells (round %d)@."
+          i s.Route.ov_peak s.Route.ov_rc inflated deflated
+          (Route.Inflate.rounds infl)
+    end
+  | _ -> ()
+
+(* Inflation is temporary: restore the true footprints, then measure the
+   final overflow and congestion on them.  Returns (overflow, congestion
+   summary, inflation rounds). *)
+let placement_finish ?pool ~obs config design p =
+  let summary, rounds =
+    match p.route with
+    | None -> (None, 0)
+    | Some (_, infl, rd) ->
+      let rounds = Route.Inflate.rounds infl in
+      if rounds > 0 then begin
+        Route.Inflate.restore infl;
+        p.dens <- rebuild_density config design ~relaxed:p.relaxed
+      end;
+      Route.Rudy.update ?pool ~obs rd;
+      (Some (Route.overflow ~obs rd), rounds)
+  in
+  Density.update ~obs p.dens;
+  (Density.overflow p.dens, summary, rounds)
+
+(* ---- The timing term, by mode. ---- *)
+
+type smooth = {
+  tcfg : timing_config;
+  dt : Difftimer.t;
+  mutable active_at : int option;
+  mutable w_tns : float;
+  mutable w_wns : float;
+  mutable prev_tns_smooth : float;
+  tgx : float array;
+  tgy : float array;
+}
+
+(* [Exact]: an exact timer whose [update] runs when [due] — a net- or
+   path-weighting update (criticality from one full STA run, folded into
+   the net weights the WL term reads), or wirelength-only mode's one
+   full run at iteration 0.  Trace points in between sample the same
+   timer through one [Sta.Incremental] view, re-absorbed at each later
+   update.  [Smooth]: the differentiable timer, whose gradient of
+   w_tns (-TNS_gamma) + w_wns (-WNS_gamma) lands in [tgx]/[tgy]. *)
+type timing =
+  | No_timing
+  | Exact of {
+      due : int -> bool;
+      update : unit -> Sta.Timer.report;
+      view : Sta.Incremental.t Lazy.t;  (* of the timer [update] runs *)
+    }
+  | Smooth of smooth
+
+let timing_term ?pool ~obs config graph =
+  let exact timer due update =
+    Exact { due; update; view = lazy (Sta.Incremental.of_timer timer) }
+  in
+  match config.mode with
+  | Net_weighting cfg ->
+    let nw = Netweight.create ~config:cfg graph in
+    exact (Netweight.timer nw) (Netweight.should_update nw) (fun () ->
+      Netweight.update ?pool ~obs nw)
+  | Path_weighting cfg ->
+    let pw = Paths.Weight.create ~config:cfg graph in
+    exact (Paths.Weight.timer pw) (Paths.Weight.should_update pw) (fun () ->
+      Paths.Weight.update ?pool ~obs pw)
+  | Wirelength_only when config.trace_timing_period > 0 ->
+    let timer = Sta.Timer.create graph in
+    exact timer (fun i -> i = 0) (fun () -> Sta.Timer.run ?pool ~obs timer)
+  | Wirelength_only -> No_timing
+  | Differentiable_timing tcfg ->
+    let n = Netlist.num_cells graph.Sta.Graph.design in
+    Smooth
+      { tcfg; dt = Difftimer.create ~gamma:tcfg.gamma graph; active_at = None;
+        w_tns = tcfg.t1; w_wns = tcfg.t2; prev_tns_smooth = neg_infinity;
+        tgx = Array.make n 0.0; tgy = Array.make n 0.0 }
+
+(* Active from the first iteration whose overflow is below
+   [activation_overflow] (timing means nothing before cells spread).
+   Returns the timer's (WNS, TNS) once active. *)
+let smooth_step ?pool ~obs ~verbose mask s i overflow =
+  let c = s.tcfg in
+  if s.active_at = None && overflow < c.activation_overflow then begin
+    s.active_at <- Some i;
+    if verbose then
+      Format.eprintf "[core] timing objective active at iteration %d@." i
+  end;
+  match s.active_at with
+  | None -> None
+  | Some t0 ->
+    let nets = Difftimer.nets s.dt in
+    if (i - t0) mod max 1 c.steiner_period = 0 then begin
+      (* the dirty threshold scales with gamma: pin motion small
+         relative to the LSE smoothing width cannot change which
+         topology matters *)
+      let dirty_threshold =
+        match c.steiner_dirty with
+        | Some g when g >= 0.0 -> Some (g *. c.gamma)
+        | _ -> None
+      in
+      Sta.Nets.rebuild ?dirty_threshold ?pool ~obs nets
+    end
+    else Sta.Nets.refresh ?pool ~obs nets;
+    let m = Difftimer.forward ?pool ~obs s.dt in
+    let n = Array.length s.tgx in
+    Array.fill s.tgx 0 n 0.0;
+    Array.fill s.tgy 0 n 0.0;
+    Difftimer.backward ?pool ~obs s.dt ~w_tns:s.w_tns ~w_wns:s.w_wns
+      ~grad_x:s.tgx ~grad_y:s.tgy;
+    Option.iter (clip_gradients mask s.tgx s.tgy) c.grad_clip;
+    let grow =
+      match c.growth_policy with
+      | `Fixed -> true
+      | `Adaptive ->
+        (* add pressure only while timing is not improving *)
+        m.Difftimer.tns_smooth <= s.prev_tns_smooth
+    in
+    if grow then begin
+      s.w_tns <- s.w_tns *. c.growth;
+      s.w_wns <- s.w_wns *. c.growth
+    end;
+    s.prev_tns_smooth <- m.Difftimer.tns_smooth;
+    Some (m.Difftimer.wns, m.Difftimer.tns)
+
+(* The timing term at iteration [i]; [sample] marks a trace point.
+   Returns the (WNS, TNS) measured this iteration, if any. *)
+let timing_step ?pool ~obs ~verbose ~sample mask timing i overflow =
+  let measured (r : Sta.Timer.report) =
+    Some (r.Sta.Timer.setup_wns, r.Sta.Timer.setup_tns)
+  in
+  match timing with
+  | Exact e when e.due i ->
+    let report = e.update () in
+    if Lazy.is_val e.view then
+      Sta.Incremental.absorb (Lazy.force e.view) report;
+    measured report
+  | Exact e when sample ->
+    let inc = Lazy.force e.view in
+    Array.iteri
+      (fun c movable -> if movable then Sta.Incremental.touch_cell inc c)
+      mask;
+    measured (Sta.Incremental.update ~obs inc)
+  | Exact _ | No_timing -> None
+  | Smooth s -> smooth_step ?pool ~obs ~verbose mask s i overflow
+
+(* ---- The driver. ---- *)
+
 let run ?pool ?(obs = Obs.disabled) config graph =
   let design = graph.Sta.Graph.design in
-  let region = design.Netlist.region in
-  let side = Float.max (Geometry.Rect.width region) (Geometry.Rect.height region) in
   let start_time = Obs.Clock.now () in
   Obs.start obs Obs.Core_run;
   (match config.init with
@@ -183,384 +470,115 @@ let run ?pool ?(obs = Obs.disabled) config graph =
    | `Keep -> ());
   Netlist.reset_weights design;
   let ncells = Netlist.num_cells design in
-  let mask =
-    Array.map (fun (c : Netlist.cell) -> not c.Netlist.fixed) design.Netlist.cells
-  in
-  let wl_gamma =
-    match config.wirelength_gamma with Some g -> g | None -> 0.01 *. side
-  in
-  let wl = Wirelength.create ~gamma:wl_gamma design in
-  (* a ref: routability inflation changes cell footprints, which
-     invalidates the area totals cached at Density.create time, so the
-     model is rebuilt after every inflation round *)
-  let full_bins =
-    match config.density_bins with
-    | Some b -> b
-    | None -> Density.default_bins design
-  in
-  (* Grid relaxation ([density_relax]): iterate on a half-resolution
-     density grid until the overflow is within the configured factor of
-     the stop target, then rebuild at full resolution with the lambda
-     schedule, step size and optimizer state carrying straight over.
-     The expensive full-resolution DCT is paid only for the final
-     approach. *)
-  let relaxed = ref (config.density_relax <> None) in
-  let current_bins () =
-    if !relaxed then max 16 (full_bins / 2) else full_bins
-  in
-  let dens =
-    ref
-      (Density.create ~bins:(current_bins ())
-         ~target_density:config.target_density design)
-  in
-  let rudy, inflate =
-    match config.routability with
-    | Some rcfg ->
-      ( Some
-          (Route.Rudy.create ~capacity:rcfg.Route.rt_capacity
-             ~pin_weight:rcfg.Route.rt_pin_weight design),
-        Some (Route.Inflate.create design) )
-    | None -> (None, None)
-  in
+  let cells = design.Netlist.cells in
+  let mask = Array.map (fun (c : Netlist.cell) -> not c.Netlist.fixed) cells in
+  let placement = placement_term config design in
   let opt_x = Optim.create config.optimizer ~n:ncells in
   let opt_y = Optim.create config.optimizer ~n:ncells in
-  let xs = Array.map (fun (c : Netlist.cell) -> c.Netlist.x) design.Netlist.cells in
-  let ys = Array.map (fun (c : Netlist.cell) -> c.Netlist.y) design.Netlist.cells in
+  let xs = Array.map (fun (c : Netlist.cell) -> c.Netlist.x) cells in
+  let ys = Array.map (fun (c : Netlist.cell) -> c.Netlist.y) cells in
   let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
-  let dgx = Array.make ncells 0.0 and dgy = Array.make ncells 0.0 in
-  let sync_to_design () =
-    Array.iteri
-      (fun i (c : Netlist.cell) ->
-        if mask.(i) then begin
-          let hw = c.Netlist.width /. 2.0 and hh = c.Netlist.height /. 2.0 in
-          xs.(i) <-
-            Geometry.clamp ~lo:(region.Geometry.Rect.lx +. hw)
-              ~hi:(region.Geometry.Rect.hx -. hw) xs.(i);
-          ys.(i) <-
-            Geometry.clamp ~lo:(region.Geometry.Rect.ly +. hh)
-              ~hi:(region.Geometry.Rect.hy -. hh) ys.(i);
-          c.Netlist.x <- xs.(i);
-          c.Netlist.y <- ys.(i)
-        end)
-      design.Netlist.cells
-  in
-  sync_to_design ();
-  (* mode-specific engines, created lazily so unused modes cost nothing *)
-  let netweight =
-    match config.mode with
-    | Net_weighting cfg -> Some (Netweight.create ~config:cfg graph)
-    | Wirelength_only | Path_weighting _ | Differentiable_timing _ -> None
-  in
-  let pathweight =
-    match config.mode with
-    | Path_weighting cfg -> Some (Paths.Weight.create ~config:cfg graph)
-    | Wirelength_only | Net_weighting _ | Differentiable_timing _ -> None
-  in
-  let difftimer, timing_cfg =
-    match config.mode with
-    | Differentiable_timing cfg ->
-      (Some (Difftimer.create ~gamma:cfg.gamma graph), cfg)
-    | Wirelength_only | Net_weighting _ | Path_weighting _ ->
-      (None, default_timing)
-  in
-  (* Modes that own a timer reuse it for trace points (the net- and
-     path-weighting engines' exact timers, the differentiable timer's
-     own metrics); only wirelength-only needs a dedicated trace timer.
-     Trace points between full engine runs go through Sta.Incremental
-     (sparse cone re-propagation on frozen topologies) instead of paying
-     a full Timer.run; the incremental view is created lazily at the
-     first between-run trace point and re-absorbed whenever the engine
-     performs its own full run (weight updates). *)
-  let trace_timer =
-    if config.trace_timing_period > 0
-       && (match config.mode with Wirelength_only -> true | _ -> false)
-    then Some (Sta.Timer.create graph)
-    else None
-  in
-  let trace_inc = ref None in
-  let trace_inc_of timer =
-    match !trace_inc with
-    | Some inc -> inc
-    | None ->
-      let inc = Sta.Incremental.of_timer timer in
-      trace_inc := Some inc;
-      inc
-  in
-  let trace_absorb report =
-    match !trace_inc with
-    | Some inc -> Sta.Incremental.absorb inc report
-    | None -> ()
-  in
-  let trace_incremental inc =
-    Array.iteri
-      (fun c movable -> if movable then Sta.Incremental.touch_cell inc c)
-      mask;
-    Sta.Incremental.update ~obs inc
-  in
-  let lambda = ref 0.0 in
-  let lr0 = match config.learning_rate with Some l -> l | None -> side /. 350.0 in
-  let lr = ref lr0 in
-  let timing_active_at = ref None in
-  let w_tns = ref timing_cfg.t1 and w_wns = ref timing_cfg.t2 in
-  let prev_tns_smooth = ref neg_infinity in
-  let tgx = Array.make ncells 0.0 and tgy = Array.make ncells 0.0 in
+  sync_to_design design mask xs ys;
+  let timing = timing_term ?pool ~obs config graph in
+  let lambda = ref 0.0 and lr = ref (step_size config design) in
+  (* the last measured (WNS, TNS), carried forward so trace points
+     between measurements repeat it; [None] until the first *)
+  let last = ref None in
   let trace = ref [] in
-  (* Last measured timing, carried forward between measurements so trace
-     points between STA calls repeat the previous value instead of
-     degenerating to NaN; [None] until the first measurement. *)
-  let last_wns = ref None and last_tns = ref None in
-  let record (report : Sta.Timer.report) =
-    last_wns := Some report.Sta.Timer.setup_wns;
-    last_tns := Some report.Sta.Timer.setup_tns
-  in
-  let final_iter = ref 0 in
-  let stop = ref false in
-  let iter = ref 0 in
-  while (not !stop) && !iter < config.max_iterations do
-    let i = !iter in
-    Obs.set_iteration obs i;
-    Array.fill gx 0 ncells 0.0;
-    Array.fill gy 0 ncells 0.0;
-    (* wirelength term (weighted when net weighting is active) *)
-    ignore
-      (Wirelength.evaluate wl ?pool ~obs ~weighted:true ~grad_x:gx ~grad_y:gy
-         ());
-    (* density term: compute separately to calibrate lambda *)
-    Density.update ?pool ~obs !dens;
-    let overflow = Density.overflow !dens in
-    Array.fill dgx 0 ncells 0.0;
-    Array.fill dgy 0 ncells 0.0;
-    Density.gradient ?pool ~obs !dens ~scale:1.0 ~grad_x:dgx ~grad_y:dgy;
-    (* Half-resolution grids under-report overflow, so the relaxed
-       phase can never satisfy the stop criterion itself: the switch
-       fires at [relax *. stop] (clamped >= stop) and the recomputed
-       full-grid overflow takes over from this iteration on.  Lambda is
-       rescaled by the gradient-norm ratio so the density force is
-       continuous across the change of grid (coarser grids produce
-       systematically smaller gradients). *)
-    let overflow =
-      match config.density_relax with
-      | Some f
-        when !relaxed && overflow <= Float.max 1.0 f *. config.stop_overflow
-        ->
-        relaxed := false;
-        let d_old = l1_norm mask dgx +. l1_norm mask dgy in
-        dens :=
-          Density.create ~bins:(current_bins ())
-            ~target_density:config.target_density design;
-        Density.update ?pool ~obs !dens;
-        Array.fill dgx 0 ncells 0.0;
-        Array.fill dgy 0 ncells 0.0;
-        Density.gradient ?pool ~obs !dens ~scale:1.0 ~grad_x:dgx ~grad_y:dgy;
-        let d_new = Float.max 1e-12 (l1_norm mask dgx +. l1_norm mask dgy) in
-        if i > 0 then lambda := !lambda *. d_old /. d_new;
-        Density.overflow !dens
-      | _ -> overflow
-    in
-    if i = 0 then begin
-      let wl_norm = l1_norm mask gx +. l1_norm mask gy in
-      let d_norm = Float.max 1e-12 (l1_norm mask dgx +. l1_norm mask dgy) in
-      lambda := config.lambda_relative *. wl_norm /. d_norm
-    end;
-    for k = 0 to ncells - 1 do
-      gx.(k) <- gx.(k) +. (!lambda *. dgx.(k));
-      gy.(k) <- gy.(k) +. (!lambda *. dgy.(k))
-    done;
-    (* timing terms *)
-    (match netweight with
-     | Some nw ->
-       if Netweight.should_update nw i then begin
-         let report = Netweight.update ?pool ~obs nw in
-         record report;
-         trace_absorb report
-       end
-     | None -> ());
-    (match pathweight with
-     | Some pw ->
-       if Paths.Weight.should_update pw i then begin
-         let report = Paths.Weight.update ?pool ~obs pw in
-         record report;
-         trace_absorb report
-       end
-     | None -> ());
-    (match difftimer with
-     | Some dt ->
-       if !timing_active_at = None && overflow < timing_cfg.activation_overflow
-       then begin
-         timing_active_at := Some i;
-         if config.verbose then
-           Format.eprintf "[core] timing objective active at iteration %d@." i
-       end;
-       (match !timing_active_at with
-        | Some t0 ->
-          let nets = Difftimer.nets dt in
-          if (i - t0) mod max 1 timing_cfg.steiner_period = 0 then begin
-            (* the dirty threshold scales with gamma: pin motion small
-               relative to the LSE smoothing width cannot change which
-               topology matters *)
-            let dirty_threshold =
-              match timing_cfg.steiner_dirty with
-              | Some g when g >= 0.0 -> Some (g *. timing_cfg.gamma)
-              | _ -> None
-            in
-            Sta.Nets.rebuild ?dirty_threshold ?pool ~obs nets
-          end
-          else Sta.Nets.refresh ?pool ~obs nets;
-          let m = Difftimer.forward ?pool ~obs dt in
-          Array.fill tgx 0 ncells 0.0;
-          Array.fill tgy 0 ncells 0.0;
-          Difftimer.backward ?pool ~obs dt ~w_tns:!w_tns ~w_wns:!w_wns
-            ~grad_x:tgx ~grad_y:tgy;
-          (match timing_cfg.grad_clip with
-           | Some k -> clip_gradients mask tgx tgy k
-           | None -> ());
-          for c = 0 to ncells - 1 do
-            gx.(c) <- gx.(c) +. tgx.(c);
-            gy.(c) <- gy.(c) +. tgy.(c)
-          done;
-          let grow =
-            match timing_cfg.growth_policy with
-            | `Fixed -> true
-            | `Adaptive ->
-              (* add pressure only while timing is not improving *)
-              m.Difftimer.tns_smooth <= !prev_tns_smooth
-          in
-          if grow then begin
-            w_tns := !w_tns *. timing_cfg.growth;
-            w_wns := !w_wns *. timing_cfg.growth
-          end;
-          prev_tns_smooth := m.Difftimer.tns_smooth;
-          last_wns := Some m.Difftimer.wns;
-          last_tns := Some m.Difftimer.tns
-        | None -> ())
-     | None -> ());
-    if config.trace_timing_period > 0 && i mod config.trace_timing_period = 0
-    then begin
-      match trace_timer, netweight, pathweight with
-      | Some timer, _, _ ->
-        (match !trace_inc with
-         | None ->
-           (* First trace point: one full analysis seeds the
-              incremental view; later points re-propagate cones only. *)
-           let report = Sta.Timer.run ?pool ~obs timer in
-           record report;
-           trace_inc := Some (Sta.Incremental.of_timer ~report timer)
-         | Some inc -> record (trace_incremental inc))
-      | None, Some nw, _ when not (Netweight.should_update nw i) ->
-        (* Net-weighting mode owns an exact timer already, fully run at
-           every weight update (iteration 0 included): trace samples
-           between updates re-propagate it incrementally on frozen
-           topologies. *)
-        record (trace_incremental (trace_inc_of (Netweight.timer nw)))
-      | None, _, Some pw when not (Paths.Weight.should_update pw i) ->
-        record (trace_incremental (trace_inc_of (Paths.Weight.timer pw)))
-      | None, _, _ -> ()
-    end;
-    (* update *)
-    Obs.start obs Obs.Optim_step;
-    Optim.step opt_x ~lr:!lr ~params:xs ~grads:gx ~mask ();
-    Optim.step opt_y ~lr:!lr ~params:ys ~grads:gy ~mask ();
-    Obs.stop obs Obs.Optim_step;
-    Obs.start obs Obs.Core_trace;
-    sync_to_design ();
-    (* The density weight anneals only while the placement is still too
-       dense.  Flat runs never notice (meeting the target is the exit
-       condition), but a warm-started refine held past the target by
-       [min_iterations] polishes wirelength at frozen pressure instead
-       of over-spreading. *)
-    if overflow > config.stop_overflow then
-      lambda := !lambda *. config.lambda_growth;
-    lr := !lr *. config.lr_decay;
-    (* The per-iteration HPWL exists only to feed the trace; skipping
-       it when the caller will discard the trace (coarse V-cycle
-       levels) removes a full sequential pass over every pin. *)
-    if config.collect_trace then begin
-      let hpwl = Netlist.total_hpwl design in
-      trace :=
-        { tp_iteration = i; tp_hpwl = hpwl; tp_overflow = overflow;
-          tp_wns = !last_wns; tp_tns = !last_tns; tp_lambda = !lambda }
-        :: !trace
-    end;
-    Obs.stop obs Obs.Core_trace;
-    (* routability hook: once cells have spread enough for bin demand to
-       be meaningful, periodically measure congestion and bloat cells in
-       over-utilized bins.  When nothing is congested this path only
-       reads, so zero-overflow runs stay bit-identical to
-       routability-off ones. *)
-    (match config.routability, rudy, inflate with
-     | Some rcfg, Some rd, Some infl
-       when overflow < rcfg.Route.rt_check_overflow
-            && rcfg.Route.rt_check_period > 0
-            && i mod rcfg.Route.rt_check_period = 0
-            && (Route.Inflate.rounds infl < rcfg.Route.rt_max_rounds
-                || Route.Inflate.rounds infl > 0) ->
-       Route.Rudy.update ?pool ~obs rd;
-       let s = Route.overflow ~obs rd in
-       (* deflate first: cells whose bins fell back below target shed
-          half their inflation excess, freeing area before any new
-          inflation is decided on this (fresher) map.  A no-op until
-          the first inflation round, so uncongested runs stay
-          bit-identical to routability-off ones. *)
-       let deflated = Route.Inflate.deflate ~obs rcfg infl rd in
-       let inflated =
-         if s.Route.ov_peak > rcfg.Route.rt_target then
-           Route.Inflate.step ~obs rcfg infl rd
-         else 0
-       in
-       if inflated > 0 || deflated > 0 then begin
-         dens :=
-           Density.create ~bins:(current_bins ())
-             ~target_density:config.target_density design;
-         if config.verbose then
-           Format.eprintf
-             "[core] it %4d  routability: peak %.2f rc %.2f, inflated \
-              %d / deflated %d cells (round %d)@."
-             i s.Route.ov_peak s.Route.ov_rc inflated deflated
-             (Route.Inflate.rounds infl)
-       end
-     | _ -> ());
-    if config.verbose && i mod 50 = 0 then begin
-      let fmt = function
-        | Some v -> Printf.sprintf "%.1f" v
-        | None -> "-"
+  (* Returns the iterations run and the iteration of a non-finite stop. *)
+  let rec iterate i =
+    if i >= config.max_iterations then (i, None)
+    else begin
+      Obs.set_iteration obs i;
+      let overflow, relaxed_norm =
+        placement_gradient ?pool ~obs config design mask placement ~gx ~gy
       in
-      Format.eprintf "[core] it %4d  hpwl %.3e  ovf %.3f  wns %s  tns %s@."
-        i (Netlist.total_hpwl design) overflow (fmt !last_wns) (fmt !last_tns)
-    end;
-    final_iter := i + 1;
-    if overflow <= config.stop_overflow && i >= config.min_iterations then
-      stop := true;
-    incr iter
-  done;
-  let inflation_rounds =
-    match inflate with Some f -> Route.Inflate.rounds f | None -> 0
+      (* lambda starts as a fixed fraction of the WL gradient norm, and
+         is rescaled across a change of density grid so the density
+         force stays continuous (coarser grids give smaller
+         gradients) *)
+      if i = 0 then
+        lambda :=
+          config.lambda_relative *. (l1_norm mask gx +. l1_norm mask gy)
+          /. density_norm mask placement
+      else
+        Option.iter
+          (fun d_old ->
+            lambda := !lambda *. d_old /. density_norm mask placement)
+          relaxed_norm;
+      axpy !lambda placement.dgx gx;
+      axpy !lambda placement.dgy gy;
+      let sample =
+        config.trace_timing_period > 0 && i mod config.trace_timing_period = 0
+      in
+      let measured =
+        timing_step ?pool ~obs ~verbose:config.verbose ~sample mask timing i
+          overflow
+      in
+      if measured <> None then last := measured;
+      (match timing with
+       | Smooth ({ active_at = Some _; _ } as s) ->
+         axpy 1.0 s.tgx gx;
+         axpy 1.0 s.tgy gy
+       | _ -> ());
+      if not (all_finite mask gx gy) then begin
+        if config.verbose then
+          Format.eprintf "[core] it %4d  non-finite gradient: stopped@." i;
+        (i, Some i)
+      end
+      else begin
+        Obs.start obs Obs.Optim_step;
+        Optim.step opt_x ~lr:!lr ~params:xs ~grads:gx ~mask ();
+        Optim.step opt_y ~lr:!lr ~params:ys ~grads:gy ~mask ();
+        Obs.stop obs Obs.Optim_step;
+        Obs.start obs Obs.Core_trace;
+        sync_to_design design mask xs ys;
+        (* The density weight anneals only while the placement is still
+           too dense.  Flat runs never notice (meeting the target is the
+           exit condition), but a warm-started refine held past the
+           target by [min_iterations] polishes wirelength at frozen
+           pressure instead of over-spreading. *)
+        if overflow > config.stop_overflow then
+          lambda := !lambda *. config.lambda_growth;
+        lr := !lr *. config.lr_decay;
+        (* The per-iteration HPWL exists only to feed the trace; skipping
+           it when the caller will discard the trace (coarse V-cycle
+           levels) removes a full sequential pass over every pin. *)
+        if config.collect_trace then
+          trace :=
+            { tp_iteration = i; tp_hpwl = Netlist.total_hpwl design;
+              tp_overflow = overflow; tp_wns = Option.map fst !last;
+              tp_tns = Option.map snd !last; tp_lambda = !lambda }
+            :: !trace;
+        Obs.stop obs Obs.Core_trace;
+        route_step ?pool ~obs config design placement i overflow;
+        if config.verbose && i mod 50 = 0 then
+          Format.eprintf "[core] it %4d  hpwl %.3e  ovf %.3f  %s@." i
+            (Netlist.total_hpwl design) overflow
+            (match !last with
+             | Some (wns, tns) -> Printf.sprintf "wns %.1f  tns %.1f" wns tns
+             | None -> "wns -  tns -");
+        if overflow <= config.stop_overflow && i >= config.min_iterations
+        then (i + 1, None)
+        else iterate (i + 1)
+      end
+    end
   in
-  (* inflation is temporary: restore original footprints and rebuild the
-     density model so final metrics are measured on true cell sizes *)
-  (match inflate with
-   | Some f when Route.Inflate.rounds f > 0 ->
-     Route.Inflate.restore f;
-     dens :=
-       Density.create ~bins:(current_bins ())
-         ~target_density:config.target_density design
-   | _ -> ());
-  Density.update ~obs !dens;
-  let route_summary =
-    match rudy with
-    | Some rd ->
-      Route.Rudy.update ?pool ~obs rd;
-      Some (Route.overflow ~obs rd)
-    | None -> None
+  let iterations, diverged = iterate 0 in
+  let overflow, route, inflation_rounds =
+    placement_finish ?pool ~obs config design placement
   in
   Obs.stop obs Obs.Core_run;
   { res_hpwl = Netlist.total_hpwl design;
-    res_overflow = Density.overflow !dens;
-    res_iterations = !final_iter;
+    res_overflow = overflow;
+    res_iterations = iterations;
     res_runtime = Obs.Clock.now () -. start_time;
-    res_timing_active_at = !timing_active_at;
+    res_timing_active_at =
+      (match timing with Smooth s -> s.active_at | Exact _ | No_timing -> None);
     res_trace = List.rev !trace;
-    res_route = route_summary;
-    res_inflation_rounds = inflation_rounds }
+    res_route = route;
+    res_inflation_rounds = inflation_rounds;
+    res_diverged = diverged }
 
 (* The coarsen/uncoarsen V-cycle.  Coarse levels are placed as plain
    wirelength+density problems (cluster cells are [lib_cell = -1], so
@@ -599,40 +617,32 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
                 (float_of_int config.max_iterations
                  *. (f ** float_of_int depth))))
       in
-      (* Coarse levels spread fat cluster cells: half the flat grid
-         resolution halves the DCT cost per iteration while still
-         resolving multi-cell bins. *)
-      let coarse_bins d =
-        match config.density_bins with
-        | Some b -> Some (max 16 (b / 2))
-        | None -> Some (max 16 (Density.default_bins d / 2))
+      (* Levels below the finest place plain wirelength+density problems
+         without a trace.  Their fat cluster cells spread on half the
+         flat grid resolution, which halves the DCT cost per iteration
+         while still resolving multi-cell bins. *)
+      let wirelength_level d =
+        let bins =
+          Option.value config.density_bins ~default:(Density.default_bins d)
+        in
+        { config with mode = Wirelength_only; trace_timing_period = 0;
+          routability = None; collect_trace = false;
+          density_bins = Some (max 16 (bins / 2)) }
       in
       (* The coarsest level is a cold start, but a cheap one: cluster
          cells are few and fat, so the anneal tolerates double-speed
          lambda growth and double-size steps that would wreck the flat
          engine's quality at full resolution.  Any sloppiness is
          recovered by the (also fast-stepping) refines above it. *)
-      let coarse_cfg d =
-        { config with mode = Wirelength_only; init = `Center;
-          trace_timing_period = 0; routability = None;
-          collect_trace = false; density_bins = coarse_bins d;
-          lambda_growth = config.lambda_growth ** 2.0;
-          learning_rate =
-            (let side =
-               Float.max
-                 (Geometry.Rect.width d.Netlist.region)
-                 (Geometry.Rect.height d.Netlist.region)
-             in
-             Some
-               (2.0
-                *. (match config.learning_rate with
-                   | Some l -> l
-                   | None -> side /. 350.0))) }
-      in
       let coarsest = (List.nth lvls (nlevels - 1)).Cluster.coarse in
+      let coarse_cfg =
+        { (wirelength_level coarsest) with init = `Center;
+          lambda_growth = config.lambda_growth ** 2.0;
+          learning_rate = Some (2.0 *. step_size config coarsest) }
+      in
       let r0 =
         Obs.span obs Obs.Cluster_refine (fun () ->
-          run ?pool ~obs (coarse_cfg coarsest) (coarse_graph coarsest))
+          run ?pool ~obs coarse_cfg (coarse_graph coarsest))
       in
       Obs.add obs "multilevel.coarse_iters"
         (float_of_int r0.res_iterations);
@@ -660,17 +670,7 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
              HPWL as well (each lambda value is annealed closer to its
              equilibrium before the weight grows again). *)
           let learning_rate =
-            let region = lvl.Cluster.fine.Netlist.region in
-            let side =
-              Float.max
-                (Geometry.Rect.width region)
-                (Geometry.Rect.height region)
-            in
-            Some
-              ((match config.learning_rate with
-               | Some l -> l
-               | None -> side /. 350.0)
-               *. ml.ml_refine_lr_scale)
+            Some (step_size config lvl.Cluster.fine *. ml.ml_refine_lr_scale)
           in
           let cfg =
             if finest then
@@ -682,7 +682,7 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
                  keeps full resolution throughout — its cold start has
                  to resolve the center-init blob from iteration one. *)
               { config with init = `Keep;
-                density_relax = Some 1.0;
+                density_relax = true;
                 max_iterations = budget depth;
                 lambda_relative; learning_rate;
                 min_iterations =
@@ -691,11 +691,8 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
               (* Intermediate refines stop slightly tighter than the
                  flat target: one of their cheap iterations saves
                  several at the next (4x more expensive) level. *)
-              { config with mode = Wirelength_only; init = `Keep;
-                trace_timing_period = 0; routability = None;
-                collect_trace = false;
+              { (wirelength_level lvl.Cluster.fine) with init = `Keep;
                 stop_overflow = 0.85 *. config.stop_overflow;
-                density_bins = coarse_bins lvl.Cluster.fine;
                 max_iterations = budget depth;
                 lambda_relative; learning_rate;
                 min_iterations = ml.ml_refine_min_iterations }

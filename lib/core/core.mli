@@ -6,7 +6,7 @@
     [sum_e WL(e; x, y) + lambda D(x, y)
        + t1 (-TNS_gamma(x, y)) + t2 (-WNS_gamma(x, y))]
 
-    by first-order updates on all movable cell centers.  Three modes
+    by first-order updates on all movable cell centers.  Four modes
     share the identical wirelength + density machinery and stop
     criterion, matching how Table 3 compares placers:
 
@@ -71,15 +71,15 @@ type config = {
   optimizer : Optim.algorithm;
   wirelength_gamma : float option; (** None: 1% of region side. *)
   density_bins : int option;
-  density_relax : float option;
-      (** grid relaxation: when [Some f], iterate on a half-resolution
-          density grid until the overflow drops to
-          [max 1.0 f *. stop_overflow], then rebuild the density model
-          at the configured resolution mid-run — the lambda schedule,
-          step size and optimizer state carry straight over, so only
-          the final approach pays the full-resolution DCT.  Meant for
-          warm starts (the multilevel finest refine); [None] (the
-          default) keeps one grid throughout. *)
+  density_relax : bool;
+      (** grid relaxation: when [true], iterate on a half-resolution
+          density grid until the overflow drops to [stop_overflow], then
+          rebuild the density model at the configured resolution mid-run
+          — the lambda schedule, step size and optimizer state carry
+          straight over, so only the final approach pays the
+          full-resolution DCT.  Set by {!run_multilevel} for its
+          warm-started finest refine; [false] (the default) keeps one
+          grid throughout. *)
   target_density : float;
   lambda_relative : float;
       (** initial density weight as a fraction of the wirelength
@@ -90,17 +90,14 @@ type config = {
           (standard analytical-placement warm start); [`Keep]: use the
           positions already in the design. *)
   trace_timing_period : int;
-      (** run exact STA for the trace every k iterations (0 = never).
-          Wirelength-only mode uses a dedicated timer; net- and
-          path-weighting modes reuse their own exact timer (avoiding a
-          second STA when a weight update already measured this
-          iteration); differentiable timing traces from its own
-          metrics.  Trace points between full engine runs re-propagate
-          through [Sta.Incremental] (sparse cone updates on frozen
-          Steiner topologies) rather than paying a full [Timer.run]:
-          only the first trace point (wirelength-only) and the weight
-          updates themselves rebuild topologies.  Powers Figure 8's
-          baseline curves. *)
+      (** measure exact WNS/TNS for the trace every k iterations (0 =
+          never).  Net- and path-weighting modes measure with their own
+          exact timer, fully run at every weight update; wirelength-only
+          mode runs one full STA at iteration 0.  Trace points between
+          those full runs re-propagate the same timer through
+          [Sta.Incremental] (sparse cone updates on frozen Steiner
+          topologies).  Differentiable timing traces from its own
+          metrics.  Powers Figure 8's baseline curves. *)
   routability : Route.config option;
       (** when set, run the RUDY + cell-inflation loop between
           placement rounds: once density overflow drops below
@@ -149,6 +146,10 @@ type result = {
   res_inflation_rounds : int;
       (** inflation rounds actually executed (0 when routability is
           off or the design never congested). *)
+  res_diverged : int option;
+      (** the iteration whose summed gradient went non-finite on a
+          movable cell; the run stopped there without stepping, leaving
+          the last finite positions.  [None] for a normal stop. *)
 }
 
 val run : ?pool:Parallel.pool -> ?obs:Obs.t -> config -> Sta.Graph.t -> result

@@ -378,3 +378,35 @@ let suite =
   suite
   @ [ Alcotest.test_case "steiner_dirty 0 = full rebuild placement" `Quick
         test_steiner_dirty_zero_matches_full ]
+
+let test_non_finite_gradient_stops () =
+  (* a NaN timing weight poisons the summed gradient from the first
+     active iteration on: the driver must stop there without stepping,
+     keep the last finite placement and report the iteration *)
+  let design, graph = setup ~cells:300 ~seed:16 () in
+  let cfg =
+    { quick_config with
+      Core.mode =
+        Core.Differentiable_timing
+          { Core.default_timing with
+            Core.t1 = Float.nan; activation_overflow = 10.0 } }
+  in
+  let r = Core.run cfg graph in
+  (match r.Core.res_diverged with
+   | Some i ->
+     Alcotest.(check int) "stopped at the diverged iteration" i
+       r.Core.res_iterations
+   | None -> Alcotest.fail "non-finite gradient not reported");
+  Alcotest.(check bool) "finite hpwl" true (Float.is_finite r.Core.res_hpwl);
+  Alcotest.(check bool) "finite overflow" true
+    (Float.is_finite r.Core.res_overflow);
+  Array.iter
+    (fun (c : Netlist.cell) ->
+      if not (Float.is_finite c.Netlist.x && Float.is_finite c.Netlist.y) then
+        Alcotest.failf "cell %d has a non-finite position" c.Netlist.cell_id)
+    design.Netlist.cells
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "non-finite gradient stops the run" `Quick
+        test_non_finite_gradient_stops ]

@@ -1028,6 +1028,37 @@ let test_smooth_state_no_early_lane () =
       [ Sta.Rise; Sta.Fall ]
   done
 
+(* [Incremental.of_timer] seeds its endpoint cache from the report when
+   given one, else from the timer's state: both seeds must agree, so a
+   view created lazily long after the full run (the placement trace)
+   reports exactly what one created at the run would. *)
+let test_of_timer_seeds_agree () =
+  List.iteri
+    (fun si spec ->
+      let design, cons = Workload.generate lib spec in
+      let g = Sta.Graph.build design lib cons in
+      let tm_a = Sta.Timer.create g and tm_b = Sta.Timer.create g in
+      let report = Sta.Timer.run tm_a in
+      ignore (Sta.Timer.run tm_b);
+      let a = Sta.Incremental.of_timer ~report tm_a in
+      let b = Sta.Incremental.of_timer tm_b in
+      let label = Printf.sprintf "spec %d" si in
+      check_reports_bitwise (label ^ " no moves") (Sta.Incremental.update a)
+        (Sta.Incremental.update b);
+      let rng = Workload.Rng.create (17 + si) in
+      let ncells = Netlist.num_cells design in
+      for _ = 1 to 6 do
+        let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+        if not c.Netlist.fixed then begin
+          let x, y = random_legal_position rng design c in
+          Sta.Incremental.move_cell a c.Netlist.cell_id ~x ~y;
+          Sta.Incremental.touch_cell b c.Netlist.cell_id
+        end
+      done;
+      check_reports_bitwise (label ^ " after moves") (Sta.Incremental.update a)
+        (Sta.Incremental.update b))
+    kernel_specs
+
 let suite =
   suite
   @ [ Alcotest.test_case "kernel timer bit-identical to oracle" `Quick
@@ -1035,4 +1066,6 @@ let suite =
       Alcotest.test_case "pooled exact STA bit-identical" `Quick
         test_pooled_exact_sta;
       Alcotest.test_case "smooth state has no early lane" `Quick
-        test_smooth_state_no_early_lane ]
+        test_smooth_state_no_early_lane;
+      Alcotest.test_case "incremental of_timer seeds agree" `Quick
+        test_of_timer_seeds_agree ]
