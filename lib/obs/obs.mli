@@ -36,8 +36,8 @@ val peak_rss_bytes : unit -> float
 (** Peak resident set size of this process in bytes, from
     [getrusage(RUSAGE_SELF)] (with a [/proc/self/status] [VmHWM]
     fallback); [0.0] when neither source is available.  Recorded as the
-    [peak_rss_mb] gauge in [--profile] output and every [BENCH_*.json]
-    emitter. *)
+    [peak_rss_mb] gauge in [--profile] output and perfbench's
+    [peak_rss_mb] metric. *)
 
 (** The fixed set of instrumented kernels.  A closed enum keeps the hot
     recording path integer-indexed and allocation-free. *)

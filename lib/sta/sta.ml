@@ -508,7 +508,8 @@ module Nets = struct
     (* ~cost raised from 80: per-net refresh walks every tree node plus
        a full RC evaluate, several hundred float ops — undercosting it
        made the executor cut grains below profitability at 4 domains
-       (4853us vs 2778us at 2 in the baseline BENCH_placeriter.json) *)
+       (4.9ms vs 2.8ms at 2 domains per 5k-cell refresh, measured when
+       the cost was set) *)
     Parallel.parallel_for p ~obs ~cost:200.0 (Array.length t.trees) (fun n ->
       match t.trees.(n) with
       | None -> ()

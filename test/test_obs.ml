@@ -314,6 +314,53 @@ let test_jsonl_trace () =
       Alcotest.(check bool) "gc gauge present" true
         (has_counter "gc.minor_words"))
 
+(* perfbench's ledger reads these names: the path engine's candidate
+   counters, the three Steiner rebuild sub-kernels and the per-class
+   net counters, which partition the nets that carry a tree. *)
+let test_instrumentation_names () =
+  let design, graph = setup ~cells:400 () in
+  let timer = Sta.Timer.create graph in
+  ignore (Sta.Timer.run timer);
+  let obs = Obs.create () in
+  ignore (Paths.enumerate ~obs ~k:16 (Paths.analyze timer));
+  let counters = Obs.counters obs in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name counters) then
+        Alcotest.failf "Paths.enumerate did not record %s" name)
+    [ "paths.pushed"; "paths.popped"; "paths.pruned";
+      "paths.endpoints_skipped" ];
+  let nets = Sta.Nets.create graph in
+  List.iter
+    (fun c ->
+      if c mod 5 = 0 then begin
+        let cell = design.Netlist.cells.(c) in
+        cell.Netlist.x <- cell.Netlist.x +. 3.0
+      end)
+    (Netlist.movable_cells design);
+  let obs = Obs.create () in
+  Sta.Nets.rebuild ~dirty_threshold:0.25 ~obs nets;
+  let spans = List.map (fun s -> s.Obs.st_kernel) (Obs.stats obs) in
+  List.iter
+    (fun k ->
+      if not (List.mem k spans) then
+        Alcotest.failf "Sta.Nets.rebuild did not record %s" (Obs.kernel_name k))
+    [ Obs.Steiner_dirty; Obs.Steiner_lut; Obs.Steiner_full ];
+  let counter name =
+    match List.assoc_opt name (Obs.counters obs) with
+    | Some v -> v
+    | None -> Alcotest.failf "Sta.Nets.rebuild did not record %s" name
+  in
+  let with_tree =
+    Array.fold_left
+      (fun acc t -> if Option.is_some t then acc + 1 else acc)
+      0 nets.Sta.Nets.trees
+  in
+  Alcotest.(check (float 0.0)) "net classes partition the trees"
+    (float_of_int with_tree)
+    (counter "steiner.nets_clean" +. counter "steiner.nets_lut"
+     +. counter "steiner.nets_full")
+
 let suite =
   [ Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
@@ -321,4 +368,6 @@ let suite =
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "profiling does not perturb Core.run" `Slow
       test_run_not_perturbed;
-    Alcotest.test_case "jsonl trace" `Quick test_jsonl_trace ]
+    Alcotest.test_case "jsonl trace" `Quick test_jsonl_trace;
+    Alcotest.test_case "ledger instrumentation names" `Quick
+      test_instrumentation_names ]

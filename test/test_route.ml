@@ -311,6 +311,53 @@ let test_core_run_deterministic_across_domains () =
   Alcotest.(check bool) "x bit-identical across domains" true (xs1 = xs4);
   Alcotest.(check bool) "y bit-identical across domains" true (ys1 = ys4)
 
+(* The inflation loop on a congestion hotspot, off vs on at an equal
+   400-iteration budget (min = max disables the early stop).  Capacity
+   is calibrated so only the hotspot bins sit above the inflation
+   target; with the default 1.0 the whole map reads as congested and
+   inflation degenerates to uniform spreading.  Both legalised
+   placements are scored on a fresh RUDY map at the default knobs. *)
+let test_inflation_relieves_hotspot () =
+  let spec =
+    { Workload.default_spec with
+      Workload.sp_cells = 400; sp_seed = 17; sp_inputs = 16;
+      sp_outputs = 16; sp_depth = 10; sp_clock_period = 520.0;
+      sp_hotspot = 0.15; sp_hotspot_clusters = 1 }
+  in
+  let route_cfg =
+    { Route.default_config with
+      Route.rt_capacity = 2.4; rt_check_overflow = 0.30;
+      rt_check_period = 10; rt_inflation_coef = 1.5; rt_max_ratio = 6.0;
+      rt_max_rounds = 16 }
+  in
+  let run routability =
+    let design, cons = Workload.generate lib spec in
+    let graph = Sta.Graph.build design lib cons in
+    let config =
+      { Core.default_config with
+        Core.mode = Core.Wirelength_only;
+        max_iterations = 400; min_iterations = 400;
+        routability = (if routability then Some route_cfg else None) }
+    in
+    let result = Core.run config graph in
+    ignore (Legalize.legalize design);
+    let rudy = Route.Rudy.create design in
+    Route.Rudy.update rudy;
+    (* peak overflow: peak utilization in excess of capacity *)
+    let excess = Float.max 0.0 ((Route.overflow rudy).Route.ov_peak -. 1.0) in
+    (result.Core.res_inflation_rounds, excess, Netlist.total_hpwl design)
+  in
+  let rounds_off, excess_off, hpwl_off = run false in
+  let rounds_on, excess_on, hpwl_on = run true in
+  Alcotest.(check int) "off run never inflates" 0 rounds_off;
+  Alcotest.(check bool) "on run inflates" true (rounds_on > 0);
+  if not (excess_on < excess_off) then
+    Alcotest.failf "peak overflow not reduced: %.4f -> %.4f" excess_off
+      excess_on;
+  if hpwl_on > 1.10 *. hpwl_off then
+    Alcotest.failf "HPWL %+.1f%% exceeds +10%%"
+      (100.0 *. (hpwl_on -. hpwl_off) /. hpwl_off)
+
 let test_hotspot_workload_generates () =
   (* the hotspot knob must still produce a valid design, and hotspot = 0
      must not perturb the RNG stream of existing workloads *)
@@ -350,5 +397,7 @@ let suite =
       test_core_zero_overflow_bit_identical;
     Alcotest.test_case "core deterministic across domains" `Slow
       test_core_run_deterministic_across_domains;
+    Alcotest.test_case "inflation relieves a hotspot" `Slow
+      test_inflation_relieves_hotspot;
     Alcotest.test_case "hotspot workload generates" `Quick
       test_hotspot_workload_generates ]

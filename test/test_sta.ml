@@ -572,6 +572,29 @@ let test_incremental_move_validation () =
   Alcotest.(check (float 0.0)) "report untouched" r0.Sta.Timer.setup_wns
     r1.Sta.Timer.setup_wns
 
+(* WNS/TNS, hold and every endpoint slack of two reports are bitwise
+   equal. *)
+let check_report_bitwise label (a : Sta.Timer.report) (b : Sta.Timer.report) =
+  let bits = Int64.bits_of_float in
+  if bits a.Sta.Timer.setup_wns <> bits b.Sta.Timer.setup_wns
+     || bits a.Sta.Timer.setup_tns <> bits b.Sta.Timer.setup_tns
+  then Alcotest.failf "%s: wns/tns not bit-identical" label;
+  if bits a.Sta.Timer.hold_wns <> bits b.Sta.Timer.hold_wns
+     || bits a.Sta.Timer.hold_tns <> bits b.Sta.Timer.hold_tns
+  then Alcotest.failf "%s: hold not bit-identical" label;
+  Alcotest.(check int) (label ^ ": endpoint count")
+    (List.length b.Sta.Timer.endpoint_slacks)
+    (List.length a.Sta.Timer.endpoint_slacks);
+  List.iter2
+    (fun (x : Sta.Timer.endpoint_slack) (y : Sta.Timer.endpoint_slack) ->
+      if x.Sta.Timer.ep_pin <> y.Sta.Timer.ep_pin
+         || bits x.Sta.Timer.ep_setup_slack <> bits y.Sta.Timer.ep_setup_slack
+         || bits x.Sta.Timer.ep_hold_slack <> bits y.Sta.Timer.ep_hold_slack
+      then
+        Alcotest.failf "%s: endpoint slack mismatch at pin %d" label
+          x.Sta.Timer.ep_pin)
+    a.Sta.Timer.endpoint_slacks b.Sta.Timer.endpoint_slacks
+
 (* Randomized equivalence: random legal move batches, incremental update
    vs a fresh full analysis on an independent timer — WNS/TNS and every
    endpoint slack must be bit-identical, at 1 and 4 domains (the pool
@@ -596,7 +619,6 @@ let test_incremental_randomized_equivalence () =
       let ncells = Netlist.num_cells design in
       let batch = max 1 (ncells / 100) in
       let rng = Workload.Rng.create (1000 + domains) in
-      let bits = Int64.bits_of_float in
       for round = 1 to 6 do
         let moved = ref 0 in
         while !moved < batch do
@@ -609,32 +631,8 @@ let test_incremental_randomized_equivalence () =
         done;
         let ir = Sta.Incremental.update inc in
         let fr = Sta.Timer.run ~rebuild_trees:false ~pool reference in
-        if bits ir.Sta.Timer.setup_wns <> bits fr.Sta.Timer.setup_wns then
-          Alcotest.failf "wns not bit-identical (round %d, %d domains)"
-            round domains;
-        if bits ir.Sta.Timer.setup_tns <> bits fr.Sta.Timer.setup_tns then
-          Alcotest.failf "tns not bit-identical (round %d, %d domains)"
-            round domains;
-        if bits ir.Sta.Timer.hold_wns <> bits fr.Sta.Timer.hold_wns
-           || bits ir.Sta.Timer.hold_tns <> bits fr.Sta.Timer.hold_tns
-        then
-          Alcotest.failf "hold not bit-identical (round %d, %d domains)"
-            round domains;
-        let ie = ir.Sta.Timer.endpoint_slacks
-        and fe = fr.Sta.Timer.endpoint_slacks in
-        Alcotest.(check int) "endpoint count" (List.length fe)
-          (List.length ie);
-        List.iter2
-          (fun (a : Sta.Timer.endpoint_slack) (b : Sta.Timer.endpoint_slack) ->
-            if a.Sta.Timer.ep_pin <> b.Sta.Timer.ep_pin
-               || bits a.Sta.Timer.ep_setup_slack
-                  <> bits b.Sta.Timer.ep_setup_slack
-               || bits a.Sta.Timer.ep_hold_slack
-                  <> bits b.Sta.Timer.ep_hold_slack
-            then
-              Alcotest.failf "endpoint slack mismatch at pin %d (round %d)"
-                a.Sta.Timer.ep_pin round)
-          ie fe;
+        check_report_bitwise
+          (Printf.sprintf "round %d, %d domains" round domains) ir fr;
         (* a local batch must not re-evaluate the whole design *)
         Alcotest.(check bool) "sparse update" true
           (Sta.Incremental.last_update_pin_count inc < npins)
@@ -678,6 +676,59 @@ let test_incremental_guarded_rat_reads () =
           Alcotest.failf "rat_late mismatch at pin %d" p)
       [ Sta.Rise; Sta.Fall ]
   done
+
+(* The serving-daemon workload at full size: 20 what-if batches of
+   0.25% of the cells, each jittered by up to 4 rows, on the 5000-cell
+   design.  Every update must be bitwise equal to a full run on frozen
+   topologies, and the cone a batch dirties must stay well under the
+   whole design: below a quarter of the pins on average (the change
+   cutoff is bitwise, so a batch re-times its whole fanout cone). *)
+let test_incremental_sparse_at_5k () =
+  let design, cons = Workload.generate lib
+      { Workload.default_spec with
+        Workload.sp_cells = 5000; sp_seed = 17; sp_inputs = 16;
+        sp_outputs = 16; sp_depth = 10; sp_clock_period = 520.0 } in
+  let g = Sta.Graph.build design lib cons in
+  let inc = Sta.Incremental.create g in
+  let reference = Sta.Timer.create g in
+  let _ = Sta.Timer.run reference in
+  let npins = Netlist.num_pins design in
+  let ncells = Netlist.num_cells design in
+  let batch = max 1 (ncells / 400) in
+  let batches = 20 in
+  let rng = Workload.Rng.create 2024 in
+  let region = design.Netlist.region in
+  let row = design.Netlist.row_height in
+  let frac_sum = ref 0.0 in
+  for round = 1 to batches do
+    let moved = ref 0 in
+    while !moved < batch do
+      let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+      if not c.Netlist.fixed then begin
+        incr moved;
+        let hw = c.Netlist.width /. 2.0 and hh = c.Netlist.height /. 2.0 in
+        let jitter () = (Workload.Rng.float rng 8.0 -. 4.0) *. row in
+        let x =
+          Geometry.clamp ~lo:(region.Geometry.Rect.lx +. hw)
+            ~hi:(region.Geometry.Rect.hx -. hw) (c.Netlist.x +. jitter ())
+        and y =
+          Geometry.clamp ~lo:(region.Geometry.Rect.ly +. hh)
+            ~hi:(region.Geometry.Rect.hy -. hh) (c.Netlist.y +. jitter ())
+        in
+        Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+      end
+    done;
+    let ir = Sta.Incremental.update inc in
+    let fr = Sta.Timer.run ~rebuild_trees:false reference in
+    check_report_bitwise (Printf.sprintf "batch %d" round) ir fr;
+    let stats = Sta.Incremental.last_stats inc in
+    frac_sum :=
+      !frac_sum
+      +. (float_of_int stats.Sta.Incremental.us_pins /. float_of_int npins)
+  done;
+  let mean = !frac_sum /. float_of_int batches in
+  if mean >= 0.25 then
+    Alcotest.failf "mean re-evaluated pin fraction %.3f >= 0.25" mean
 
 let suite =
   suite
@@ -1068,4 +1119,6 @@ let suite =
       Alcotest.test_case "smooth state has no early lane" `Quick
         test_smooth_state_no_early_lane;
       Alcotest.test_case "incremental of_timer seeds agree" `Quick
-        test_of_timer_seeds_agree ]
+        test_of_timer_seeds_agree;
+      Alcotest.test_case "incremental sparse and bitwise at 5k cells" `Slow
+        test_incremental_sparse_at_5k ]
