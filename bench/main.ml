@@ -285,7 +285,7 @@ let kernels () =
   let nets = Difftimer.nets dt in
   Sta.Nets.rebuild nets;
   ignore (Difftimer.forward dt);
-  let timer = Sta.Timer.create graph in
+  let timer = Sta.Incremental.create graph in
   let wl = Wirelength.create design in
   let dens = Density.create design in
   let ncells = Netlist.num_cells design in
@@ -305,16 +305,23 @@ let kernels () =
           Difftimer.backward dt ~w_tns:1.0 ~w_wns:1.0 ~grad_x:gx ~grad_y:gy));
       Test.make ~name:"exact_sta(report, reuse trees)"
         (Staged.stage (fun () -> ignore (Sta.Timer.run ~rebuild_trees:false timer)));
-      (let inc = Sta.Incremental.create graph in
-       let movable = Array.of_list (Netlist.movable_cells design) in
+      (let movable = Array.of_list (Netlist.movable_cells design) in
        let rng = Workload.Rng.create 7 in
        Test.make ~name:"incremental_sta(1 cell moved)"
          (Staged.stage (fun () ->
            let c = design.Netlist.cells.(movable.(Workload.Rng.int rng
                                                    (Array.length movable))) in
-           Sta.Incremental.move_cell inc c.Netlist.cell_id
-             ~x:(c.Netlist.x +. 1.0) ~y:c.Netlist.y;
-           ignore (Sta.Incremental.update inc))));
+           (* a 1 um step either way, clamped to the core region (a
+              one-way drift would walk cells off it) *)
+           let r = design.Netlist.region and hw = c.Netlist.width /. 2.0 in
+           let x =
+             c.Netlist.x +. if Workload.Rng.int rng 2 = 0 then 1.0 else -1.0
+           in
+           Sta.Incremental.move_cell timer c.Netlist.cell_id
+             ~x:(Float.max (r.Geometry.Rect.lx +. hw)
+                   (Float.min (r.Geometry.Rect.hx -. hw) x))
+             ~y:c.Netlist.y;
+           ignore (Sta.Incremental.update timer))));
       Test.make ~name:"wirelength_grad(WA)"
         (Staged.stage (fun () ->
           Array.fill gx 0 ncells 0.0;

@@ -1,12 +1,12 @@
 (* dgp_serve: placement-as-a-service daemon.
 
-   Loads a design + liberty once, keeps a resident Sta.Incremental
-   snapshot plus the lib/paths back-pointer view, and serves a
-   line-oriented what-if protocol over stdin or a Unix socket:
+   Loads a design + liberty once, keeps one resident exact timer
+   (re-timed incrementally) plus the lib/paths back-pointer view, and
+   serves a line-oriented what-if protocol over stdin or a Unix socket:
 
      move <cell> <x> <y>   queue a cell move (validated, not propagated)
      commit                propagate pending moves, report WNS/TNS
-     slack <pin>           late slack of one pin (guarded RAT read)
+     slack <pin>           late slack of one pin
      paths <K>             top-K critical paths via lib/paths (K capped
                            at max_paths)
      place <iters> <mode>  batched Core.run job from current positions
@@ -17,17 +17,19 @@
 
    Responses are single lines: "ok ..." or "err <reason>"; [paths]
    additionally emits one "path ..." line per path before its final
-   "ok".  Every request is wrapped in per-request Obs spans
-   (serve.parse + serve.update / serve.query, tagged with the request
-   ordinal) feeding the standard JSONL trace writer, and mutating
-   requests can be journaled for crash replay. *)
+   "ok"; a known command with the wrong arguments answers
+   "err usage: <its line in the table above>".  Every request is
+   wrapped in per-request Obs spans (serve.parse + serve.update /
+   serve.query, tagged with the request ordinal) feeding the standard
+   JSONL trace writer, and mutating requests can be journaled for crash
+   replay. *)
 
 open Cmdliner
 
 type state = {
   design : Netlist.t;
   graph : Sta.Graph.t;
-  inc : Sta.Incremental.t;
+  timer : Sta.Timer.t;
   pool : Parallel.pool option;
   obs : Obs.t;
   mutable last_report : Sta.Timer.report;
@@ -67,7 +69,7 @@ let find_pin st token =
    placement the timer has not seen. *)
 let ensure_committed st =
   if st.dirty then begin
-    st.last_report <- Sta.Incremental.update ~obs:st.obs st.inc;
+    st.last_report <- Sta.Incremental.update ~obs:st.obs st.timer;
     st.dirty <- false;
     st.view <- None
   end
@@ -77,10 +79,7 @@ let path_view st =
   match st.view with
   | Some v -> v
   | None ->
-    let v =
-      Paths.analyze ?pool:st.pool ~obs:st.obs
-        (Sta.Incremental.timer st.inc)
-    in
+    let v = Paths.analyze ?pool:st.pool ~obs:st.obs st.timer in
     st.view <- Some v;
     v
 
@@ -101,6 +100,15 @@ let report_summary (r : Sta.Timer.report) =
   Printf.sprintf "wns %.3f tns %.3f endpoints %d" r.Sta.Timer.setup_wns
     r.Sta.Timer.setup_tns
     (List.length r.Sta.Timer.endpoint_slacks)
+
+(* Every command and its arguments, in [help]'s order: [help] prints
+   the lines, and a known command given the wrong arguments answers
+   with its line. *)
+let usage =
+  [ ("move", "move <cell> <x> <y>"); ("commit", "commit");
+    ("slack", "slack <pin>"); ("paths", "paths <K>");
+    ("place", "place <iters> <mode>"); ("stats", "stats"); ("help", "help");
+    ("quit", "quit"); ("shutdown", "shutdown") ]
 
 (* One request.  [out] writes a response line.  Returns the session
    verdict: [`Continue], [`Quit] (end this session) or [`Shutdown]
@@ -125,7 +133,7 @@ let handle st ~out line =
       | None, _, _ -> out (Printf.sprintf "err unknown cell %s" cell)
       | _, None, _ | _, _, None -> out "err move expects numeric coordinates"
       | Some id, Some x, Some y ->
-        (match Sta.Incremental.move_cell st.inc id ~x ~y with
+        (match Sta.Incremental.move_cell st.timer id ~x ~y with
          | () ->
            st.dirty <- true;
            st.view <- None;
@@ -138,12 +146,12 @@ let handle st ~out line =
     `Continue
   | [ "commit" ] ->
     update (fun () ->
-      let r = Sta.Incremental.update ~obs:st.obs st.inc in
+      let r = Sta.Incremental.update ~obs:st.obs st.timer in
       st.last_report <- r;
       st.dirty <- false;
       st.view <- None;
       journal_line st line;
-      let u = Sta.Incremental.last_stats st.inc in
+      let u = Sta.Incremental.last_stats st.timer in
       out
         (Printf.sprintf "ok %s pins %d changed %d nets %d" (report_summary r)
            u.Sta.Incremental.us_pins u.Sta.Incremental.us_changed
@@ -155,12 +163,11 @@ let handle st ~out line =
       | None -> out (Printf.sprintf "err unknown pin %s" pin)
       | Some p ->
         ensure_committed st;
-        let slack = Sta.Incremental.pin_slack_late st.inc p in
-        let tm = Sta.Incremental.timer st.inc in
         out
-          (Printf.sprintf "ok slack %.3f at_rise %.3f at_fall %.3f" slack
-             (Sta.Timer.at_late tm p Sta.Rise)
-             (Sta.Timer.at_late tm p Sta.Fall)));
+          (Printf.sprintf "ok slack %.3f at_rise %.3f at_fall %.3f"
+             (Sta.Timer.pin_slack_late st.timer p)
+             (Sta.Timer.at_late st.timer p Sta.Rise)
+             (Sta.Timer.at_late st.timer p Sta.Fall)));
     `Continue
   | [ "paths"; k ] ->
     query (fun () ->
@@ -203,13 +210,8 @@ let handle st ~out line =
             init = `Keep }
         in
         let result = Core.run ?pool:st.pool ~obs:st.obs config st.graph in
-        (* resync the incremental view: full analysis (fresh topologies
-           for the large motion), then absorb *)
-        let r =
-          Sta.Timer.run ?pool:st.pool ~obs:st.obs
-            (Sta.Incremental.timer st.inc)
-        in
-        Sta.Incremental.absorb st.inc r;
+        (* full analysis: fresh topologies for the large motion *)
+        let r = Sta.Timer.run ?pool:st.pool ~obs:st.obs st.timer in
         st.last_report <- r;
         st.dirty <- false;
         st.view <- None;
@@ -223,7 +225,7 @@ let handle st ~out line =
   | [ "stats" ] ->
     query (fun () ->
       ensure_committed st;
-      let u = Sta.Incremental.last_stats st.inc in
+      let u = Sta.Incremental.last_stats st.timer in
       out
         (Printf.sprintf
            "ok cells %d nets %d pins %d %s last_pins %d last_changed %d \
@@ -237,9 +239,7 @@ let handle st ~out line =
            st.requests));
     `Continue
   | [ "help" ] ->
-    out
-      "ok commands: move <cell> <x> <y> | commit | slack <pin> | paths <K> \
-       | place <iters> <mode> | stats | help | quit | shutdown";
+    out ("ok commands: " ^ String.concat " | " (List.map snd usage));
     `Continue
   | [ "quit" ] | [ "exit" ] ->
     out "ok bye";
@@ -248,7 +248,9 @@ let handle st ~out line =
     out "ok shutdown";
     `Shutdown
   | cmd :: _ ->
-    out (Printf.sprintf "err unknown command %s (try help)" cmd);
+    (match List.assoc_opt cmd usage with
+     | Some line -> out ("err usage: " ^ line)
+     | None -> out (Printf.sprintf "err unknown command %s (try help)" cmd));
     `Continue
 
 (* Serve one line stream (stdin or an accepted connection). *)
@@ -356,10 +358,10 @@ let run lib_file design_file bench cells seed clock socket journal replay_from
   let pool =
     if domains > 1 then Some (Parallel.create ~domains ()) else None
   in
-  let inc = Sta.Incremental.create graph in
+  let timer = Sta.Timer.create graph in
   let st =
-    { design; graph; inc; pool; obs;
-      last_report = Sta.Incremental.update inc;
+    { design; graph; timer; pool; obs;
+      last_report = Sta.Timer.run timer;
       dirty = false; view = None; requests = 0;
       journal =
         (match journal with

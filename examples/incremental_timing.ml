@@ -18,32 +18,33 @@ let () =
   (* a quick wirelength-driven placement to start from *)
   let _ = Core.run { Core.default_config with Core.mode = Core.Wirelength_only } graph in
   ignore (Legalize.legalize design);
-  let inc = Sta.Incremental.create graph in
-  let r0 = Sta.Incremental.update inc in
+  let timer = Sta.Timer.create graph in
+  let r0 = Sta.Timer.run timer in
   Printf.printf "start: WNS %.1f ps, TNS %.1f ps\n%!" r0.Sta.Timer.setup_wns
     r0.Sta.Timer.setup_tns;
   let evaluations = ref 0 and accepted = ref 0 and repropagated = ref 0 in
   let try_move cell ~x ~y ~current_wns =
     let c = design.Netlist.cells.(cell) in
     let x0 = c.Netlist.x and y0 = c.Netlist.y in
-    Sta.Incremental.move_cell inc cell ~x ~y;
-    let r = Sta.Incremental.update inc in
+    Sta.Incremental.move_cell timer cell ~x ~y;
+    let r = Sta.Incremental.update timer in
     incr evaluations;
-    repropagated := !repropagated + Sta.Incremental.last_update_pin_count inc;
+    repropagated :=
+      !repropagated + (Sta.Incremental.last_stats timer).Sta.Incremental.us_pins;
     if r.Sta.Timer.setup_wns > current_wns +. 1e-9 then begin
       incr accepted;
       Some r.Sta.Timer.setup_wns
     end
     else begin
       (* revert *)
-      Sta.Incremental.move_cell inc cell ~x:x0 ~y:y0;
-      let _ = Sta.Incremental.update inc in
+      Sta.Incremental.move_cell timer cell ~x:x0 ~y:y0;
+      let _ = Sta.Incremental.update timer in
       None
     end
   in
   let wns = ref r0.Sta.Timer.setup_wns in
   for _pass = 1 to 6 do
-    let path = Sta.Timer.critical_path (Sta.Incremental.timer inc) in
+    let path = Sta.Timer.critical_path timer in
     (* candidate cells: owners of the path's pins, excluding pads *)
     let cells =
       List.filter_map
@@ -83,7 +84,7 @@ let () =
           moves)
       cells
   done;
-  let r1 = Sta.Incremental.update inc in
+  let r1 = Sta.Incremental.update timer in
   Printf.printf "after refinement: WNS %.1f ps, TNS %.1f ps\n" r1.Sta.Timer.setup_wns
     r1.Sta.Timer.setup_tns;
   Printf.printf "%d trial moves (%d accepted), %d pins re-propagated total\n"

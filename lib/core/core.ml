@@ -354,23 +354,21 @@ type smooth = {
 (* [Exact]: an exact timer whose [update] runs when [due] — a net- or
    path-weighting update (criticality from one full STA run, folded into
    the net weights the WL term reads), or wirelength-only mode's one
-   full run at iteration 0.  Trace points in between sample the same
-   timer through one [Sta.Incremental] view, re-absorbed at each later
-   update.  [Smooth]: the differentiable timer, whose gradient of
-   w_tns (-TNS_gamma) + w_wns (-WNS_gamma) lands in [tgx]/[tgy]. *)
+   full run at iteration 0.  Trace points in between re-time the same
+   timer incrementally.  [Smooth]: the differentiable timer, whose
+   gradient of w_tns (-TNS_gamma) + w_wns (-WNS_gamma) lands in
+   [tgx]/[tgy]. *)
 type timing =
   | No_timing
   | Exact of {
       due : int -> bool;
       update : unit -> Sta.Timer.report;
-      view : Sta.Incremental.t Lazy.t;  (* of the timer [update] runs *)
+      timer : Sta.Timer.t;  (* the one [update] runs *)
     }
   | Smooth of smooth
 
 let timing_term ?pool ~obs config graph =
-  let exact timer due update =
-    Exact { due; update; view = lazy (Sta.Incremental.of_timer timer) }
-  in
+  let exact timer due update = Exact { due; update; timer } in
   match config.mode with
   | Net_weighting cfg ->
     let nw = Netweight.create ~config:cfg graph in
@@ -445,17 +443,12 @@ let timing_step ?pool ~obs ~verbose ~sample mask timing i overflow =
     Some (r.Sta.Timer.setup_wns, r.Sta.Timer.setup_tns)
   in
   match timing with
-  | Exact e when e.due i ->
-    let report = e.update () in
-    if Lazy.is_val e.view then
-      Sta.Incremental.absorb (Lazy.force e.view) report;
-    measured report
+  | Exact e when e.due i -> measured (e.update ())
   | Exact e when sample ->
-    let inc = Lazy.force e.view in
     Array.iteri
-      (fun c movable -> if movable then Sta.Incremental.touch_cell inc c)
+      (fun c movable -> if movable then Sta.Incremental.touch_cell e.timer c)
       mask;
-    measured (Sta.Incremental.update ~obs inc)
+    measured (Sta.Incremental.update ~obs e.timer)
   | Exact _ | No_timing -> None
   | Smooth s -> smooth_step ?pool ~obs ~verbose mask s i overflow
 

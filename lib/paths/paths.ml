@@ -219,6 +219,11 @@ let materialize t ep rank ~head ~suffix ~slack =
 
 let analyze ?pool ?(obs = Obs.disabled) timer =
   Obs.start obs Obs.Paths_analyze;
+  (* enumeration reads endpoint RATs from pool tasks: the first RAT
+     read, which runs the timer's backward sweep, happens here *)
+  let eps = (Sta.Timer.nets timer).Sta.Nets.graph.Sta.Graph.endpoints in
+  if Array.length eps > 0 then
+    ignore (Sta.Timer.rat_late timer eps.(0) Sta.Rise);
   let view = analyze_run ?pool ~obs timer in
   Obs.stop obs Obs.Paths_analyze;
   view

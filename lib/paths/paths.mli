@@ -38,12 +38,14 @@
 
 type t
 (** A path-search view of one timer.  Valid for the placement at which
-    it was built; rebuild after the next {!Sta.Timer.run}. *)
+    it was built; rebuild after the next {!Sta.Timer.run} or
+    {!Sta.Incremental.update}. *)
 
 val analyze : ?pool:Parallel.pool -> ?obs:Obs.t -> Sta.Timer.t -> t
 (** Pick the arrival back-pointers from the timer's current state (one
-    walk over every node's in-edges, node-parallel under [pool]).  The
-    timer must have been {!Sta.Timer.run} first. *)
+    walk over every node's in-edges, node-parallel under [pool]) and
+    bring its required times current, so {!enumerate}'s pool tasks only
+    read them.  The timer must have been {!Sta.Timer.run} first. *)
 
 val pred : t -> int -> int
 (** The in-edge realising timing node [n = 2 * v + tr_out]'s arrival

@@ -739,28 +739,54 @@ module Timer = struct
     endpoint_slacks : endpoint_slack list;
   }
 
+  type update_stats = {
+    us_pins : int;
+    us_changed : int;
+    us_nets : int;
+    us_levels : int;
+    us_endpoints : int;
+  }
+
+  (* The one exact-timer state, shared by [run] and the incremental
+     operations of {!Incremental}. *)
   type t = {
     graph : Graph.t;
     nets : Nets.t;
     fwd : Forward.t;  (* late + early state, arc tape; the kernel at gamma 0 *)
     rat_l : float array;
-    rat_e : float array;
+    (* set by [run] and [Incremental.update]; the next RAT read re-runs
+       the backward sweep ([fresh_rats]) *)
+    mutable rats_stale : bool;
+    ep_setup : float array;        (* per endpoint pin; nan = unconstrained *)
+    ep_hold : float array;
+    net_pending : bool array;      (* net queued for RC refresh *)
+    mutable pending_nets : int list;
+    dirty : bool array;            (* pin queued for re-evaluation *)
+    mutable last_stats : update_stats;
   }
 
   let create graph =
-    let n = 2 * Netlist.num_pins graph.Graph.design in
+    let design = graph.Graph.design in
+    let npins = Netlist.num_pins design in
     let nets = Nets.create graph in
     { graph; nets;
       fwd = Forward.create nets;
-      rat_l = Array.make n infinity;
-      rat_e = Array.make n neg_infinity }
+      rat_l = Array.make (2 * npins) infinity;
+      rats_stale = false;
+      ep_setup = Array.make npins Float.nan;
+      ep_hold = Array.make npins Float.nan;
+      net_pending = Array.make (Netlist.num_nets design) false;
+      pending_nets = [];
+      dirty = Array.make npins false;
+      last_stats =
+        { us_pins = 0; us_changed = 0; us_nets = 0; us_levels = 0;
+          us_endpoints = 0 } }
 
   let nets t = t.nets
   let idx p tr = (2 * p) + transition_index tr
   let at_late t p tr = t.fwd.Forward.at.(idx p tr)
   let at_early t p tr = t.fwd.Forward.at_e.(idx p tr)
   let slew_late t p tr = t.fwd.Forward.slew.(idx p tr)
-  let rat_late t p tr = t.rat_l.(idx p tr)
 
   let arc_delay t a ~tr_out ~tr_in =
     t.fwd.Forward.tape_d.((4 * a) + (2 * transition_index tr_out)
@@ -770,68 +796,80 @@ module Timer = struct
     | Rise -> if setup then ck.Liberty.setup_rise else ck.Liberty.hold_rise
     | Fall -> if setup then ck.Liberty.setup_fall else ck.Liberty.hold_fall
 
-  (* Endpoint required times; returns (setup_slack, hold_slack) or None
-     when the endpoint is unreachable. *)
-  let endpoint_slack t p =
+  (* The late (setup) required time at endpoint [p] for a reached
+     transition [tr]. *)
+  let required t p tr =
     let cs = t.graph.Graph.constraints in
     let period = cs.Constraints.clock_period in
-    let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
+    match t.graph.Graph.check_of_pin.(p) with
+    | Some ck ->
+      period
+      -. Liberty.Lut.lookup
+           (check_lut ck.Graph.ck_arc ~setup:true tr)
+           t.fwd.Forward.slew.(idx p tr) cs.Constraints.clock_slew
+    | None -> (* primary output *) period -. cs.Constraints.output_delay
+
+  (* An endpoint's (setup_slack, hold_slack), None when it is
+     unreachable. *)
+  let endpoint_slack t p =
+    let cs = t.graph.Graph.constraints in
+    let at_l = t.fwd.Forward.at in
     let at_e = t.fwd.Forward.at_e and sl_e = t.fwd.Forward.sl_e in
     let setup = ref infinity and hold = ref infinity in
     let reachable = ref false in
     List.iter
       (fun tr ->
         let i = idx p tr in
-        (match t.graph.Graph.check_of_pin.(p) with
-         | Some ck ->
-           if at_l.(i) > neg_infinity then begin
-             reachable := true;
-             let su =
-               Liberty.Lut.lookup
-                 (check_lut ck.Graph.ck_arc ~setup:true tr)
-                 sl_l.(i) cs.Constraints.clock_slew
-             in
-             let rat = period -. su in
-             if rat < t.rat_l.(i) then t.rat_l.(i) <- rat;
-             let sl = rat -. at_l.(i) in
-             if sl < !setup then setup := sl
-           end;
-           if at_e.(i) < infinity then begin
-             reachable := true;
-             let ho =
-               Liberty.Lut.lookup
-                 (check_lut ck.Graph.ck_arc ~setup:false tr)
-                 sl_e.(i) cs.Constraints.clock_slew
-             in
-             if ho > t.rat_e.(i) then t.rat_e.(i) <- ho;
-             let sl = at_e.(i) -. ho in
-             if sl < !hold then hold := sl
-           end
-         | None ->
-           (* primary output *)
-           if at_l.(i) > neg_infinity then begin
-             reachable := true;
-             let rat = period -. cs.Constraints.output_delay in
-             if rat < t.rat_l.(i) then t.rat_l.(i) <- rat;
-             let sl = rat -. at_l.(i) in
-             if sl < !setup then setup := sl
-           end;
-           if at_e.(i) < infinity then begin
-             reachable := true;
-             t.rat_e.(i) <- Float.max t.rat_e.(i) 0.0;
-             let sl = at_e.(i) in
-             if sl < !hold then hold := sl
-           end))
+        if at_l.(i) > neg_infinity then begin
+          reachable := true;
+          let sl = required t p tr -. at_l.(i) in
+          if sl < !setup then setup := sl
+        end;
+        if at_e.(i) < infinity then begin
+          reachable := true;
+          let sl =
+            match t.graph.Graph.check_of_pin.(p) with
+            | Some ck ->
+              at_e.(i)
+              -. Liberty.Lut.lookup
+                   (check_lut ck.Graph.ck_arc ~setup:false tr)
+                   sl_e.(i) cs.Constraints.clock_slew
+            | None -> (* primary output: hold required time 0 *) at_e.(i)
+          in
+          if sl < !hold then hold := sl
+        end)
       both_transitions;
     if !reachable then Some (!setup, !hold) else None
 
-  (* Late RAT back-propagation for per-pin slack reporting; cell-arc
-     delays come from the forward tape. *)
+  (* cache an endpoint's slack pair from the current state *)
+  let store_endpoint t p =
+    match endpoint_slack t p with
+    | Some (setup, hold) ->
+      t.ep_setup.(p) <- setup;
+      t.ep_hold.(p) <- hold
+    | None ->
+      t.ep_setup.(p) <- Float.nan;
+      t.ep_hold.(p) <- Float.nan
+
+  (* The one backward sweep: endpoint required times, then late RATs
+     back through the taped cell-arc delays and the Elmore net delays. *)
   let propagate_rat t =
     let g = t.graph in
     let design = g.Graph.design in
     let levels = g.Graph.levels in
     let at_l = t.fwd.Forward.at and tape_d = t.fwd.Forward.tape_d in
+    Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
+    Array.iter
+      (fun p ->
+        List.iter
+          (fun tr ->
+            let i = idx p tr in
+            if at_l.(i) > neg_infinity then begin
+              let rat = required t p tr in
+              if rat < t.rat_l.(i) then t.rat_l.(i) <- rat
+            end)
+          both_transitions)
+      g.Graph.endpoints;
     for l = Array.length levels - 1 downto 0 do
       Array.iter
         (fun v ->
@@ -877,6 +915,17 @@ module Timer = struct
         levels.(l)
     done
 
+  (* run by the first RAT read after [run] or [Incremental.update] *)
+  let fresh_rats t =
+    if t.rats_stale then begin
+      propagate_rat t;
+      t.rats_stale <- false
+    end
+
+  let rat_late t p tr =
+    fresh_rats t;
+    t.rat_l.(idx p tr)
+
   (* The report over the endpoints, in endpoint order; [slack_of p] is
      the endpoint's (setup, hold) slack pair, None when unconstrained. *)
   let report_of g slack_of =
@@ -904,21 +953,31 @@ module Timer = struct
           (fun a b -> Float.compare a.ep_setup_slack b.ep_setup_slack)
           !slacks }
 
+  (* The shared ending of [run] and [Incremental.update], once the
+     endpoints they re-timed are in the cache: the propagation has seen
+     every queued move, the report aggregates the cache, and per-pin
+     RATs wait for their first read. *)
+  let settle t =
+    List.iter (fun net -> t.net_pending.(net) <- false) t.pending_nets;
+    t.pending_nets <- [];
+    t.rats_stale <- true;
+    report_of t.graph (fun p ->
+      let su = t.ep_setup.(p) in
+      if Float.is_nan su then None else Some (su, t.ep_hold.(p)))
+
   let run ?(rebuild_trees = true) ?pool ?(obs = Obs.disabled) t =
-    let g = t.graph in
     if rebuild_trees then Nets.rebuild ?pool ~obs t.nets
     else Nets.refresh ?pool ~obs t.nets;
     Obs.start obs Obs.Sta_exact;
     Forward.reset t.fwd;
-    Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
-    Array.fill t.rat_e 0 (Array.length t.rat_e) neg_infinity;
     Forward.sweep ?pool ~obs t.fwd (Forward.pin t.fwd ~gamma:0.0);
-    let report = report_of g (endpoint_slack t) in
-    propagate_rat t;
+    Array.iter (store_endpoint t) t.graph.Graph.endpoints;
+    let report = settle t in
     Obs.stop obs Obs.Sta_exact;
     report
 
   let pin_slack_late t p =
+    fresh_rats t;
     let at_l = t.fwd.Forward.at in
     let best = ref infinity in
     List.iter
@@ -946,6 +1005,7 @@ module Timer = struct
      the fan-in contribution whose (at + taped delay) reproduces the
      pin's AT. *)
   let critical_path ?endpoint t =
+    fresh_rats t;
     let design = t.graph.Graph.design in
     let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
     let pick_endpoint () =
@@ -1052,7 +1112,9 @@ module Timer = struct
 end
 
 module Incremental = struct
-  type update_stats = {
+  type t = Timer.t
+
+  type update_stats = Timer.update_stats = {
     us_pins : int;
     us_changed : int;
     us_nets : int;
@@ -1060,86 +1122,21 @@ module Incremental = struct
     us_endpoints : int;
   }
 
-  let no_stats =
-    { us_pins = 0; us_changed = 0; us_nets = 0; us_levels = 0;
-      us_endpoints = 0 }
-
-  type t = {
-    tm : Timer.t;
-    graph : Graph.t;
-    dirty : bool array;            (* pin queued for re-evaluation *)
-    net_pending : bool array;      (* net queued for RC refresh *)
-    mutable pending_nets : int list;
-    ep_setup : float array;        (* per endpoint pin; nan = unconstrained *)
-    ep_hold : float array;
-    mutable last_stats : update_stats;
-    (* per-pin RATs are refreshed lazily: [update] only maintains
-       endpoint RATs, so interior reads must re-run the backward sweep
-       first (see {!refresh_rats}). *)
-    mutable rats_stale : bool;
-  }
-
-  let timer t = t.tm
-  let last_update_pin_count t = t.last_stats.us_pins
-  let last_stats t = t.last_stats
-
-  let record_endpoints t (report : Timer.report) =
-    List.iter
-      (fun (e : Timer.endpoint_slack) ->
-        t.ep_setup.(e.Timer.ep_pin) <- e.Timer.ep_setup_slack;
-        t.ep_hold.(e.Timer.ep_pin) <- e.Timer.ep_hold_slack)
-      report.Timer.endpoint_slacks
-
-  (* cache an endpoint's slack pair from the timer state (nan when
-     unconstrained) *)
-  let store_endpoint t p =
-    match Timer.endpoint_slack t.tm p with
-    | Some (setup, hold) ->
-      t.ep_setup.(p) <- setup;
-      t.ep_hold.(p) <- hold
-    | None ->
-      t.ep_setup.(p) <- Float.nan;
-      t.ep_hold.(p) <- Float.nan
-
-  let of_timer ?report tm =
-    let graph = tm.Timer.graph in
-    let npins = Netlist.num_pins graph.Graph.design in
-    let t =
-      { tm; graph;
-        dirty = Array.make npins false;
-        net_pending = Array.make (Netlist.num_nets graph.Graph.design) false;
-        pending_nets = [];
-        ep_setup = Array.make npins Float.nan;
-        ep_hold = Array.make npins Float.nan;
-        last_stats = no_stats;
-        rats_stale = false }
-    in
-    (match report with
-     | Some r -> record_endpoints t r
-     | None -> Array.iter (store_endpoint t) graph.Graph.endpoints);
-    t
+  let last_stats (t : t) = t.Timer.last_stats
 
   let create graph =
-    let tm = Timer.create graph in
-    let report = Timer.run tm in
-    of_timer ~report tm
+    let t = Timer.create graph in
+    ignore (Timer.run t);
+    t
 
-  let absorb t (report : Timer.report) =
-    List.iter (fun net -> t.net_pending.(net) <- false) t.pending_nets;
-    t.pending_nets <- [];
-    Array.fill t.ep_setup 0 (Array.length t.ep_setup) Float.nan;
-    Array.fill t.ep_hold 0 (Array.length t.ep_hold) Float.nan;
-    record_endpoints t report;
-    t.rats_stale <- false
-
-  let queue_net t net =
-    if net >= 0 && not t.net_pending.(net) then begin
-      t.net_pending.(net) <- true;
-      t.pending_nets <- net :: t.pending_nets
+  let queue_net (t : t) net =
+    if net >= 0 && not t.Timer.net_pending.(net) then begin
+      t.Timer.net_pending.(net) <- true;
+      t.Timer.pending_nets <- net :: t.Timer.pending_nets
     end
 
-  let touch_cell t cell =
-    let design = t.graph.Graph.design in
+  let touch_cell (t : t) cell =
+    let design = t.Timer.graph.Graph.design in
     let c = design.Netlist.cells.(cell) in
     Array.iter
       (fun p -> queue_net t design.Netlist.pins.(p).Netlist.net)
@@ -1149,9 +1146,9 @@ module Incremental = struct
      bounding box lies inside the core region.  Accepting anything else
      (a fixed pad, an off-core or non-finite coordinate) desynchronises
      the timer from the placement the legalizer will later enforce, so
-     such moves are rejected loudly instead of silently absorbed. *)
-  let validate_move t cell ~x ~y =
-    let design = t.graph.Graph.design in
+     such moves are rejected loudly instead of silently taken. *)
+  let validate_move (t : t) cell ~x ~y =
+    let design = t.Timer.graph.Graph.design in
     if cell < 0 || cell >= Netlist.num_cells design then
       invalid_arg
         (Printf.sprintf "Sta.Incremental.move_cell: cell %d out of range"
@@ -1167,7 +1164,7 @@ module Incremental = struct
         (Printf.sprintf
            "Sta.Incremental.move_cell: non-finite target (%g, %g) for %s" x y
            c.Netlist.cell_name);
-    let r = t.graph.Graph.design.Netlist.region in
+    let r = design.Netlist.region in
     let hw = c.Netlist.width /. 2.0 and hh = c.Netlist.height /. 2.0 in
     let eps = 1e-9 in
     if
@@ -1181,10 +1178,9 @@ module Incremental = struct
            "Sta.Incremental.move_cell: %s at (%g, %g) leaves the core region"
            c.Netlist.cell_name x y)
 
-  let move_cell t cell ~x ~y =
+  let move_cell (t : t) cell ~x ~y =
     validate_move t cell ~x ~y;
-    let design = t.graph.Graph.design in
-    let c = design.Netlist.cells.(cell) in
+    let c = t.Timer.graph.Graph.design.Netlist.cells.(cell) in
     c.Netlist.x <- x;
     c.Netlist.y <- y;
     touch_cell t cell
@@ -1196,8 +1192,8 @@ module Incremental = struct
      [<>]): a NaN-valued pin (e.g. below an unconstrained input)
      recomputes to the same NaN, and the naive [nan <> nan = true] would
      re-dirty its entire fanout cone on every pass. *)
-  let reevaluate t v =
-    let { Forward.at; slew; at_e; sl_e; _ } = t.tm.Timer.fwd in
+  let reevaluate (t : t) v =
+    let { Forward.at; slew; at_e; sl_e; _ } = t.Timer.fwd in
     let ir = Timer.idx v Rise and if_ = Timer.idx v Fall in
     let o1 = at.(ir) and o2 = at.(if_) in
     let o3 = at_e.(ir) and o4 = at_e.(if_) in
@@ -1211,7 +1207,7 @@ module Incremental = struct
     slew.(if_) <- 0.0;
     sl_e.(ir) <- infinity;
     sl_e.(if_) <- infinity;
-    Forward.pin t.tm.Timer.fwd ~gamma:0.0 v;
+    Forward.pin t.Timer.fwd ~gamma:0.0 v;
     not
       (Float.equal o1 at.(ir)
        && Float.equal o2 at.(if_)
@@ -1222,26 +1218,16 @@ module Incremental = struct
        && Float.equal o7 sl_e.(ir)
        && Float.equal o8 sl_e.(if_))
 
-  let refresh_endpoint t p =
-    let tm = t.tm in
-    List.iter
-      (fun tr ->
-        let i = Timer.idx p tr in
-        tm.Timer.rat_l.(i) <- infinity;
-        tm.Timer.rat_e.(i) <- neg_infinity)
-      both_transitions;
-    store_endpoint t p
-
-  let update ?(obs = Obs.disabled) t =
+  let update ?(obs = Obs.disabled) (t : t) =
     Obs.start obs Obs.Sta_incremental;
-    let design = t.graph.Graph.design in
-    let nets = t.tm.Timer.nets in
-    let nlevels = Array.length t.graph.Graph.levels in
+    let g = t.Timer.graph in
+    let design = g.Graph.design in
+    let nlevels = Array.length g.Graph.levels in
     let buckets = Array.make nlevels [] in
     let mark v =
-      if not t.dirty.(v) then begin
-        t.dirty.(v) <- true;
-        let l = t.graph.Graph.pin_level.(v) in
+      if not t.Timer.dirty.(v) then begin
+        t.Timer.dirty.(v) <- true;
+        let l = g.Graph.pin_level.(v) in
         buckets.(l) <- v :: buckets.(l)
       end
     in
@@ -1249,38 +1235,35 @@ module Incremental = struct
     let net_count = ref 0 in
     List.iter
       (fun net ->
-        t.net_pending.(net) <- false;
         incr net_count;
-        match nets.Nets.trees.(net) with
+        match t.Timer.nets.Nets.trees.(net) with
         | None -> ()
-        | Some (tree, rc) ->
+        | Some tree ->
           let pins = design.Netlist.nets.(net).Netlist.net_pins in
-          let xs = Array.map (fun p -> Netlist.pin_x design p) pins in
-          let ys = Array.map (fun p -> Netlist.pin_y design p) pins in
-          Steiner.update_coordinates tree ~xs ~ys;
-          Rc.evaluate rc;
+          Nets.refresh_net design tree pins;
           Array.iter mark pins)
-      t.pending_nets;
-    t.pending_nets <- [];
-    (* level-ordered sparse propagation *)
+      t.Timer.pending_nets;
+    (* level-ordered sparse propagation; a pin's state is final once its
+       level is done, so a dirty endpoint's slack is cached right away *)
     let count = ref 0 and changed_count = ref 0 and level_count = ref 0 in
-    let dirty_endpoints = ref [] in
+    let endpoint_count = ref 0 in
     for l = 0 to nlevels - 1 do
       (* marks added during processing always target higher levels *)
       if buckets.(l) <> [] then incr level_count;
       List.iter
         (fun v ->
-          t.dirty.(v) <- false;
+          t.Timer.dirty.(v) <- false;
           incr count;
           let changed =
-            if t.graph.Graph.is_start.(v) then false else reevaluate t v
+            if g.Graph.is_start.(v) then false else reevaluate t v
           in
-          if t.graph.Graph.is_endpoint.(v) then
-            dirty_endpoints := v :: !dirty_endpoints;
+          if g.Graph.is_endpoint.(v) then begin
+            Timer.store_endpoint t v;
+            incr endpoint_count
+          end;
           if changed then begin
             incr changed_count;
             (* fan-outs: net sinks when v drives a net, plus cell arcs *)
-            let g = t.graph in
             let pin = design.Netlist.pins.(v) in
             let net = pin.Netlist.net in
             (if pin.Netlist.direction = Netlist.Output && net >= 0
@@ -1299,18 +1282,10 @@ module Incremental = struct
         (List.rev buckets.(l));
       buckets.(l) <- []
     done;
-    t.last_stats <-
+    t.Timer.last_stats <-
       { us_pins = !count; us_changed = !changed_count; us_nets = !net_count;
-        us_levels = !level_count;
-        us_endpoints = List.length !dirty_endpoints };
-    if !changed_count > 0 then t.rats_stale <- true;
-    List.iter (fun p -> refresh_endpoint t p) !dirty_endpoints;
-    (* aggregate the report from the cached endpoint slacks *)
-    let report =
-      Timer.report_of t.graph (fun p ->
-        let su = t.ep_setup.(p) in
-        if Float.is_nan su then None else Some (su, t.ep_hold.(p)))
-    in
+        us_levels = !level_count; us_endpoints = !endpoint_count };
+    let report = Timer.settle t in
     if Obs.enabled obs then begin
       Obs.add obs "sta.inc.pins" (float_of_int !count);
       Obs.add obs "sta.inc.nets" (float_of_int !net_count);
@@ -1318,28 +1293,4 @@ module Incremental = struct
     end;
     Obs.stop obs Obs.Sta_incremental;
     report
-
-  (* Full backward RAT sweep over the current (incrementally maintained)
-     arrival state: exactly the reset + endpoint-required + back-
-     propagation sequence of [Timer.run], so the refreshed per-pin RATs
-     are bit-identical to a from-scratch analysis of the same
-     placement. *)
-  let refresh_rats t =
-    let tm = t.tm in
-    let n = Array.length tm.Timer.rat_l in
-    Array.fill tm.Timer.rat_l 0 n infinity;
-    Array.fill tm.Timer.rat_e 0 n neg_infinity;
-    Array.iter
-      (fun p -> ignore (Timer.endpoint_slack tm p))
-      t.graph.Graph.endpoints;
-    Timer.propagate_rat tm;
-    t.rats_stale <- false
-
-  let rat_late t p tr =
-    if t.rats_stale then refresh_rats t;
-    Timer.rat_late t.tm p tr
-
-  let pin_slack_late t p =
-    if t.rats_stale then refresh_rats t;
-    Timer.pin_slack_late t.tm p
 end

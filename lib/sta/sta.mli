@@ -214,7 +214,11 @@ module Forward : sig
       lower levels only and write only the pin's own state. *)
 end
 
-(** Exact timer. *)
+(** Exact timer: one state, analysed in full by {!run} and in part by
+    {!Incremental.update}.  Per-pin required times come from one
+    backward sweep, run by the first {!rat_late}, {!pin_slack_late},
+    {!net_slack} or {!critical_path} after either, so no read is stale;
+    that first read must not come from concurrent pool tasks. *)
 module Timer : sig
   type endpoint_slack = {
     ep_pin : int;
@@ -240,15 +244,17 @@ module Timer : sig
     ?rebuild_trees:bool -> ?pool:Parallel.pool -> ?obs:Obs.t -> t -> report
   (** Full analysis on the current placement.  [rebuild_trees] (default
       true) reconstructs Steiner topologies first; pass false to reuse
-      topologies and only refresh coordinates.  [pool] parallelises the
+      topologies and only refresh coordinates.  Moves queued by
+      {!Incremental.move_cell} or {!Incremental.touch_cell} are part of
+      the analysis and leave the queue.  [pool] parallelises the
       Steiner/RC construction over nets and the forward propagation over
       the pins of each level: {!Forward.pin} at [gamma = 0] computes the
       late max and the early (hold) min in one walk, reading only lower
       levels and writing only the pin's own state, so pooled reports are
-      bit-identical to sequential ones.
-      The endpoint and RAT sweeps stay sequential.  [obs] records the
-      tree maintenance as [steiner.rebuild]/[steiner.refresh] and the
-      propagation as [sta.exact]. *)
+      bit-identical to sequential ones.  The endpoint pass and the RAT
+      sweep stay sequential.  [obs] records the tree maintenance as
+      [steiner.rebuild]/[steiner.refresh] and the propagation as
+      [sta.exact]. *)
 
   val at_late : t -> int -> transition -> float
   (** Latest arrival time at a pin after {!run}; [neg_infinity] when the
@@ -287,39 +293,31 @@ module Timer : sig
   (** The data path realising an endpoint's worst arrival time, from a
       startpoint to the endpoint ([endpoint] defaults to the design's
       worst one).  Empty when the endpoint is unreachable.  Valid after
-      {!run}; paths like these are what exceed 300 stages in industrial
-      designs (§2.2). *)
+      {!run} or {!Incremental.update}; paths like these are what exceed
+      300 stages in industrial designs (§2.2). *)
 
   val pp_path : Graph.t -> Format.formatter -> path_step list -> unit
 
   val pp_report : Format.formatter -> report -> unit
 end
 
-(** Incremental timing analysis.
+(** Incremental timing analysis: the move-and-update operations on the
+    one {!Timer} state.
 
     The ICCAD 2015 contest the paper evaluates on is about {e
     incremental} timing-driven placement [33], and the authors' timer
-    line descends from GPU-accelerated incremental STA [35].  This engine
-    keeps the full arrival/slew state of a {!Timer} and, after cells
-    move, re-propagates only the affected cones: the moved cells' nets
-    are re-evaluated (Elmore on refreshed Steiner coordinates), their
-    sinks and drivers are marked dirty, and dirtiness spreads level by
-    level only where arrival times or slews actually change.
+    line descends from GPU-accelerated incremental STA [35].  After
+    cells move, {!update} re-propagates only the affected cones: the
+    moved cells' nets are re-evaluated (Elmore on refreshed Steiner
+    coordinates), their sinks and drivers are marked dirty, and
+    dirtiness spreads level by level only where arrival times or slews
+    actually change.  A {!Timer.run} and an {!update} act on the same
+    value, in any order, with no resynchronisation.
 
     Restriction: Steiner topologies are refreshed through provenance,
-    not rebuilt (call {!Timer.run} for a from-scratch analysis).
-
-    {b Staleness contract.}  {!update} maintains arrival times and slews
-    over the re-propagated cone and required times {e at endpoints
-    only}.  Reading [Timer.pin_slack_late] or [Timer.rat_late] through
-    {!timer} after an update therefore returns stale values for interior
-    pins; use {!pin_slack_late} / {!rat_late} on the incremental engine
-    instead, which lazily re-run the full backward RAT sweep over the
-    current arrival state (amortised: once per update generation, and
-    bit-identical to a from-scratch [Timer.run] of the same
-    placement). *)
+    not rebuilt (call {!Timer.run} for a from-scratch analysis). *)
 module Incremental : sig
-  type t
+  type t = Timer.t
 
   (** Work accounting for the last {!update} (observability for tests,
       benchmarks and the serving daemon). *)
@@ -332,19 +330,7 @@ module Incremental : sig
   }
 
   val create : Graph.t -> t
-  (** Builds the state and runs an initial full analysis. *)
-
-  val of_timer : ?report:Timer.report -> Timer.t -> t
-  (** Wrap an existing timer that has already been {!Timer.run} (shares
-      its arrays; no full analysis is re-run).  The endpoint-slack cache
-      is seeded from [report] when given, otherwise re-derived from the
-      timer's current state. *)
-
-  val timer : t -> Timer.t
-  (** The underlying timer, for [at_late]/[slew_late] style reads —
-      these are maintained by {!update}.  [Timer.rat_late] and
-      [Timer.pin_slack_late] reads through this accessor are {b stale}
-      for interior pins after an update; use the accessors below. *)
+  (** {!Timer.create} followed by a full {!Timer.run}. *)
 
   val move_cell : t -> int -> x:float -> y:float -> unit
   (** Move a cell (updates the design in place) and queue its timing
@@ -364,25 +350,8 @@ module Incremental : sig
   val update : ?obs:Obs.t -> t -> Timer.report
   (** Propagate all pending moves and return the refreshed report —
       bit-identical to [Timer.run ~rebuild_trees:false] on the same
-      placement.  [obs] records the pass as [sta.incremental] with
-      pins/nets/changed counters. *)
-
-  val absorb : t -> Timer.report -> unit
-  (** Resynchronise after an external full [Timer.run] on the shared
-      timer: drop pending moves (the full run already saw their
-      coordinates), re-seed the endpoint cache from [report], and mark
-      per-pin RATs fresh. *)
-
-  val pin_slack_late : t -> int -> float
-  (** [Timer.pin_slack_late] made safe after updates: lazily refreshes
-      all per-pin RATs first (full backward sweep, amortised per update
-      generation). *)
-
-  val rat_late : t -> int -> transition -> float
-  (** [Timer.rat_late] with the same lazy RAT refresh. *)
-
-  val last_update_pin_count : t -> int
-  (** Number of pins re-evaluated by the last {!update}. *)
+      placement, and so is every per-pin read afterwards.  [obs] records
+      the pass as [sta.incremental] with pins/nets/changed counters. *)
 
   val last_stats : t -> update_stats
   (** Full work accounting for the last {!update}. *)

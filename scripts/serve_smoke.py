@@ -14,6 +14,8 @@ design and asserts that:
   * hostile `paths` lines (a K far beyond the design's path count, zero,
     negative, non-numeric) get `ok`/`err` answers and the session goes
     on;
+  * a known command with the wrong number of arguments answers with its
+    usage line (`err usage: ...`), not as an unknown command;
   * the JSONL profiling trace contains the per-request serve.parse /
     serve.update / serve.query spans.
 
@@ -68,6 +70,11 @@ def main():
             "stats",
             "place 2 wl",
             "help",
+            "move 1 2",
+            "slack",
+            "paths",
+            "place 5",
+            "commit extra",
             "quit",
         ]
     ) + "\n"
@@ -88,8 +95,8 @@ def main():
     for l in responses:
         print(f"  {l}")
 
-    if len(responses) != 13:
-        fail(f"expected 13 response lines, got {len(responses)}")
+    if len(responses) != 18:
+        fail(f"expected 18 response lines, got {len(responses)}")
 
     # 1: commit with no pending moves == the batch analysis
     m = re.match(r"ok wns (-?[\d.]+) tns (-?[\d.]+) endpoints (\d+)", responses[0])
@@ -116,7 +123,12 @@ def main():
         (9, r"ok cells \d+ nets \d+ pins \d+ wns "),
         (10, r"ok iterations \d+ hpwl "),
         (11, r"ok commands: "),
-        (12, r"ok bye"),
+        (12, r"err usage: move <cell> <x> <y>$"),
+        (13, r"err usage: slack <pin>$"),
+        (14, r"err usage: paths <K>$"),
+        (15, r"err usage: place <iters> <mode>$"),
+        (16, r"err usage: commit$"),
+        (17, r"ok bye"),
     ]
     for idx, pat in expectations:
         if not re.match(pat, responses[idx]):

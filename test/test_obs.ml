@@ -195,11 +195,10 @@ let test_jsonl_trace () =
   let view = Paths.analyze ~obs timer in
   let _ = Paths.enumerate ~obs ~k:3 view in
   let _ = Legalize.legalize ~obs design in
-  (* incremental STA and the serving-daemon request kernels *)
-  let inc = Sta.Incremental.create graph in
-  let c = List.hd (Netlist.movable_cells design) in
-  Sta.Incremental.touch_cell inc c;
-  let _ = Sta.Incremental.update ~obs inc in
+  (* incremental STA on the same timer and the serving-daemon request
+     kernels *)
+  Sta.Incremental.touch_cell timer (List.hd (Netlist.movable_cells design));
+  let _ = Sta.Incremental.update ~obs timer in
   Obs.span obs Obs.Serve_parse (fun () -> ());
   Obs.span obs Obs.Serve_update (fun () -> ());
   Obs.span obs Obs.Serve_query (fun () -> ());

@@ -610,18 +610,17 @@ let test_pathweight_placement_runs () =
 
 (* The cell-arc delays a view reads come from the timer's forward tape,
    so the tape must stay in step with incremental re-propagation: after
-   random move batches, a view of the incremental engine's timer equals
-   a view of a fresh full analysis of the same placement bit for bit
-   (every taped arc delay and net delay a view reads, every
-   back-pointer, the top-K paths), and so do the guarded per-pin
-   slacks. *)
+   random move batches, a view of the incrementally updated timer
+   equals a view of a fresh full analysis of the same placement bit for
+   bit (every taped arc delay and net delay a view reads, every
+   back-pointer, the top-K paths), and so do the per-pin slacks. *)
 let test_tape_fresh_after_incremental () =
   let spec =
     { (List.nth specs_under_test 1) with Workload.sp_seed = 11 }
   in
   let design, cons = Workload.generate lib spec in
   let graph = Sta.Graph.build design lib cons in
-  let inc = Sta.Incremental.create graph in
+  let ti = Sta.Incremental.create graph in
   let reference = Sta.Timer.create graph in
   ignore (Sta.Timer.run reference);
   let rng = Workload.Rng.create 4242 in
@@ -633,13 +632,12 @@ let test_tape_fresh_after_incremental () =
       if not c.Netlist.fixed then begin
         incr moved;
         let x, y = Test_sta.random_legal_position rng design c in
-        Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+        Sta.Incremental.move_cell ti c.Netlist.cell_id ~x ~y
       end
     done;
-    ignore (Sta.Incremental.update inc);
+    ignore (Sta.Incremental.update ti);
     ignore (Sta.Timer.run ~rebuild_trees:false reference);
     let label = Printf.sprintf "round %d" round in
-    let ti = Sta.Incremental.timer inc in
     let reached tm p tr = Sta.Timer.at_late tm p tr > neg_infinity in
     (* every in-edge a view reads: each admitted (arc, transition) pair
        with a reachable source, and each net arc's Elmore delay *)
@@ -697,11 +695,51 @@ let test_tape_fresh_after_incremental () =
         check_steps_equal label b.Paths.pt_steps a.Paths.pt_steps)
       pi pf;
     for p = 0 to Netlist.num_pins design - 1 do
-      if bits (Sta.Incremental.pin_slack_late inc p)
+      if bits (Sta.Timer.pin_slack_late ti p)
          <> bits (Sta.Timer.pin_slack_late reference p)
       then Alcotest.failf "%s: pin_slack_late differs at pin %d" label p
     done
   done
+
+(* [enumerate] reads endpoint RATs from pool tasks, so [analyze] runs
+   the timer's lazy backward sweep before any task starts: straight
+   after a run and after an update, with no RAT read in between, pooled
+   enumeration (the lazy engine and the eager reference) equals a
+   sequential timer's bit for bit. *)
+let test_pooled_enumerate_after_lazy_sweep () =
+  Test_parallel.with_pool (fun pool ->
+    let spec = { (List.hd specs_under_test) with Workload.sp_seed = 3 } in
+    let design, cons = Workload.generate lib spec in
+    let graph = Sta.Graph.build design lib cons in
+    let pooled = Sta.Timer.create graph and seq = Sta.Timer.create graph in
+    ignore (Sta.Timer.run ~pool pooled);
+    ignore (Sta.Timer.run seq);
+    let compare label =
+      let vp = Paths.analyze ~pool pooled and vs = Paths.analyze seq in
+      check_paths_equal (label ^ ", reference")
+        (Paths.Reference.enumerate ~pool ~k:32 vp)
+        (Paths.Reference.enumerate ~k:32 vs);
+      check_paths_equal label (Paths.enumerate ~pool ~k:32 vp)
+        (Paths.enumerate ~k:32 vs)
+    in
+    compare "after run";
+    let rng = Workload.Rng.create 77 in
+    let ncells = Netlist.num_cells design in
+    for round = 1 to 3 do
+      let moved = ref 0 in
+      while !moved < 6 do
+        let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+        if not c.Netlist.fixed then begin
+          incr moved;
+          let x, y = Test_sta.random_legal_position rng design c in
+          Sta.Incremental.move_cell pooled c.Netlist.cell_id ~x ~y;
+          Sta.Incremental.touch_cell seq c.Netlist.cell_id
+        end
+      done;
+      ignore (Sta.Incremental.update pooled);
+      ignore (Sta.Incremental.update seq);
+      compare (Printf.sprintf "after update %d" round)
+    done)
 
 let suite =
   [ Alcotest.test_case "top-1 bit-matches critical_path (3 specs x 2 seeds)"
@@ -732,4 +770,6 @@ let suite =
     Alcotest.test_case "pathweight placement runs" `Slow
       test_pathweight_placement_runs;
     Alcotest.test_case "arc-delay tape fresh after incremental updates"
-      `Quick test_tape_fresh_after_incremental ]
+      `Quick test_tape_fresh_after_incremental;
+    Alcotest.test_case "pooled enumerate after lazy RAT sweep" `Quick
+      test_pooled_enumerate_after_lazy_sweep ]

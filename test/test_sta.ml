@@ -377,6 +377,8 @@ let random_legal_position rng design (c : Netlist.cell) =
   ( lo_x +. Workload.Rng.float rng (hi_x -. lo_x),
     lo_y +. Workload.Rng.float rng (hi_y -. lo_y) )
 
+let updated_pins inc = (Sta.Incremental.last_stats inc).Sta.Incremental.us_pins
+
 let test_incremental_matches_full () =
   let design, cons = Workload.generate lib
       { Workload.default_spec with Workload.sp_cells = 500; sp_clock_period = 750.0 } in
@@ -411,9 +413,8 @@ let test_incremental_matches_full () =
       (Printf.sprintf "hold tns round %d" round)
       fr.Sta.Timer.hold_tns ir.Sta.Timer.hold_tns;
     (* per-pin arrival times agree *)
-    let tm = Sta.Incremental.timer inc in
     for p = 0 to Netlist.num_pins design - 1 do
-      let a = Sta.Timer.at_late tm p Sta.Rise in
+      let a = Sta.Timer.at_late inc p Sta.Rise in
       let b = Sta.Timer.at_late reference p Sta.Rise in
       if Float.is_finite a || Float.is_finite b then
         if Float.abs (a -. b) > 1e-6 then
@@ -421,7 +422,7 @@ let test_incremental_matches_full () =
     done;
     (* sparsity: far fewer pins re-evaluated than exist *)
     Alcotest.(check bool) "sparse update" true
-      (Sta.Incremental.last_update_pin_count inc < Netlist.num_pins design)
+      (updated_pins inc < Netlist.num_pins design)
   done
 
 let test_incremental_no_move_is_noop () =
@@ -431,7 +432,7 @@ let test_incremental_no_move_is_noop () =
   let inc = Sta.Incremental.create g in
   let r1 = Sta.Incremental.update inc in
   Alcotest.(check int) "nothing recomputed" 0
-    (Sta.Incremental.last_update_pin_count inc);
+    (updated_pins inc);
   let r2 = Sta.Incremental.update inc in
   Alcotest.(check (float 1e-12)) "stable wns" r1.Sta.Timer.setup_wns
     r2.Sta.Timer.setup_wns
@@ -472,8 +473,7 @@ let test_incremental_nan_convergence () =
       { Workload.default_spec with Workload.sp_cells = 200 } in
   let cons = { cons with Sta.Constraints.input_slew = Float.nan } in
   let g = Sta.Graph.build design lib cons in
-  let inc = Sta.Incremental.create g in
-  let tm = Sta.Incremental.timer inc in
+  let tm = Sta.Incremental.create g in
   (* find a movable cell fed directly by a primary input, whose input
      pin therefore carries a NaN slew *)
   let victim = ref None in
@@ -501,9 +501,9 @@ let test_incremental_nan_convergence () =
     (* touch without moving: every re-evaluated pin recomputes to the
        same (NaN-carrying) values, so nothing may report a change and
        dirtiness must not spread beyond the touched nets' pins *)
-    Sta.Incremental.touch_cell inc c;
-    let _ = Sta.Incremental.update inc in
-    let st = Sta.Incremental.last_stats inc in
+    Sta.Incremental.touch_cell tm c;
+    let _ = Sta.Incremental.update tm in
+    let st = Sta.Incremental.last_stats tm in
     Alcotest.(check int) "no pin changed on an unmoved touch" 0
       st.Sta.Incremental.us_changed;
     (* the cone did contain NaN-valued pins (otherwise this tests nothing) *)
@@ -568,7 +568,7 @@ let test_incremental_move_validation () =
   (* rejected moves leave no pending state behind *)
   let r1 = Sta.Incremental.update inc in
   Alcotest.(check int) "no residual dirtiness" 0
-    (Sta.Incremental.last_update_pin_count inc);
+    (updated_pins inc);
   Alcotest.(check (float 0.0)) "report untouched" r0.Sta.Timer.setup_wns
     r1.Sta.Timer.setup_wns
 
@@ -635,46 +635,72 @@ let test_incremental_randomized_equivalence () =
           (Printf.sprintf "round %d, %d domains" round domains) ir fr;
         (* a local batch must not re-evaluate the whole design *)
         Alcotest.(check bool) "sparse update" true
-          (Sta.Incremental.last_update_pin_count inc < npins)
+          (updated_pins inc < npins)
       done)
     [ 1; 4 ]
 
-(* The guarded RAT accessors must agree bitwise with a from-scratch
-   analysis of the same placement, for every pin — this is the
-   staleness contract of sta.mli. *)
-let test_incremental_guarded_rat_reads () =
+(* One timer state: after [run] and after [update], every per-pin RAT
+   and slack read on the timer itself is bitwise equal to a full
+   analysis of the same placement on an independent timer, and an
+   endpoint's pin slack is its report slack (the first read runs the
+   backward sweep, so no read is stale); a run over queued moves
+   consumes them. *)
+let test_incremental_fresh_rat_reads () =
   let design, cons = Workload.generate lib
       { Workload.default_spec with Workload.sp_cells = 300 } in
   let g = Sta.Graph.build design lib cons in
-  let inc = Sta.Incremental.create g in
+  let tm = Sta.Timer.create g in
   let reference = Sta.Timer.create g in
   let _ = Sta.Timer.run reference in
+  let bits = Int64.bits_of_float in
+  let check label (report : Sta.Timer.report) =
+    for p = 0 to Netlist.num_pins design - 1 do
+      let a = Sta.Timer.pin_slack_late tm p in
+      let b = Sta.Timer.pin_slack_late reference p in
+      if bits a <> bits b then
+        Alcotest.failf "%s: pin_slack_late differs at pin %d: %h vs %h" label
+          p a b;
+      List.iter
+        (fun tr ->
+          if bits (Sta.Timer.rat_late tm p tr)
+             <> bits (Sta.Timer.rat_late reference p tr)
+          then Alcotest.failf "%s: rat_late differs at pin %d" label p)
+        [ Sta.Rise; Sta.Fall ]
+    done;
+    List.iter
+      (fun (e : Sta.Timer.endpoint_slack) ->
+        if bits (Sta.Timer.pin_slack_late tm e.Sta.Timer.ep_pin)
+           <> bits e.Sta.Timer.ep_setup_slack
+        then
+          Alcotest.failf "%s: endpoint %d pin slack is not its report slack"
+            label e.Sta.Timer.ep_pin)
+      report.Sta.Timer.endpoint_slacks
+  in
+  check "first run" (Sta.Timer.run tm);
   let rng = Workload.Rng.create 2718 in
   let ncells = Netlist.num_cells design in
-  let moved = ref 0 in
-  while !moved < 5 do
-    let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
-    if not c.Netlist.fixed then begin
-      incr moved;
-      let x, y = random_legal_position rng design c in
-      Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
-    end
-  done;
-  let _ = Sta.Incremental.update inc in
-  let _ = Sta.Timer.run ~rebuild_trees:false reference in
-  let bits = Int64.bits_of_float in
-  for p = 0 to Netlist.num_pins design - 1 do
-    let a = Sta.Incremental.pin_slack_late inc p in
-    let b = Sta.Timer.pin_slack_late reference p in
-    if bits a <> bits b then
-      Alcotest.failf "pin_slack_late mismatch at pin %d: %h vs %h" p a b;
-    List.iter
-      (fun tr ->
-        let a = Sta.Incremental.rat_late inc p tr in
-        let b = Sta.Timer.rat_late reference p tr in
-        if bits a <> bits b then
-          Alcotest.failf "rat_late mismatch at pin %d" p)
-      [ Sta.Rise; Sta.Fall ]
+  let move_five () =
+    let moved = ref 0 in
+    while !moved < 5 do
+      let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+      if not c.Netlist.fixed then begin
+        incr moved;
+        let x, y = random_legal_position rng design c in
+        Sta.Incremental.move_cell tm c.Netlist.cell_id ~x ~y
+      end
+    done
+  in
+  for round = 1 to 3 do
+    move_five ();
+    let r = Sta.Incremental.update tm in
+    let _ = Sta.Timer.run ~rebuild_trees:false reference in
+    check (Printf.sprintf "update %d" round) r;
+    move_five ();
+    let r = Sta.Timer.run ~rebuild_trees:false tm in
+    let _ = Sta.Timer.run ~rebuild_trees:false reference in
+    check (Printf.sprintf "run %d" round) r;
+    let _ = Sta.Incremental.update tm in
+    Alcotest.(check int) "run consumed the queued moves" 0 (updated_pins tm)
   done
 
 (* The serving-daemon workload at full size: 20 what-if batches of
@@ -744,8 +770,8 @@ let suite =
         test_incremental_move_validation;
       Alcotest.test_case "incremental randomized equivalence" `Quick
         test_incremental_randomized_equivalence;
-      Alcotest.test_case "incremental guarded RAT reads" `Quick
-        test_incremental_guarded_rat_reads ]
+      Alcotest.test_case "incremental fresh RAT reads" `Quick
+        test_incremental_fresh_rat_reads ]
 
 let test_io_constraint_effects () =
   let d = build_chain () in
@@ -944,10 +970,8 @@ let check_reports_bitwise label (a : Sta.Timer.report) (b : Sta.Timer.report) =
       then Alcotest.failf "%s: endpoint %d differs" label x.Sta.Timer.ep_pin)
     a.Sta.Timer.endpoint_slacks b.Sta.Timer.endpoint_slacks
 
-(* every per-pin read of [tm] against the oracle's arrays; [rat] is the
-   late RAT reader (the incremental engine's guarded one after updates) *)
-let check_pins_vs_oracle label ?rat tm (o : Sta_oracle.t) =
-  let rat = match rat with Some f -> f | None -> Sta.Timer.rat_late tm in
+(* every per-pin read of [tm] against the oracle's arrays *)
+let check_pins_vs_oracle label tm (o : Sta_oracle.t) =
   let npins = Netlist.num_pins o.Sta_oracle.graph.Sta.Graph.design in
   for p = 0 to npins - 1 do
     List.iter
@@ -961,7 +985,7 @@ let check_pins_vs_oracle label ?rat tm (o : Sta_oracle.t) =
         same "at_late" o.Sta_oracle.at_l.(i) (Sta.Timer.at_late tm p tr);
         same "at_early" o.Sta_oracle.at_e.(i) (Sta.Timer.at_early tm p tr);
         same "slew_late" o.Sta_oracle.sl_l.(i) (Sta.Timer.slew_late tm p tr);
-        same "rat_late" o.Sta_oracle.rat_l.(i) (rat p tr))
+        same "rat_late" o.Sta_oracle.rat_l.(i) (Sta.Timer.rat_late tm p tr))
       [ Sta.Rise; Sta.Fall ]
   done
 
@@ -973,8 +997,8 @@ let check_vs_oracle label tm report =
 (* Gate for the shared kernel: [Timer.run] ([Sta.Forward.pin] at
    gamma 0: the late hard max and the early lane's hard min in one
    fan-in walk) reproduces the pre-kernel exact timer bit for bit,
-   sequential and pooled, and so does the incremental engine after move
-   batches. *)
+   sequential and pooled, and so does the same timer after incremental
+   move batches. *)
 let test_kernel_matches_oracle () =
   List.iter
     (fun domains ->
@@ -991,7 +1015,6 @@ let test_kernel_matches_oracle () =
               let g = Sta.Graph.build design lib cons in
               let tm = Sta.Timer.create g in
               check_vs_oracle label tm (Sta.Timer.run ~pool tm);
-              let inc = Sta.Incremental.of_timer tm in
               let rng = Workload.Rng.create (seed + (7 * si)) in
               let ncells = Netlist.num_cells design in
               for round = 1 to 3 do
@@ -1001,15 +1024,14 @@ let test_kernel_matches_oracle () =
                   if not c.Netlist.fixed then begin
                     incr moved;
                     let x, y = random_legal_position rng design c in
-                    Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+                    Sta.Incremental.move_cell tm c.Netlist.cell_id ~x ~y
                   end
                 done;
-                let r = Sta.Incremental.update inc in
+                let r = Sta.Incremental.update tm in
                 let o = Sta_oracle.create (Sta.Timer.nets tm) in
                 let label = Printf.sprintf "%s update %d" label round in
                 check_reports_bitwise label (Sta_oracle.run o) r;
-                check_pins_vs_oracle label ~rat:(Sta.Incremental.rat_late inc)
-                  tm o
+                check_pins_vs_oracle label tm o
               done)
             [ 3; 11 ])
         kernel_specs)
@@ -1079,37 +1101,6 @@ let test_smooth_state_no_early_lane () =
       [ Sta.Rise; Sta.Fall ]
   done
 
-(* [Incremental.of_timer] seeds its endpoint cache from the report when
-   given one, else from the timer's state: both seeds must agree, so a
-   view created lazily long after the full run (the placement trace)
-   reports exactly what one created at the run would. *)
-let test_of_timer_seeds_agree () =
-  List.iteri
-    (fun si spec ->
-      let design, cons = Workload.generate lib spec in
-      let g = Sta.Graph.build design lib cons in
-      let tm_a = Sta.Timer.create g and tm_b = Sta.Timer.create g in
-      let report = Sta.Timer.run tm_a in
-      ignore (Sta.Timer.run tm_b);
-      let a = Sta.Incremental.of_timer ~report tm_a in
-      let b = Sta.Incremental.of_timer tm_b in
-      let label = Printf.sprintf "spec %d" si in
-      check_reports_bitwise (label ^ " no moves") (Sta.Incremental.update a)
-        (Sta.Incremental.update b);
-      let rng = Workload.Rng.create (17 + si) in
-      let ncells = Netlist.num_cells design in
-      for _ = 1 to 6 do
-        let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
-        if not c.Netlist.fixed then begin
-          let x, y = random_legal_position rng design c in
-          Sta.Incremental.move_cell a c.Netlist.cell_id ~x ~y;
-          Sta.Incremental.touch_cell b c.Netlist.cell_id
-        end
-      done;
-      check_reports_bitwise (label ^ " after moves") (Sta.Incremental.update a)
-        (Sta.Incremental.update b))
-    kernel_specs
-
 let suite =
   suite
   @ [ Alcotest.test_case "kernel timer bit-identical to oracle" `Quick
@@ -1118,7 +1109,5 @@ let suite =
         test_pooled_exact_sta;
       Alcotest.test_case "smooth state has no early lane" `Quick
         test_smooth_state_no_early_lane;
-      Alcotest.test_case "incremental of_timer seeds agree" `Quick
-        test_of_timer_seeds_agree;
       Alcotest.test_case "incremental sparse and bitwise at 5k cells" `Slow
         test_incremental_sparse_at_5k ]
