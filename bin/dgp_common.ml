@@ -41,6 +41,18 @@ let load_design lib ~design_file ~bench ~cells ~seed ~clock_period
     in
     Workload.generate lib spec
 
+(* The placement modes dgp_place and dgp_serve accept, by name;
+   [mode_choices] ends their "unknown mode" messages. *)
+let mode_of_string = function
+  | "wl" | "wirelength" -> Some Core.Wirelength_only
+  | "netweight" | "nw" -> Some (Core.Net_weighting Netweight.default_config)
+  | "pathweight" | "pw" ->
+    Some (Core.Path_weighting Paths.Weight.default_config)
+  | "timing" | "ours" -> Some (Core.Differentiable_timing Core.default_timing)
+  | _ -> None
+
+let mode_choices = "(wl|netweight|pathweight|timing)"
+
 open Cmdliner
 
 let lib_file =

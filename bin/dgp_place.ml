@@ -5,17 +5,12 @@
 open Cmdliner
 
 let mode_conv =
-  let parse = function
-    | "wl" | "wirelength" -> Ok Core.Wirelength_only
-    | "netweight" | "nw" -> Ok (Core.Net_weighting Netweight.default_config)
-    | "pathweight" | "pw" ->
-      Ok (Core.Path_weighting Paths.Weight.default_config)
-    | "timing" | "ours" ->
-      Ok (Core.Differentiable_timing Core.default_timing)
-    | s ->
+  let parse s =
+    match Dgp_common.mode_of_string s with
+    | Some m -> Ok m
+    | None ->
       Error
-        (`Msg
-           (Printf.sprintf "unknown mode %S (wl|netweight|pathweight|timing)" s))
+        (`Msg (Printf.sprintf "unknown mode %S %s" s Dgp_common.mode_choices))
   in
   let print ppf = function
     | Core.Wirelength_only -> Format.pp_print_string ppf "wl"

@@ -88,14 +88,6 @@ let path_view st =
    request line enumerate (and print) millions of paths. *)
 let max_paths = 10_000
 
-let mode_of_string = function
-  | "wl" | "wirelength" -> Some Core.Wirelength_only
-  | "netweight" | "nw" -> Some (Core.Net_weighting Netweight.default_config)
-  | "pathweight" | "pw" ->
-    Some (Core.Path_weighting Paths.Weight.default_config)
-  | "timing" | "ours" -> Some (Core.Differentiable_timing Core.default_timing)
-  | _ -> None
-
 let report_summary (r : Sta.Timer.report) =
   Printf.sprintf "wns %.3f tns %.3f endpoints %d" r.Sta.Timer.setup_wns
     r.Sta.Timer.setup_tns
@@ -110,6 +102,10 @@ let usage =
     ("place", "place <iters> <mode>"); ("stats", "stats"); ("help", "help");
     ("quit", "quit"); ("shutdown", "shutdown") ]
 
+let k_parse = Obs.kernel "serve.parse"
+let k_update = Obs.kernel "serve.update"
+let k_query = Obs.kernel "serve.query"
+
 (* One request.  [out] writes a response line.  Returns the session
    verdict: [`Continue], [`Quit] (end this session) or [`Shutdown]
    (also stop a socket accept loop). *)
@@ -117,12 +113,12 @@ let handle st ~out line =
   st.requests <- st.requests + 1;
   Obs.set_iteration st.obs st.requests;
   let tokens =
-    Obs.span st.obs Obs.Serve_parse (fun () ->
+    Obs.span st.obs k_parse (fun () ->
       String.split_on_char ' ' (String.trim line)
       |> List.filter (fun s -> s <> ""))
   in
-  let update f = Obs.span st.obs Obs.Serve_update f in
-  let query f = Obs.span st.obs Obs.Serve_query f in
+  let update f = Obs.span st.obs k_update f in
+  let query f = Obs.span st.obs k_query f in
   match tokens with
   | [] -> `Continue
   | cmd :: _ when cmd.[0] = '#' -> `Continue
@@ -196,10 +192,12 @@ let handle st ~out line =
     `Continue
   | [ "place"; iters; mode ] ->
     update (fun () ->
-      match int_of_string_opt iters, mode_of_string mode with
+      match int_of_string_opt iters, Dgp_common.mode_of_string mode with
       | None, _ -> out "err place expects an iteration count"
       | _, None ->
-        out (Printf.sprintf "err unknown mode %s (wl|netweight|pathweight|timing)" mode)
+        out
+          (Printf.sprintf "err unknown mode %s %s" mode
+             Dgp_common.mode_choices)
       | Some iters, Some mode when iters > 0 ->
         ensure_committed st;
         let config =
@@ -241,7 +239,7 @@ let handle st ~out line =
   | [ "help" ] ->
     out ("ok commands: " ^ String.concat " | " (List.map snd usage));
     `Continue
-  | [ "quit" ] | [ "exit" ] ->
+  | [ "quit" ] ->
     out "ok bye";
     `Quit
   | [ "shutdown" ] ->

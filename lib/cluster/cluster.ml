@@ -239,9 +239,11 @@ let coarsen ?(cluster_ratio = 4.0) ?(max_net_degree = 16)
     end
   end
 
+let k_coarsen = Obs.kernel "cluster.coarsen"
+
 let build ?(levels = 2) ?(cluster_ratio = 4.0) ?(max_net_degree = 16)
     ?(min_cells = 1000) ?(obs = Obs.disabled) nl =
-  Obs.span obs Obs.Cluster_coarsen (fun () ->
+  Obs.span obs k_coarsen (fun () ->
     let count_movable d =
       Array.fold_left
         (fun acc (c : N.cell) -> if c.N.fixed then acc else acc + 1)
@@ -263,8 +265,10 @@ let build ?(levels = 2) ?(cluster_ratio = 4.0) ?(max_net_degree = 16)
     | [] -> ());
     lvls)
 
+let k_interp = Obs.kernel "cluster.interp"
+
 let interpolate ?(obs = Obs.disabled) lvl =
-  Obs.span obs Obs.Cluster_interp (fun () ->
+  Obs.span obs k_interp (fun () ->
     let fine = lvl.fine and coarse = lvl.coarse in
     let region = fine.N.region in
     let n = Array.length fine.N.cells in

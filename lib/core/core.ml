@@ -454,10 +454,14 @@ let timing_step ?pool ~obs ~verbose ~sample mask timing i overflow =
 
 (* ---- The driver. ---- *)
 
+let k_run = Obs.kernel "core.run"
+let k_step = Obs.kernel "optim.step"
+let k_trace = Obs.kernel "core.trace"
+
 let run ?pool ?(obs = Obs.disabled) config graph =
   let design = graph.Sta.Graph.design in
   let start_time = Obs.Clock.now () in
-  Obs.start obs Obs.Core_run;
+  Obs.start obs k_run;
   (match config.init with
    | `Center -> init_positions design
    | `Keep -> ());
@@ -520,11 +524,11 @@ let run ?pool ?(obs = Obs.disabled) config graph =
         (i, Some i)
       end
       else begin
-        Obs.start obs Obs.Optim_step;
+        Obs.start obs k_step;
         Optim.step opt_x ~lr:!lr ~params:xs ~grads:gx ~mask ();
         Optim.step opt_y ~lr:!lr ~params:ys ~grads:gy ~mask ();
-        Obs.stop obs Obs.Optim_step;
-        Obs.start obs Obs.Core_trace;
+        Obs.stop obs;
+        Obs.start obs k_trace;
         sync_to_design design mask xs ys;
         (* The density weight anneals only while the placement is still
            too dense.  Flat runs never notice (meeting the target is the
@@ -543,7 +547,7 @@ let run ?pool ?(obs = Obs.disabled) config graph =
               tp_overflow = overflow; tp_wns = Option.map fst !last;
               tp_tns = Option.map snd !last; tp_lambda = !lambda }
             :: !trace;
-        Obs.stop obs Obs.Core_trace;
+        Obs.stop obs;
         route_step ?pool ~obs config design placement i overflow;
         if config.verbose && i mod 50 = 0 then
           Format.eprintf "[core] it %4d  hpwl %.3e  ovf %.3f  %s@." i
@@ -561,7 +565,7 @@ let run ?pool ?(obs = Obs.disabled) config graph =
   let overflow, route, inflation_rounds =
     placement_finish ?pool ~obs config design placement
   in
-  Obs.stop obs Obs.Core_run;
+  Obs.stop obs;
   { res_hpwl = Netlist.total_hpwl design;
     res_overflow = overflow;
     res_iterations = iterations;
@@ -572,6 +576,8 @@ let run ?pool ?(obs = Obs.disabled) config graph =
     res_route = route;
     res_inflation_rounds = inflation_rounds;
     res_diverged = diverged }
+
+let k_refine = Obs.kernel "cluster.refine"
 
 (* The coarsen/uncoarsen V-cycle.  Coarse levels are placed as plain
    wirelength+density problems (cluster cells are [lib_cell = -1], so
@@ -634,7 +640,7 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
           learning_rate = Some (2.0 *. step_size config coarsest) }
       in
       let r0 =
-        Obs.span obs Obs.Cluster_refine (fun () ->
+        Obs.span obs k_refine (fun () ->
           run ?pool ~obs coarse_cfg (coarse_graph coarsest))
       in
       Obs.add obs "multilevel.coarse_iters"
@@ -692,7 +698,7 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
           in
           let g = if finest then graph else coarse_graph lvl.Cluster.fine in
           let r =
-            Obs.span obs Obs.Cluster_refine (fun () -> run ?pool ~obs cfg g)
+            Obs.span obs k_refine (fun () -> run ?pool ~obs cfg g)
           in
           Obs.add obs
             (Printf.sprintf "multilevel.refine%d_iters" depth)

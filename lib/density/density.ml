@@ -108,11 +108,14 @@ let create ?bins ?(target_density = 1.0) design =
 
 let bins t = t.n
 
+let k_splat = Obs.kernel "density.splat"
+let k_dct = Obs.kernel "density.dct"
+
 let update ?pool ?(obs = Obs.disabled) t =
   let n = t.n in
   let cells = t.design.Netlist.cells in
   let ncells = Array.length cells in
-  Obs.start obs Obs.Density_splat;
+  Obs.start obs k_splat;
   (* splat cells into per-chunk grids merged in chunk order; the chunk
      split depends only on the cell count, so pooled splats reproduce the
      sequential ones bit for bit *)
@@ -144,8 +147,8 @@ let update ?pool ?(obs = Obs.disabled) t =
   for b = 0 to (n * n) - 1 do
     t.rho.(b) <- (t.movable_area.(b) +. t.fixed_area.(b)) /. t.bin_area
   done;
-  Obs.stop obs Obs.Density_splat;
-  Obs.start obs Obs.Density_dct;
+  Obs.stop obs;
+  Obs.start obs k_dct;
   (* spectral Poisson solve: coefficients of rho in the cosine basis *)
   let a = Transform.Grid.dct2 ?pool ~obs n t.rho in
   let scale k = if k = 0 then 1.0 /. float_of_int n else 2.0 /. float_of_int n in
@@ -178,7 +181,7 @@ let update ?pool ?(obs = Obs.disabled) t =
   done;
   let ey = Transform.Grid.cos_sin_synth ?pool ~obs n t.scratch in
   Array.blit ey 0 t.field_y 0 (n * n);
-  Obs.stop obs Obs.Density_dct
+  Obs.stop obs
 
 let penalty t =
   let acc = ref 0.0 in
@@ -214,12 +217,14 @@ let interp t field bx by =
   +. (g ix (iy + 1) *. (1.0 -. tx) *. ty)
   +. (g (ix + 1) (iy + 1) *. tx *. ty)
 
+let k_grad = Obs.kernel "density.grad"
+
 let gradient ?pool ?(obs = Obs.disabled) t ~scale ~grad_x ~grad_y =
   let region = t.design.Netlist.region in
   let ncells = Netlist.num_cells t.design in
   if Array.length grad_x <> ncells || Array.length grad_y <> ncells then
     invalid_arg "Density.gradient: size mismatch";
-  Obs.start obs Obs.Density_grad;
+  Obs.start obs k_grad;
   let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
   let cells = t.design.Netlist.cells in
   (* each task writes only its own cell's gradient slot: race-free and
@@ -237,4 +242,4 @@ let gradient ?pool ?(obs = Obs.disabled) t ~scale ~grad_x ~grad_y =
       grad_x.(i) <- grad_x.(i) -. (scale *. q *. ex /. t.bin_w);
       grad_y.(i) <- grad_y.(i) -. (scale *. q *. ey /. t.bin_h)
     end);
-  Obs.stop obs Obs.Density_grad
+  Obs.stop obs

@@ -479,13 +479,16 @@ let backward_run ?pool ?(obs = Obs.disabled) t ~w_tns ~w_wns ~grad_x ~grad_y =
     done
   end
 
+let k_forward = Obs.kernel "difftimer.fwd"
+let k_backward = Obs.kernel "difftimer.bwd"
+
 let forward ?pool ?(obs = Obs.disabled) t =
-  Obs.start obs Obs.Diff_forward;
+  Obs.start obs k_forward;
   let m = forward_run ?pool ~obs t in
-  Obs.stop obs Obs.Diff_forward;
+  Obs.stop obs;
   m
 
 let backward ?pool ?(obs = Obs.disabled) t ~w_tns ~w_wns ~grad_x ~grad_y =
-  Obs.start obs Obs.Diff_backward;
+  Obs.start obs k_backward;
   backward_run ?pool ~obs t ~w_tns ~w_wns ~grad_x ~grad_y;
-  Obs.stop obs Obs.Diff_backward
+  Obs.stop obs

@@ -64,8 +64,10 @@ let build_rows (design : Netlist.t) =
     { row_y = lo_y +. (rh /. 2.0);
       free = carve region.Geometry.Rect.lx blocked })
 
+let k_legalize = Obs.kernel "legalize"
+
 let legalize ?(obs = Obs.disabled) design =
-  Obs.start obs Obs.Legalize;
+  Obs.start obs k_legalize;
   let rows = build_rows design in
   let nrows = Array.length rows in
   let rh = design.Netlist.row_height in
@@ -227,7 +229,7 @@ let legalize ?(obs = Obs.disabled) design =
     movable;
   Obs.add obs "legalize.overfull_cells" (float_of_int !overfull);
   Obs.add obs "legalize.total_overflow" !overflow_tot;
-  Obs.stop obs Obs.Legalize;
+  Obs.stop obs;
   let n = Array.length movable in
   { moved_cells = !moved;
     total_displacement = !total;

@@ -27,8 +27,10 @@ let config t = t.cfg
 let timer t = t.timer_
 let should_update t iter = iter mod max 1 t.cfg.period = 0
 
+let k_update = Obs.kernel "netweight.update"
+
 let update ?pool ?(obs = Obs.disabled) t =
-  Obs.start obs Obs.Netweight_update;
+  Obs.start obs k_update;
   let report =
     Sta.Timer.run ~rebuild_trees:t.cfg.rebuild_trees ?pool ~obs t.timer_
   in
@@ -49,7 +51,7 @@ let update ?pool ?(obs = Obs.disabled) t =
           Float.min t.cfg.max_weight
             (net.Netlist.weight *. (1.0 +. (t.cfg.alpha *. t.momentum.(n)))))
     t.design.Netlist.nets;
-  Obs.stop obs Obs.Netweight_update;
+  Obs.stop obs;
   report
 
 let reset t =

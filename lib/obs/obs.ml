@@ -2,10 +2,10 @@
    aggregation and a JSONL trace.  See obs.mli for the model.
 
    Hot-path representation: everything is an [int].  Nanosecond stamps
-   fit a 63-bit int for ~292 years, kernels are a closed enum, and span
-   events pack (iteration, kernel, begin/end) into one tagged int, so
-   recording touches only unboxed int arrays — no per-span allocation
-   beyond the boxed int64 returned by the clock primitive.  The
+   fit a 63-bit int for ~292 years, kernels are interned to dense ints,
+   and span events pack (iteration, kernel, begin/end) into one tagged
+   int, so recording touches only unboxed int arrays — no per-span
+   allocation beyond the boxed int64 returned by the clock primitive.  The
    disabled instance tests one boolean and returns. *)
 
 module Clock = struct
@@ -44,136 +44,40 @@ let peak_rss_bytes () =
   let v = peak_rss_raw () in
   if v > 0.0 then v else proc_vmhwm_bytes ()
 
-type kernel =
-  | Core_run
-  | Core_trace
-  | Wirelength
-  | Density_splat
-  | Density_dct
-  | Density_grad
-  | Steiner_rebuild
-  | Steiner_refresh
-  | Sta_exact
-  | Diff_forward
-  | Diff_backward
-  | Netweight_update
-  | Pathweight_update
-  | Optim_step
-  | Paths_analyze
-  | Paths_enumerate
-  | Legalize
-  | Par_dispatch
-  | Par_wait
-  | Steiner_lut
-  | Steiner_dirty
-  | Steiner_full
-  | Sta_incremental
-  | Serve_parse
-  | Serve_update
-  | Serve_query
-  | Route_rudy
-  | Route_overflow
-  | Route_inflate
-  | Cluster_coarsen
-  | Cluster_interp
-  | Cluster_refine
+(* Kernel handles: dense ints in interning order.  The table is
+   filled at module initialisation (each library interns its names at
+   toplevel), so it needs no lock, and a linear search is cheap. *)
+type kernel = int
 
-let kernel_id = function
-  | Core_run -> 0
-  | Core_trace -> 1
-  | Wirelength -> 2
-  | Density_splat -> 3
-  | Density_dct -> 4
-  | Density_grad -> 5
-  | Steiner_rebuild -> 6
-  | Steiner_refresh -> 7
-  | Sta_exact -> 8
-  | Diff_forward -> 9
-  | Diff_backward -> 10
-  | Netweight_update -> 11
-  | Pathweight_update -> 12
-  | Optim_step -> 13
-  | Paths_analyze -> 14
-  | Paths_enumerate -> 15
-  | Legalize -> 16
-  | Par_dispatch -> 17
-  | Par_wait -> 18
-  | Steiner_lut -> 19
-  | Steiner_dirty -> 20
-  | Steiner_full -> 21
-  | Sta_incremental -> 22
-  | Serve_parse -> 23
-  | Serve_update -> 24
-  | Serve_query -> 25
-  | Route_rudy -> 26
-  | Route_overflow -> 27
-  | Route_inflate -> 28
-  | Cluster_coarsen -> 29
-  | Cluster_interp -> 30
-  | Cluster_refine -> 31
+let names = ref (Array.make 32 "")
+let n_names = ref 0
 
-(* NOTE: pack_tag reserves 5 bits for the kernel id, so this enum is
-   full at 32 entries; widen the tag before adding kernel 33. *)
-let n_kernels = 32
-let core_run_id = 0
+let rec intern name k =
+  if k = !n_names then begin
+    if k = Array.length !names then
+      names := Array.append !names (Array.make k "");
+    !names.(k) <- name;
+    n_names := k + 1;
+    k
+  end
+  else if String.equal !names.(k) name then k
+  else intern name (k + 1)
 
-let all_kernels =
-  [ Core_run; Core_trace; Wirelength; Density_splat; Density_dct;
-    Density_grad; Steiner_rebuild; Steiner_lut; Steiner_dirty;
-    Steiner_full; Steiner_refresh; Sta_exact; Sta_incremental;
-    Diff_forward; Diff_backward; Netweight_update; Pathweight_update;
-    Optim_step; Paths_analyze; Paths_enumerate; Legalize; Route_rudy;
-    Route_overflow; Route_inflate; Cluster_coarsen; Cluster_interp;
-    Cluster_refine; Par_dispatch;
-    Par_wait; Serve_parse; Serve_update; Serve_query ]
+let kernel name = intern name 0
 
-let kernel_name = function
-  | Core_run -> "core.run"
-  | Core_trace -> "core.trace"
-  | Wirelength -> "wirelength"
-  | Density_splat -> "density.splat"
-  | Density_dct -> "density.dct"
-  | Density_grad -> "density.grad"
-  | Steiner_rebuild -> "steiner.rebuild"
-  | Steiner_refresh -> "steiner.refresh"
-  | Sta_exact -> "sta.exact"
-  | Diff_forward -> "difftimer.fwd"
-  | Diff_backward -> "difftimer.bwd"
-  | Netweight_update -> "netweight.update"
-  | Pathweight_update -> "pathweight.update"
-  | Optim_step -> "optim.step"
-  | Paths_analyze -> "paths.analyze"
-  | Paths_enumerate -> "paths.enumerate"
-  | Legalize -> "legalize"
-  | Par_dispatch -> "parallel.dispatch"
-  | Par_wait -> "parallel.wait"
-  | Steiner_lut -> "steiner.lut"
-  | Steiner_dirty -> "steiner.dirty"
-  | Steiner_full -> "steiner.full"
-  | Sta_incremental -> "sta.incremental"
-  | Serve_parse -> "serve.parse"
-  | Serve_update -> "serve.update"
-  | Serve_query -> "serve.query"
-  | Route_rudy -> "route.rudy"
-  | Route_overflow -> "route.overflow"
-  | Route_inflate -> "route.inflate"
-  | Cluster_coarsen -> "cluster.coarsen"
-  | Cluster_interp -> "cluster.interp"
-  | Cluster_refine -> "cluster.refine"
+let kernel_name k = !names.(k)
 
-let name_of_id =
-  let a = Array.make n_kernels "" in
-  List.iter (fun k -> a.(kernel_id k) <- kernel_name k) all_kernels;
-  a
-
-(* Span event tag: bit 0 = kind (0 begin, 1 end), bits 1-5 = kernel id,
-   bits 6.. = iteration (signed; -1 before the first set_iteration). *)
-let pack_tag ~iter ~kid ~kind = (iter lsl 6) lor (kid lsl 1) lor kind
-let tag_iter tag = tag asr 6
-let tag_kid tag = (tag lsr 1) land 0x1f
+(* Span event tag: bit 0 = kind (0 begin, 1 end), bits 1-31 = kernel,
+   bits 32.. = iteration (signed; -1 before the first set_iteration). *)
+let pack_tag ~iter ~kid ~kind = (iter lsl 32) lor (kid lsl 1) lor kind
+let tag_iter tag = tag asr 32
+let tag_kid tag = (tag lsr 1) land 0x7fff_ffff
 let tag_kind tag = tag land 1
 
-type wstate = {
+type t = {
+  enabled : bool;
+  t0 : int;
+  mutable iter : int;
   (* open-span stack *)
   mutable fr_kernel : int array;
   mutable fr_start : int array;
@@ -183,51 +87,40 @@ type wstate = {
   mutable ev_tag : int array;
   mutable ev_ns : int array;
   mutable ev_len : int;
-  (* per-kernel aggregation, all in ns *)
-  calls : int array;
-  cum : int array;
-  self : int array;
-  self_in : int array;  (* self time of spans nested inside core.run *)
-  mn : int array;
-  mx : int array;
-  mutable run_depth : int;  (* open Core_run frames *)
-}
-
-type t = {
-  enabled : bool;
-  t0 : int;
-  mutable iter : int;
-  ws : wstate array;
+  (* per-kernel aggregation, all in ns, indexed by kernel *)
+  mutable calls : int array;
+  mutable cum : int array;
+  mutable self : int array;
+  mutable mn : int array;
+  mutable mx : int array;
   mutable cnt : (string * float ref) list;  (* reversed insertion order *)
   mutable gg : (string * float ref) list;  (* reversed insertion order *)
   gc0 : Gc.stat option;
 }
 
 let disabled =
-  { enabled = false; t0 = 0; iter = -1; ws = [||]; cnt = []; gg = [];
-    gc0 = None }
+  { enabled = false; t0 = 0; iter = -1; fr_kernel = [||]; fr_start = [||];
+    fr_child = [||]; fr_depth = 0; ev_tag = [||]; ev_ns = [||]; ev_len = 0;
+    calls = [||]; cum = [||]; self = [||]; mn = [||]; mx = [||]; cnt = [];
+    gg = []; gc0 = None }
 
-let make_wstate () =
-  { fr_kernel = Array.make 64 0;
+let create ?(gc = false) () =
+  let n = !n_names in
+  { enabled = true;
+    t0 = tick ();
+    iter = -1;
+    fr_kernel = Array.make 64 0;
     fr_start = Array.make 64 0;
     fr_child = Array.make 64 0;
     fr_depth = 0;
     ev_tag = Array.make 4096 0;
     ev_ns = Array.make 4096 0;
     ev_len = 0;
-    calls = Array.make n_kernels 0;
-    cum = Array.make n_kernels 0;
-    self = Array.make n_kernels 0;
-    self_in = Array.make n_kernels 0;
-    mn = Array.make n_kernels max_int;
-    mx = Array.make n_kernels 0;
-    run_depth = 0 }
-
-let create ?(gc = false) ?(workers = 1) () =
-  { enabled = true;
-    t0 = tick ();
-    iter = -1;
-    ws = Array.init (max 1 workers) (fun _ -> make_wstate ());
+    calls = Array.make n 0;
+    cum = Array.make n 0;
+    self = Array.make n 0;
+    mn = Array.make n max_int;
+    mx = Array.make n 0;
     cnt = [];
     gg = [];
     gc0 = (if gc then Some (Gc.quick_stat ()) else None) }
@@ -235,69 +128,69 @@ let create ?(gc = false) ?(workers = 1) () =
 let enabled t = t.enabled
 let set_iteration t i = if t.enabled then t.iter <- i
 
-let grow a len = Array.append a (Array.make len 0)
+let grow ?(fill = 0) a len = Array.append a (Array.make len fill)
 
-let push_event w tag ns =
-  let n = Array.length w.ev_tag in
-  if w.ev_len = n then begin
-    w.ev_tag <- grow w.ev_tag n;
-    w.ev_ns <- grow w.ev_ns n
+(* Room for kernel [kid] in the aggregates (a name interned after
+   [create]). *)
+let grow_aggregates t kid =
+  let n = Array.length t.calls in
+  let more = Int.max (kid + 1) (2 * n) - n in
+  t.calls <- grow t.calls more;
+  t.cum <- grow t.cum more;
+  t.self <- grow t.self more;
+  t.mn <- grow ~fill:max_int t.mn more;
+  t.mx <- grow t.mx more
+
+let push_event t tag ns =
+  let n = Array.length t.ev_tag in
+  if t.ev_len = n then begin
+    t.ev_tag <- grow t.ev_tag n;
+    t.ev_ns <- grow t.ev_ns n
   end;
-  w.ev_tag.(w.ev_len) <- tag;
-  w.ev_ns.(w.ev_len) <- ns;
-  w.ev_len <- w.ev_len + 1
+  t.ev_tag.(t.ev_len) <- tag;
+  t.ev_ns.(t.ev_len) <- ns;
+  t.ev_len <- t.ev_len + 1
 
-let start ?(worker = 0) t k =
+let start t kid =
   if t.enabled then begin
-    let w = t.ws.(worker) in
-    let d = w.fr_depth in
-    if d = Array.length w.fr_kernel then begin
-      w.fr_kernel <- grow w.fr_kernel d;
-      w.fr_start <- grow w.fr_start d;
-      w.fr_child <- grow w.fr_child d
+    let d = t.fr_depth in
+    if d = Array.length t.fr_kernel then begin
+      t.fr_kernel <- grow t.fr_kernel d;
+      t.fr_start <- grow t.fr_start d;
+      t.fr_child <- grow t.fr_child d
     end;
-    let kid = kernel_id k in
     let now = tick () in
-    w.fr_kernel.(d) <- kid;
-    w.fr_start.(d) <- now;
-    w.fr_child.(d) <- 0;
-    w.fr_depth <- d + 1;
-    if kid = core_run_id then w.run_depth <- w.run_depth + 1;
-    push_event w (pack_tag ~iter:t.iter ~kid ~kind:0) now
+    t.fr_kernel.(d) <- kid;
+    t.fr_start.(d) <- now;
+    t.fr_child.(d) <- 0;
+    t.fr_depth <- d + 1;
+    push_event t (pack_tag ~iter:t.iter ~kid ~kind:0) now
   end
 
-let stop ?(worker = 0) t _k =
-  if t.enabled then begin
-    let w = t.ws.(worker) in
-    if w.fr_depth > 0 then begin
-      let now = tick () in
-      let d = w.fr_depth - 1 in
-      w.fr_depth <- d;
-      (* attribute to the frame actually open, so traces stay balanced
-         even if a caller's [stop] kernel disagrees with its [start] *)
-      let kid = w.fr_kernel.(d) in
-      let elapsed = now - w.fr_start.(d) in
-      let selfns = elapsed - w.fr_child.(d) in
-      w.calls.(kid) <- w.calls.(kid) + 1;
-      w.cum.(kid) <- w.cum.(kid) + elapsed;
-      w.self.(kid) <- w.self.(kid) + selfns;
-      if kid = core_run_id then w.run_depth <- w.run_depth - 1
-      else if w.run_depth > 0 then
-        w.self_in.(kid) <- w.self_in.(kid) + selfns;
-      if elapsed < w.mn.(kid) then w.mn.(kid) <- elapsed;
-      if elapsed > w.mx.(kid) then w.mx.(kid) <- elapsed;
-      if d > 0 then w.fr_child.(d - 1) <- w.fr_child.(d - 1) + elapsed;
-      push_event w (pack_tag ~iter:t.iter ~kid ~kind:1) now
-    end
+let stop t =
+  if t.enabled && t.fr_depth > 0 then begin
+    let now = tick () in
+    let d = t.fr_depth - 1 in
+    t.fr_depth <- d;
+    let kid = t.fr_kernel.(d) in
+    if kid >= Array.length t.calls then grow_aggregates t kid;
+    let elapsed = now - t.fr_start.(d) in
+    t.calls.(kid) <- t.calls.(kid) + 1;
+    t.cum.(kid) <- t.cum.(kid) + elapsed;
+    t.self.(kid) <- t.self.(kid) + elapsed - t.fr_child.(d);
+    if elapsed < t.mn.(kid) then t.mn.(kid) <- elapsed;
+    if elapsed > t.mx.(kid) then t.mx.(kid) <- elapsed;
+    if d > 0 then t.fr_child.(d - 1) <- t.fr_child.(d - 1) + elapsed;
+    push_event t (pack_tag ~iter:t.iter ~kid ~kind:1) now
   end
 
-let span ?(worker = 0) t k f =
+let span t k f =
   if not t.enabled then f ()
   else begin
-    start ~worker t k;
+    start t k;
     match f () with
-    | v -> stop ~worker t k; v
-    | exception e -> stop ~worker t k; raise e
+    | v -> stop t; v
+    | exception e -> stop t; raise e
   end
 
 let add t name v =
@@ -341,45 +234,30 @@ type stat = {
 
 let sec ns = float_of_int ns *. 1e-9
 
-(* Merge per-worker aggregates in worker-index order (deterministic). *)
 let stats t =
   List.filter_map
-    (fun k ->
-      let kid = kernel_id k in
-      let calls = ref 0 and cum = ref 0 and self = ref 0 in
-      let mn = ref max_int and mx = ref 0 in
-      Array.iter
-        (fun w ->
-          if w.calls.(kid) > 0 then begin
-            calls := !calls + w.calls.(kid);
-            cum := !cum + w.cum.(kid);
-            self := !self + w.self.(kid);
-            if w.mn.(kid) < !mn then mn := w.mn.(kid);
-            if w.mx.(kid) > !mx then mx := w.mx.(kid)
-          end)
-        t.ws;
-      if !calls = 0 then None
+    (fun kid ->
+      if t.calls.(kid) = 0 then None
       else
         Some
-          { st_kernel = k; st_calls = !calls; st_cum = sec !cum;
-            st_self = sec !self; st_min = sec !mn; st_max = sec !mx })
-    all_kernels
+          { st_kernel = kid; st_calls = t.calls.(kid); st_cum = sec t.cum.(kid);
+            st_self = sec t.self.(kid); st_min = sec t.mn.(kid);
+            st_max = sec t.mx.(kid) })
+    (List.init (Array.length t.calls) Fun.id)
 
 let pp_report ppf t =
   if not t.enabled then Format.fprintf ppf "profiling disabled@."
   else begin
     let sts = stats t in
-    let core_cum =
-      match List.find_opt (fun s -> s.st_kernel = Core_run) sts with
-      | Some s -> Some s.st_cum
-      | None -> None
+    let core_run =
+      List.find_opt (fun s -> kernel_name s.st_kernel = "core.run") sts
     in
     let total_self =
       List.fold_left (fun acc s -> acc +. s.st_self) 0. sts
     in
     let denom =
-      match core_cum with
-      | Some c when c > 0. -> c
+      match core_run with
+      | Some s when s.st_cum > 0. -> s.st_cum
       | _ -> if total_self > 0. then total_self else 1.
     in
     Format.fprintf ppf "@[<v>per-kernel profile (monotonic clock)@,";
@@ -392,19 +270,14 @@ let pp_report ppf t =
           (s.st_cum *. 1e3) (s.st_min *. 1e3) (s.st_max *. 1e3)
           (100. *. s.st_self /. denom))
       sts;
-    (match core_cum with
-    | Some c when c > 0. ->
-      (* only self time of spans nested inside core.run counts towards
-         coverage; standalone kernels (final score, legalizer) do not *)
-      let attributed =
-        Array.fold_left
-          (fun acc w -> acc + Array.fold_left ( + ) 0 w.self_in)
-          0 t.ws
-      in
+    (match core_run with
+    | Some s when s.st_cum > 0. ->
+      (* the time core.run spent inside nested spans; standalone kernels
+         (final score, legalizer) do not count *)
       Format.fprintf ppf
         "coverage: %.1f%% of core.run wall time (%.3f ms) attributed to \
          kernel self times@,"
-        (100. *. sec attributed /. c) (c *. 1e3)
+        (100. *. (s.st_cum -. s.st_self) /. s.st_cum) (s.st_cum *. 1e3)
     | _ -> ());
     let cs = counters t in
     if cs <> [] then begin
@@ -440,25 +313,19 @@ let write_trace t path =
     (fun () ->
       if t.enabled then begin
         Printf.fprintf oc
-          "{\"ev\":\"meta\",\"clock\":\"monotonic\",\"workers\":%d,\
+          "{\"ev\":\"meta\",\"clock\":\"monotonic\",\"workers\":1,\
            \"kernels\":[%s]}\n"
-          (Array.length t.ws)
           (String.concat ","
-             (List.map
-                (fun k -> Printf.sprintf "\"%s\"" (kernel_name k))
-                all_kernels));
-        Array.iteri
-          (fun wi w ->
-            for i = 0 to w.ev_len - 1 do
-              let tag = w.ev_tag.(i) in
-              Printf.fprintf oc
-                "{\"ev\":\"%s\",\"k\":\"%s\",\"w\":%d,\"iter\":%d,\
-                 \"t\":%.9f}\n"
-                (if tag_kind tag = 0 then "b" else "e")
-                name_of_id.(tag_kid tag) wi (tag_iter tag)
-                (sec (w.ev_ns.(i) - t.t0))
-            done)
-          t.ws;
+             (List.init !n_names (fun k ->
+                  Printf.sprintf "\"%s\"" (kernel_name k))));
+        for i = 0 to t.ev_len - 1 do
+          let tag = t.ev_tag.(i) in
+          Printf.fprintf oc
+            "{\"ev\":\"%s\",\"k\":\"%s\",\"w\":0,\"iter\":%d,\"t\":%.9f}\n"
+            (if tag_kind tag = 0 then "b" else "e")
+            (kernel_name (tag_kid tag)) (tag_iter tag)
+            (sec (t.ev_ns.(i) - t.t0))
+        done;
         List.iter
           (fun (n, r) ->
             Printf.fprintf oc "{\"ev\":\"c\",\"k\":\"%s\",\"v\":%s}\n"

@@ -207,6 +207,9 @@ let run_chunks_inline run n grain chunks =
     run lo (min n (lo + grain))
   done
 
+let k_dispatch = Obs.kernel "parallel.dispatch"
+let k_wait = Obs.kernel "parallel.wait"
+
 let dispatch pool obs run n grain =
   let chunks = (n + grain - 1) / grain in
   if chunks <= 1 then run 0 n
@@ -218,7 +221,7 @@ let dispatch pool obs run n grain =
        on nested calls from inside a chunk) *)
     run_chunks_inline run n grain chunks
   else begin
-    Obs.start obs Obs.Par_dispatch;
+    Obs.start obs k_dispatch;
     let job =
       { run;
         jn = n;
@@ -235,10 +238,10 @@ let dispatch pool obs run n grain =
       Condition.broadcast pool.wake;
       Mutex.unlock pool.sleep_mutex
     end;
-    Obs.stop obs Obs.Par_dispatch;
+    Obs.stop obs;
     help pool job;
     (* the caller ran out of chunks to claim; wait out the stragglers *)
-    Obs.start obs Obs.Par_wait;
+    Obs.start obs k_wait;
     let rec wait spin =
       if Atomic.get job.remaining > 0 then
         if spin > 0 then begin
@@ -255,7 +258,7 @@ let dispatch pool obs run n grain =
         end
     in
     wait pool.caller_spin;
-    Obs.stop obs Obs.Par_wait;
+    Obs.stop obs;
     Atomic.set pool.busy false;
     match Atomic.get job.failed with None -> () | Some e -> raise e
   end

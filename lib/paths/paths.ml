@@ -22,8 +22,8 @@
    endpoints are pruned before their search starts.  Materialisation
    (step lists, at/slew lookups, net/arc lists) is deferred until after
    the global top-K cut.  [Reference] keeps the original eager
-   implementation verbatim as the bit-identity oracle and benchmark
-   baseline. *)
+   implementation verbatim as the bit-identity oracle of the path
+   tests. *)
 
 let tr_of ti = if ti = 0 then Sta.Rise else Sta.Fall
 
@@ -217,18 +217,20 @@ let materialize t ep rank ~head ~suffix ~slack =
   { pt_endpoint = ep; pt_rank = rank; pt_slack = slack; pt_steps = steps;
     pt_nets = nets; pt_arcs = arcs }
 
+let k_analyze = Obs.kernel "paths.analyze"
+
 let analyze ?pool ?(obs = Obs.disabled) timer =
-  Obs.start obs Obs.Paths_analyze;
+  Obs.start obs k_analyze;
   (* enumeration reads endpoint RATs from pool tasks: the first RAT
      read, which runs the timer's backward sweep, happens here *)
   let eps = (Sta.Timer.nets timer).Sta.Nets.graph.Sta.Graph.endpoints in
   if Array.length eps > 0 then
     ignore (Sta.Timer.rat_late timer eps.(0) Sta.Rise);
   let view = analyze_run ?pool ~obs timer in
-  Obs.stop obs Obs.Paths_analyze;
+  Obs.stop obs;
   view
 
-(* ---- the frozen eager implementation (oracle + bench baseline) ---- *)
+(* ---- the frozen eager implementation (the tests' oracle) ---- *)
 
 module Reference = struct
   (* A candidate path: the suffix [c_suffix] (list of (in-edge, node)
@@ -687,10 +689,12 @@ let enumerate_run ?pool ?obs ?(slack_limit = infinity) ~k t =
     take [] k sorted
   end
 
+let k_enumerate = Obs.kernel "paths.enumerate"
+
 let enumerate ?pool ?obs:(obs = Obs.disabled) ?slack_limit ~k t =
-  Obs.start obs Obs.Paths_enumerate;
+  Obs.start obs k_enumerate;
   let paths = enumerate_run ?pool ~obs ?slack_limit ~k t in
-  Obs.stop obs Obs.Paths_enumerate;
+  Obs.stop obs;
   paths
 
 let severity paths =
@@ -755,8 +759,10 @@ module Weight = struct
   let timer t = t.timer_
   let should_update t iteration = iteration mod max 1 t.cfg.period = 0
 
+  let k_update = Obs.kernel "pathweight.update"
+
   let update ?pool ?(obs = Obs.disabled) t =
-    Obs.start obs Obs.Pathweight_update;
+    Obs.start obs k_update;
     let report =
       Sta.Timer.run ~rebuild_trees:t.cfg.rebuild_trees ?pool ~obs t.timer_
     in
@@ -783,7 +789,7 @@ module Weight = struct
         let w = if m > 0.0 then w *. (1.0 +. (t.cfg.alpha *. m)) else w in
         net.Netlist.weight <- Float.min t.cfg.max_weight w)
       t.design.Netlist.nets;
-    Obs.stop obs Obs.Pathweight_update;
+    Obs.stop obs;
     report
 
   let reset t =

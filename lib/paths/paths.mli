@@ -94,8 +94,8 @@ val enumerate_grain : k:int -> int -> int
     Exposed so benchmarks can report the chunking. *)
 
 (** The original eager deviation branch-and-bound, kept verbatim as the
-    bit-identity oracle for the lazy engine and as the benchmark
-    baseline.  [enumerate] here pushes every deviation of a popped
+    bit-identity oracle the path tests check the lazy engine against.
+    [enumerate] here pushes every deviation of a popped
     candidate's backbone and materialises every popped path; its output
     is bitwise identical to the top-level {!enumerate}. *)
 module Reference : sig

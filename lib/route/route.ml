@@ -118,10 +118,12 @@ module Rudy = struct
         done
     end
 
+  let k_rudy = Obs.kernel "route.rudy"
+
   let update ?pool ?(obs = Obs.disabled) t =
     let n = t.n in
     let nnets = Netlist.num_nets t.design in
-    Obs.start obs Obs.Route_rudy;
+    Obs.start obs k_rudy;
     let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
     (* per-chunk grids merged in chunk order: the split depends only on
        the net count, so pooled maps reproduce sequential ones bit for
@@ -141,7 +143,7 @@ module Rudy = struct
     for b = 0 to (n * n) - 1 do
       t.util.(b) <- t.dem.(b) /. cap
     done;
-    Obs.stop obs Obs.Route_rudy
+    Obs.stop obs
 
   let demand t = t.dem
   let utilization t = t.util
@@ -154,8 +156,10 @@ type summary = {
   ov_total : float;
 }
 
+let k_overflow = Obs.kernel "route.overflow"
+
 let overflow ?(obs = Obs.disabled) ?(percentile = 0.02) rudy =
-  Obs.span obs Obs.Route_overflow (fun () ->
+  Obs.span obs k_overflow (fun () ->
     let util = Rudy.utilization rudy in
     let nb = Array.length util in
     let peak = ref 0.0 and congested = ref 0 and total = ref 0.0 in
@@ -201,10 +205,12 @@ module Inflate = struct
 
   let rounds t = t.n_rounds
 
+  let k_inflate = Obs.kernel "route.inflate"
+
   let step ?(obs = Obs.disabled) cfg t rudy =
     if t.n_rounds >= cfg.rt_max_rounds then 0
     else
-      Obs.span obs Obs.Route_inflate (fun () ->
+      Obs.span obs k_inflate (fun () ->
         t.n_rounds <- t.n_rounds + 1;
         let d = t.design in
         let util = Rudy.utilization rudy in
@@ -259,7 +265,7 @@ module Inflate = struct
   let deflate ?(obs = Obs.disabled) cfg t rudy =
     if t.n_rounds = 0 then 0
     else
-      Obs.span obs Obs.Route_inflate (fun () ->
+      Obs.span obs k_inflate (fun () ->
         let d = t.design in
         let util = Rudy.utilization rudy in
         let n = Rudy.bins rudy in

@@ -393,13 +393,19 @@ module Nets = struct
     Rc.evaluate rc;
     t.trees.(net_id) <- Some (tree, rc)
 
+  let k_rebuild = Obs.kernel "steiner.rebuild"
+  let k_dirty = Obs.kernel "steiner.dirty"
+  let k_lut = Obs.kernel "steiner.lut"
+  let k_full = Obs.kernel "steiner.full"
+  let k_refresh = Obs.kernel "steiner.refresh"
+
   (* Steiner construction and RC evaluation are per-net: every task
      touches only [trees.(n)] and freshly allocated tree/RC state, so
      net-parallel dispatch is race-free and bit-identical.  The LUT
      phase only reads the shipped topology table ([Lut.try_build]),
      which covers every class of every LUT degree. *)
   let rebuild ?dirty_threshold ?pool ?(obs = Obs.disabled) t =
-    Obs.start obs Obs.Steiner_rebuild;
+    Obs.start obs k_rebuild;
     let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
     let design = t.graph.Graph.design in
     let nnets = Array.length t.trees in
@@ -465,16 +471,16 @@ module Nets = struct
       Obs.add obs "steiner.nets_full" (float_of_int !n_full)
     end;
     (* clean nets: O(1) provenance refresh on the frozen topology *)
-    Obs.start obs Obs.Steiner_dirty;
+    Obs.start obs k_dirty;
     Parallel.parallel_for p ~obs ~cost:200.0 !n_clean (fun i ->
       let n = wl_clean.(i) in
       match t.trees.(n) with
       | None -> ()
       | Some entry ->
         refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
-    Obs.stop obs Obs.Steiner_dirty;
+    Obs.stop obs;
     (* LUT-degree nets: parallel read-only lookups *)
-    Obs.start obs Obs.Steiner_lut;
+    Obs.start obs k_lut;
     Parallel.parallel_for p ~obs ~cost:600.0 !n_lut (fun i ->
       let n = wl_lut.(i) in
       let pins = design.Netlist.nets.(n).Netlist.net_pins in
@@ -491,18 +497,18 @@ module Nets = struct
          Rc.evaluate rc
        | _ -> install_tree t n tree);
       record_anchor t n);
-    Obs.stop obs Obs.Steiner_lut;
+    Obs.stop obs;
     (* above-LUT degrees: Prim + Steinerisation *)
-    Obs.start obs Obs.Steiner_full;
+    Obs.start obs k_full;
     Parallel.parallel_for p ~obs ~cost:4000.0 !n_full (fun i ->
       let n = wl_full.(i) in
       t.trees.(n) <- build_tree t.graph n;
       record_anchor t n);
-    Obs.stop obs Obs.Steiner_full;
-    Obs.stop obs Obs.Steiner_rebuild
+    Obs.stop obs;
+    Obs.stop obs
 
   let refresh ?pool ?(obs = Obs.disabled) t =
-    Obs.start obs Obs.Steiner_refresh;
+    Obs.start obs k_refresh;
     let design = t.graph.Graph.design in
     let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
     (* ~cost raised from 80: per-net refresh walks every tree node plus
@@ -515,7 +521,7 @@ module Nets = struct
       | None -> ()
       | Some entry ->
         refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
-    Obs.stop obs Obs.Steiner_refresh
+    Obs.stop obs
 
   let total_tree_length t =
     Array.fold_left
@@ -965,15 +971,17 @@ module Timer = struct
       let su = t.ep_setup.(p) in
       if Float.is_nan su then None else Some (su, t.ep_hold.(p)))
 
+  let k_exact = Obs.kernel "sta.exact"
+
   let run ?(rebuild_trees = true) ?pool ?(obs = Obs.disabled) t =
     if rebuild_trees then Nets.rebuild ?pool ~obs t.nets
     else Nets.refresh ?pool ~obs t.nets;
-    Obs.start obs Obs.Sta_exact;
+    Obs.start obs k_exact;
     Forward.reset t.fwd;
     Forward.sweep ?pool ~obs t.fwd (Forward.pin t.fwd ~gamma:0.0);
     Array.iter (store_endpoint t) t.graph.Graph.endpoints;
     let report = settle t in
-    Obs.stop obs Obs.Sta_exact;
+    Obs.stop obs;
     report
 
   let pin_slack_late t p =
@@ -1218,8 +1226,10 @@ module Incremental = struct
        && Float.equal o7 sl_e.(ir)
        && Float.equal o8 sl_e.(if_))
 
+  let k_incremental = Obs.kernel "sta.incremental"
+
   let update ?(obs = Obs.disabled) (t : t) =
-    Obs.start obs Obs.Sta_incremental;
+    Obs.start obs k_incremental;
     let g = t.Timer.graph in
     let design = g.Graph.design in
     let nlevels = Array.length g.Graph.levels in
@@ -1291,6 +1301,6 @@ module Incremental = struct
       Obs.add obs "sta.inc.nets" (float_of_int !net_count);
       Obs.add obs "sta.inc.changed" (float_of_int !changed_count)
     end;
-    Obs.stop obs Obs.Sta_incremental;
+    Obs.stop obs;
     report
 end

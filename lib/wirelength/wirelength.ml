@@ -118,12 +118,14 @@ let eval_net t sl ~weighted gx gy (net : Netlist.net) =
     w *. (wx +. wy)
   end
 
+let k_wirelength = Obs.kernel "wirelength"
+
 let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
     ~grad_y () =
   let ncells = Netlist.num_cells t.design in
   if Array.length grad_x <> ncells || Array.length grad_y <> ncells then
     invalid_arg "Wirelength.evaluate: gradient size mismatch";
-  Obs.start obs Obs.Wirelength;
+  Obs.start obs k_wirelength;
   let nets = t.design.Netlist.nets in
   let nnets = Array.length nets in
   let nslices = net_slices ~ncells nnets in
@@ -167,5 +169,5 @@ let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
     !total
   end
   in
-  Obs.stop obs Obs.Wirelength;
+  Obs.stop obs;
   result

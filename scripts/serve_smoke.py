@@ -16,6 +16,8 @@ design and asserts that:
     on;
   * a known command with the wrong number of arguments answers with its
     usage line (`err usage: ...`), not as an unknown command;
+  * `exit` is not a command: with or without arguments it answers as
+    an unknown command;
   * the JSONL profiling trace contains the per-request serve.parse /
     serve.update / serve.query spans.
 
@@ -75,6 +77,8 @@ def main():
             "paths",
             "place 5",
             "commit extra",
+            "exit",
+            "exit now",
             "quit",
         ]
     ) + "\n"
@@ -95,8 +99,8 @@ def main():
     for l in responses:
         print(f"  {l}")
 
-    if len(responses) != 18:
-        fail(f"expected 18 response lines, got {len(responses)}")
+    if len(responses) != 20:
+        fail(f"expected 20 response lines, got {len(responses)}")
 
     # 1: commit with no pending moves == the batch analysis
     m = re.match(r"ok wns (-?[\d.]+) tns (-?[\d.]+) endpoints (\d+)", responses[0])
@@ -128,7 +132,9 @@ def main():
         (14, r"err usage: paths <K>$"),
         (15, r"err usage: place <iters> <mode>$"),
         (16, r"err usage: commit$"),
-        (17, r"ok bye"),
+        (17, r"err unknown command exit \(try help\)$"),
+        (18, r"err unknown command exit \(try help\)$"),
+        (19, r"ok bye"),
     ]
     for idx, pat in expectations:
         if not re.match(pat, responses[idx]):

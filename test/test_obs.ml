@@ -1,6 +1,7 @@
 (* Tests for the per-kernel observability layer: clock sanity, the
-   disabled fast path, span aggregation, non-perturbation of Core.run,
-   and the JSONL trace format. *)
+   disabled fast path, the span-name interner, span aggregation, the
+   coverage line, non-perturbation of Core.run, and the JSONL trace
+   format. *)
 
 let lib = Liberty.Synthetic.default ()
 
@@ -29,8 +30,8 @@ let test_clock_monotonic () =
 let test_disabled_is_noop () =
   Alcotest.(check bool) "disabled" false (Obs.enabled Obs.disabled);
   (* every operation must be a silent no-op on the disabled instance *)
-  Obs.start Obs.disabled Obs.Wirelength;
-  Obs.stop Obs.disabled Obs.Wirelength;
+  Obs.start Obs.disabled (Obs.kernel "wirelength");
+  Obs.stop Obs.disabled;
   Obs.set_iteration Obs.disabled 3;
   Obs.add Obs.disabled "x" 1.0;
   Obs.gauge Obs.disabled "y" 2.0;
@@ -38,25 +39,52 @@ let test_disabled_is_noop () =
   Alcotest.(check int) "no counters" 0
     (List.length (Obs.counters Obs.disabled))
 
+let find_stat obs name =
+  match
+    List.find_opt
+      (fun s -> Obs.kernel_name s.Obs.st_kernel = name)
+      (Obs.stats obs)
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "missing kernel %s" name
+
+(* A name is interned once: every call returns the handle the owning
+   library declared at toplevel, and the handle names itself. *)
+let test_interner_same_handle () =
+  let a = Obs.kernel "test.interner.a" and b = Obs.kernel "test.interner.b" in
+  Alcotest.(check bool) "same name, same handle" true
+    (a = Obs.kernel "test.interner.a");
+  Alcotest.(check bool) "distinct names, distinct handles" true (a <> b);
+  Alcotest.(check string) "name round-trips" "test.interner.a"
+    (Obs.kernel_name a);
+  (* Density interned "density.dct" when it was linked: a span it opens
+     lands on the handle this lookup returns *)
+  let design, _ = setup () in
+  let d = Density.create design in
+  let obs = Obs.create () in
+  Density.update ~obs d;
+  Alcotest.(check bool) "library handle shared" true
+    (List.exists
+       (fun s -> s.Obs.st_kernel = Obs.kernel "density.dct")
+       (Obs.stats obs))
+
 let test_span_aggregation () =
   let obs = Obs.create () in
   Alcotest.(check bool) "enabled" true (Obs.enabled obs);
   (* two calls of a parent span with a nested child in each *)
+  let k_parent = Obs.kernel "sta.exact" in
+  let k_child = Obs.kernel "steiner.rebuild" in
   for _ = 1 to 2 do
-    Obs.start obs Obs.Sta_exact;
-    Obs.start obs Obs.Steiner_rebuild;
+    Obs.start obs k_parent;
+    Obs.start obs k_child;
     let acc = ref 0.0 in
     for i = 1 to 10_000 do acc := !acc +. sqrt (float_of_int i) done;
     ignore !acc;
-    Obs.stop obs Obs.Steiner_rebuild;
-    Obs.stop obs Obs.Sta_exact
+    Obs.stop obs;
+    Obs.stop obs
   done;
-  let find k =
-    match List.find_opt (fun s -> s.Obs.st_kernel = k) (Obs.stats obs) with
-    | Some s -> s
-    | None -> Alcotest.failf "missing kernel %s" (Obs.kernel_name k)
-  in
-  let parent = find Obs.Sta_exact and child = find Obs.Steiner_rebuild in
+  let parent = find_stat obs "sta.exact" in
+  let child = find_stat obs "steiner.rebuild" in
   Alcotest.(check int) "parent calls" 2 parent.Obs.st_calls;
   Alcotest.(check int) "child calls" 2 child.Obs.st_calls;
   Alcotest.(check bool) "child nested in parent" true
@@ -195,13 +223,9 @@ let test_jsonl_trace () =
   let view = Paths.analyze ~obs timer in
   let _ = Paths.enumerate ~obs ~k:3 view in
   let _ = Legalize.legalize ~obs design in
-  (* incremental STA on the same timer and the serving-daemon request
-     kernels *)
+  (* incremental STA on the same timer *)
   Sta.Incremental.touch_cell timer (List.hd (Netlist.movable_cells design));
   let _ = Sta.Incremental.update ~obs timer in
-  Obs.span obs Obs.Serve_parse (fun () -> ());
-  Obs.span obs Obs.Serve_update (fun () -> ());
-  Obs.span obs Obs.Serve_query (fun () -> ());
   (* routability kernels: a real demand map, summary and inflation pass *)
   let rudy = Route.Rudy.create design in
   Route.Rudy.update ~obs rudy;
@@ -293,13 +317,21 @@ let test_jsonl_trace () =
           if !d <> 0 then
             Alcotest.failf "worker %s left %d spans open" w !d)
         depth;
-      (* the trace covers every instrumented kernel *)
+      (* the trace covers every span perfbench's ledger reads (the
+         daemon's serve.* spans are checked by scripts/serve_smoke.py)
+         and the library's other spans this run drives *)
       List.iter
-        (fun k ->
-          let name = Obs.kernel_name k in
+        (fun name ->
           if not (Hashtbl.mem seen name) then
             Alcotest.failf "kernel %s missing from trace" name)
-        Obs.all_kernels;
+        [ "core.run"; "core.trace"; "optim.step"; "wirelength";
+          "density.splat"; "density.dct"; "density.grad"; "steiner.rebuild";
+          "steiner.lut"; "steiner.refresh"; "sta.exact"; "sta.incremental";
+          "difftimer.fwd"; "difftimer.bwd"; "paths.analyze";
+          "paths.enumerate"; "cluster.coarsen"; "cluster.interp";
+          "cluster.refine"; "parallel.dispatch"; "parallel.wait";
+          "netweight.update"; "pathweight.update"; "legalize"; "route.rudy";
+          "route.overflow"; "route.inflate" ];
       (* counters and gc gauges made it out *)
       let has_counter name =
         List.exists
@@ -312,6 +344,89 @@ let test_jsonl_trace () =
         (has_counter "legalize.overfull_cells");
       Alcotest.(check bool) "gc gauge present" true
         (has_counter "gc.minor_words"))
+
+(* Read a trace back as (ev, k) pairs of its span events. *)
+let trace_spans obs =
+  let path = Filename.temp_file "dgp_obs" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Obs.write_trace obs path;
+      In_channel.with_open_text path In_channel.input_lines
+      |> List.filter_map (fun l ->
+           match field l "ev" with
+           | Some ("b" | "e" as ev) -> Some (ev, Option.get (field l "k"))
+           | _ -> None))
+
+(* Twice the 32 names the old 5-bit tag could hold: each records, and
+   each begin/end pair round-trips through the JSONL trace by name. *)
+let test_many_kernels_round_trip () =
+  let names = List.init 64 (Printf.sprintf "test.many.k%02d") in
+  let ks = List.map Obs.kernel names in
+  let obs = Obs.create () in
+  Obs.set_iteration obs 5;
+  List.iter (fun k -> Obs.span obs k (fun () -> ())) ks;
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " calls") 1
+        (find_stat obs name).Obs.st_calls)
+    names;
+  Alcotest.(check (list (pair string string)))
+    "trace events in order, by name"
+    (List.concat_map (fun n -> [ ("b", n); ("e", n) ]) names)
+    (trace_spans obs)
+
+(* A name interned after the recorder exists (beyond its aggregate
+   arrays) still records, nested under an earlier one. *)
+let test_late_kernel_records () =
+  let outer = Obs.kernel "test.late.outer" in
+  let obs = Obs.create () in
+  let late = List.init 40 (Printf.sprintf "test.late.k%02d") in
+  Obs.start obs outer;
+  List.iter (fun n -> Obs.span obs (Obs.kernel n) (fun () -> ())) late;
+  Obs.stop obs;
+  List.iter
+    (fun name ->
+      Alcotest.(check int) (name ^ " calls") 1
+        (find_stat obs name).Obs.st_calls)
+    ("test.late.outer" :: late);
+  let o = find_stat obs "test.late.outer" in
+  Alcotest.(check bool) "children excluded from outer self" true
+    (o.Obs.st_self <= o.Obs.st_cum);
+  Alcotest.(check int) "trace events" (2 * (1 + List.length late))
+    (List.length (trace_spans obs))
+
+(* The --profile coverage line is core.run's (cum - self) / cum, the
+   figure perfbench's ledger reports as core.coverage_pct. *)
+let test_coverage_is_ledger () =
+  let _, graph = setup () in
+  let obs = Obs.create () in
+  let cfg =
+    { Core.default_config with
+      Core.mode = Core.Differentiable_timing Core.default_timing;
+      max_iterations = 30; min_iterations = 10; trace_timing_period = 10 }
+  in
+  ignore (Core.run ~obs cfg graph);
+  (* a standalone span after the run does not count towards coverage *)
+  ignore (Sta.Timer.run ~obs (Sta.Timer.create graph));
+  let report = Format.asprintf "%a" Obs.pp_report obs in
+  let line =
+    match
+      List.find_opt
+        (String.starts_with ~prefix:"coverage:")
+        (String.split_on_char '\n' report)
+    with
+    | Some l -> l
+    | None -> Alcotest.failf "no coverage line in:\n%s" report
+  in
+  let run = Ledger.kernel (Ledger.of_obs obs) "core.run" in
+  Alcotest.(check string) "coverage line"
+    (Printf.sprintf
+       "coverage: %.1f%% of core.run wall time (%.3f ms) attributed to \
+        kernel self times"
+       (Ledger.coverage_pct (Ledger.of_obs obs))
+       (run.Ledger.cum_s *. 1e3))
+    line
 
 (* perfbench's ledger reads these names: the path engine's candidate
    counters, the three Steiner rebuild sub-kernels and the per-class
@@ -339,12 +454,14 @@ let test_instrumentation_names () =
     (Netlist.movable_cells design);
   let obs = Obs.create () in
   Sta.Nets.rebuild ~dirty_threshold:0.25 ~obs nets;
-  let spans = List.map (fun s -> s.Obs.st_kernel) (Obs.stats obs) in
+  let spans =
+    List.map (fun s -> Obs.kernel_name s.Obs.st_kernel) (Obs.stats obs)
+  in
   List.iter
-    (fun k ->
-      if not (List.mem k spans) then
-        Alcotest.failf "Sta.Nets.rebuild did not record %s" (Obs.kernel_name k))
-    [ Obs.Steiner_dirty; Obs.Steiner_lut; Obs.Steiner_full ];
+    (fun name ->
+      if not (List.mem name spans) then
+        Alcotest.failf "Sta.Nets.rebuild did not record %s" name)
+    [ "steiner.dirty"; "steiner.lut"; "steiner.full" ];
   let counter name =
     match List.assoc_opt name (Obs.counters obs) with
     | Some v -> v
@@ -363,10 +480,18 @@ let test_instrumentation_names () =
 let suite =
   [ Alcotest.test_case "clock monotonic" `Quick test_clock_monotonic;
     Alcotest.test_case "disabled is a no-op" `Quick test_disabled_is_noop;
+    Alcotest.test_case "interner: same name, same handle" `Quick
+      test_interner_same_handle;
+    Alcotest.test_case "interner: 64 kernels round-trip the trace" `Quick
+      test_many_kernels_round_trip;
+    Alcotest.test_case "interner: name interned after create records" `Quick
+      test_late_kernel_records;
     Alcotest.test_case "span aggregation" `Quick test_span_aggregation;
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
     Alcotest.test_case "profiling does not perturb Core.run" `Slow
       test_run_not_perturbed;
     Alcotest.test_case "jsonl trace" `Quick test_jsonl_trace;
+    Alcotest.test_case "coverage is core.run's (cum - self) / cum" `Quick
+      test_coverage_is_ledger;
     Alcotest.test_case "ledger instrumentation names" `Quick
       test_instrumentation_names ]
