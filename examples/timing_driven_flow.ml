@@ -159,7 +159,7 @@ let () =
   let r2 = place t_cfg graph in
   report_congestion r2;
   ignore (Legalize.legalize ~obs design);
-  let dp = Detailed.refine design in
+  let dp = Detailed.refine ~obs design in
   Format.printf "\ndetailed placement:@.%a@." Detailed.pp_stats dp;
   let after = Sta.Timer.run ~obs timer in
   Printf.printf

@@ -25,7 +25,9 @@ type row = {
   mutable free : (float * float) list;  (* sorted, disjoint *)
 }
 
-let build_rows (design : Netlist.t) =
+(* Per row, the x-intervals (lo, hi) of the fixed cells whose extent
+   crosses it, sorted. *)
+let row_blockages (design : Netlist.t) =
   let region = design.Netlist.region in
   let rh = design.Netlist.row_height in
   let nrows =
@@ -38,31 +40,37 @@ let build_rows (design : Netlist.t) =
   Array.init nrows (fun r ->
     let lo_y = region.Geometry.Rect.ly +. (float_of_int r *. rh) in
     let hi_y = lo_y +. rh in
-    (* x-intervals blocked by fixed cells overlapping this row *)
-    let blocked =
-      List.filter_map
-        (fun (c : Netlist.cell) ->
-          let c_lo = c.Netlist.y -. (c.Netlist.height /. 2.0) in
-          let c_hi = c.Netlist.y +. (c.Netlist.height /. 2.0) in
-          if c_hi > lo_y +. 1e-9 && c_lo < hi_y -. 1e-9 then
-            Some
-              (c.Netlist.x -. (c.Netlist.width /. 2.0),
-               c.Netlist.x +. (c.Netlist.width /. 2.0))
-          else None)
-        fixed
-      |> List.sort compare
-    in
-    let rec carve lo = function
-      | [] ->
-        if region.Geometry.Rect.hx -. lo > 1e-9 then
-          [ (lo, region.Geometry.Rect.hx) ]
-        else []
-      | (b_lo, b_hi) :: rest ->
-        let pre = if b_lo -. lo > 1e-9 then [ (lo, b_lo) ] else [] in
-        pre @ carve (Float.max lo b_hi) rest
-    in
-    { row_y = lo_y +. (rh /. 2.0);
-      free = carve region.Geometry.Rect.lx blocked })
+    List.filter_map
+      (fun (c : Netlist.cell) ->
+        let c_lo = c.Netlist.y -. (c.Netlist.height /. 2.0) in
+        let c_hi = c.Netlist.y +. (c.Netlist.height /. 2.0) in
+        if c_hi > lo_y +. 1e-9 && c_lo < hi_y -. 1e-9 then
+          Some
+            (c.Netlist.x -. (c.Netlist.width /. 2.0),
+             c.Netlist.x +. (c.Netlist.width /. 2.0))
+        else None)
+      fixed
+    |> List.sort compare
+    |> Array.of_list)
+
+let build_rows (design : Netlist.t) =
+  let region = design.Netlist.region in
+  let rh = design.Netlist.row_height in
+  let rec carve lo = function
+    | [] ->
+      if region.Geometry.Rect.hx -. lo > 1e-9 then
+        [ (lo, region.Geometry.Rect.hx) ]
+      else []
+    | (b_lo, b_hi) :: rest ->
+      let pre = if b_lo -. lo > 1e-9 then [ (lo, b_lo) ] else [] in
+      pre @ carve (Float.max lo b_hi) rest
+  in
+  Array.mapi
+    (fun r blocked ->
+      let lo_y = region.Geometry.Rect.ly +. (float_of_int r *. rh) in
+      { row_y = lo_y +. (rh /. 2.0);
+        free = carve region.Geometry.Rect.lx (Array.to_list blocked) })
+    (row_blockages design)
 
 let k_legalize = Obs.kernel "legalize"
 

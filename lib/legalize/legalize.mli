@@ -35,6 +35,12 @@ val legalize : ?obs:Obs.t -> Netlist.t -> stats
     and, when [obs] is live, as [legalize.overfull_cells] /
     [legalize.total_overflow] counters under a [legalize] span. *)
 
+val row_blockages : Netlist.t -> (float * float) array array
+(** Per row of height [row_height] (bottom row first), the x-intervals
+    [(lo, hi)] of the fixed cells whose extent crosses the row, sorted.
+    These are the blockages [legalize] carves free intervals around and
+    [Detailed.refine] packs no window across. *)
+
 val overlap_area : Netlist.t -> float
 (** Total pairwise overlap area among movable cells (validation metric;
     0 after a legalisation with no overfull cells). *)

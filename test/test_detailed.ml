@@ -1,4 +1,6 @@
-(* Tests for detailed placement refinement. *)
+(* Tests for detailed placement refinement: quality and legality, the
+   fixed-cell blockage rule, bit-identity with the list-based oracle
+   ([Detailed_oracle]) and the Obs span. *)
 
 let lib = Liberty.Synthetic.default ()
 
@@ -87,6 +89,204 @@ let test_larger_window_at_least_as_good () =
   Alcotest.(check bool) "window used" true
     (s4.Detailed.hpwl_after <= s2.Detailed.hpwl_after *. 1.02)
 
+(* A one-row region with a fixed blockage between movable cells: the
+   best order of the window [a; b; c] would left-pack a and b over the
+   blockage, so that window is skipped and the cells stay legal. *)
+let test_window_skips_fixed_cell () =
+  let b =
+    Netlist.Builder.create
+      ~region:(Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx:20.0 ~hy:1.0)
+      ~row_height:1.0 "blockage"
+  in
+  let cell name ?(fixed = false) ?(width = 1.0) x =
+    let c =
+      Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width ~height:1.0 ~x
+        ~y:0.5 ~fixed ()
+    in
+    Netlist.Builder.add_pin b ~cell:c ~name:(name ^ "/p")
+      ~direction:(if fixed then Netlist.Output else Netlist.Input) ()
+  in
+  let pad_l = cell "pad_l" ~fixed:true 0.5 in
+  let pad_r = cell "pad_r" ~fixed:true 19.5 in
+  ignore (cell "blk" ~fixed:true ~width:2.0 10.0);
+  let a = cell "a" 8.5 in
+  ignore (cell "b" 11.5);
+  let c = cell "c" 12.5 in
+  ignore (Netlist.Builder.add_net b ~name:"n_c" ~pins:[ pad_l; c ]);
+  ignore (Netlist.Builder.add_net b ~name:"n_a" ~pins:[ pad_r; a ]);
+  let design = Netlist.Builder.freeze b in
+  Alcotest.(check (list string)) "legal before" [] (Checks.legality design);
+  let start = Netlist.copy_positions design in
+  ignore (Detailed_oracle.refine design);
+  Alcotest.(check bool) "the oracle packs over the blockage" true
+    (Checks.legality design <> []);
+  Netlist.restore_positions design start;
+  let s = Detailed.refine design in
+  Alcotest.(check (list string)) "legal after" [] (Checks.legality design);
+  Alcotest.(check bool) "still improves" true
+    (s.Detailed.hpwl_after < s.Detailed.hpwl_before)
+
+(* A legalised design built by hand: cells of integer widths
+   [min_width] to 3 in ten rows of width [hx], nets with two sink pins on
+   one cell, one-pin nets and unconnected pins. *)
+let rows_design ?(hx = 60.0) ?(min_width = 1) seed =
+  let rng = Workload.Rng.create seed in
+  let b =
+    Netlist.Builder.create
+      ~region:(Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx ~hy:14.0)
+      ~row_height:1.4 "rows"
+  in
+  let pad name x y =
+    let c =
+      Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width:1.0 ~height:1.4
+        ~x ~y ~fixed:true ()
+    in
+    Netlist.Builder.add_pin b ~cell:c ~name:(name ^ "/p")
+      ~direction:Netlist.Output ()
+  in
+  (* pads sit just outside the region, so they block no row: the oracle
+     would still pack a window over a pad inside a row
+     ([test_window_skips_fixed_cell]) *)
+  let pads =
+    [| pad "pl" 0.5 (-0.7); pad "pr" (hx -. 0.5) 14.7; pad "pm" (hx /. 2.0) (-0.7) |]
+  in
+  let ncells = 150 in
+  let outs = Array.make ncells 0 and ins = Array.make ncells [] in
+  for i = 0 to ncells - 1 do
+    let width = float_of_int (min_width + Workload.Rng.int rng (4 - min_width)) in
+    let c =
+      Netlist.Builder.add_cell b ~name:(Printf.sprintf "u%d" i) ~lib_cell:(-1)
+        ~width ~height:1.4 ~x:(Workload.Rng.float rng hx)
+        ~y:(Workload.Rng.float rng 14.0) ()
+    in
+    let pin k dir =
+      Netlist.Builder.add_pin b ~cell:c ~name:(Printf.sprintf "u%d/%d" i k)
+        ~direction:dir
+        ~offset_x:(Workload.Rng.float rng width -. (width /. 2.0))
+        ~offset_y:(Workload.Rng.float rng 1.0 -. 0.5) ()
+    in
+    outs.(i) <- pin 0 Netlist.Output;
+    ins.(i) <- [ pin 1 Netlist.Input; pin 2 Netlist.Input; pin 3 Netlist.Input ]
+  done;
+  let take c =
+    match ins.(c) with
+    | p :: rest -> ins.(c) <- rest; [ p ]
+    | [] -> []
+  in
+  for i = 0 to ncells - 1 do
+    let sinks =
+      match Workload.Rng.int rng 4 with
+      | 0 -> []  (* a one-pin net *)
+      | 1 ->
+        let c = Workload.Rng.int rng ncells in
+        let p = take c in
+        p @ take c  (* two pins of one cell *)
+      | _ ->
+        List.concat
+          (List.init (1 + Workload.Rng.int rng 4) (fun _ ->
+             take (Workload.Rng.int rng ncells)))
+    in
+    let sinks =
+      if i < Array.length pads then
+        (* pads drive nets too, so fixed pins pull on the cells *)
+        List.concat_map take [ i; i + 1 ] @ sinks
+      else sinks
+    in
+    let driver = if i < Array.length pads then pads.(i) else outs.(i) in
+    ignore
+      (Netlist.Builder.add_net b ~name:(Printf.sprintf "n%d" i)
+         ~pins:(driver :: sinks))
+  done;
+  let design = Netlist.Builder.freeze b in
+  ignore (Legalize.legalize design);
+  design
+
+let bits = Int64.bits_of_float
+
+(* The flat-array rewrite takes every decision the list-based oracle
+   takes: same positions bit for bit, same stats, at every window and
+   pass budget.  Where the oracle's output is legal ([legal]), no window
+   it accepted met a fixed cell, so the blockage rule cannot explain a
+   difference. *)
+let check_against_oracle ?(legal = true) name design =
+  let after_lg = Netlist.copy_positions design in
+  List.iter
+    (fun (window, passes) ->
+      let what = Printf.sprintf "%s, window %d, passes %d" name window passes in
+      Netlist.restore_positions design after_lg;
+      let so = Detailed_oracle.refine ~passes ~window design in
+      if legal then
+        Alcotest.(check (list string)) (what ^ ": oracle legal") []
+          (Checks.legality design);
+      let xo, yo = Netlist.copy_positions design in
+      Netlist.restore_positions design after_lg;
+      let sn = Detailed.refine ~passes ~window design in
+      let xn, yn = Netlist.copy_positions design in
+      Alcotest.(check bool) (what ^ ": x bit-identical") true
+        (Array.for_all2 (fun a b -> bits a = bits b) xo xn);
+      Alcotest.(check bool) (what ^ ": y bit-identical") true
+        (Array.for_all2 (fun a b -> bits a = bits b) yo yn);
+      Alcotest.(check (list int)) (what ^ ": counts")
+        [ so.Detailed.passes_run; so.Detailed.reorder_moves; so.Detailed.swap_moves ]
+        [ sn.Detailed.passes_run; sn.Detailed.reorder_moves; sn.Detailed.swap_moves ];
+      Alcotest.(check bool) (what ^ ": hpwl bit-identical") true
+        (bits so.Detailed.hpwl_before = bits sn.Detailed.hpwl_before
+         && bits so.Detailed.hpwl_after = bits sn.Detailed.hpwl_after))
+    [ (2, 1); (2, 3); (2, 100); (3, 1); (3, 3); (3, 100); (4, 1); (4, 3); (4, 100) ]
+
+let test_matches_oracle () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun cells ->
+          check_against_oracle
+            (Printf.sprintf "workload %d cells, seed %d" cells seed)
+            (legalized_design ~cells seed))
+        [ 250; 800 ])
+    [ 11; 12; 13 ];
+  List.iter
+    (fun seed ->
+      check_against_oracle (Printf.sprintf "rows seed %d" seed) (rows_design seed))
+    [ 1; 2 ]
+
+(* Rows packed past capacity: the legaliser leaves overlaps, window
+   packing can then break a row's x order, and the swap search must
+   still pick the oracle's candidate there.  Zero-width cells tie in x
+   when packed side by side, and the slot order must still follow the
+   oracle's sort. *)
+let test_matches_oracle_overfull () =
+  let design = rows_design ~hx:24.0 ~min_width:0 3 in
+  Alcotest.(check bool) "overfull" true (Legalize.overlap_area design > 0.0);
+  check_against_oracle ~legal:false "overfull rows" design
+
+(* One [detailed.refine] span with both move counters, and profiling
+   changes no position. *)
+let test_obs_span () =
+  let d1 = legalized_design 8 and d2 = legalized_design 8 in
+  let obs = Obs.create () in
+  let s1 = Detailed.refine ~obs d1 and s2 = Detailed.refine d2 in
+  let calls =
+    List.filter_map
+      (fun (st : Obs.stat) ->
+        if Obs.kernel_name st.Obs.st_kernel = "detailed.refine" then
+          Some st.Obs.st_calls
+        else None)
+      (Obs.stats obs)
+  in
+  Alcotest.(check (list int)) "one span" [ 1 ] calls;
+  let counters = Obs.counters obs in
+  Alcotest.(check (option (float 0.0))) "reorder counter"
+    (Some (float_of_int s1.Detailed.reorder_moves))
+    (List.assoc_opt "detailed.reorder_moves" counters);
+  Alcotest.(check (option (float 0.0))) "swap counter"
+    (Some (float_of_int s1.Detailed.swap_moves))
+    (List.assoc_opt "detailed.swap_moves" counters);
+  let x1, y1 = Netlist.copy_positions d1 and x2, y2 = Netlist.copy_positions d2 in
+  Alcotest.(check bool) "profiled = unprofiled" true
+    (Array.for_all2 (fun a b -> bits a = bits b) x1 x2
+     && Array.for_all2 (fun a b -> bits a = bits b) y1 y2
+     && s1 = s2)
+
 let suite =
   [ Alcotest.test_case "hpwl never worse" `Quick test_hpwl_never_worse;
     Alcotest.test_case "legality preserved" `Quick test_legality_preserved;
@@ -95,4 +295,10 @@ let suite =
     Alcotest.test_case "window validation" `Quick test_window_validation;
     Alcotest.test_case "deterministic" `Quick test_deterministic;
     Alcotest.test_case "larger window helps" `Quick
-      test_larger_window_at_least_as_good ]
+      test_larger_window_at_least_as_good;
+    Alcotest.test_case "window skips a fixed cell" `Quick
+      test_window_skips_fixed_cell;
+    Alcotest.test_case "bit-identical to the oracle" `Quick test_matches_oracle;
+    Alcotest.test_case "bit-identical to the oracle, overfull" `Quick
+      test_matches_oracle_overfull;
+    Alcotest.test_case "obs span" `Quick test_obs_span ]

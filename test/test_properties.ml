@@ -166,7 +166,8 @@ let prop_detailed_refinement =
       ignore (Legalize.legalize design);
       let s = Detailed.refine ~passes:2 design in
       s.Detailed.hpwl_after <= s.Detailed.hpwl_before +. 1e-6
-      && Legalize.overlap_area design < 1e-6)
+      && Legalize.overlap_area design < 1e-6
+      && Checks.legality design = [])
 
 (* per-endpoint slack: TNS decomposes over endpoints *)
 let prop_tns_decomposition =
