@@ -60,7 +60,7 @@ let run_mode ?(config = Core.default_config) mode spec =
 let modes =
   [ ("DREAMPlace[16]", Core.Wirelength_only);
     ("NetWeight[24]", Core.Net_weighting Netweight.default_config);
-    ("PathWeight[paths]", Core.Path_weighting Paths.Weight.default_config);
+    ("PathWeight[paths]", Core.Net_weighting Netweight.path_config);
     ("Ours", Core.Differentiable_timing Core.default_timing) ]
 
 (* ---- Table 1: the ML/placement analogy (expository) ---- *)

@@ -46,8 +46,7 @@ let load_design lib ~design_file ~bench ~cells ~seed ~clock_period
 let mode_of_string = function
   | "wl" | "wirelength" -> Some Core.Wirelength_only
   | "netweight" | "nw" -> Some (Core.Net_weighting Netweight.default_config)
-  | "pathweight" | "pw" ->
-    Some (Core.Path_weighting Paths.Weight.default_config)
+  | "pathweight" | "pw" -> Some (Core.Net_weighting Netweight.path_config)
   | "timing" | "ours" -> Some (Core.Differentiable_timing Core.default_timing)
   | _ -> None
 

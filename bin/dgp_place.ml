@@ -14,8 +14,10 @@ let mode_conv =
   in
   let print ppf = function
     | Core.Wirelength_only -> Format.pp_print_string ppf "wl"
-    | Core.Net_weighting _ -> Format.pp_print_string ppf "netweight"
-    | Core.Path_weighting _ -> Format.pp_print_string ppf "pathweight"
+    | Core.Net_weighting { Netweight.criticality = Netweight.Net_slack; _ } ->
+      Format.pp_print_string ppf "netweight"
+    | Core.Net_weighting { Netweight.criticality = Netweight.Top_paths _; _ } ->
+      Format.pp_print_string ppf "pathweight"
     | Core.Differentiable_timing _ -> Format.pp_print_string ppf "timing"
   in
   Arg.conv (parse, print)
@@ -208,8 +210,7 @@ let run lib_file design_file bench cells seed clock hotspot hotspot_clusters
           Core.t1; t2; gamma; steiner_period;
           steiner_dirty =
             (if steiner_dirty < 0.0 then None else Some steiner_dirty) }
-    | (Core.Wirelength_only | Core.Net_weighting _ | Core.Path_weighting _)
-      as m -> m
+    | (Core.Wirelength_only | Core.Net_weighting _) as m -> m
   in
   let route_cfg =
     { Route.default_config with

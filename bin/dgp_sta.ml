@@ -53,8 +53,8 @@ let run lib_file design_file bench cells seed clock top paths profile
   print_string (Report.Table.render table);
   let view = Paths.analyze ~obs timer in
   if paths <= 1 then begin
-    (* single-path listing, identical to the historical output (the
-       engine's top-1 path bit-matches Sta.Timer.critical_path) *)
+    (* single-path listing: the engine's top-1 path is the design's
+       critical path *)
     let steps =
       match Paths.enumerate ~obs ~k:1 view with
       | [] -> []

@@ -71,7 +71,7 @@ let () =
   in
   let pw, _ =
     evaluate "Path weighting [paths]"
-      (Core.Path_weighting Paths.Weight.default_config)
+      (Core.Net_weighting Netweight.path_config)
   in
   let ours, ours_cong =
     evaluate "Ours (differentiable)"

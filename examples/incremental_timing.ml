@@ -44,7 +44,11 @@ let () =
   in
   let wns = ref r0.Sta.Timer.setup_wns in
   for _pass = 1 to 6 do
-    let path = Sta.Timer.critical_path timer in
+    let path =
+      match Paths.enumerate ~k:1 (Paths.analyze timer) with
+      | [] -> []
+      | p :: _ -> p.Paths.pt_steps
+    in
     (* candidate cells: owners of the path's pins, excluding pads *)
     let cells =
       List.filter_map

@@ -137,7 +137,7 @@ let () =
      netlist — exact STA + top-K worst-path net weighting *)
   let pw_cfg =
     { Core.default_config with
-      Core.mode = Core.Path_weighting Paths.Weight.default_config;
+      Core.mode = Core.Net_weighting Netweight.path_config;
       routability = route_cfg }
   in
   let rpw = place pw_cfg graph in

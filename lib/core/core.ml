@@ -25,7 +25,6 @@ let default_timing =
 type mode =
   | Wirelength_only
   | Net_weighting of Netweight.config
-  | Path_weighting of Paths.Weight.config
   | Differentiable_timing of timing_config
 
 type config = {
@@ -351,8 +350,8 @@ type smooth = {
   tgy : float array;
 }
 
-(* [Exact]: an exact timer whose [update] runs when [due] — a net- or
-   path-weighting update (criticality from one full STA run, folded into
+(* [Exact]: an exact timer whose [update] runs when [due] — a
+   net-weighting update (criticality from one full STA run, folded into
    the net weights the WL term reads), or wirelength-only mode's one
    full run at iteration 0.  Trace points in between re-time the same
    timer incrementally.  [Smooth]: the differentiable timer, whose
@@ -374,10 +373,6 @@ let timing_term ?pool ~obs config graph =
     let nw = Netweight.create ~config:cfg graph in
     exact (Netweight.timer nw) (Netweight.should_update nw) (fun () ->
       Netweight.update ?pool ~obs nw)
-  | Path_weighting cfg ->
-    let pw = Paths.Weight.create ~config:cfg graph in
-    exact (Paths.Weight.timer pw) (Paths.Weight.should_update pw) (fun () ->
-      Paths.Weight.update ?pool ~obs pw)
   | Wirelength_only when config.trace_timing_period > 0 ->
     let timer = Sta.Timer.create graph in
     exact timer (fun i -> i = 0) (fun () -> Sta.Timer.run ?pool ~obs timer)

@@ -6,17 +6,17 @@
     [sum_e WL(e; x, y) + lambda D(x, y)
        + t1 (-TNS_gamma(x, y)) + t2 (-WNS_gamma(x, y))]
 
-    by first-order updates on all movable cell centers.  Four modes
+    by first-order updates on all movable cell centers.  Three modes
     share the identical wirelength + density machinery and stop
     criterion, matching how Table 3 compares placers:
 
     - {!Wirelength_only}: the plain DREAMPlace-style baseline [16];
-    - {!Net_weighting}: the state-of-the-art net-weighting baseline [24]
-      (exact STA + per-net weight escalation);
-    - {!Path_weighting}: the critical-path-extraction successor line
-      (Shi et al., arXiv 2503.11674) — exact STA plus top-K worst-path
-      enumeration ({!Paths}), escalating the weights of nets on
-      violating paths;
+    - {!Net_weighting}: exact STA + per-net weight escalation
+      ({!Netweight}), with criticality from net slack (the
+      state-of-the-art baseline [24], {!Netweight.default_config}) or
+      from the top-K worst violating paths (the critical-path-extraction
+      successor line, Shi et al., arXiv 2503.11674,
+      {!Netweight.path_config});
     - {!Differentiable_timing}: this paper — gradients of the smoothed
       TNS/WNS flow through the differentiable STA engine into cell
       coordinates, activated once cells have spread (the paper starts
@@ -58,7 +58,6 @@ val default_timing : timing_config
 type mode =
   | Wirelength_only
   | Net_weighting of Netweight.config
-  | Path_weighting of Paths.Weight.config
   | Differentiable_timing of timing_config
 
 type config = {
@@ -91,8 +90,8 @@ type config = {
           positions already in the design. *)
   trace_timing_period : int;
       (** measure exact WNS/TNS for the trace every k iterations (0 =
-          never).  Net- and path-weighting modes measure with their own
-          exact timer, fully run at every weight update; wirelength-only
+          never).  Net weighting measures with its own exact timer,
+          fully run at every weight update; wirelength-only
           mode runs one full STA at iteration 0.  Trace points between
           those full runs re-propagate the same timer through
           [Sta.Incremental] (sparse cone updates on frozen Steiner

@@ -246,34 +246,3 @@ let legalize ?(obs = Obs.disabled) design =
     overfull_cells = !overfull;
     total_overflow = !overflow_tot;
     warnings = List.rev !warnings }
-
-let overlap_area design =
-  let movable =
-    Array.of_list
-      (List.map (fun i -> design.Netlist.cells.(i)) (Netlist.movable_cells design))
-  in
-  Array.sort
-    (fun (a : Netlist.cell) (b : Netlist.cell) ->
-      Float.compare
-        (a.Netlist.x -. (a.Netlist.width /. 2.0))
-        (b.Netlist.x -. (b.Netlist.width /. 2.0)))
-    movable;
-  let rect (c : Netlist.cell) =
-    Geometry.Rect.of_center
-      (Geometry.Point.make c.Netlist.x c.Netlist.y)
-      ~width:c.Netlist.width ~height:c.Netlist.height
-  in
-  let n = Array.length movable in
-  let acc = ref 0.0 in
-  for i = 0 to n - 1 do
-    let ri = rect movable.(i) in
-    let j = ref (i + 1) in
-    let stop = ref false in
-    while (not !stop) && !j < n do
-      let rj = rect movable.(!j) in
-      if rj.Geometry.Rect.lx >= ri.Geometry.Rect.hx then stop := true
-      else acc := !acc +. Geometry.Rect.overlap_area ri rj;
-      incr j
-    done
-  done;
-  !acc

@@ -41,8 +41,4 @@ val row_blockages : Netlist.t -> (float * float) array array
     These are the blockages [legalize] carves free intervals around and
     [Detailed.refine] packs no window across. *)
 
-val overlap_area : Netlist.t -> float
-(** Total pairwise overlap area among movable cells (validation metric;
-    0 after a legalisation with no overfull cells). *)
-
 val pp_stats : Format.formatter -> stats -> unit

@@ -4,9 +4,9 @@
    [2 * pin + transition_index].  A node's in-edges are read in place
    from the timing graph's fan-in CSR, the net driver and the timer's
    arc-delay tape ([iter_in]); [analyze] only picks one back-pointer per
-   node (the in-edge realising its arrival time, with critical_path's
-   exact tie-breaks), so the back-pointer walk from any node reproduces
-   Sta.Timer.critical_path bitwise.  Enumeration is per-endpoint
+   node (the in-edge realising its arrival time), so the back-pointer
+   walk from any node is its arrival-time retrace, the critical path
+   into it.  Enumeration is per-endpoint
    deviation-based branch-and-bound: a candidate fixes a suffix of the
    path and lets the prefix follow back-pointers; its priority is the
    exact slack of the completed path (arrival times are exact max-prefix
@@ -106,8 +106,7 @@ let iter_in t node f =
 (* One back-pointer per node.  The net edge comes first and wins
    outright when present (the timer's retrace tries it first);
    otherwise the cell contribution minimising |at(u) + d - at(v)| wins,
-   first strict minimum in (arc, transition) order — the same selection
-   critical_path makes. *)
+   first strict minimum in (arc, transition) order. *)
 let analyze_run ?pool ?obs timer =
   let nets = Sta.Timer.nets timer in
   let g = nets.Sta.Nets.graph in
@@ -240,7 +239,7 @@ module Reference = struct
      [c_slack = c_rat - (at(c_head) + c_dsuf)] is the exact slack of the
      completed path.  [c_seq] is the insertion sequence number, used as
      a deterministic tie-break (it also makes Rise win slack ties at the
-     endpoint, matching critical_path's start-transition choice). *)
+     endpoint). *)
   type cand = {
     c_head : int;
     c_dsuf : float;
@@ -333,7 +332,7 @@ module Reference = struct
           ~init:(fun () -> ref [])
           ~body:(fun acc i ->
             (* tag each path with its endpoint's position so ranking ties
-               resolve exactly like critical_path's endpoint scan *)
+               resolve to the first endpoint in endpoint order *)
             List.iter
               (fun pt -> acc := (i, pt) :: !acc)
               (enumerate_endpoint ?slack_limit ~k t eps.(i)))
@@ -628,8 +627,8 @@ let enumerate_run ?pool ?obs ?(slack_limit = infinity) ~k t =
         ~init:(fun () -> { ga_entries = []; ga_counts = fresh_counts () })
         ~body:(fun acc j ->
           (* tag each candidate with its endpoint's position in the
-             endpoint array so ranking ties resolve exactly like
-             critical_path's endpoint scan, whatever the scan order *)
+             endpoint array so ranking ties resolve to the first endpoint
+             in endpoint order, whatever the scan order *)
           let i = order.(j) in
           let b = Atomic.get gb.gb_bound in
           let lim =
@@ -724,75 +723,3 @@ let arc_criticality t paths =
         List.iter (fun a -> counts.(a) <- counts.(a) +. w) p.pt_arcs)
     paths;
   counts
-
-module Weight = struct
-  type config = {
-    k : int;
-    alpha : float;
-    beta : float;
-    max_weight : float;
-    decay : float;
-    period : int;
-    rebuild_trees : bool;
-  }
-
-  let default_config =
-    { k = 32; alpha = 0.15; beta = 0.5; max_weight = 16.0; decay = 0.85;
-      period = 3; rebuild_trees = true }
-
-  type engine = {
-    cfg : config;
-    timer_ : Sta.Timer.t;
-    design : Netlist.t;
-    momentum : float array;
-  }
-
-  type t = engine
-
-  let create ?(config = default_config) graph =
-    { cfg = config;
-      timer_ = Sta.Timer.create graph;
-      design = graph.Sta.Graph.design;
-      momentum = Array.make (Netlist.num_nets graph.Sta.Graph.design) 0.0 }
-
-  let config t = t.cfg
-  let timer t = t.timer_
-  let should_update t iteration = iteration mod max 1 t.cfg.period = 0
-
-  let k_update = Obs.kernel "pathweight.update"
-
-  let update ?pool ?(obs = Obs.disabled) t =
-    Obs.start obs k_update;
-    let report =
-      Sta.Timer.run ~rebuild_trees:t.cfg.rebuild_trees ?pool ~obs t.timer_
-    in
-    let view = analyze ?pool ~obs t.timer_ in
-    (* only violating paths drive weights: slack_limit 0 prunes exactly *)
-    let paths = enumerate ?pool ~obs ~slack_limit:0.0 ~k:t.cfg.k view in
-    let crit = net_criticality view paths in
-    let maxc = Array.fold_left Float.max 0.0 crit in
-    Array.iter
-      (fun (net : Netlist.net) ->
-        let n = net.Netlist.net_id in
-        let c = if maxc > 0.0 then crit.(n) /. maxc else 0.0 in
-        t.momentum.(n) <-
-          (t.cfg.beta *. t.momentum.(n)) +. ((1.0 -. t.cfg.beta) *. c);
-        let m = t.momentum.(n) in
-        (* relax toward 1 in proportion to how little momentum remains
-           (no ratchet: a net that leaves every violating path sheds its
-           inflated weight geometrically), then escalate by the current
-           momentum as before *)
-        let keep =
-          t.cfg.decay +. ((1.0 -. t.cfg.decay) *. Float.min 1.0 m)
-        in
-        let w = 1.0 +. ((net.Netlist.weight -. 1.0) *. keep) in
-        let w = if m > 0.0 then w *. (1.0 +. (t.cfg.alpha *. m)) else w in
-        net.Netlist.weight <- Float.min t.cfg.max_weight w)
-      t.design.Netlist.nets;
-    Obs.stop obs;
-    report
-
-  let reset t =
-    Netlist.reset_weights t.design;
-    Array.fill t.momentum 0 (Array.length t.momentum) 0.0
-end

@@ -6,8 +6,9 @@
     from the timing graph's fan-in CSR, the net driver with its Elmore
     delay, and the timer's arc-delay tape; the view adds one
     back-pointer per node: the in-edge whose [at(source) + delay]
-    realises the node's arrival time, selected with exactly the
-    tie-breaks of {!Sta.Timer.critical_path}.  The back-pointer tree is
+    realises the node's arrival time (the net edge when present,
+    otherwise the first strict minimum of [|at(source) + delay - at|] in
+    (arc, transition) order).  The back-pointer tree is
     the "worst path" tree; the K worst paths per endpoint are then
     enumerated by deviation-based branch-and-bound (Yen/Eppstein
     adapted to the max-plus DAG).  Because the timer's arrival times are exact
@@ -70,7 +71,8 @@ val enumerate_endpoint : ?slack_limit:float -> k:int -> t -> int -> path list
 (** The [k] worst-slack paths ending at one endpoint pin, worst first;
     fewer when the endpoint has fewer distinct paths (none when it is
     unreachable).  Slacks are non-decreasing in rank, and the rank-0
-    path is bit-identical to [Sta.Timer.critical_path ~endpoint].  With
+    path is the endpoint's arrival-time retrace: back-pointers from its
+    worse-slack transition (rise on a tie) to a startpoint.  With
     [slack_limit], only paths with slack strictly below the limit are
     returned (exact pruning, e.g. [0.0] for violating paths only). *)
 
@@ -81,8 +83,9 @@ val enumerate :
     Endpoints enumerate in parallel under [pool] (worst-endpoint-first,
     pruned by the running k-th-best slack bound); results are merged
     under the total order (slack, endpoint position, rank), so the
-    output is bit-identical across domain counts and the first path
-    matches [Sta.Timer.critical_path]'s default endpoint choice.  With
+    output is bit-identical across domain counts and the first path is
+    the rank-0 path of the worst-slack endpoint (the first in endpoint
+    order on a tie), the design's critical path.  With
     [obs], records the [paths.pushed] / [paths.popped] / [paths.pruned]
     / [paths.endpoints_skipped] candidate counters (work tallies, not
     outputs: their values may vary with scheduling). *)
@@ -115,47 +118,3 @@ val net_criticality : t -> path list -> float array
 val arc_criticality : t -> path list -> float array
 (** Same accumulation over the cell arcs of each path, indexed by the
     timing graph's arc id. *)
-
-(** Path-criticality net weighting (the critical-path extraction scheme
-    of Shi et al., arXiv 2503.11674): between placement iterations, run
-    the exact timer, enumerate the K worst violating paths, and escalate
-    the weights of the nets on them with momentum smoothing.  Mirrors
-    {!Netweight}'s cadence machinery so [Core] can drive both the same
-    way. *)
-module Weight : sig
-  type config = {
-    k : int;             (** paths enumerated per update. *)
-    alpha : float;       (** weight escalation rate. *)
-    beta : float;        (** momentum on per-net criticality. *)
-    max_weight : float;  (** weight ceiling. *)
-    decay : float;
-    (** weight relaxation toward 1 as momentum fades: with momentum [m],
-        the excess [weight - 1] is kept at factor
-        [decay + (1 - decay) * min 1 m] before escalation, so a net that
-        leaves every violating path sheds its inflated weight
-        geometrically instead of ratcheting forever. *)
-    period : int;        (** iterations between updates. *)
-    rebuild_trees : bool;
-    (** rebuild Steiner topologies at each update (vs refresh). *)
-  }
-
-  val default_config : config
-
-  type t
-
-  val create : ?config:config -> Sta.Graph.t -> t
-  val config : t -> config
-
-  val timer : t -> Sta.Timer.t
-  (** The engine's exact timer (reusable for trace sampling). *)
-
-  val should_update : t -> int -> bool
-
-  val update : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> Sta.Timer.report
-  (** Run the timer, enumerate the K worst violating paths, update net
-      weights in place (escalation by momentum, relaxation toward 1 as
-      momentum fades), and return the timing report. *)
-
-  val reset : t -> unit
-  (** Restore unit weights and clear momentum. *)
-end

@@ -2,7 +2,6 @@ type transition = Rise | Fall
 
 let transition_index = function Rise -> 0 | Fall -> 1
 let both_transitions = [ Rise; Fall ]
-let transitions = [| Rise; Fall |]
 
 let pp_transition ppf = function
   | Rise -> Format.pp_print_string ppf "rise"
@@ -1008,97 +1007,6 @@ module Timer = struct
     ps_at : float;
     ps_slew : float;
   }
-
-  (* Trace the arrival-time realisation backwards: at every pin, find
-     the fan-in contribution whose (at + taped delay) reproduces the
-     pin's AT. *)
-  let critical_path ?endpoint t =
-    fresh_rats t;
-    let design = t.graph.Graph.design in
-    let at_l = t.fwd.Forward.at and sl_l = t.fwd.Forward.slew in
-    let pick_endpoint () =
-      let best = ref (-1) and best_slack = ref infinity in
-      Array.iter
-        (fun p ->
-          let s = pin_slack_late t p in
-          if s < !best_slack then begin
-            best := p;
-            best_slack := s
-          end)
-        t.graph.Graph.endpoints;
-      !best
-    in
-    let p0 = match endpoint with Some p -> p | None -> pick_endpoint () in
-    if p0 < 0 then []
-    else begin
-      let start_tr =
-        let slack tr =
-          if at_l.(idx p0 tr) > neg_infinity then
-            t.rat_l.(idx p0 tr) -. at_l.(idx p0 tr)
-          else infinity
-        in
-        if slack Rise <= slack Fall then Rise else Fall
-      in
-      if at_l.(idx p0 start_tr) = neg_infinity then []
-      else begin
-        let rec walk acc v tr guard =
-          let step =
-            { ps_pin = v; ps_transition = tr; ps_at = at_l.(idx v tr);
-              ps_slew = sl_l.(idx v tr) }
-          in
-          let acc = step :: acc in
-          if guard <= 0 then acc
-          else begin
-            let g = t.graph in
-            let pin = design.Netlist.pins.(v) in
-            let net = pin.Netlist.net in
-            (* net arc predecessor *)
-            let via_net =
-              if pin.Netlist.direction = Netlist.Input && net >= 0
-                 && t.nets.Nets.trees.(net) <> None
-              then begin
-                let u = g.Graph.net_driver_of.(net) in
-                if u >= 0 && u <> v && at_l.(idx u tr) > neg_infinity then
-                  Some (u, tr)
-                else None
-              end
-              else None
-            in
-            match via_net with
-            | Some (u, tr_in) -> walk acc u tr_in (guard - 1)
-            | None ->
-              (* cell arc predecessor: the contribution realising AT *)
-              let oi = transition_index tr in
-              let best = ref None and best_err = ref infinity in
-              for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1
-              do
-                let a = g.Graph.fanin_arc.(k) in
-                let u = g.Graph.arc_from.(a) in
-                let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
-                for ii = 0 to 1 do
-                  if sub land (1 lsl ii) <> 0 then begin
-                    let iu = (2 * u) + ii in
-                    if at_l.(iu) > neg_infinity then begin
-                      let d = t.fwd.Forward.tape_d.((4 * a) + (2 * oi) + ii) in
-                      let err =
-                        Float.abs (at_l.(iu) +. d -. at_l.(idx v tr))
-                      in
-                      if err < !best_err then begin
-                        best_err := err;
-                        best := Some (u, transitions.(ii))
-                      end
-                    end
-                  end
-                done
-              done;
-              (match !best with
-               | Some (u, tr_in) -> walk acc u tr_in (guard - 1)
-               | None -> acc)
-          end
-        in
-        walk [] p0 start_tr (4 * Netlist.num_pins design)
-      end
-    end
 
   let pp_path graph ppf steps =
     let design = graph.Graph.design in

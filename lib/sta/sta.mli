@@ -216,8 +216,8 @@ end
 
 (** Exact timer: one state, analysed in full by {!run} and in part by
     {!Incremental.update}.  Per-pin required times come from one
-    backward sweep, run by the first {!rat_late}, {!pin_slack_late},
-    {!net_slack} or {!critical_path} after either, so no read is stale;
+    backward sweep, run by the first {!rat_late}, {!pin_slack_late} or
+    {!net_slack} after either, so no read is stale;
     that first read must not come from concurrent pool tasks. *)
 module Timer : sig
   type endpoint_slack = {
@@ -282,19 +282,16 @@ module Timer : sig
   (** Worst [pin_slack_late] over the net's pins (used by net-based
       timing-driven placement, §2.3). *)
 
+  (** One pin of a data path with its late arrival and slew.  The path
+      engine (lib/paths) lists a path's steps startpoint first; paths
+      like these are what exceed 300 stages in industrial designs
+      (§2.2). *)
   type path_step = {
     ps_pin : int;
     ps_transition : transition;
     ps_at : float;
     ps_slew : float;
   }
-
-  val critical_path : ?endpoint:int -> t -> path_step list
-  (** The data path realising an endpoint's worst arrival time, from a
-      startpoint to the endpoint ([endpoint] defaults to the design's
-      worst one).  Empty when the endpoint is unreachable.  Valid after
-      {!run} or {!Incremental.update}; paths like these are what exceed
-      300 stages in industrial designs (§2.2). *)
 
   val pp_path : Graph.t -> Format.formatter -> path_step list -> unit
 

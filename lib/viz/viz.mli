@@ -11,7 +11,7 @@ module Svg : sig
     draw_nets : bool;        (** net fly-lines, driver to each sink. *)
     max_net_degree : int;    (** skip fly-lines of nets above this degree. *)
     highlight_path : Sta.Timer.path_step list;
-        (** overlay, e.g. [Sta.Timer.critical_path timer]. *)
+        (** overlay, e.g. the [pt_steps] of [Paths.enumerate ~k:1]'s path. *)
     highlight_paths : Sta.Timer.path_step list list;
         (** multi-path overlay, worst first (e.g. the top-K paths from
             the [Paths] engine); the worst path draws red and on top,

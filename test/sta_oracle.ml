@@ -304,3 +304,95 @@ let run t =
     hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
     hold_tns = !hold_tns;
     endpoint_slacks = sorted }
+
+(* The exact timer's arrival-time retrace as it was before top-K path
+   enumeration ([Paths]) became the only path search in the library,
+   kept verbatim except that it reads the timer through its public
+   accessors: at every pin, find the fan-in contribution whose (at +
+   taped delay) reproduces the pin's AT.  [endpoint] defaults to the
+   worst-slack endpoint (first in endpoint order on ties); the rank-0
+   path of [Paths.enumerate_endpoint] / [Paths.enumerate] must match it
+   bit for bit. *)
+let critical_path ?endpoint (tm : Timer.t) =
+  let g = (Timer.nets tm).Nets.graph in
+  let design = g.Graph.design in
+  let pick_endpoint () =
+    let best = ref (-1) and best_slack = ref infinity in
+    Array.iter
+      (fun p ->
+        let s = Timer.pin_slack_late tm p in
+        if s < !best_slack then begin
+          best := p;
+          best_slack := s
+        end)
+      g.Graph.endpoints;
+    !best
+  in
+  let p0 = match endpoint with Some p -> p | None -> pick_endpoint () in
+  if p0 < 0 then []
+  else begin
+    let start_tr =
+      let slack tr =
+        if Timer.at_late tm p0 tr > neg_infinity then
+          Timer.rat_late tm p0 tr -. Timer.at_late tm p0 tr
+        else infinity
+      in
+      if slack Rise <= slack Fall then Rise else Fall
+    in
+    if Timer.at_late tm p0 start_tr = neg_infinity then []
+    else begin
+      let rec walk acc v tr guard =
+        let step =
+          { Timer.ps_pin = v; ps_transition = tr;
+            ps_at = Timer.at_late tm v tr; ps_slew = Timer.slew_late tm v tr }
+        in
+        let acc = step :: acc in
+        if guard <= 0 then acc
+        else begin
+          let pin = design.Netlist.pins.(v) in
+          let net = pin.Netlist.net in
+          (* net arc predecessor *)
+          let via_net =
+            if pin.Netlist.direction = Netlist.Input && net >= 0
+               && (Timer.nets tm).Nets.trees.(net) <> None
+            then begin
+              let u = g.Graph.net_driver_of.(net) in
+              if u >= 0 && u <> v && Timer.at_late tm u tr > neg_infinity then
+                Some (u, tr)
+              else None
+            end
+            else None
+          in
+          match via_net with
+          | Some (u, tr_in) -> walk acc u tr_in (guard - 1)
+          | None ->
+            (* cell arc predecessor: the contribution realising AT *)
+            let oi = transition_index tr in
+            let best = ref None and best_err = ref infinity in
+            for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1 do
+              let a = g.Graph.fanin_arc.(k) in
+              let u = g.Graph.arc_from.(a) in
+              let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+              for ii = 0 to 1 do
+                if sub land (1 lsl ii) <> 0 then begin
+                  let tr_in = if ii = 0 then Rise else Fall in
+                  let at_u = Timer.at_late tm u tr_in in
+                  if at_u > neg_infinity then begin
+                    let d = Timer.arc_delay tm a ~tr_out:tr ~tr_in in
+                    let err = Float.abs (at_u +. d -. Timer.at_late tm v tr) in
+                    if err < !best_err then begin
+                      best_err := err;
+                      best := Some (u, tr_in)
+                    end
+                  end
+                end
+              done
+            done;
+            (match !best with
+             | Some (u, tr_in) -> walk acc u tr_in (guard - 1)
+             | None -> acc)
+        end
+      in
+      walk [] p0 start_tr (4 * Netlist.num_pins design)
+    end
+  end

@@ -187,7 +187,7 @@ let all_modes =
      the forward/backward pipeline *)
   [ ("wirelength", Core.Wirelength_only);
     ("netweight", Core.Net_weighting Netweight.default_config);
-    ("pathweight", Core.Path_weighting Paths.Weight.default_config);
+    ("pathweight", Core.Net_weighting Netweight.path_config);
     ("difftimer",
      Core.Differentiable_timing
        { Core.default_timing with Core.activation_overflow = 10.0 }) ]

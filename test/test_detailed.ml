@@ -27,7 +27,7 @@ let test_hpwl_never_worse () =
 let test_legality_preserved () =
   let design = legalized_design 2 in
   let _ = Detailed.refine design in
-  Alcotest.(check (float 1e-6)) "no overlap" 0.0 (Legalize.overlap_area design);
+  Alcotest.(check (list string)) "legal" [] (Checks.legality design);
   let rh = design.Netlist.row_height in
   Array.iter
     (fun (c : Netlist.cell) ->
@@ -256,7 +256,10 @@ let test_matches_oracle () =
    oracle's sort. *)
 let test_matches_oracle_overfull () =
   let design = rows_design ~hx:24.0 ~min_width:0 3 in
-  Alcotest.(check bool) "overfull" true (Legalize.overlap_area design > 0.0);
+  Alcotest.(check bool) "overfull" true
+    (List.exists
+       (fun e -> String.ends_with ~suffix:"overlaps a neighbour" e)
+       (Checks.legality design));
   check_against_oracle ~legal:false "overfull rows" design
 
 (* One [detailed.refine] span with both move counters, and profiling

@@ -50,7 +50,7 @@ let test_no_endpoints () =
   (* critical path on an endpoint-less design is empty *)
   let timer = Sta.Timer.create g in
   let _ = Sta.Timer.run timer in
-  Alcotest.(check int) "no path" 0 (List.length (Sta.Timer.critical_path timer))
+  Alcotest.(check int) "no path" 0 (List.length (Test_sta.critical_path timer))
 
 let test_all_cells_fixed () =
   let b = Netlist.Builder.create ~region "frozen" in

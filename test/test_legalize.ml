@@ -24,9 +24,9 @@ let random_design ?(rows = 1.5) ?(util = 0.5) seed n =
 
 let test_removes_overlap () =
   let d = random_design 3 5000 in
-  Alcotest.(check bool) "initial overlap" true (Legalize.overlap_area d > 0.0);
+  Alcotest.(check bool) "initial overlap" true (Checks.legality d <> []);
   let _ = Legalize.legalize d in
-  Alcotest.(check (float 1e-6)) "no overlap" 0.0 (Legalize.overlap_area d)
+  Alcotest.(check (list string)) "legal" [] (Checks.legality d)
 
 let test_rows_and_region () =
   let d = random_design 4 5000 in
@@ -178,7 +178,7 @@ let test_overfull_row_regression () =
      without triggering the overfull fallback — the region as a whole
      has plenty of space, so no warnings *)
   Alcotest.(check int) "nothing overfull" 0 s.Legalize.overfull_cells;
-  Alcotest.(check (float 1e-6)) "no overlap" 0.0 (Legalize.overlap_area d);
+  Alcotest.(check (list string)) "legal" [] (Checks.legality d);
   (* now really exhaust the region: a single movable giant wider than
      any row *)
   let b2 = Netlist.Builder.create ~region ~row_height:1.5 "giant" in

@@ -119,7 +119,7 @@ let test_run_not_perturbed () =
   let modes =
     [ ("wl", Core.Wirelength_only);
       ("netweight", Core.Net_weighting Netweight.default_config);
-      ("pathweight", Core.Path_weighting Paths.Weight.default_config);
+      ("pathweight", Core.Net_weighting Netweight.path_config);
       ("timing", Core.Differentiable_timing Core.default_timing) ]
   in
   List.iter
@@ -218,8 +218,8 @@ let test_jsonl_trace () =
   Difftimer.backward ~obs dt ~w_tns:1.0 ~w_wns:1.0 ~grad_x:gx ~grad_y:gy;
   let nw = Netweight.create graph in
   let _ = Netweight.update ~obs nw in
-  let pw = Paths.Weight.create graph in
-  let _ = Paths.Weight.update ~obs pw in
+  let pw = Netweight.create ~config:Netweight.path_config graph in
+  let _ = Netweight.update ~obs pw in
   let view = Paths.analyze ~obs timer in
   let _ = Paths.enumerate ~obs ~k:3 view in
   let _ = Legalize.legalize ~obs design in
@@ -330,7 +330,7 @@ let test_jsonl_trace () =
           "difftimer.fwd"; "difftimer.bwd"; "paths.analyze";
           "paths.enumerate"; "cluster.coarsen"; "cluster.interp";
           "cluster.refine"; "parallel.dispatch"; "parallel.wait";
-          "netweight.update"; "pathweight.update"; "legalize"; "route.rudy";
+          "netweight.update"; "legalize"; "route.rudy";
           "route.overflow"; "route.inflate" ];
       (* counters and gc gauges made it out *)
       let has_counter name =

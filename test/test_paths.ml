@@ -46,7 +46,7 @@ let check_steps_equal label (expected : Sta.Timer.path_step list)
         Alcotest.failf "%s: slew differs at pin %d" label e.Sta.Timer.ps_pin)
     expected actual
 
-(* satellite: the engine's top-1 path bit-matches the timer's own
+(* the engine's top-1 path bit-matches the oracle's arrival-time
    retrace for every endpoint, on every spec x seed *)
 let test_top1_bit_matches_critical_path () =
   List.iter
@@ -58,7 +58,7 @@ let test_top1_bit_matches_critical_path () =
             Array.iter
               (fun ep ->
                 let label = Printf.sprintf "seed %d ep %d" seed ep in
-                let expected = Sta.Timer.critical_path ~endpoint:ep timer in
+                let expected = Sta_oracle.critical_path ~endpoint:ep timer in
                 match Paths.enumerate_endpoint ~k:1 view ep with
                 | [] ->
                   if expected <> [] then
@@ -77,7 +77,7 @@ let test_top1_bit_matches_critical_path () =
         seeds)
     specs_under_test
 
-(* the k=1 global enumeration reproduces the default critical path
+(* the k=1 global enumeration reproduces the oracle's default retrace
    (same endpoint pick, same steps) *)
 let test_global_top1_matches_default () =
   List.iter
@@ -86,7 +86,7 @@ let test_global_top1_matches_default () =
         (fun seed ->
           with_timer spec seed (fun _ _ timer ->
             let view = Paths.analyze timer in
-            let expected = Sta.Timer.critical_path timer in
+            let expected = Sta_oracle.critical_path timer in
             match Paths.enumerate ~k:1 view with
             | [] -> Alcotest.(check int) "both empty" 0 (List.length expected)
             | [ p ] -> check_steps_equal "global top-1" expected p.Paths.pt_steps
@@ -488,126 +488,6 @@ let test_criticality_counts () =
       Alcotest.(check bool) "some net critical" true
         (Array.exists (fun v -> v > 0.0) nc))
 
-let test_pathweight_engine_updates_weights () =
-  let spec =
-    { Workload.default_spec with
-      Workload.sp_cells = 300; sp_clock_period = 700.0 }
-  in
-  let spec = { spec with Workload.sp_seed = 2 } in
-  let design, cons = Workload.generate lib spec in
-  let graph = Sta.Graph.build design lib cons in
-  let pw = Paths.Weight.create graph in
-  let report = Paths.Weight.update pw in
-  Alcotest.(check bool) "violations exist" true
-    (report.Sta.Timer.setup_wns < 0.0);
-  let raised =
-    Array.fold_left
-      (fun acc (n : Netlist.net) ->
-        if n.Netlist.weight > 1.0 +. 1e-12 then acc + 1 else acc)
-      0 design.Netlist.nets
-  in
-  Alcotest.(check bool) "some nets weighted" true (raised > 0);
-  (* on a static placement criticality is stationary, so weights
-     converge monotonically upward (and stay capped) even though the
-     update rule can relax weights when criticality drops — the decay
-     path is covered by test_pathweight_weight_decays *)
-  let previous =
-    Array.map (fun (n : Netlist.net) -> n.Netlist.weight) design.Netlist.nets
-  in
-  for _ = 1 to 6 do
-    let _ = Paths.Weight.update pw in
-    Array.iteri
-      (fun i (n : Netlist.net) ->
-        if n.Netlist.weight < previous.(i) -. 1e-12 then
-          Alcotest.fail "weight decreased";
-        if n.Netlist.weight
-           > Paths.Weight.default_config.Paths.Weight.max_weight +. 1e-12
-        then Alcotest.fail "weight exceeded cap";
-        previous.(i) <- n.Netlist.weight)
-      design.Netlist.nets
-  done;
-  Paths.Weight.reset pw;
-  Array.iter
-    (fun (n : Netlist.net) ->
-      Alcotest.(check (float 1e-12)) "reset to 1" 1.0 n.Netlist.weight)
-    design.Netlist.nets
-
-(* satellite regression: the weight ratchet is gone — a transiently
-   critical net's weight comes back down once it leaves every violating
-   path, because the excess over 1 decays as momentum fades *)
-let test_pathweight_weight_decays () =
-  (* the period sits between the collapsed design's pure-cell-delay
-     critical path (~930ps) and the spread initial placement's
-     wire-dominated one, so the same design flips from violating to
-     clean when the cells collapse *)
-  let spec =
-    { Workload.default_spec with
-      Workload.sp_cells = 300; sp_seed = 2; sp_clock_period = 1000.0 }
-  in
-  let design, cons = Workload.generate lib spec in
-  let graph = Sta.Graph.build design lib cons in
-  let pw = Paths.Weight.create graph in
-  for _ = 1 to 4 do
-    ignore (Paths.Weight.update pw)
-  done;
-  let heavy = ref (-1) and wmax = ref 1.0 in
-  Array.iter
-    (fun (n : Netlist.net) ->
-      if n.Netlist.weight > !wmax then begin
-        wmax := n.Netlist.weight;
-        heavy := n.Netlist.net_id
-      end)
-    design.Netlist.nets;
-  Alcotest.(check bool) "some net escalated" true
-    (!heavy >= 0 && !wmax > 1.0 +. 1e-9);
-  (* collapse every movable cell to the region center: wire delays
-     vanish, the design meets timing, and every net leaves the
-     violating-path set *)
-  let r = design.Netlist.region in
-  let cx = 0.5 *. (r.Geometry.Rect.lx +. r.Geometry.Rect.hx) in
-  let cy = 0.5 *. (r.Geometry.Rect.ly +. r.Geometry.Rect.hy) in
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if not c.Netlist.fixed then begin
-        c.Netlist.x <- cx;
-        c.Netlist.y <- cy
-      end)
-    design.Netlist.cells;
-  let report = ref (Paths.Weight.update pw) in
-  for _ = 1 to 11 do
-    report := Paths.Weight.update pw
-  done;
-  if !report.Sta.Timer.setup_wns < 0.0 then
-    Alcotest.failf "timing not clean after collapse: wns %g"
-      !report.Sta.Timer.setup_wns;
-  let w_end = design.Netlist.nets.(!heavy).Netlist.weight in
-  Alcotest.(check bool) "weight came back down" true
-    (w_end -. 1.0 < 0.35 *. (!wmax -. 1.0));
-  Alcotest.(check bool) "weight stays >= 1" true (w_end >= 1.0 -. 1e-9)
-
-let test_pathweight_placement_runs () =
-  let spec =
-    { Workload.default_spec with
-      Workload.sp_cells = 300; sp_seed = 4; sp_clock_period = 800.0 }
-  in
-  let design, cons = Workload.generate lib spec in
-  let graph = Sta.Graph.build design lib cons in
-  let cfg =
-    { Core.default_config with
-      Core.mode = Core.Path_weighting Paths.Weight.default_config;
-      max_iterations = 160; min_iterations = 40; stop_overflow = 0.15;
-      trace_timing_period = 10 }
-  in
-  let r = Core.run cfg graph in
-  Alcotest.(check bool) "ran" true (r.Core.res_iterations >= 40);
-  Alcotest.(check bool) "spread" true (r.Core.res_overflow < 0.5);
-  (* the trace carries measured timing from the weight updates *)
-  Alcotest.(check bool) "trace has timing" true
-    (List.exists
-       (fun (p : Core.trace_point) -> p.Core.tp_wns <> None)
-       r.Core.res_trace);
-  ignore design
-
 (* The cell-arc delays a view reads come from the timer's forward tape,
    so the tape must stay in step with incremental re-propagation: after
    random move batches, a view of the incrementally updated timer
@@ -763,12 +643,6 @@ let suite =
       test_pool_determinism;
     Alcotest.test_case "criticality arrays well-formed" `Quick
       test_criticality_counts;
-    Alcotest.test_case "pathweight engine updates weights" `Slow
-      test_pathweight_engine_updates_weights;
-    Alcotest.test_case "transient net weight decays" `Slow
-      test_pathweight_weight_decays;
-    Alcotest.test_case "pathweight placement runs" `Slow
-      test_pathweight_placement_runs;
     Alcotest.test_case "arc-delay tape fresh after incremental updates"
       `Quick test_tape_fresh_after_incremental;
     Alcotest.test_case "pooled enumerate after lazy RAT sweep" `Quick

@@ -108,7 +108,7 @@ let prop_legalize_sound =
       done;
       let d = Netlist.Builder.freeze b in
       let _ = Legalize.legalize d in
-      Legalize.overlap_area d < 1e-6)
+      Checks.legality d = [])
 
 (* the incremental engine always agrees with the full engine *)
 let prop_incremental_equivalence =
@@ -166,7 +166,6 @@ let prop_detailed_refinement =
       ignore (Legalize.legalize design);
       let s = Detailed.refine ~passes:2 design in
       s.Detailed.hpwl_after <= s.Detailed.hpwl_before +. 1e-6
-      && Legalize.overlap_area design < 1e-6
       && Checks.legality design = [])
 
 (* per-endpoint slack: TNS decomposes over endpoints *)

@@ -32,7 +32,7 @@ let test_svg_nets_and_path () =
   let design, graph = sample () in
   let timer = Sta.Timer.create graph in
   let _ = Sta.Timer.run timer in
-  let path = Sta.Timer.critical_path timer in
+  let path = Test_sta.critical_path timer in
   Alcotest.(check bool) "have a path" true (path <> []);
   let options =
     { Viz.Svg.default_options with
