@@ -15,8 +15,7 @@ type level = {
   parent : int array;
 }
 
-(* Same deterministic hash as Core's init jitter: a cheap avalanche of
-   the cell id, mapped to [0, 1). *)
+(* A cheap avalanche of the cell id, mapped to [0, 1). *)
 let hash_float i salt =
   let h = ref ((i * 2654435761) + salt) in
   h := !h lxor (!h lsr 13);

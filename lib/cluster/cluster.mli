@@ -74,3 +74,8 @@ val interpolate : ?obs:Obs.t -> level -> unit
     of each cluster's members lands exactly on the cluster center.
     Fixed cells are untouched.  Mutates [level.fine] cell coordinates
     in place; [cluster.interp] Obs span. *)
+
+val hash_float : int -> int -> float
+(** [hash_float id salt] is a deterministic pseudo-random value in
+    [[0, 1)] for a cell id and a salt: the jitter that separates
+    coincident cells here and in [Core]'s initial placement. *)

@@ -122,14 +122,6 @@ let clip_gradients mask gx gy k =
     done
   end
 
-(* A deterministic tiny jitter so coincident cells separate. *)
-let hash_float i salt =
-  let h = ref (i * 2654435761 + salt) in
-  h := !h lxor (!h lsr 13);
-  h := !h * 1274126177;
-  h := !h lxor (!h lsr 16);
-  float_of_int (!h land 0xFFFF) /. 65536.0
-
 let init_positions design =
   let region = design.Netlist.region in
   let c = Geometry.Rect.center region in
@@ -137,12 +129,13 @@ let init_positions design =
   Array.iter
     (fun (cell : Netlist.cell) ->
       if not cell.Netlist.fixed then begin
+        let id = cell.Netlist.cell_id in
         cell.Netlist.x <-
           c.Geometry.Point.x
-          +. (0.12 *. w *. (hash_float cell.Netlist.cell_id 17 -. 0.5));
+          +. (0.12 *. w *. (Cluster.hash_float id 17 -. 0.5));
         cell.Netlist.y <-
           c.Geometry.Point.y
-          +. (0.12 *. h *. (hash_float cell.Netlist.cell_id 43 -. 0.5))
+          +. (0.12 *. h *. (Cluster.hash_float id 43 -. 0.5))
       end)
     design.Netlist.cells
 
@@ -215,16 +208,24 @@ let sync_to_design (design : Netlist.t) mask xs ys =
 
 (* ---- The placement term: WL + lambda D (the driver owns lambda). ---- *)
 
+(* The density grid side: [density_bins] or the default sizing, halved
+   (never below 16) for the relaxed phase and the coarse V-cycle
+   levels. *)
+let density_side config design ~half =
+  let bins =
+    match config.density_bins with
+    | Some b -> b
+    | None -> Density.Grid.side design
+  in
+  if half then max 16 (bins / 2) else bins
+
 (* The density model at full or (relaxed) half grid resolution.  Rebuilt
    when the relaxation ends and after every change of cell footprints:
    routability inflation invalidates the area totals the model caches
    at creation. *)
 let rebuild_density config design ~relaxed =
-  let bins =
-    Option.value config.density_bins ~default:(Density.default_bins design)
-  in
   Density.create
-    ~bins:(if relaxed then max 16 (bins / 2) else bins)
+    ~bins:(density_side config design ~half:relaxed)
     ~target_density:config.target_density design
 
 type placement = {
@@ -616,12 +617,9 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
          flat grid resolution, which halves the DCT cost per iteration
          while still resolving multi-cell bins. *)
       let wirelength_level d =
-        let bins =
-          Option.value config.density_bins ~default:(Density.default_bins d)
-        in
         { config with mode = Wirelength_only; trace_timing_period = 0;
           routability = None; collect_trace = false;
-          density_bins = Some (max 16 (bins / 2)) }
+          density_bins = Some (density_side config d ~half:true) }
       in
       (* The coarsest level is a cold start, but a cheap one: cluster
          cells are few and fat, so the anneal tolerates double-speed

@@ -1,12 +1,95 @@
 let pi = 4.0 *. atan 1.0
 
+module Grid = struct
+  type t = {
+    n : int;
+    lx : float;
+    ly : float;
+    bin_w : float;
+    bin_h : float;
+    bin_area : float;
+    items : int;
+    (* One accumulator per reduction chunk, kept across calls: the
+       chunk split depends only on [items], so chunk k always gets
+       [chunks.(k)] and an accumulation allocates nothing. *)
+    chunks : float array array;
+  }
+
+  let round_pow2 v =
+    let rec up p = if p >= v then p else up (2 * p) in
+    let p = up 1 in
+    if p > 1 && (p - v) * 2 > p - (p / 2) then p / 2 else p
+
+  let side ?bins design =
+    match bins with
+    | Some b -> max 4 (round_pow2 b)
+    | None ->
+      let c = Netlist.num_cells design in
+      min 256 (max 16 (round_pow2 (int_of_float (Float.sqrt (float_of_int c)))))
+
+  let cost = 8.0
+
+  let create ?bins ~items design =
+    let n = side ?bins design in
+    let region = design.Netlist.region in
+    let bin_w = Geometry.Rect.width region /. float_of_int n in
+    let bin_h = Geometry.Rect.height region /. float_of_int n in
+    let grain = Parallel.reduce_grain ~cost (max 1 items) in
+    { n; lx = region.Geometry.Rect.lx; ly = region.Geometry.Rect.ly;
+      bin_w; bin_h; bin_area = bin_w *. bin_h; items;
+      chunks =
+        Array.init ((max 1 items + grain - 1) / grain) (fun _ ->
+          Array.make (n * n) 0.0) }
+
+  let n g = g.n
+  let bin_w g = g.bin_w
+  let bin_h g = g.bin_h
+  let bin_area g = g.bin_area
+
+  (* the bin index of a coordinate along one axis, clamped to the grid *)
+  let[@inline] index g v lo w =
+    Int.max 0 (Int.min (g.n - 1) (int_of_float (Float.floor ((v -. lo) /. w))))
+
+  let bin_of g x y =
+    (index g x g.lx g.bin_w * g.n) + index g y g.ly g.bin_h
+
+  let splat g grid ~weight (r : Geometry.Rect.t) =
+    let by0 = index g r.ly g.ly g.bin_h and by1 = index g r.hy g.ly g.bin_h in
+    for bx = index g r.lx g.lx g.bin_w to index g r.hx g.lx g.bin_w do
+      let blx = g.lx +. (float_of_int bx *. g.bin_w) in
+      let ox =
+        Float.max 0.0 (Float.min r.hx (blx +. g.bin_w) -. Float.max r.lx blx)
+      in
+      for by = by0 to by1 do
+        let bly = g.ly +. (float_of_int by *. g.bin_h) in
+        let oy =
+          Float.max 0.0 (Float.min r.hy (bly +. g.bin_h) -. Float.max r.ly bly)
+        in
+        let b = (bx * g.n) + by in
+        grid.(b) <- grid.(b) +. (weight *. ox *. oy)
+      done
+    done
+
+  let accumulate ?pool ?obs g body =
+    let nn = g.n * g.n in
+    let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
+    Parallel.parallel_for_reduce p ?obs ~cost g.items
+      ~init:(fun k ->
+        let acc = g.chunks.(k) in
+        Array.fill acc 0 nn 0.0;
+        acc)
+      ~body
+      ~merge:(fun a b ->
+        for k = 0 to nn - 1 do
+          a.(k) <- a.(k) +. b.(k)
+        done;
+        a)
+end
+
 type t = {
   design : Netlist.t;
-  n : int;
+  grid : Grid.t;
   target_density : float;
-  bin_w : float;
-  bin_h : float;
-  bin_area : float;
   total_movable_area : float;
   fixed_area : float array;    (* um^2 of fixed cells per bin *)
   movable_area : float array;  (* um^2 of movable cells per bin *)
@@ -16,53 +99,7 @@ type t = {
   field_y : float array;
   coeff : float array;         (* scratch: spectral coefficients *)
   scratch : float array;
-  (* Reusable per-chunk splat accumulators.  [parallel_for_reduce]'s
-     default chunking is pool-independent, so the chunk count is known
-     at create time; handing zero-filled grids out of this pool instead
-     of allocating fresh ones kills the dominant per-iteration
-     major-heap churn at 10^5+ cells (one n*n float array per chunk per
-     update).  [splat_next] is the hand-out cursor, reset per update. *)
-  splat_grids : float array array;
-  splat_next : int Atomic.t;
 }
-
-let round_pow2 v =
-  let rec up p = if p >= v then p else up (2 * p) in
-  let p = up 1 in
-  if p > 1 && (p - v) * 2 > p - (p / 2) then p / 2 else p
-
-let default_bins design =
-  let c = Netlist.num_cells design in
-  let raw = int_of_float (Float.sqrt (float_of_int c)) in
-  min 256 (max 16 (round_pow2 raw))
-
-(* Splat a rectangle's area onto the grid. *)
-let splat grid n region bin_w bin_h (r : Geometry.Rect.t) =
-  let lx = region.Geometry.Rect.lx and ly = region.Geometry.Rect.ly in
-  let bx0 = int_of_float (Float.floor ((r.Geometry.Rect.lx -. lx) /. bin_w)) in
-  let bx1 = int_of_float (Float.floor ((r.Geometry.Rect.hx -. lx) /. bin_w)) in
-  let by0 = int_of_float (Float.floor ((r.Geometry.Rect.ly -. ly) /. bin_h)) in
-  let by1 = int_of_float (Float.floor ((r.Geometry.Rect.hy -. ly) /. bin_h)) in
-  let clamp v = max 0 (min (n - 1) v) in
-  let bx0 = clamp bx0 and bx1 = clamp bx1 in
-  let by0 = clamp by0 and by1 = clamp by1 in
-  for bx = bx0 to bx1 do
-    for by = by0 to by1 do
-      let cell_lx = lx +. (float_of_int bx *. bin_w) in
-      let cell_ly = ly +. (float_of_int by *. bin_h) in
-      let ox =
-        Float.max 0.0
-          (Float.min r.Geometry.Rect.hx (cell_lx +. bin_w)
-           -. Float.max r.Geometry.Rect.lx cell_lx)
-      in
-      let oy =
-        Float.max 0.0
-          (Float.min r.Geometry.Rect.hy (cell_ly +. bin_h)
-           -. Float.max r.Geometry.Rect.ly cell_ly)
-      in
-      grid.((bx * n) + by) <- grid.((bx * n) + by) +. (ox *. oy)
-    done
-  done
 
 let cell_rect (c : Netlist.cell) =
   Geometry.Rect.of_center
@@ -70,26 +107,19 @@ let cell_rect (c : Netlist.cell) =
     ~width:c.Netlist.width ~height:c.Netlist.height
 
 let create ?bins ?(target_density = 1.0) design =
-  let n =
-    match bins with
-    | Some b -> max 4 (round_pow2 b)
-    | None -> default_bins design
-  in
-  let region = design.Netlist.region in
-  let bin_w = Geometry.Rect.width region /. float_of_int n in
-  let bin_h = Geometry.Rect.height region /. float_of_int n in
+  let grid = Grid.create ?bins ~items:(Netlist.num_cells design) design in
+  let n = Grid.n grid in
   let fixed_area = Array.make (n * n) 0.0 in
   let total_movable_area = ref 0.0 in
   Array.iter
     (fun (c : Netlist.cell) ->
       if c.Netlist.fixed then
-        splat fixed_area n region bin_w bin_h (cell_rect c)
+        Grid.splat grid fixed_area ~weight:1.0 (cell_rect c)
       else
         total_movable_area :=
           !total_movable_area +. (c.Netlist.width *. c.Netlist.height))
     design.Netlist.cells;
-  { design; n; target_density; bin_w; bin_h;
-    bin_area = bin_w *. bin_h;
+  { design; grid; target_density;
     total_movable_area = !total_movable_area;
     fixed_area;
     movable_area = Array.make (n * n) 0.0;
@@ -98,54 +128,30 @@ let create ?bins ?(target_density = 1.0) design =
     field_x = Array.make (n * n) 0.0;
     field_y = Array.make (n * n) 0.0;
     coeff = Array.make (n * n) 0.0;
-    scratch = Array.make (n * n) 0.0;
-    splat_grids =
-      (let ncells = Netlist.num_cells design in
-       let grain = Parallel.reduce_grain ~cost:8.0 (max 1 ncells) in
-       let chunks = max 1 ((max 1 ncells + grain - 1) / grain) in
-       Array.init chunks (fun _ -> Array.make (n * n) 0.0));
-    splat_next = Atomic.make 0 }
+    scratch = Array.make (n * n) 0.0 }
 
-let bins t = t.n
+let bins t = Grid.n t.grid
 
 let k_splat = Obs.kernel "density.splat"
 let k_dct = Obs.kernel "density.dct"
 
 let update ?pool ?(obs = Obs.disabled) t =
-  let n = t.n in
+  let n = Grid.n t.grid in
   let cells = t.design.Netlist.cells in
-  let ncells = Array.length cells in
   Obs.start obs k_splat;
-  (* splat cells into per-chunk grids merged in chunk order; the chunk
-     split depends only on the cell count, so pooled splats reproduce the
-     sequential ones bit for bit *)
-  let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
-  Atomic.set t.splat_next 0;
+  (* per-chunk grids merged in chunk order: the split depends only on
+     the cell count, so pooled splats reproduce sequential ones bit for
+     bit *)
   let grid =
-    Parallel.parallel_for_reduce p ~obs ~cost:8.0 ncells
-      ~init:(fun () ->
-        (* zeroed scratch from the preallocated pool; falls back to a
-           fresh grid if a custom grain ever makes more chunks *)
-        let k = Atomic.fetch_and_add t.splat_next 1 in
-        if k < Array.length t.splat_grids then begin
-          let g = t.splat_grids.(k) in
-          Array.fill g 0 (n * n) 0.0;
-          g
-        end
-        else Array.make (n * n) 0.0)
-      ~body:(fun acc i ->
-        let c = cells.(i) in
-        if not c.Netlist.fixed then
-          splat acc n t.design.Netlist.region t.bin_w t.bin_h (cell_rect c))
-      ~merge:(fun a b ->
-        for k = 0 to (n * n) - 1 do
-          a.(k) <- a.(k) +. b.(k)
-        done;
-        a)
+    Grid.accumulate ?pool ~obs t.grid (fun acc i ->
+      let c = cells.(i) in
+      if not c.Netlist.fixed then
+        Grid.splat t.grid acc ~weight:1.0 (cell_rect c))
   in
   Array.blit grid 0 t.movable_area 0 (n * n);
+  let bin_area = Grid.bin_area t.grid in
   for b = 0 to (n * n) - 1 do
-    t.rho.(b) <- (t.movable_area.(b) +. t.fixed_area.(b)) /. t.bin_area
+    t.rho.(b) <- (t.movable_area.(b) +. t.fixed_area.(b)) /. bin_area
   done;
   Obs.stop obs;
   Obs.start obs k_dct;
@@ -185,7 +191,7 @@ let update ?pool ?(obs = Obs.disabled) t =
 
 let penalty t =
   let acc = ref 0.0 in
-  for b = 0 to (t.n * t.n) - 1 do
+  for b = 0 to Array.length t.rho - 1 do
     acc := !acc +. (t.rho.(b) *. t.psi.(b))
   done;
   0.5 *. !acc
@@ -193,10 +199,10 @@ let penalty t =
 let overflow t =
   if t.total_movable_area <= 0.0 then 0.0
   else begin
-    let acc = ref 0.0 in
-    for b = 0 to (t.n * t.n) - 1 do
+    let acc = ref 0.0 and bin_area = Grid.bin_area t.grid in
+    for b = 0 to Array.length t.fixed_area - 1 do
       let capacity =
-        t.target_density *. Float.max 0.0 (t.bin_area -. t.fixed_area.(b))
+        t.target_density *. Float.max 0.0 (bin_area -. t.fixed_area.(b))
       in
       acc := !acc +. Float.max 0.0 (t.movable_area.(b) -. capacity)
     done;
@@ -204,8 +210,7 @@ let overflow t =
   end
 
 (* Bilinear interpolation of a bin-center field at bin coordinates. *)
-let interp t field bx by =
-  let n = t.n in
+let interp n field bx by =
   let fx = Geometry.clamp ~lo:0.0 ~hi:(float_of_int n -. 1.0) (bx -. 0.5) in
   let fy = Geometry.clamp ~lo:0.0 ~hi:(float_of_int n -. 1.0) (by -. 0.5) in
   let ix = min (n - 2) (int_of_float fx) and iy = min (n - 2) (int_of_float fy) in
@@ -227,19 +232,21 @@ let gradient ?pool ?(obs = Obs.disabled) t ~scale ~grad_x ~grad_y =
   Obs.start obs k_grad;
   let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
   let cells = t.design.Netlist.cells in
+  let g = t.grid in
+  let n = Grid.n g and bin_w = Grid.bin_w g and bin_h = Grid.bin_h g in
   (* each task writes only its own cell's gradient slot: race-free and
      bit-identical under the pool *)
   Parallel.parallel_for p ~obs ~cost:6.0 (Array.length cells) (fun k ->
     let c = cells.(k) in
     if not c.Netlist.fixed then begin
-      let q = c.Netlist.width *. c.Netlist.height /. t.bin_area in
-      let bx = (c.Netlist.x -. region.Geometry.Rect.lx) /. t.bin_w in
-      let by = (c.Netlist.y -. region.Geometry.Rect.ly) /. t.bin_h in
-      let ex = interp t t.field_x bx by in
-      let ey = interp t t.field_y bx by in
+      let q = c.Netlist.width *. c.Netlist.height /. Grid.bin_area g in
+      let bx = (c.Netlist.x -. region.Geometry.Rect.lx) /. bin_w in
+      let by = (c.Netlist.y -. region.Geometry.Rect.ly) /. bin_h in
+      let ex = interp n t.field_x bx by in
+      let ey = interp n t.field_y bx by in
       (* d(energy)/dx = -q * E_x, converted from bin to micron units *)
       let i = c.Netlist.cell_id in
-      grad_x.(i) <- grad_x.(i) -. (scale *. q *. ex /. t.bin_w);
-      grad_y.(i) <- grad_y.(i) -. (scale *. q *. ey /. t.bin_h)
+      grad_x.(i) <- grad_x.(i) -. (scale *. q *. ex /. bin_w);
+      grad_y.(i) <- grad_y.(i) -. (scale *. q *. ey /. bin_h)
     end);
   Obs.stop obs

@@ -8,27 +8,56 @@
     system's electrostatic energy, and a cell's gradient is
     [- area * field] at its location.
 
-    The grid resolution adapts to the design (roughly [sqrt cells] bins
-    per side, clamped to a power of two in [16, 256]) so the FFT-based
-    transforms stay fast. *)
+    The bin grid is {!Grid}, which the RUDY routing-demand map in
+    [Route] shares. *)
+
+(** The placement bin grid: an [n] x [n] tiling of the design region,
+    stored row-major as [(bx * n) + by]. *)
+module Grid : sig
+  type t
+
+  val side : ?bins:int -> Netlist.t -> int
+  (** The sizing rule: [bins] rounded to the nearest power of two (ties
+      towards the larger), at least 4; without [bins], roughly
+      [sqrt cells] rounded the same way and clamped to [16, 256]. *)
+
+  val create : ?bins:int -> items:int -> Netlist.t -> t
+  (** A grid of side {!side} over the design region whose
+      {!accumulate} folds over [items] items. *)
+
+  val n : t -> int
+  val bin_w : t -> float
+  val bin_h : t -> float
+  val bin_area : t -> float
+
+  val bin_of : t -> float -> float -> int
+  (** Index of the bin holding the point [(x, y)]; points outside the
+      region clamp to the nearest edge bin. *)
+
+  val splat : t -> float array -> weight:float -> Geometry.Rect.t -> unit
+  (** Add [weight *. ox *. oy] to every bin the rectangle overlaps,
+      where [ox] / [oy] are the overlap's width and height; the part of
+      the rectangle outside the region is dropped. *)
+
+  val accumulate :
+    ?pool:Parallel.pool -> ?obs:Obs.t -> t -> (float array -> int -> unit) ->
+    float array
+  (** [accumulate g body] zeroes a per-chunk grid, folds [body grid i]
+      over the items of each chunk and sums the chunk grids in chunk
+      order.  The chunk split ([Parallel.reduce_grain ~cost:8.0 items])
+      depends only on [items], so pooled results are bit-identical to
+      sequential ones.  The chunk grids are kept in [g] across calls;
+      the returned grid is one of them, valid until the next call. *)
+end
 
 type t
 
 val create : ?bins:int -> ?target_density:float -> Netlist.t -> t
 (** [target_density] (default 1.0) scales the per-bin capacity used by
-    {!overflow}.  [bins] overrides the automatic grid sizing (rounded to
-    a power of two). *)
+    {!overflow}.  [bins] overrides the automatic grid sizing
+    ({!Grid.side}). *)
 
 val bins : t -> int
-
-val round_pow2 : int -> int
-(** Nearest power of two (ties towards the smaller), the grid-side
-    rounding rule used by {!create}.  Exposed so sibling grids (the
-    RUDY congestion map in [Route]) can adopt the identical policy. *)
-
-val default_bins : Netlist.t -> int
-(** The automatic grid sizing used when [?bins] is omitted: roughly
-    [sqrt cells] bins per side, power-of-two clamped to [16, 256]. *)
 
 val update : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> unit
 (** Re-splat densities from current cell positions and solve for the

@@ -209,7 +209,7 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
   in
   let stats =
     Parallel.parallel_for_reduce pool ~obs ~cost:8.0 nep
-      ~init:(fun () ->
+      ~init:(fun _ ->
         { es_count = 0; es_wns = infinity; es_tns = 0.0;
           es_smooth_tns = 0.0; es_max_neg = neg_infinity })
       ~body:eval_endpoint
@@ -229,7 +229,7 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
       let max_neg = stats.es_max_neg in
       let sum =
         Parallel.parallel_for_reduce pool ~obs ~cost:2.0 nep
-          ~init:(fun () -> { fs = 0.0 })
+          ~init:(fun _ -> { fs = 0.0 })
           ~body:(fun acc k ->
             let s = t.ep_slack.(endpoints.(k)) in
             if s < infinity then

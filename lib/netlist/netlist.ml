@@ -1,9 +1,5 @@
 type direction = Input | Output
 
-let pp_direction ppf = function
-  | Input -> Format.pp_print_string ppf "input"
-  | Output -> Format.pp_print_string ppf "output"
-
 type pin = {
   pin_id : int;
   pin_name : string;
@@ -11,7 +7,7 @@ type pin = {
   offset_x : float;
   offset_y : float;
   direction : direction;
-  mutable net : int;
+  net : int;
   lib_pin : int;
 }
 
@@ -24,13 +20,13 @@ type cell = {
   mutable x : float;
   mutable y : float;
   fixed : bool;
-  mutable cell_pins : int array;
+  cell_pins : int array;
 }
 
 type net = {
   net_id : int;
   net_name : string;
-  mutable net_pins : int array;
+  net_pins : int array;
   mutable weight : float;
 }
 
@@ -207,8 +203,8 @@ module Builder = struct
     id
 
   let freeze b =
-    let cells = Array.of_list (List.rev b.bcells) in
     let pins = Array.of_list (List.rev b.bpins) in
+    let pin_net = Array.make (Array.length pins) (-1) in
     let net_specs = Array.of_list (List.rev b.bnets) in
     let nets =
       Array.mapi
@@ -226,25 +222,32 @@ module Builder = struct
           let ordered = Array.of_list (drivers @ sinks) in
           Array.iter
             (fun p ->
-              if pins.(p).net <> -1 then
+              if pin_net.(p) <> -1 then
                 invalid_arg
                   (Printf.sprintf "Netlist.Builder: pin %S on two nets"
                      pins.(p).pin_name);
-              pins.(p).net <- id)
+              pin_net.(p) <- id)
             ordered;
           { net_id = id; net_name = name; net_pins = ordered; weight = 1.0 })
         net_specs
     in
     (* Attach pins to their owning cells in pin-id order. *)
-    let per_cell = Array.make (Array.length cells) [] in
+    let per_cell = Array.make b.ncells [] in
     for p = Array.length pins - 1 downto 0 do
       per_cell.(pins.(p).cell) <- p :: per_cell.(pins.(p).cell)
     done;
-    Array.iteri (fun i c -> c.cell_pins <- Array.of_list per_cell.(i)) cells;
+    let cells =
+      Array.of_list
+        (List.rev_map
+           (fun c -> { c with cell_pins = Array.of_list per_cell.(c.cell_id) })
+           b.bcells)
+    in
     { design_name = b.name;
       region = b.region;
       row_height = b.row_height;
-      cells; pins; nets }
+      cells;
+      pins = Array.map (fun p -> { p with net = pin_net.(p.pin_id) }) pins;
+      nets }
 end
 
 module Stats = struct

@@ -9,8 +9,6 @@
 
 type direction = Input | Output
 
-val pp_direction : Format.formatter -> direction -> unit
-
 (** A pin instance.  [lib_pin] indexes the pin of the owning cell's
     library cell ([-1] for pad pins).  [net = -1] means unconnected. *)
 type pin = {
@@ -20,7 +18,7 @@ type pin = {
   offset_x : float;
   offset_y : float;
   direction : direction;
-  mutable net : int;
+  net : int;
   lib_pin : int;
 }
 
@@ -39,7 +37,7 @@ type cell = {
   mutable x : float;  (** center x. *)
   mutable y : float;  (** center y. *)
   fixed : bool;
-  mutable cell_pins : int array;
+  cell_pins : int array;
 }
 
 (** A signal net.  [net_pins] lists the driver first when the net is
@@ -48,7 +46,7 @@ type cell = {
 type net = {
   net_id : int;
   net_name : string;
-  mutable net_pins : int array;
+  net_pins : int array;
   mutable weight : float;
 }
 
@@ -139,6 +137,9 @@ module Builder : sig
       it is moved to the front on [freeze]. *)
 
   val freeze : builder -> t
+  (** Build the design.  Its topology ([pin.net], [cell_pins],
+      [net_pins]) is fixed from here on; only positions, footprints
+      and net weights change. *)
 end
 
 (** Aggregate design statistics (Table 2 of the paper). *)

@@ -278,13 +278,13 @@ let parallel_for pool ?(obs = Obs.disabled) ?grain ?cost n f =
 
 let parallel_for_reduce pool ?(obs = Obs.disabled) ?grain ?cost n ~init ~body
     ~merge =
-  if n <= 0 then init ()
+  if n <= 0 then init 0
   else begin
     let grain =
       match grain with Some g -> max 1 g | None -> reduce_grain ?cost n
     in
     let chunks = (n + grain - 1) / grain in
-    let partials = Array.init chunks (fun _ -> init ()) in
+    let partials = Array.init chunks init in
     let run lo hi =
       let acc = partials.(lo / grain) in
       for i = lo to hi - 1 do

@@ -89,20 +89,23 @@ val parallel_for_reduce :
   ?grain:int ->
   ?cost:float ->
   int ->
-  init:(unit -> 'a) ->
+  init:(int -> 'a) ->
   body:('a -> int -> unit) ->
   merge:('a -> 'a -> 'a) ->
   'a
 (** [parallel_for_reduce pool n ~init ~body ~merge] folds [body] over
-    [0 .. n - 1] with per-chunk partial accumulators.  [init ()] makes
-    a fresh (typically mutable) accumulator — it must be a neutral
-    element; each chunk folds into its own accumulator via [body acc
-    i]; after the barrier the partials are combined with [merge] in
-    {e chunk order}.  The chunk split depends only on [n] and the
-    grain ({!reduce_grain} when omitted — never on the pool or worker
-    scheduling), so the result is {e bit-identical} across domain
-    counts: inline execution folds the same per-chunk partials in the
-    same order.  [merge] may mutate and return its first argument. *)
+    [0 .. n - 1] with per-chunk partial accumulators.  [init k] makes
+    chunk [k]'s (typically mutable) accumulator — it must be a neutral
+    element, and is called once per chunk in chunk order on the calling
+    domain ([init 0] alone when [n <= 0]), so a caller may hand chunk
+    [k] a preallocated buffer of its own; each chunk folds into its
+    own accumulator via [body acc i]; after the barrier the partials
+    are combined with [merge] in {e chunk order}.  The chunk split
+    depends only on [n] and the grain ({!reduce_grain} when omitted —
+    never on the pool or worker scheduling), so the result is
+    {e bit-identical} across domain counts: inline execution folds the
+    same per-chunk partials in the same order.  [merge] may mutate and
+    return its first argument. *)
 
 val sequential_pool : pool
 (** A pool with zero workers: every call runs inline on the calling

@@ -329,7 +329,7 @@ module Reference = struct
       let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
       let acc =
         Parallel.parallel_for_reduce p ~cost:2000.0 (Array.length eps)
-          ~init:(fun () -> ref [])
+          ~init:(fun _ -> ref [])
           ~body:(fun acc i ->
             (* tag each path with its endpoint's position so ranking ties
                resolve to the first endpoint in endpoint order *)
@@ -624,7 +624,7 @@ let enumerate_run ?pool ?obs ?(slack_limit = infinity) ~k t =
     let gb = gbound_create k in
     let acc =
       Parallel.parallel_for_reduce p ?obs ~grain:(enumerate_grain ~k n) n
-        ~init:(fun () -> { ga_entries = []; ga_counts = fresh_counts () })
+        ~init:(fun _ -> { ga_entries = []; ga_counts = fresh_counts () })
         ~body:(fun acc j ->
           (* tag each candidate with its endpoint's position in the
              endpoint array so ranking ties resolve to the first endpoint

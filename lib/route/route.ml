@@ -19,13 +19,12 @@ let default_config =
     rt_max_ratio = 2.5;
     rt_max_rounds = 4 }
 
+module G = Density.Grid
+
 module Rudy = struct
   type t = {
     design : Netlist.t;
-    n : int;
-    bin_w : float;
-    bin_h : float;
-    bin_area : float;
+    grid : G.t;
     capacity : float;
     pin_weight : float;
     dem : float array;   (* routing demand per bin *)
@@ -33,16 +32,9 @@ module Rudy = struct
   }
 
   let create ?bins ?capacity ?pin_weight design =
-    let n =
-      match bins with
-      | Some b -> max 4 (Density.round_pow2 b)
-      | None -> Density.default_bins design
-    in
-    let region = design.Netlist.region in
-    let bin_w = Geometry.Rect.width region /. float_of_int n in
-    let bin_h = Geometry.Rect.height region /. float_of_int n in
-    { design; n; bin_w; bin_h;
-      bin_area = bin_w *. bin_h;
+    let grid = G.create ?bins ~items:(Netlist.num_nets design) design in
+    let n = G.n grid in
+    { design; grid;
       capacity =
         (match capacity with Some c -> c | None -> default_config.rt_capacity);
       pin_weight =
@@ -52,7 +44,7 @@ module Rudy = struct
       dem = Array.make (n * n) 0.0;
       util = Array.make (n * n) 0.0 }
 
-  let bins t = t.n
+  let bins t = G.n t.grid
 
   (* Splat one net into [grid]: its wire demand smeared uniformly over
      the bins its bbox overlaps, plus [pin_weight] into each pin's bin.
@@ -61,23 +53,13 @@ module Rudy = struct
   let splat_net t grid net_id =
     let d = t.design in
     let pins = d.Netlist.nets.(net_id).Netlist.net_pins in
-    let npins = Array.length pins in
-    let region = d.Netlist.region in
-    let rlx = region.Geometry.Rect.lx and rly = region.Geometry.Rect.ly in
-    let n = t.n in
-    let clampb v = max 0 (min (n - 1) v) in
-    let bin_of x y =
-      let bx = clampb (int_of_float (Float.floor ((x -. rlx) /. t.bin_w))) in
-      let by = clampb (int_of_float (Float.floor ((y -. rly) /. t.bin_h))) in
-      (bx * n) + by
-    in
     if t.pin_weight > 0.0 then
       Array.iter
         (fun p ->
-          let b = bin_of (Netlist.pin_x d p) (Netlist.pin_y d p) in
+          let b = G.bin_of t.grid (Netlist.pin_x d p) (Netlist.pin_y d p) in
           grid.(b) <- grid.(b) +. t.pin_weight)
         pins;
-    if npins >= 2 then begin
+    if Array.length pins >= 2 then begin
       let bb = ref Geometry.Bbox.empty in
       Array.iter
         (fun p ->
@@ -86,63 +68,28 @@ module Rudy = struct
       match Geometry.Bbox.to_rect !bb with
       | None -> ()
       | Some r ->
-        let w = Geometry.Rect.width r and h = Geometry.Rect.height r in
-        let ew = Float.max w t.bin_w and eh = Float.max h t.bin_h in
+        let ew = Float.max (Geometry.Rect.width r) (G.bin_w t.grid) in
+        let eh = Float.max (Geometry.Rect.height r) (G.bin_h t.grid) in
         let demand = ew *. eh /. (ew +. eh) in
         (* expand symmetrically around the original bbox center *)
         let cx = 0.5 *. (r.Geometry.Rect.lx +. r.Geometry.Rect.hx) in
         let cy = 0.5 *. (r.Geometry.Rect.ly +. r.Geometry.Rect.hy) in
-        let elx = cx -. (0.5 *. ew) and ehx = cx +. (0.5 *. ew) in
-        let ely = cy -. (0.5 *. eh) and ehy = cy +. (0.5 *. eh) in
-        let per_area = demand /. (ew *. eh) in
-        let bx0 = clampb (int_of_float (Float.floor ((elx -. rlx) /. t.bin_w))) in
-        let bx1 = clampb (int_of_float (Float.floor ((ehx -. rlx) /. t.bin_w))) in
-        let by0 = clampb (int_of_float (Float.floor ((ely -. rly) /. t.bin_h))) in
-        let by1 = clampb (int_of_float (Float.floor ((ehy -. rly) /. t.bin_h))) in
-        for bx = bx0 to bx1 do
-          let blx = rlx +. (float_of_int bx *. t.bin_w) in
-          let ox =
-            Float.max 0.0
-              (Float.min ehx (blx +. t.bin_w) -. Float.max elx blx)
-          in
-          if ox > 0.0 then
-            for by = by0 to by1 do
-              let bly = rly +. (float_of_int by *. t.bin_h) in
-              let oy =
-                Float.max 0.0
-                  (Float.min ehy (bly +. t.bin_h) -. Float.max ely bly)
-              in
-              let b = (bx * n) + by in
-              grid.(b) <- grid.(b) +. (per_area *. ox *. oy)
-            done
-        done
+        G.splat t.grid grid ~weight:(demand /. (ew *. eh))
+          { Geometry.Rect.lx = cx -. (0.5 *. ew); hx = cx +. (0.5 *. ew);
+            ly = cy -. (0.5 *. eh); hy = cy +. (0.5 *. eh) }
     end
 
   let k_rudy = Obs.kernel "route.rudy"
 
   let update ?pool ?(obs = Obs.disabled) t =
-    let n = t.n in
-    let nnets = Netlist.num_nets t.design in
     Obs.start obs k_rudy;
-    let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
     (* per-chunk grids merged in chunk order: the split depends only on
        the net count, so pooled maps reproduce sequential ones bit for
-       bit (same policy as Density.update) *)
-    let grid =
-      Parallel.parallel_for_reduce p ~obs ~cost:8.0 nnets
-        ~init:(fun () -> Array.make (n * n) 0.0)
-        ~body:(fun acc i -> splat_net t acc i)
-        ~merge:(fun a b ->
-          for k = 0 to (n * n) - 1 do
-            a.(k) <- a.(k) +. b.(k)
-          done;
-          a)
-    in
-    Array.blit grid 0 t.dem 0 (n * n);
-    let cap = t.capacity *. t.bin_area in
-    for b = 0 to (n * n) - 1 do
-      t.util.(b) <- t.dem.(b) /. cap
-    done;
+       bit *)
+    let grid = G.accumulate ?pool ~obs t.grid (splat_net t) in
+    Array.blit grid 0 t.dem 0 (Array.length t.dem);
+    let cap = t.capacity *. G.bin_area t.grid in
+    Array.iteri (fun b dem -> t.util.(b) <- dem /. cap) t.dem;
     Obs.stop obs
 
   let demand t = t.dem
@@ -213,25 +160,12 @@ module Inflate = struct
       Obs.span obs k_inflate (fun () ->
         t.n_rounds <- t.n_rounds + 1;
         let d = t.design in
-        let util = Rudy.utilization rudy in
-        let n = Rudy.bins rudy in
-        let region = d.Netlist.region in
-        let rlx = region.Geometry.Rect.lx
-        and rly = region.Geometry.Rect.ly in
-        let bin_w = Geometry.Rect.width region /. float_of_int n in
-        let bin_h = Geometry.Rect.height region /. float_of_int n in
-        let clampb v = max 0 (min (n - 1) v) in
+        let util = Rudy.utilization rudy and grid = rudy.Rudy.grid in
         let count = ref 0 in
         Array.iteri
           (fun i (c : Netlist.cell) ->
             if not c.Netlist.fixed then begin
-              let bx =
-                clampb (int_of_float (Float.floor ((c.Netlist.x -. rlx) /. bin_w)))
-              in
-              let by =
-                clampb (int_of_float (Float.floor ((c.Netlist.y -. rly) /. bin_h)))
-              in
-              let u = util.((bx * n) + by) in
+              let u = util.(G.bin_of grid c.Netlist.x c.Netlist.y) in
               if u > cfg.rt_target then begin
                 let orig_area = t.orig_w.(i) *. t.orig_h.(i) in
                 let cur_ratio =
@@ -267,14 +201,7 @@ module Inflate = struct
     else
       Obs.span obs k_inflate (fun () ->
         let d = t.design in
-        let util = Rudy.utilization rudy in
-        let n = Rudy.bins rudy in
-        let region = d.Netlist.region in
-        let rlx = region.Geometry.Rect.lx
-        and rly = region.Geometry.Rect.ly in
-        let bin_w = Geometry.Rect.width region /. float_of_int n in
-        let bin_h = Geometry.Rect.height region /. float_of_int n in
-        let clampb v = max 0 (min (n - 1) v) in
+        let util = Rudy.utilization rudy and grid = rudy.Rudy.grid in
         let count = ref 0 in
         Array.iteri
           (fun i (c : Netlist.cell) ->
@@ -286,15 +213,7 @@ module Inflate = struct
                 else 1.0
               in
               if cur_ratio > 1.0 then begin
-                let bx =
-                  clampb
-                    (int_of_float (Float.floor ((c.Netlist.x -. rlx) /. bin_w)))
-                in
-                let by =
-                  clampb
-                    (int_of_float (Float.floor ((c.Netlist.y -. rly) /. bin_h)))
-                in
-                let u = util.((bx * n) + by) in
+                let u = util.(G.bin_of grid c.Netlist.x c.Netlist.y) in
                 if u < deflate_hysteresis *. cfg.rt_target then begin
                   (* geometric relaxation toward the original footprint:
                      halve the log-excess each pass rather than snapping

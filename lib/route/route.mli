@@ -10,10 +10,10 @@
       [w*h / (w + h)] (its bbox dimensions, clamped below at one bin so
       flat nets still count) smeared uniformly over the bins its
       bounding box overlaps, plus a fixed per-pin term splatted into
-      the pin's bin.  The grid reuses the [Density] sizing policy
-      (power-of-two side in [16, 256]) and the update runs net-parallel
-      through the shared [Parallel] pool with chunk-order reduction, so
-      the map is bit-identical at every domain count.
+      the pin's bin.  The map lives on the placement bin grid
+      ([Density.Grid]: same sizing, bin lookup, rectangle splat and
+      pooled chunk-order reduction as the density map), so it is
+      bit-identical at every domain count.
     - {!overflow}: a congestion summary over the demand map — peak bin
       utilization, an RC-style mean of the top-percentile bins, and
       overflow totals.
@@ -63,10 +63,8 @@ module Rudy : sig
 
   val create :
     ?bins:int -> ?capacity:float -> ?pin_weight:float -> Netlist.t -> t
-  (** [bins] defaults to the [Density] sizing policy for the design;
-      any explicit value is rounded to a power of two (min 4).
-      [capacity] / [pin_weight] default to the {!default_config}
-      values. *)
+  (** [bins] is sized by [Density.Grid.side].  [capacity] /
+      [pin_weight] default to the {!default_config} values. *)
 
   val bins : t -> int
 

@@ -521,14 +521,6 @@ module Nets = struct
       | Some entry ->
         refresh_net design entry design.Netlist.nets.(n).Netlist.net_pins);
     Obs.stop obs
-
-  let total_tree_length t =
-    Array.fold_left
-      (fun acc entry ->
-        match entry with
-        | None -> acc
-        | Some (tree, _) -> acc +. Steiner.total_length tree)
-      0.0 t.trees
 end
 
 (* The forward timing kernel shared by the exact and the differentiable

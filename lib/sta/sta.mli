@@ -144,9 +144,6 @@ module Nets : sig
   (** Keep topologies; refresh coordinates via Steiner provenance and
       re-evaluate RC (the cheap between-FLUTE-calls step of §3.6).
       Net-parallel under [pool], same determinism as {!rebuild}. *)
-
-  val total_tree_length : t -> float
-  (** Total Steiner wirelength (a routing-aware wirelength metric). *)
 end
 
 (** The forward timing kernel shared by {!Timer}, {!Incremental} and

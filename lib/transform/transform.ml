@@ -160,8 +160,6 @@ module Dct = struct
 end
 
 module Grid = struct
-  type kernel = float array -> float array
-
   (* Each row/column task only writes its own stripe of [out] (disjoint
      indices, fresh per-task scratch), so pooled dispatch is trivially
      bit-identical to the sequential loop. *)

@@ -40,22 +40,12 @@ end
 
 (** Transforms over a square [n] x [n] grid stored row-major in a flat
     array of length [n * n]; index [(row, col)] is [row * n + col].  The
-    [row] axis is the first subscript in the docs below. *)
+    [row] axis is the first subscript in the docs below.  With [pool],
+    rows and then columns are dispatched through the worker pool; each
+    task writes a disjoint stripe with fresh scratch, so pooled results
+    are bit-identical to sequential ones.  [obs] records the executor's
+    dispatch/wait spans. *)
 module Grid : sig
-  type kernel = float array -> float array
-
-  val apply_rows :
-    ?pool:Parallel.pool -> ?obs:Obs.t -> kernel -> int -> float array ->
-    float array
-
-  val apply_cols :
-    ?pool:Parallel.pool -> ?obs:Obs.t -> kernel -> int -> float array ->
-    float array
-  (** With [pool], rows (resp. columns) are dispatched through the worker
-      pool; each task writes a disjoint stripe with fresh scratch, so
-      pooled results are bit-identical to sequential ones.  [obs] records
-      the executor's dispatch/wait spans. *)
-
   val dct2 :
     ?pool:Parallel.pool -> ?obs:Obs.t -> int -> float array -> float array
   (** 2D analysis: DCT along rows then along columns. *)

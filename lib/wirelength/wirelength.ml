@@ -1,12 +1,12 @@
 (* Per-worker slice state.  Each slice owns its pin-coordinate /
-   exponential scratch (bounds-grown, so the module is safe under the
-   pool and under post-create net edits) and, when more than one slice is
-   live, its own gradient accumulators merged in slice order. *)
+   exponential scratch (sized for the largest net, so the module is safe
+   under the pool) and, when more than one slice is live, its own
+   gradient accumulators merged in slice order. *)
 type slice = {
-  mutable sc_coords : float array;  (* pin coordinates of the current net *)
-  mutable sc_ep : float array;      (* memoized max-shifted exponentials *)
-  mutable sc_em : float array;
-  sl_gx : float array;              (* per-slice gradient accumulators *)
+  sc_coords : float array;  (* pin coordinates of the current net *)
+  sc_ep : float array;      (* memoized max-shifted exponentials *)
+  sc_em : float array;
+  sl_gx : float array;      (* per-slice gradient accumulators *)
   sl_gy : float array;
   mutable sl_total : float;
 }
@@ -14,7 +14,7 @@ type slice = {
 type t = {
   design : Netlist.t;
   mutable gamma_ : float;
-  mutable slices : slice array;
+  slices : slice array;
 }
 
 (* The net range is cut into slices as a pure function of the net and
@@ -40,14 +40,6 @@ let make_slice ncells cap =
     sl_gx = Array.make ncells 0.0;
     sl_gy = Array.make ncells 0.0;
     sl_total = 0.0 }
-
-let ensure_coords sl n =
-  if Array.length sl.sc_coords < n then begin
-    let cap = max n (2 * Array.length sl.sc_coords) in
-    sl.sc_coords <- Array.make cap 0.0;
-    sl.sc_ep <- Array.make cap 0.0;
-    sl.sc_em <- Array.make cap 0.0
-  end
 
 let create ?(gamma = 4.0) design =
   let max_degree =
@@ -111,7 +103,6 @@ let eval_net t sl ~weighted gx gy (net : Netlist.net) =
   let pins = net.Netlist.net_pins in
   if Array.length pins < 2 then 0.0
   else begin
-    ensure_coords sl (Array.length pins);
     let w = if weighted then net.Netlist.weight else 1.0 in
     let wx = axis_wa t sl pins (fun p -> Netlist.pin_x t.design p) w gx in
     let wy = axis_wa t sl pins (fun p -> Netlist.pin_y t.design p) w gy in
@@ -128,12 +119,7 @@ let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
   Obs.start obs k_wirelength;
   let nets = t.design.Netlist.nets in
   let nnets = Array.length nets in
-  let nslices = net_slices ~ncells nnets in
-  if Array.length t.slices < nslices then
-    t.slices <-
-      Array.init nslices (fun s ->
-        if s < Array.length t.slices then t.slices.(s)
-        else make_slice ncells 1);
+  let nslices = Array.length t.slices in
   let result =
   if nslices = 1 then begin
     let sl = t.slices.(0) in

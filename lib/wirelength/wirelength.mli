@@ -15,9 +15,8 @@ type t
 
 val create : ?gamma:float -> Netlist.t -> t
 (** [gamma] is the smoothing width in microns (default 4.0; smaller is
-    sharper).  Scratch buffers are per worker slice and bounds-grown on
-    demand, so the instance stays safe if nets gain pins after
-    creation. *)
+    sharper).  Scratch buffers are per worker slice, sized at creation
+    for the design's largest net. *)
 
 val gamma : t -> float
 val set_gamma : t -> float -> unit

@@ -79,7 +79,7 @@ type isum = { mutable total : int; mutable count : int }
 let reduce_sum pool ?grain n =
   let acc =
     Parallel.parallel_for_reduce pool ?grain n
-      ~init:(fun () -> { total = 0; count = 0 })
+      ~init:(fun _ -> { total = 0; count = 0 })
       ~body:(fun acc i ->
         acc.total <- acc.total + i;
         acc.count <- acc.count + 1)
@@ -113,13 +113,38 @@ let test_reduce_pool () =
           n count)
       [ (50_000, 128); (1_000, 1_024); (1_025, 1_024); (3, 1) ])
 
+let test_reduce_init_chunk_index () =
+  (* [init k] runs once per chunk, in chunk order, and chunk k folds
+     exactly its own index range into that accumulator *)
+  with_pool (fun pool ->
+    let calls = ref [] in
+    let _, stray =
+      Parallel.parallel_for_reduce pool ~grain:100 1_050
+        ~init:(fun k ->
+          calls := k :: !calls;
+          (k, ref 0))
+        ~body:(fun (k, stray) i -> if i / 100 <> k then incr stray)
+        ~merge:(fun (k, a) (_, b) ->
+          a := !a + !b;
+          (k, a))
+    in
+    Alcotest.(check (list int)) "init order" (List.init 11 Fun.id)
+      (List.rev !calls);
+    Alcotest.(check int) "items folded into their own chunk" 0 !stray;
+    calls := [];
+    Parallel.parallel_for_reduce pool 0
+      ~init:(fun k -> calls := k :: !calls)
+      ~body:(fun () _ -> ())
+      ~merge:(fun () () -> ());
+    Alcotest.(check (list int)) "empty range" [ 0 ] !calls)
+
 let test_reduce_merge_order () =
   (* merge must run in chunk order: concatenating per-chunk minima of the
      index ranges must come out sorted *)
   with_pool ~domains:3 (fun pool ->
     let firsts =
       Parallel.parallel_for_reduce pool ~grain:100 1_000
-        ~init:(fun () -> ref [])
+        ~init:(fun _ -> ref [])
         ~body:(fun acc i ->
           match !acc with [] -> acc := [ i ] | _ -> ())
         ~merge:(fun a b ->
@@ -166,7 +191,7 @@ let test_reduce_bit_identical_across_domains () =
   let run pool =
     let acc =
       Parallel.parallel_for_reduce pool ~cost:1.0 30_000
-        ~init:(fun () -> { f = 0.0 })
+        ~init:(fun _ -> { f = 0.0 })
         ~body:(fun a i -> a.f <- a.f +. sin (float_of_int i))
         ~merge:(fun a b ->
           a.f <- a.f +. b.f;
@@ -248,6 +273,8 @@ let suite =
     Alcotest.test_case "repeated parallel_for calls" `Quick test_repeated_use;
     Alcotest.test_case "reduce: sequential + empty" `Quick test_reduce_sequential;
     Alcotest.test_case "reduce: pooled sums" `Quick test_reduce_pool;
+    Alcotest.test_case "reduce: init gets the chunk index" `Quick
+      test_reduce_init_chunk_index;
     Alcotest.test_case "reduce: merge in chunk order" `Quick
       test_reduce_merge_order;
     Alcotest.test_case "auto-grain policy" `Quick test_auto_grain_policy;

@@ -75,6 +75,106 @@ let test_rudy_flat_net_counts () =
   let total = Array.fold_left ( +. ) 0.0 (Route.Rudy.demand rudy) in
   Alcotest.(check bool) "flat net has demand" true (total > 1.0)
 
+(* The demand map of a multi-net design against a per-bin reference
+   computed here from the RUDY definition: a pin term in each pin's
+   (edge-clamped) bin, and each net's demand spread over the overlap of
+   its one-bin-expanded bbox with every bin.  Covers a pin on the
+   region's top-right corner, a net whose expanded box crosses the
+   region edge (the outside part is dropped), and enough nets for
+   several reduction chunks, updated twice so reused chunk grids must
+   come back zeroed. *)
+let test_rudy_matches_reference () =
+  let lx = 0.0 and ly = 0.0 and hx = 64.0 and hy = 48.0 in
+  let region = Geometry.Rect.make ~lx ~ly ~hx ~hy in
+  let b = Netlist.Builder.create ~region ~row_height:1.0 "rudyref" in
+  let npins = ref 0 in
+  let pin x y dir =
+    let name = Printf.sprintf "c%d" !npins in
+    incr npins;
+    let c =
+      Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width:1.0 ~height:1.0
+        ~x ~y ()
+    in
+    Netlist.Builder.add_pin b ~cell:c ~name:(name ^ "/P") ~direction:dir ()
+  in
+  let nets = ref [] in
+  let net pts =
+    let pins =
+      List.mapi
+        (fun k (x, y) ->
+          pin x y (if k = 0 then Netlist.Output else Netlist.Input))
+        pts
+    in
+    let name = Printf.sprintf "n%d" (List.length !nets) in
+    ignore (Netlist.Builder.add_net b ~name ~pins);
+    nets := pts :: !nets
+  in
+  net [ (hx, hy); (20.0, 30.0) ];
+  net [ (hx, hy) ];
+  net [ (10.0, 0.5); (30.0, 0.5) ];
+  net [ (0.0, 5.0); (0.0, 40.0); (3.0, 22.0) ];
+  let rng = Random.State.make [| 11 |] in
+  for _ = 1 to 96 do
+    let k = 2 + Random.State.int rng 4 in
+    net
+      (List.init k (fun _ ->
+         (Random.State.float rng hx, Random.State.float rng hy)))
+  done;
+  let d = Netlist.Builder.freeze b in
+  let pin_weight = 0.3 in
+  let rudy = Route.Rudy.create ~bins:8 ~pin_weight d in
+  let n = Route.Rudy.bins rudy in
+  Alcotest.(check int) "grid side" 8 n;
+  let bw = (hx -. lx) /. float_of_int n and bh = (hy -. ly) /. float_of_int n in
+  let reference = Array.make (n * n) 0.0 in
+  let clamp v = max 0 (min (n - 1) v) in
+  List.iter
+    (fun pts ->
+      List.iter
+        (fun (x, y) ->
+          let bx = clamp (int_of_float (Float.floor ((x -. lx) /. bw))) in
+          let by = clamp (int_of_float (Float.floor ((y -. ly) /. bh))) in
+          reference.((bx * n) + by) <- reference.((bx * n) + by) +. pin_weight)
+        pts;
+      if List.length pts >= 2 then begin
+        let xs = List.map fst pts and ys = List.map snd pts in
+        let lo l = List.fold_left Float.min infinity l in
+        let hi l = List.fold_left Float.max neg_infinity l in
+        let w = Float.max (hi xs -. lo xs) bw in
+        let h = Float.max (hi ys -. lo ys) bh in
+        let cx = 0.5 *. (lo xs +. hi xs) and cy = 0.5 *. (lo ys +. hi ys) in
+        let per_area = w *. h /. (w +. h) /. (w *. h) in
+        for bx = 0 to n - 1 do
+          for by = 0 to n - 1 do
+            let overlap c half b0 bs =
+              Float.max 0.0
+                (Float.min (c +. half) (b0 +. bs) -. Float.max (c -. half) b0)
+            in
+            let ox = overlap cx (0.5 *. w) (lx +. (float_of_int bx *. bw)) bw in
+            let oy = overlap cy (0.5 *. h) (ly +. (float_of_int by *. bh)) bh in
+            reference.((bx * n) + by) <-
+              reference.((bx * n) + by) +. (per_area *. ox *. oy)
+          done
+        done
+      end)
+    !nets;
+  let check label =
+    let dem = Route.Rudy.demand rudy in
+    Array.iteri
+      (fun k r ->
+        if Float.abs (dem.(k) -. r) > 1e-9 *. Float.max 1.0 r then
+          Alcotest.failf "%s: bin %d demand %.12g, reference %.12g" label k
+            dem.(k) r)
+      reference
+  in
+  Alcotest.(check bool) "corner pins land in the top-right bin" true
+    (reference.((n * n) - 1) >= 2.0 *. pin_weight);
+  Route.Rudy.update rudy;
+  check "sequential";
+  Test_parallel.with_pool (fun pool ->
+    Route.Rudy.update ~pool rudy;
+    check "pooled")
+
 let test_rudy_bit_identity_across_domains () =
   let design, _ = hotspot_design () in
   let rudy = Route.Rudy.create design in
@@ -383,6 +483,8 @@ let test_hotspot_workload_generates () =
 let suite =
   [ Alcotest.test_case "rudy single net" `Quick test_rudy_single_net;
     Alcotest.test_case "rudy flat net counts" `Quick test_rudy_flat_net_counts;
+    Alcotest.test_case "rudy matches a per-bin reference" `Quick
+      test_rudy_matches_reference;
     Alcotest.test_case "rudy bit-identity across domains" `Quick
       test_rudy_bit_identity_across_domains;
     Alcotest.test_case "overflow summary" `Quick test_overflow_summary;
