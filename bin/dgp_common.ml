@@ -1,7 +1,16 @@
 (* Shared plumbing for the dgp_* command-line tools. *)
 
+(* Bad input ends the tool with exit 1 and the loader's message: a
+   parse error is located as FILE:LINE[:COL]: ..., an unreadable file
+   names its path. *)
+let input_errors f =
+  try f () with
+  | Failure msg | Sys_error msg | Invalid_argument msg ->
+    prerr_endline msg;
+    exit 1
+
 let load_library = function
-  | Some path -> Liberty.Io.load path
+  | Some path -> input_errors (fun () -> Liberty.Io.load path)
   | None -> Liberty.Synthetic.default ()
 
 (* A design comes from a bookshelf-lite file, a structural Verilog file
@@ -9,6 +18,7 @@ let load_library = function
    clock), or the named / sized synthetic generator. *)
 let load_design lib ~design_file ~bench ~cells ~seed ~clock_period
     ?(hotspot = 0.0) ?(hotspot_clusters = 3) ?scale () =
+  input_errors @@ fun () ->
   match design_file, bench with
   | Some path, _ when Filename.check_suffix path ".v" ->
     let design = Verilog.load lib path in

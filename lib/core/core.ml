@@ -3,7 +3,6 @@ type growth_policy = [ `Fixed | `Adaptive ]
 type timing_config = {
   t1 : float;
   t2 : float;
-  growth : float;
   growth_policy : growth_policy;
   gamma : float;
   activation_overflow : float;
@@ -18,7 +17,7 @@ type timing_config = {
    the clock period and t1/t2 are calibrated so the timing gradient is a
    comparable fraction of the wirelength gradient (see EXPERIMENTS.md). *)
 let default_timing =
-  { t1 = 0.10; t2 = 0.10; growth = 1.01; growth_policy = `Fixed;
+  { t1 = 0.10; t2 = 0.10; growth_policy = `Fixed;
     gamma = 20.0; activation_overflow = 0.45; steiner_period = 10;
     steiner_dirty = Some 0.25; grad_clip = None }
 
@@ -32,19 +31,9 @@ type config = {
   max_iterations : int;
   min_iterations : int;
   stop_overflow : float;
-  learning_rate : float option;
-  lr_decay : float;
-  optimizer : Optim.algorithm;
-  wirelength_gamma : float option;
-  density_bins : int option;
-  density_relax : bool;
-  target_density : float;
-  lambda_relative : float;
-  lambda_growth : float;
   init : [ `Center | `Keep ];
   trace_timing_period : int;
   routability : Route.config option;
-  collect_trace : bool;
   verbose : bool;
 }
 
@@ -53,20 +42,19 @@ let default_config =
     max_iterations = 600;
     min_iterations = 80;
     stop_overflow = 0.08;
-    learning_rate = None;
-    lr_decay = 0.999;
-    optimizer = Optim.adam;
-    wirelength_gamma = None;
-    density_bins = None;
-    density_relax = false;
-    target_density = 1.0;
-    lambda_relative = 0.05;
-    lambda_growth = 1.035;
     init = `Center;
     trace_timing_period = 0;
     routability = None;
-    collect_trace = true;
     verbose = false }
+
+(* The engine's constants: the paper's 1.01 per-iteration timing-weight
+   growth; the step size decay; the initial density weight as a
+   fraction of the wirelength gradient norm, and its per-iteration
+   growth. *)
+let timing_growth = 1.01
+let lr_decay = 0.999
+let lambda_relative = 0.05
+let lambda_growth = 1.035
 
 type trace_point = {
   tp_iteration : int;
@@ -142,23 +130,36 @@ let init_positions design =
 type multilevel = {
   ml_levels : int;
   ml_cluster_ratio : float;
-  ml_max_net_degree : int;
   ml_min_cells : int;
-  ml_refine_fraction : float;
-  ml_refine_min_iterations : int;
-  ml_refine_lambda_boost : float;
-  ml_refine_lr_scale : float;
 }
 
 let default_multilevel =
-  { ml_levels = 2;
-    ml_cluster_ratio = 4.0;
-    ml_max_net_degree = 16;
-    ml_min_cells = 1000;
-    ml_refine_fraction = 0.4;
-    ml_refine_min_iterations = 20;
-    ml_refine_lambda_boost = 20.0;
-    ml_refine_lr_scale = 2.5 }
+  { ml_levels = 2; ml_cluster_ratio = 4.0; ml_min_cells = 1000 }
+
+(* The V-cycle's constants: the net-degree cap passed to
+   [Cluster.build]; the refine iteration cap's decay per level and its
+   floor; the refines' initial density weight boost and step scale. *)
+let ml_max_net_degree = 16
+let refine_fraction = 0.4
+let refine_min_iterations = 20
+let refine_lambda_boost = 20.0
+let refine_lr_scale = 2.5
+
+(* Which placement a run is: the flat engine, or one level of the
+   V-cycle.  The level fixes the step size, the initial density weight
+   and its growth, the density grid side, the grid relaxation and
+   whether the run keeps a trace. *)
+type level =
+  | Flat
+  | Coarsest  (* cold start on the fewest, fattest clusters *)
+  | Refine    (* warm-started intermediate level *)
+  | Finest    (* warm-started original design *)
+
+(* Levels below the finest place plain wirelength+density problems
+   whose traces nobody reads.  Their fat cluster cells spread on half
+   the flat grid resolution, which halves the DCT cost per iteration
+   while still resolving multi-cell bins. *)
+let coarse = function Coarsest | Refine -> true | Flat | Finest -> false
 
 let score ?(obs = Obs.disabled) graph =
   let timer = Sta.Timer.create graph in
@@ -169,9 +170,37 @@ let region_side (design : Netlist.t) =
   let r = design.Netlist.region in
   Float.max (Geometry.Rect.width r) (Geometry.Rect.height r)
 
-(* The configured step size, by default the region side / 350. *)
-let step_size config design =
-  Option.value config.learning_rate ~default:(region_side design /. 350.0)
+(* The initial step size: the region side / 350 for the flat engine.
+   The coarsest level takes double steps: cluster cells are few and
+   fat, so the anneal tolerates double-size steps (and double-speed
+   lambda growth) that would wreck the flat engine's quality at full
+   resolution.  Warm-started refines are step-limited, not
+   schedule-limited: the remaining work is short-range untangling
+   against a strong boosted density force, and the flat engine's
+   conservative cold-start step makes cells crawl through it.  Larger
+   steps traverse the tail in far fewer of the expensive finest-level
+   iterations, and measurably improve HPWL as well (each lambda value
+   is annealed closer to its equilibrium before the weight grows
+   again). *)
+let step_size level design =
+  let base = region_side design /. 350.0 in
+  match level with
+  | Flat -> base
+  | Coarsest -> 2.0 *. base
+  | Refine | Finest -> base *. refine_lr_scale
+
+(* The initial density weight, as a fraction of the wirelength gradient
+   norm.  Warm-started refines resume an almost-spread placement, but
+   [run] recalibrates lambda from scratch; boosting the initial weight
+   skips the dozens of iterations the flat schedule spends growing it
+   back to where the coarser level left off. *)
+let lambda_start = function
+  | Flat | Coarsest -> lambda_relative
+  | Refine | Finest -> lambda_relative *. refine_lambda_boost
+
+let lambda_step = function
+  | Coarsest -> lambda_growth ** 2.0
+  | Flat | Refine | Finest -> lambda_growth
 
 (* y += a x *)
 let axpy a x y =
@@ -208,27 +237,18 @@ let sync_to_design (design : Netlist.t) mask xs ys =
 
 (* ---- The placement term: WL + lambda D (the driver owns lambda). ---- *)
 
-(* The density grid side: [density_bins] or the default sizing, halved
-   (never below 16) for the relaxed phase and the coarse V-cycle
-   levels. *)
-let density_side config design ~half =
-  let bins =
-    match config.density_bins with
-    | Some b -> b
-    | None -> Density.Grid.side design
-  in
-  if half then max 16 (bins / 2) else bins
-
-(* The density model at full or (relaxed) half grid resolution.  Rebuilt
-   when the relaxation ends and after every change of cell footprints:
+(* The density model on the default grid, halved (never below 16) for
+   the relaxed phase and the coarse V-cycle levels.  Rebuilt when the
+   relaxation ends and after every change of cell footprints:
    routability inflation invalidates the area totals the model caches
    at creation. *)
-let rebuild_density config design ~relaxed =
-  Density.create
-    ~bins:(density_side config design ~half:relaxed)
-    ~target_density:config.target_density design
+let density_model level design ~relaxed =
+  let bins = Density.Grid.side design in
+  let bins = if relaxed || coarse level then max 16 (bins / 2) else bins in
+  Density.create ~bins design
 
 type placement = {
+  level : level;
   wl : Wirelength.t;
   mutable dens : Density.t;
   mutable relaxed : bool;  (* still on the half-resolution grid *)
@@ -237,14 +257,18 @@ type placement = {
   route : (Route.config * Route.Inflate.t * Route.Rudy.t) option;
 }
 
-let placement_term config design =
+(* The finest V-cycle level starts relaxed: a warm start does not need
+   the full-resolution density grid (whose DCT dominates the iteration
+   cost) until the overflow is within striking distance of the target.
+   The flat engine keeps full resolution throughout — its cold start
+   has to resolve the center-init blob from iteration one. *)
+let placement_term level config design =
   let n = Netlist.num_cells design in
-  let gamma =
-    Option.value config.wirelength_gamma ~default:(0.01 *. region_side design)
-  in
-  { wl = Wirelength.create ~gamma design;
-    dens = rebuild_density config design ~relaxed:config.density_relax;
-    relaxed = config.density_relax;
+  let relaxed = level = Finest in
+  { level;
+    wl = Wirelength.create ~gamma:(0.01 *. region_side design) design;
+    dens = density_model level design ~relaxed;
+    relaxed;
     dgx = Array.make n 0.0;
     dgy = Array.make n 0.0;
     route =
@@ -282,7 +306,7 @@ let placement_gradient ?pool ~obs config design mask p ~gx ~gy =
   if p.relaxed && overflow <= config.stop_overflow then begin
     p.relaxed <- false;
     let d_old = l1_norm mask p.dgx +. l1_norm mask p.dgy in
-    p.dens <- rebuild_density config design ~relaxed:false;
+    p.dens <- density_model p.level design ~relaxed:false;
     (density (), Some d_old)
   end
   else (overflow, None)
@@ -309,7 +333,7 @@ let route_step ?pool ~obs config design p i overflow =
       else 0
     in
     if inflated > 0 || deflated > 0 then begin
-      p.dens <- rebuild_density config design ~relaxed:p.relaxed;
+      p.dens <- density_model p.level design ~relaxed:p.relaxed;
       if config.verbose then
         Format.eprintf
           "[core] it %4d  routability: peak %.2f rc %.2f, inflated %d / \
@@ -322,7 +346,7 @@ let route_step ?pool ~obs config design p i overflow =
 (* Inflation is temporary: restore the true footprints, then measure the
    final overflow and congestion on them.  Returns (overflow, congestion
    summary, inflation rounds). *)
-let placement_finish ?pool ~obs config design p =
+let placement_finish ?pool ~obs design p =
   let summary, rounds =
     match p.route with
     | None -> (None, 0)
@@ -330,7 +354,7 @@ let placement_finish ?pool ~obs config design p =
       let rounds = Route.Inflate.rounds infl in
       if rounds > 0 then begin
         Route.Inflate.restore infl;
-        p.dens <- rebuild_density config design ~relaxed:p.relaxed
+        p.dens <- density_model p.level design ~relaxed:p.relaxed
       end;
       Route.Rudy.update ?pool ~obs rd;
       (Some (Route.overflow ~obs rd), rounds)
@@ -426,8 +450,8 @@ let smooth_step ?pool ~obs ~verbose mask s i overflow =
         m.Difftimer.tns_smooth <= s.prev_tns_smooth
     in
     if grow then begin
-      s.w_tns <- s.w_tns *. c.growth;
-      s.w_wns <- s.w_wns *. c.growth
+      s.w_tns <- s.w_tns *. timing_growth;
+      s.w_wns <- s.w_wns *. timing_growth
     end;
     s.prev_tns_smooth <- m.Difftimer.tns_smooth;
     Some (m.Difftimer.wns, m.Difftimer.tns)
@@ -454,7 +478,7 @@ let k_run = Obs.kernel "core.run"
 let k_step = Obs.kernel "optim.step"
 let k_trace = Obs.kernel "core.trace"
 
-let run ?pool ?(obs = Obs.disabled) config graph =
+let run_level ?pool ~obs level config graph =
   let design = graph.Sta.Graph.design in
   let start_time = Obs.Clock.now () in
   Obs.start obs k_run;
@@ -465,15 +489,15 @@ let run ?pool ?(obs = Obs.disabled) config graph =
   let ncells = Netlist.num_cells design in
   let cells = design.Netlist.cells in
   let mask = Array.map (fun (c : Netlist.cell) -> not c.Netlist.fixed) cells in
-  let placement = placement_term config design in
-  let opt_x = Optim.create config.optimizer ~n:ncells in
-  let opt_y = Optim.create config.optimizer ~n:ncells in
+  let placement = placement_term level config design in
+  let opt_x = Optim.create ~n:ncells in
+  let opt_y = Optim.create ~n:ncells in
   let xs = Array.map (fun (c : Netlist.cell) -> c.Netlist.x) cells in
   let ys = Array.map (fun (c : Netlist.cell) -> c.Netlist.y) cells in
   let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
   sync_to_design design mask xs ys;
   let timing = timing_term ?pool ~obs config graph in
-  let lambda = ref 0.0 and lr = ref (step_size config design) in
+  let lambda = ref 0.0 and lr = ref (step_size level design) in
   (* the last measured (WNS, TNS), carried forward so trace points
      between measurements repeat it; [None] until the first *)
   let last = ref None in
@@ -492,7 +516,7 @@ let run ?pool ?(obs = Obs.disabled) config graph =
          gradients) *)
       if i = 0 then
         lambda :=
-          config.lambda_relative *. (l1_norm mask gx +. l1_norm mask gy)
+          lambda_start level *. (l1_norm mask gx +. l1_norm mask gy)
           /. density_norm mask placement
       else
         Option.iter
@@ -532,12 +556,12 @@ let run ?pool ?(obs = Obs.disabled) config graph =
            target by [min_iterations] polishes wirelength at frozen
            pressure instead of over-spreading. *)
         if overflow > config.stop_overflow then
-          lambda := !lambda *. config.lambda_growth;
-        lr := !lr *. config.lr_decay;
+          lambda := !lambda *. lambda_step level;
+        lr := !lr *. lr_decay;
         (* The per-iteration HPWL exists only to feed the trace; skipping
            it when the caller will discard the trace (coarse V-cycle
            levels) removes a full sequential pass over every pin. *)
-        if config.collect_trace then
+        if not (coarse level) then
           trace :=
             { tp_iteration = i; tp_hpwl = Netlist.total_hpwl design;
               tp_overflow = overflow; tp_wns = Option.map fst !last;
@@ -559,7 +583,7 @@ let run ?pool ?(obs = Obs.disabled) config graph =
   in
   let iterations, diverged = iterate 0 in
   let overflow, route, inflation_rounds =
-    placement_finish ?pool ~obs config design placement
+    placement_finish ?pool ~obs design placement
   in
   Obs.stop obs;
   { res_hpwl = Netlist.total_hpwl design;
@@ -572,6 +596,9 @@ let run ?pool ?(obs = Obs.disabled) config graph =
     res_route = route;
     res_inflation_rounds = inflation_rounds;
     res_diverged = diverged }
+
+let run ?pool ?(obs = Obs.disabled) config graph =
+  run_level ?pool ~obs Flat config graph
 
 let k_refine = Obs.kernel "cluster.refine"
 
@@ -591,9 +618,8 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
     let design = graph.Sta.Graph.design in
     let lvls =
       Cluster.build ~levels:(ml.ml_levels - 1)
-        ~cluster_ratio:ml.ml_cluster_ratio
-        ~max_net_degree:ml.ml_max_net_degree ~min_cells:ml.ml_min_cells ~obs
-        design
+        ~cluster_ratio:ml.ml_cluster_ratio ~max_net_degree:ml_max_net_degree
+        ~min_cells:ml.ml_min_cells ~obs design
     in
     match lvls with
     | [] -> run ?pool ~obs config graph
@@ -605,36 +631,22 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
       (* iteration cap for the refine at [depth] coarsening steps below
          the coarsest run (1 = first refine, nlevels = finest) *)
       let budget depth =
-        let f = Float.max 0.05 (Float.min 1.0 ml.ml_refine_fraction) in
-        max ml.ml_refine_min_iterations
+        max refine_min_iterations
           (int_of_float
              (Float.round
                 (float_of_int config.max_iterations
-                 *. (f ** float_of_int depth))))
+                 *. (refine_fraction ** float_of_int depth))))
       in
-      (* Levels below the finest place plain wirelength+density problems
-         without a trace.  Their fat cluster cells spread on half the
-         flat grid resolution, which halves the DCT cost per iteration
-         while still resolving multi-cell bins. *)
-      let wirelength_level d =
+      let coarse_config =
         { config with mode = Wirelength_only; trace_timing_period = 0;
-          routability = None; collect_trace = false;
-          density_bins = Some (density_side config d ~half:true) }
+          routability = None }
       in
-      (* The coarsest level is a cold start, but a cheap one: cluster
-         cells are few and fat, so the anneal tolerates double-speed
-         lambda growth and double-size steps that would wreck the flat
-         engine's quality at full resolution.  Any sloppiness is
-         recovered by the (also fast-stepping) refines above it. *)
       let coarsest = (List.nth lvls (nlevels - 1)).Cluster.coarse in
-      let coarse_cfg =
-        { (wirelength_level coarsest) with init = `Center;
-          lambda_growth = config.lambda_growth ** 2.0;
-          learning_rate = Some (2.0 *. step_size config coarsest) }
-      in
       let r0 =
         Obs.span obs k_refine (fun () ->
-          run ?pool ~obs coarse_cfg (coarse_graph coarsest))
+          run_level ?pool ~obs Coarsest
+            { coarse_config with init = `Center }
+            (coarse_graph coarsest))
       in
       Obs.add obs "multilevel.coarse_iters"
         (float_of_int r0.res_iterations);
@@ -645,53 +657,26 @@ let run_multilevel ?pool ?(obs = Obs.disabled) ?(ml = default_multilevel)
           let depth = k + 1 in
           let finest = depth = nlevels in
           Cluster.interpolate ~obs lvl;
-          (* Warm-started refines resume an almost-spread placement,
-             but [run] recalibrates lambda from scratch; boosting the
-             initial density weight skips the dozens of iterations the
-             flat schedule spends growing it back to where the coarser
-             level left off. *)
-          let lambda_relative =
-            config.lambda_relative *. Float.max 1.0 ml.ml_refine_lambda_boost
-          in
-          (* Warm starts are step-limited, not schedule-limited: the
-             remaining work is short-range untangling against a strong
-             boosted density force, and the flat engine's conservative
-             cold-start step (side / 350) makes cells crawl through it.
-             Larger steps traverse the tail in far fewer of the
-             expensive finest-level iterations, and measurably improve
-             HPWL as well (each lambda value is annealed closer to its
-             equilibrium before the weight grows again). *)
-          let learning_rate =
-            Some (step_size config lvl.Cluster.fine *. ml.ml_refine_lr_scale)
-          in
-          let cfg =
+          let level, cfg =
             if finest then
-              (* The V-cycle extends into grid space at the finest
-                 level: a warm start does not need the full-resolution
-                 density grid (whose DCT dominates the iteration cost)
-                 until the overflow is within striking distance of the
-                 target, so the descent runs relaxed.  The flat engine
-                 keeps full resolution throughout — its cold start has
-                 to resolve the center-init blob from iteration one. *)
-              { config with init = `Keep;
-                density_relax = true;
-                max_iterations = budget depth;
-                lambda_relative; learning_rate;
-                min_iterations =
-                  min config.min_iterations ml.ml_refine_min_iterations }
+              ( Finest,
+                { config with init = `Keep;
+                  max_iterations = budget depth;
+                  min_iterations =
+                    min config.min_iterations refine_min_iterations } )
             else
               (* Intermediate refines stop slightly tighter than the
                  flat target: one of their cheap iterations saves
                  several at the next (4x more expensive) level. *)
-              { (wirelength_level lvl.Cluster.fine) with init = `Keep;
-                stop_overflow = 0.85 *. config.stop_overflow;
-                max_iterations = budget depth;
-                lambda_relative; learning_rate;
-                min_iterations = ml.ml_refine_min_iterations }
+              ( Refine,
+                { coarse_config with init = `Keep;
+                  stop_overflow = 0.85 *. config.stop_overflow;
+                  max_iterations = budget depth;
+                  min_iterations = refine_min_iterations } )
           in
           let g = if finest then graph else coarse_graph lvl.Cluster.fine in
           let r =
-            Obs.span obs k_refine (fun () -> run ?pool ~obs cfg g)
+            Obs.span obs k_refine (fun () -> run_level ?pool ~obs level cfg g)
           in
           Obs.add obs
             (Printf.sprintf "multilevel.refine%d_iters" depth)

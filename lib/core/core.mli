@@ -21,10 +21,18 @@
       TNS/WNS flow through the differentiable STA engine into cell
       coordinates, activated once cells have spread (the paper starts
       timing around iteration 100), with [t1], [t2] grown 1% per
-      iteration and Steiner trees rebuilt every 10 iterations. *)
+      iteration and Steiner trees rebuilt every 10 iterations.
+
+    Every mode steps the cell coordinates with {!Optim} (Adam) from an
+    initial step of 1/350 of the region side, decayed by 0.999 per
+    iteration, on a wirelength model smoothed at 1% of the region side.
+    The density weight lambda starts at 0.05 times the ratio of the
+    wirelength to the density gradient norm and grows by 1.035 per
+    iteration while the overflow is above [stop_overflow]; a bin's
+    capacity is its whole free area (target density 1.0). *)
 
 (** How the timing weights t1/t2 evolve after activation.  [`Fixed] is
-    the paper's published schedule (multiply by [growth] every
+    the paper's published schedule (multiply by 1.01 every
     iteration); [`Adaptive] implements the "dynamic updating strategies
     for timing weights" called out as future work in the paper's
     conclusion: weights only grow while the smoothed TNS is not
@@ -34,7 +42,6 @@ type growth_policy = [ `Fixed | `Adaptive ]
 type timing_config = {
   t1 : float;                   (** initial TNS weight (paper ~1e-2). *)
   t2 : float;                   (** initial WNS weight (paper ~1e-4). *)
-  growth : float;               (** per-iteration growth (paper 1.01). *)
   growth_policy : growth_policy;
   gamma : float;                (** LSE smoothing width (paper ~100 ps). *)
   activation_overflow : float;  (** start timing once overflow drops below. *)
@@ -65,25 +72,6 @@ type config = {
   max_iterations : int;
   min_iterations : int;
   stop_overflow : float;        (** shared stop criterion (Table 3). *)
-  learning_rate : float option; (** None: region side / 350. *)
-  lr_decay : float;
-  optimizer : Optim.algorithm;
-  wirelength_gamma : float option; (** None: 1% of region side. *)
-  density_bins : int option;
-  density_relax : bool;
-      (** grid relaxation: when [true], iterate on a half-resolution
-          density grid until the overflow drops to [stop_overflow], then
-          rebuild the density model at the configured resolution mid-run
-          — the lambda schedule, step size and optimizer state carry
-          straight over, so only the final approach pays the
-          full-resolution DCT.  Set by {!run_multilevel} for its
-          warm-started finest refine; [false] (the default) keeps one
-          grid throughout. *)
-  target_density : float;
-  lambda_relative : float;
-      (** initial density weight as a fraction of the wirelength
-          gradient norm. *)
-  lambda_growth : float;
   init : [ `Center | `Keep ];
       (** [`Center]: start all movable cells near the region center
           (standard analytical-placement warm start); [`Keep]: use the
@@ -110,11 +98,6 @@ type config = {
           only reads, leaving positions bit-identical to
           [routability = None].  [None] (the default) disables the
           loop entirely. *)
-  collect_trace : bool;
-      (** when [false], skip the per-iteration HPWL measurement and
-          return an empty [res_trace] (the stop criterion and
-          [res_hpwl] are unaffected).  The V-cycle disables it on
-          coarse levels, whose traces are discarded. *)
   verbose : bool;
 }
 
@@ -171,37 +154,15 @@ val run : ?pool:Parallel.pool -> ?obs:Obs.t -> config -> Sta.Graph.t -> result
     is then exactly {!run}, bit for bit), [k > 1] requests up to [k - 1]
     {!Cluster} coarsening steps (fewer when the design stops reducing
     or drops below [ml_min_cells] movable cells).  [ml_cluster_ratio]
-    and [ml_max_net_degree] are passed to {!Cluster.build}.  The refine
-    run at [d] coarsening steps below the coarsest placement is capped
-    at [max_iterations *. ml_refine_fraction ** d] iterations with the
-    {!config}'s stop criterion and a [ml_refine_min_iterations]
-    minimum, so warm-started levels exit as soon as they meet the same
-    overflow target the flat engine uses. *)
+    is passed to {!Cluster.build}, with a net-degree cap of 16. *)
 type multilevel = {
   ml_levels : int;
   ml_cluster_ratio : float;
-  ml_max_net_degree : int;
   ml_min_cells : int;
-  ml_refine_fraction : float;
-  ml_refine_min_iterations : int;
-  ml_refine_lambda_boost : float;
-      (** multiplier on [lambda_relative] for refine runs: a
-          warm-started level resumes an almost-spread placement, so its
-          initial density weight calibration should not restart from
-          the flat schedule's cold start — most of the multiplicative
-          lambda ramp has already happened on coarser (cheaper)
-          levels. *)
-  ml_refine_lr_scale : float;
-      (** multiplier on the step size for refine runs: warm starts are
-          step-limited rather than schedule-limited (short-range
-          untangling against a strong boosted density force), so
-          larger steps cut the expensive finest-level iteration count
-          and improve wirelength at the same time. *)
 }
 
 val default_multilevel : multilevel
-(** 2 levels, ratio 4.0, net-degree cap 16, 1000-cell floor, refine
-    fraction 0.4, refine minimum 20, lambda boost 20, step scale 2.5. *)
+(** 2 levels, ratio 4.0, 1000-cell floor. *)
 
 val run_multilevel :
   ?pool:Parallel.pool ->
@@ -211,19 +172,30 @@ val run_multilevel :
   Sta.Graph.t ->
   result
 (** V-cycle driver: coarsen ({!Cluster.build}, [cluster.coarsen] span),
-    place the coarsest level with {!run} (wirelength mode, center
-    init, half-resolution grid, double-speed anneal), then alternately
-    prolongate positions ([cluster.interp]) and refine
-    ([cluster.refine] spans wrapping {!run} with [`Keep] init, boosted
-    lambda, enlarged steps and a decaying iteration cap) until the
-    finest level — where the configured [mode], [routability] loop and
-    trace cadence apply, and the density grid starts relaxed
-    ([density_relax]).
-    Coarse levels reuse the same [pool] and [obs].  The returned
-    [result] is the finest run's, with [res_iterations] summed over all
-    levels and [res_runtime] covering the whole V-cycle (coarsening
-    included).  Deterministic: coarsening is sequential and {!run} is
-    bit-identical at any domain count, so the full V-cycle is too. *)
+    place the coarsest level (wirelength mode, center init, no trace,
+    half-resolution grid, double steps and lambda growth [1.035 ** 2]),
+    then alternately prolongate positions ([cluster.interp]) and refine
+    until the finest level.  Every refine runs from the prolongated
+    positions ([`Keep]) with 20 times the initial density weight and
+    2.5 times the initial step; the refine at [d] coarsening steps below
+    the coarsest placement is capped at [max_iterations *. 0.4 ** d]
+    iterations (rounded, at least 20), so warm-started levels exit as
+    soon as they meet their overflow target.  Intermediate refines
+    place wirelength-only on the half-resolution grid without a trace,
+    stop at [0.85 *. stop_overflow] and run at least 20 iterations.
+    The finest refine applies the configured [mode], [routability]
+    loop and trace cadence and the [config]'s stop criterion with a
+    minimum of [min min_iterations 20] iterations; its density grid
+    starts at half resolution and switches to the full grid once the
+    overflow first meets [stop_overflow] (the lambda schedule, step
+    size and optimizer state carry straight over, so only the final
+    approach pays the full-resolution DCT).
+    Each placement runs in a [cluster.refine] span and reuses the same
+    [pool] and [obs].  The returned [result] is the finest run's, with
+    [res_iterations] summed over all levels and [res_runtime] covering
+    the whole V-cycle (coarsening included).  Deterministic: coarsening
+    is sequential and {!run} is bit-identical at any domain count, so
+    the full V-cycle is too. *)
 
 val score : ?obs:Obs.t -> Sta.Graph.t -> Sta.Timer.report * float
 (** Convenience: exact STA report and HPWL of the current placement

@@ -89,7 +89,6 @@ end
 type t = {
   design : Netlist.t;
   grid : Grid.t;
-  target_density : float;
   total_movable_area : float;
   fixed_area : float array;    (* um^2 of fixed cells per bin *)
   movable_area : float array;  (* um^2 of movable cells per bin *)
@@ -106,7 +105,7 @@ let cell_rect (c : Netlist.cell) =
     (Geometry.Point.make c.Netlist.x c.Netlist.y)
     ~width:c.Netlist.width ~height:c.Netlist.height
 
-let create ?bins ?(target_density = 1.0) design =
+let create ?bins design =
   let grid = Grid.create ?bins ~items:(Netlist.num_cells design) design in
   let n = Grid.n grid in
   let fixed_area = Array.make (n * n) 0.0 in
@@ -119,7 +118,7 @@ let create ?bins ?(target_density = 1.0) design =
         total_movable_area :=
           !total_movable_area +. (c.Netlist.width *. c.Netlist.height))
     design.Netlist.cells;
-  { design; grid; target_density;
+  { design; grid;
     total_movable_area = !total_movable_area;
     fixed_area;
     movable_area = Array.make (n * n) 0.0;
@@ -201,9 +200,7 @@ let overflow t =
   else begin
     let acc = ref 0.0 and bin_area = Grid.bin_area t.grid in
     for b = 0 to Array.length t.fixed_area - 1 do
-      let capacity =
-        t.target_density *. Float.max 0.0 (bin_area -. t.fixed_area.(b))
-      in
+      let capacity = Float.max 0.0 (bin_area -. t.fixed_area.(b)) in
       acc := !acc +. Float.max 0.0 (t.movable_area.(b) -. capacity)
     done;
     !acc /. t.total_movable_area

@@ -52,10 +52,8 @@ end
 
 type t
 
-val create : ?bins:int -> ?target_density:float -> Netlist.t -> t
-(** [target_density] (default 1.0) scales the per-bin capacity used by
-    {!overflow}.  [bins] overrides the automatic grid sizing
-    ({!Grid.side}). *)
+val create : ?bins:int -> Netlist.t -> t
+(** [bins] overrides the automatic grid sizing ({!Grid.side}). *)
 
 val bins : t -> int
 
@@ -74,7 +72,8 @@ val penalty : t -> float
 
 val overflow : t -> float
 (** Total density overflow ratio:
-    [sum_b max 0 (area_b - capacity_b) / total movable area].  This is
+    [sum_b max 0 (area_b - capacity_b) / total movable area], where a
+    bin's capacity is its area not covered by fixed cells.  This is
     the placer's stop criterion (paper Table 3 uses the same stop
     criterion on density overflow for all placers). *)
 

@@ -1,30 +1,17 @@
-type algorithm =
-  | Sgd
-  | Momentum of { beta : float }
-  | Nesterov of { beta : float }
-  | Adam of { beta1 : float; beta2 : float; epsilon : float }
-  | Barzilai_borwein of { fallback : float }
-
-let adam = Adam { beta1 = 0.9; beta2 = 0.999; epsilon = 1e-8 }
+let beta1 = 0.9
+let beta2 = 0.999
+let epsilon = 1e-8
 
 type t = {
-  algorithm : algorithm;
   n : int;
-  m1 : float array;  (* first moment / velocity; BB: previous params *)
-  m2 : float array;  (* second moment (Adam); BB: previous grads *)
+  m1 : float array;  (* first moment *)
+  m2 : float array;  (* second moment *)
   mutable step_count : int;
 }
 
-let create algorithm ~n =
+let create ~n =
   if n < 0 then invalid_arg "Optim.create: negative size";
-  { algorithm; n; m1 = Array.make n 0.0; m2 = Array.make n 0.0; step_count = 0 }
-
-let reset t =
-  Array.fill t.m1 0 t.n 0.0;
-  Array.fill t.m2 0 t.n 0.0;
-  t.step_count <- 0
-
-let iterations t = t.step_count
+  { n; m1 = Array.make n 0.0; m2 = Array.make n 0.0; step_count = 0 }
 
 let step t ~lr ~params ~grads ?mask () =
   if Array.length params <> t.n || Array.length grads <> t.n then
@@ -35,61 +22,15 @@ let step t ~lr ~params ~grads ?mask () =
    | Some _ | None -> ());
   let active i = match mask with None -> true | Some m -> m.(i) in
   t.step_count <- t.step_count + 1;
-  match t.algorithm with
-  | Sgd ->
-    for i = 0 to t.n - 1 do
-      if active i then params.(i) <- params.(i) -. (lr *. grads.(i))
-    done
-  | Momentum { beta } ->
-    for i = 0 to t.n - 1 do
-      if active i then begin
-        t.m1.(i) <- (beta *. t.m1.(i)) +. grads.(i);
-        params.(i) <- params.(i) -. (lr *. t.m1.(i))
-      end
-    done
-  | Nesterov { beta } ->
-    for i = 0 to t.n - 1 do
-      if active i then begin
-        t.m1.(i) <- (beta *. t.m1.(i)) +. grads.(i);
-        params.(i) <- params.(i) -. (lr *. (grads.(i) +. (beta *. t.m1.(i))))
-      end
-    done
-  | Adam { beta1; beta2; epsilon } ->
-    let k = float_of_int t.step_count in
-    let c1 = 1.0 -. (beta1 ** k) and c2 = 1.0 -. (beta2 ** k) in
-    for i = 0 to t.n - 1 do
-      if active i then begin
-        t.m1.(i) <- (beta1 *. t.m1.(i)) +. ((1.0 -. beta1) *. grads.(i));
-        t.m2.(i) <- (beta2 *. t.m2.(i))
-                    +. ((1.0 -. beta2) *. grads.(i) *. grads.(i));
-        let m_hat = t.m1.(i) /. c1 in
-        let v_hat = t.m2.(i) /. c2 in
-        params.(i) <- params.(i) -. (lr *. m_hat /. (Float.sqrt v_hat +. epsilon))
-      end
-    done
-  | Barzilai_borwein { fallback } ->
-    (* step = |dp . dg| / (dg . dg) from the previous iterate *)
-    let step =
-      if t.step_count = 1 then lr *. fallback
-      else begin
-        let num = ref 0.0 and den = ref 0.0 in
-        for i = 0 to t.n - 1 do
-          if active i then begin
-            let dp = params.(i) -. t.m1.(i) in
-            let dg = grads.(i) -. t.m2.(i) in
-            num := !num +. (dp *. dg);
-            den := !den +. (dg *. dg)
-          end
-        done;
-        if !den > 1e-30 && Float.abs !num > 1e-30 then
-          Float.abs !num /. !den
-        else lr *. fallback
-      end
-    in
-    for i = 0 to t.n - 1 do
-      if active i then begin
-        t.m1.(i) <- params.(i);
-        t.m2.(i) <- grads.(i);
-        params.(i) <- params.(i) -. (step *. grads.(i))
-      end
-    done
+  let k = float_of_int t.step_count in
+  let c1 = 1.0 -. (beta1 ** k) and c2 = 1.0 -. (beta2 ** k) in
+  for i = 0 to t.n - 1 do
+    if active i then begin
+      t.m1.(i) <- (beta1 *. t.m1.(i)) +. ((1.0 -. beta1) *. grads.(i));
+      t.m2.(i) <- (beta2 *. t.m2.(i))
+                  +. ((1.0 -. beta2) *. grads.(i) *. grads.(i));
+      let m_hat = t.m1.(i) /. c1 in
+      let v_hat = t.m2.(i) /. c2 in
+      params.(i) <- params.(i) -. (lr *. m_hat /. (Float.sqrt v_hat +. epsilon))
+    end
+  done

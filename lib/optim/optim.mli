@@ -1,33 +1,17 @@
-(** First-order optimisers for the placement objective (paper §3.6).
+(** The Adam optimiser for the placement objective (paper §3.6).
 
     The placer treats cell coordinates as trainable parameters of the
     "neural network" that is the design (Table 1's analogy), so the
-    optimisers mirror standard deep-learning updates.  One optimiser
+    update is the standard deep-learning one: Adam with the customary
+    moments (beta1 0.9, beta2 0.999, epsilon 1e-8).  One optimiser
     instance owns the state for one parameter vector (e.g. all cell x
     coordinates). *)
 
-type algorithm =
-  | Sgd
-  | Momentum of { beta : float }
-  | Nesterov of { beta : float }
-      (** the simplified Nesterov momentum update used by deep-learning
-          frameworks: [v <- beta v + g; p <- p - lr (g + beta v)]. *)
-  | Adam of { beta1 : float; beta2 : float; epsilon : float }
-  | Barzilai_borwein of { fallback : float }
-      (** steepest descent with the Barzilai-Borwein step size
-          [|dp . dg| / |dg . dg|] estimated from the previous iterate
-          (the self-tuning scheme popular in ePlace-family placers);
-          [fallback] scales the caller's [lr] on the first step and
-          whenever the estimate degenerates. *)
-
-val adam : algorithm
-(** Adam with the customary defaults (0.9, 0.999, 1e-8). *)
-
 type t
 
-val create : algorithm -> n:int -> t
-val reset : t -> unit
-(** Zero all moment estimates and the step counter. *)
+val create : n:int -> t
+(** Fresh moment estimates for [n] parameters.
+    @raise Invalid_argument when [n] is negative. *)
 
 val step :
   t -> lr:float -> params:float array -> grads:float array ->
@@ -35,5 +19,3 @@ val step :
 (** Apply one update in place.  Entries where [mask] is false (e.g.
     fixed cells) are left untouched.
     @raise Invalid_argument on any length mismatch. *)
-
-val iterations : t -> int

@@ -21,9 +21,8 @@
    k-th-best slack bound through a worst-endpoint-first scan so healthy
    endpoints are pruned before their search starts.  Materialisation
    (step lists, at/slew lookups, net/arc lists) is deferred until after
-   the global top-K cut.  [Reference] keeps the original eager
-   implementation verbatim as the bit-identity oracle of the path
-   tests. *)
+   the global top-K cut.  The original eager implementation is the
+   path tests' bit-identity oracle ([test/paths_oracle.ml]). *)
 
 let tr_of ti = if ti = 0 then Sta.Rise else Sta.Fall
 
@@ -133,7 +132,7 @@ let analyze_run ?pool ?obs timer =
       t.pred.(node) <- !best);
   t
 
-(* binary min-heap, shared by the eager reference and the lazy engine *)
+(* binary heap under [E.less]: the candidate queue and the k-th-best bound *)
 module MakeHeap (E : sig
   type elt
 
@@ -228,134 +227,6 @@ let analyze ?pool ?(obs = Obs.disabled) timer =
   let view = analyze_run ?pool ~obs timer in
   Obs.stop obs;
   view
-
-(* ---- the frozen eager implementation (the tests' oracle) ---- *)
-
-module Reference = struct
-  (* A candidate path: the suffix [c_suffix] (list of (in-edge, node)
-     pairs, path order) is fixed; the prefix follows back-pointers from
-     [c_head].  [c_dsuf] is the accumulated delay from [c_head] to the
-     endpoint, [c_rat] the endpoint's required time, so
-     [c_slack = c_rat - (at(c_head) + c_dsuf)] is the exact slack of the
-     completed path.  [c_seq] is the insertion sequence number, used as
-     a deterministic tie-break (it also makes Rise win slack ties at the
-     endpoint). *)
-  type cand = {
-    c_head : int;
-    c_dsuf : float;
-    c_rat : float;
-    c_slack : float;
-    c_seq : int;
-    c_suffix : (int * int) list;
-  }
-
-  module Pq = MakeHeap (struct
-    type elt = cand
-
-    let dummy =
-      { c_head = -1; c_dsuf = 0.0; c_rat = 0.0; c_slack = 0.0; c_seq = -1;
-        c_suffix = [] }
-
-    let less x y =
-      let c = Float.compare x.c_slack y.c_slack in
-      c < 0 || (c = 0 && x.c_seq < y.c_seq)
-  end)
-
-  let enumerate_endpoint ?(slack_limit = infinity) ~k t ep =
-    if k <= 0 then []
-    else begin
-      let tm = t.timer in
-      let heap = Pq.create () in
-      let seq = ref 0 in
-      let push c =
-        Pq.push heap c;
-        incr seq
-      in
-      for ti = 0 to 1 do
-        let a = Sta.Timer.at_late tm ep (tr_of ti) in
-        let r = Sta.Timer.rat_late tm ep (tr_of ti) in
-        let slack = r -. a in
-        if a > neg_infinity && r < infinity && slack < slack_limit then
-          push
-            { c_head = (2 * ep) + ti; c_dsuf = 0.0; c_rat = r; c_slack = slack;
-              c_seq = !seq; c_suffix = [] }
-      done;
-      (* Expand a popped candidate: walk its backbone (head, then
-         back-pointers) and branch on every non-back-pointer in-edge.  A
-         child's true slack is >= its parent's in exact arithmetic (the
-         forward max guarantees at(u) >= at(src) + d edge-wise); the
-         Float.max clamp removes the ulp-level noise the re-associated
-         delay sums can introduce, so popped slacks are monotone. *)
-      let expand c =
-        let rec go node seg dseg =
-          let p = t.pred.(node) in
-          iter_in t node (fun e w d ->
-              if e <> p then begin
-                let dsuf = d +. dseg +. c.c_dsuf in
-                let slack = Float.max c.c_slack (c.c_rat -. (at t w +. dsuf)) in
-                if slack < slack_limit then
-                  push
-                    { c_head = w; c_dsuf = dsuf; c_rat = c.c_rat;
-                      c_slack = slack; c_seq = !seq;
-                      c_suffix = (e, node) :: seg }
-              end);
-          if p <> no_edge then
-            go (src_of t node p) ((p, node) :: seg)
-              (dseg +. delay_of t node p)
-        in
-        go c.c_head c.c_suffix 0.0
-      in
-      let results = ref [] in
-      let rank = ref 0 in
-      let running = ref true in
-      while !running && !rank < k do
-        match Pq.pop heap with
-        | None -> running := false
-        | Some c ->
-          results :=
-            materialize t ep !rank ~head:c.c_head ~suffix:c.c_suffix
-              ~slack:c.c_slack
-            :: !results;
-          incr rank;
-          if !rank < k then expand c
-      done;
-      List.rev !results
-    end
-
-  let enumerate ?pool ?slack_limit ~k t =
-    if k <= 0 then []
-    else begin
-      let eps = t.graph.Sta.Graph.endpoints in
-      let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
-      let acc =
-        Parallel.parallel_for_reduce p ~cost:2000.0 (Array.length eps)
-          ~init:(fun _ -> ref [])
-          ~body:(fun acc i ->
-            (* tag each path with its endpoint's position so ranking ties
-               resolve to the first endpoint in endpoint order *)
-            List.iter
-              (fun pt -> acc := (i, pt) :: !acc)
-              (enumerate_endpoint ?slack_limit ~k t eps.(i)))
-          ~merge:(fun a b ->
-            a := List.rev_append !b !a;
-            a)
-      in
-      let compare_tagged (ia, a) (ib, b) =
-        let c = Float.compare a.pt_slack b.pt_slack in
-        if c <> 0 then c
-        else
-          let c = Int.compare ia ib in
-          if c <> 0 then c else Int.compare a.pt_rank b.pt_rank
-      in
-      let sorted = List.sort compare_tagged !acc in
-      let rec take acc n = function
-        | [] -> List.rev acc
-        | _ when n = 0 -> List.rev acc
-        | (_, x) :: rest -> take (x :: acc) (n - 1) rest
-      in
-      take [] k sorted
-    end
-end
 
 (* ---- lazy deviation search ---- *)
 

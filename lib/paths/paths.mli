@@ -28,7 +28,9 @@
     branch-and-bound starts, and paths are materialised (step lists,
     at/slew lookups, net/arc lists) only after the global top-K cut.
     The output — paths, ranks, slacks, bit patterns — is identical to
-    the eager {!Reference} implementation; only the work is smaller.
+    the eager implementation that pushes every deviation of a popped
+    candidate's backbone (kept as the tests' oracle); only the work is
+    smaller.
 
     Determinism: per-endpoint enumeration never looks outside its own
     endpoint, the endpoint fan-out goes through
@@ -95,19 +97,6 @@ val enumerate_grain : k:int -> int -> int
     endpoints: a pure function of [(k, n)] that splits finer as [k]
     grows, because per-endpoint branch-and-bound cost scales with [k].
     Exposed so benchmarks can report the chunking. *)
-
-(** The original eager deviation branch-and-bound, kept verbatim as the
-    bit-identity oracle the path tests check the lazy engine against.
-    [enumerate] here pushes every deviation of a popped
-    candidate's backbone and materialises every popped path; its output
-    is bitwise identical to the top-level {!enumerate}. *)
-module Reference : sig
-  val enumerate_endpoint :
-    ?slack_limit:float -> k:int -> t -> int -> path list
-
-  val enumerate :
-    ?pool:Parallel.pool -> ?slack_limit:float -> k:int -> t -> path list
-end
 
 val net_criticality : t -> path list -> float array
 (** Per-net criticality accumulated over a path list: each path adds

@@ -262,8 +262,8 @@ let check_paths_equal label (a : Paths.path list) (b : Paths.path list) =
       check_steps_equal label x.Paths.pt_steps y.Paths.pt_steps)
     a b
 
-(* tentpole anchor: the lazy engine is bitwise identical to the frozen
-   eager Reference implementation — globally across k and slack limits,
+(* the lazy engine is bitwise identical to the eager oracle
+   ([Paths_oracle]) — globally across k and slack limits,
    and per endpoint *)
 let test_matches_reference () =
   List.iter
@@ -283,7 +283,8 @@ let test_matches_reference () =
                       Printf.sprintf "seed %d k %d lim %s" seed k lim_label
                     in
                     check_paths_equal (label ^ " global")
-                      (Paths.Reference.enumerate ?slack_limit:limit ~k view)
+                      (Paths_oracle.enumerate ?slack_limit:limit ~k timer
+                         view)
                       (Paths.enumerate ?slack_limit:limit ~k view))
                   [ 1; 4; 16; 64 ];
                 Array.iter
@@ -292,8 +293,8 @@ let test_matches_reference () =
                       Printf.sprintf "seed %d ep %d lim %s" seed ep lim_label
                     in
                     check_paths_equal label
-                      (Paths.Reference.enumerate_endpoint ?slack_limit:limit
-                         ~k:16 view ep)
+                      (Paths_oracle.enumerate_endpoint ?slack_limit:limit
+                         ~k:16 timer view ep)
                       (Paths.enumerate_endpoint ?slack_limit:limit ~k:16 view
                          ep))
                   graph.Sta.Graph.endpoints)
@@ -597,8 +598,8 @@ let test_pooled_enumerate_after_lazy_sweep () =
     let compare label =
       let vp = Paths.analyze ~pool pooled and vs = Paths.analyze seq in
       check_paths_equal (label ^ ", reference")
-        (Paths.Reference.enumerate ~pool ~k:32 vp)
-        (Paths.Reference.enumerate ~k:32 vs);
+        (Paths_oracle.enumerate ~pool ~k:32 pooled vp)
+        (Paths_oracle.enumerate ~k:32 seq vs);
       check_paths_equal label (Paths.enumerate ~pool ~k:32 vp)
         (Paths.enumerate ~k:32 vs)
     in
