@@ -93,11 +93,14 @@ type t = {
   fixed_area : float array;    (* um^2 of fixed cells per bin *)
   movable_area : float array;  (* um^2 of movable cells per bin *)
   rho : float array;           (* normalised density *)
-  psi : float array;           (* potential *)
+  plan : Transform.Plan.t;
+  scale : float array;         (* DCT normalisation per frequency index *)
+  omega : float array;         (* pi k / n *)
+  coeff : float array;         (* cosine coefficients of psi *)
+  psi : float array;           (* potential, synthesised when read *)
+  mutable psi_current : bool;  (* psi matches coeff *)
   field_x : float array;       (* -d psi / d x_hat, bin units *)
   field_y : float array;
-  coeff : float array;         (* scratch: spectral coefficients *)
-  scratch : float array;
 }
 
 let cell_rect (c : Netlist.cell) =
@@ -123,11 +126,14 @@ let create ?bins design =
     fixed_area;
     movable_area = Array.make (n * n) 0.0;
     rho = Array.make (n * n) 0.0;
-    psi = Array.make (n * n) 0.0;
-    field_x = Array.make (n * n) 0.0;
-    field_y = Array.make (n * n) 0.0;
+    plan = Transform.Plan.create n;
+    scale = Array.init n (fun k -> (if k = 0 then 1.0 else 2.0) /. float_of_int n);
+    omega = Array.init n (fun k -> pi *. float_of_int k /. float_of_int n);
     coeff = Array.make (n * n) 0.0;
-    scratch = Array.make (n * n) 0.0 }
+    psi = Array.make (n * n) 0.0;
+    psi_current = true;
+    field_x = Array.make (n * n) 0.0;
+    field_y = Array.make (n * n) 0.0 }
 
 let bins t = Grid.n t.grid
 
@@ -155,40 +161,35 @@ let update ?pool ?(obs = Obs.disabled) t =
   Obs.stop obs;
   Obs.start obs k_dct;
   (* spectral Poisson solve: coefficients of rho in the cosine basis *)
-  let a = Transform.Grid.dct2 ?pool ~obs n t.rho in
-  let scale k = if k = 0 then 1.0 /. float_of_int n else 2.0 /. float_of_int n in
-  let w k = pi *. float_of_int k /. float_of_int n in
+  Array.blit t.rho 0 t.coeff 0 (n * n);
+  Transform.Grid.dct2 ?pool ~obs t.plan t.coeff;
+  (* E_x = sum c_uv w_u sin(w_u x) cos(w_v y): rows carry the x index;
+     E_y likewise with w_v along the columns *)
   for u = 0 to n - 1 do
+    let su = t.scale.(u) and wu = t.omega.(u) in
     for v = 0 to n - 1 do
       let idx = (u * n) + v in
-      if u = 0 && v = 0 then t.coeff.(idx) <- 0.0
-      else begin
-        let wu = w u and wv = w v in
-        t.coeff.(idx) <-
-          a.(idx) *. scale u *. scale v /. ((wu *. wu) +. (wv *. wv))
-      end
+      let wv = t.omega.(v) in
+      let c =
+        if u = 0 && v = 0 then 0.0
+        else t.coeff.(idx) *. su *. t.scale.(v) /. ((wu *. wu) +. (wv *. wv))
+      in
+      t.coeff.(idx) <- c;
+      t.field_x.(idx) <- c *. wu;
+      t.field_y.(idx) <- c *. wv
     done
   done;
-  let psi = Transform.Grid.cos_cos_synth ?pool ~obs n t.coeff in
-  Array.blit psi 0 t.psi 0 (n * n);
-  (* E_x = sum c_uv w_u sin(w_u x) cos(w_v y): rows carry the x index *)
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      t.scratch.((u * n) + v) <- t.coeff.((u * n) + v) *. w u
-    done
-  done;
-  let ex = Transform.Grid.sin_cos_synth ?pool ~obs n t.scratch in
-  Array.blit ex 0 t.field_x 0 (n * n);
-  for u = 0 to n - 1 do
-    for v = 0 to n - 1 do
-      t.scratch.((u * n) + v) <- t.coeff.((u * n) + v) *. w v
-    done
-  done;
-  let ey = Transform.Grid.cos_sin_synth ?pool ~obs n t.scratch in
-  Array.blit ey 0 t.field_y 0 (n * n);
+  t.psi_current <- false;
+  Transform.Grid.sin_cos_synth ?pool ~obs t.plan t.field_x;
+  Transform.Grid.cos_sin_synth ?pool ~obs t.plan t.field_y;
   Obs.stop obs
 
 let penalty t =
+  if not t.psi_current then begin
+    Array.blit t.coeff 0 t.psi 0 (Array.length t.psi);
+    Transform.Grid.cos_cos_synth t.plan t.psi;
+    t.psi_current <- true
+  end;
   let acc = ref 0.0 in
   for b = 0 to Array.length t.rho - 1 do
     acc := !acc +. (t.rho.(b) *. t.psi.(b))
@@ -206,19 +207,6 @@ let overflow t =
     !acc /. t.total_movable_area
   end
 
-(* Bilinear interpolation of a bin-center field at bin coordinates. *)
-let interp n field bx by =
-  let fx = Geometry.clamp ~lo:0.0 ~hi:(float_of_int n -. 1.0) (bx -. 0.5) in
-  let fy = Geometry.clamp ~lo:0.0 ~hi:(float_of_int n -. 1.0) (by -. 0.5) in
-  let ix = min (n - 2) (int_of_float fx) and iy = min (n - 2) (int_of_float fy) in
-  let ix = max 0 ix and iy = max 0 iy in
-  let tx = fx -. float_of_int ix and ty = fy -. float_of_int iy in
-  let g i j = field.((i * n) + j) in
-  (g ix iy *. (1.0 -. tx) *. (1.0 -. ty))
-  +. (g (ix + 1) iy *. tx *. (1.0 -. ty))
-  +. (g ix (iy + 1) *. (1.0 -. tx) *. ty)
-  +. (g (ix + 1) (iy + 1) *. tx *. ty)
-
 let k_grad = Obs.kernel "density.grad"
 
 let gradient ?pool ?(obs = Obs.disabled) t ~scale ~grad_x ~grad_y =
@@ -231,16 +219,33 @@ let gradient ?pool ?(obs = Obs.disabled) t ~scale ~grad_x ~grad_y =
   let cells = t.design.Netlist.cells in
   let g = t.grid in
   let n = Grid.n g and bin_w = Grid.bin_w g and bin_h = Grid.bin_h g in
+  let hi = float_of_int n -. 1.0 in
+  let fx = t.field_x and fy = t.field_y in
   (* each task writes only its own cell's gradient slot: race-free and
      bit-identical under the pool *)
   Parallel.parallel_for p ~obs ~cost:6.0 (Array.length cells) (fun k ->
     let c = cells.(k) in
     if not c.Netlist.fixed then begin
       let q = c.Netlist.width *. c.Netlist.height /. Grid.bin_area g in
+      (* bilinear interpolation between bin centers: one stencil, both
+         fields *)
       let bx = (c.Netlist.x -. region.Geometry.Rect.lx) /. bin_w in
       let by = (c.Netlist.y -. region.Geometry.Rect.ly) /. bin_h in
-      let ex = interp n t.field_x bx by in
-      let ey = interp n t.field_y bx by in
+      let px = Geometry.clamp ~lo:0.0 ~hi (bx -. 0.5) in
+      let py = Geometry.clamp ~lo:0.0 ~hi (by -. 0.5) in
+      let ix = max 0 (min (n - 2) (int_of_float px)) in
+      let iy = max 0 (min (n - 2) (int_of_float py)) in
+      let tx = px -. float_of_int ix and ty = py -. float_of_int iy in
+      let sx = 1.0 -. tx and sy = 1.0 -. ty in
+      let b = (ix * n) + iy in
+      let ex =
+        (fx.(b) *. sx *. sy) +. (fx.(b + n) *. tx *. sy)
+        +. (fx.(b + 1) *. sx *. ty) +. (fx.(b + n + 1) *. tx *. ty)
+      in
+      let ey =
+        (fy.(b) *. sx *. sy) +. (fy.(b + n) *. tx *. sy)
+        +. (fy.(b + 1) *. sx *. ty) +. (fy.(b + n + 1) *. tx *. ty)
+      in
       (* d(energy)/dx = -q * E_x, converted from bin to micron units *)
       let i = c.Netlist.cell_id in
       grad_x.(i) <- grad_x.(i) -. (scale *. q *. ex /. bin_w);

@@ -59,16 +59,22 @@ val bins : t -> int
 
 val update : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> unit
 (** Re-splat densities from current cell positions and solve for the
-    potential and field.  [obs] records the two phases as
-    [density.splat] and [density.dct] spans.  Call once per placement iteration, before
+    field: a 2-D DCT of the density, the Poisson coefficients, and one
+    synthesis per field component, all in place on the grid's
+    {!Transform.Plan}.  The potential is not synthesised here (see
+    {!penalty}).  [obs] records the two phases as [density.splat] and
+    [density.dct] spans.  Call once per placement iteration, before
     {!penalty}, {!overflow} or {!gradient}.  With [pool], cells splat
-    into per-chunk grids merged in chunk order and the DCT Poisson solve
-    parallelises over rows/columns; the chunk split depends only on the
+    into per-chunk grids merged in chunk order and the transforms
+    parallelise over rows/columns; the chunk split depends only on the
     cell count, so pooled results are bit-identical to sequential
     ones. *)
 
 val penalty : t -> float
-(** Electrostatic energy [0.5 * sum rho * psi] (after {!update}). *)
+(** Electrostatic energy [0.5 * sum rho * psi] (after {!update}).  The
+    potential [psi] is synthesised from the last update's coefficients
+    on the first call after that update and reused by later calls, so
+    a run that never reads the energy never pays for it. *)
 
 val overflow : t -> float
 (** Total density overflow ratio:

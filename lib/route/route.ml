@@ -71,9 +71,23 @@ module Rudy = struct
         let ew = Float.max (Geometry.Rect.width r) (G.bin_w t.grid) in
         let eh = Float.max (Geometry.Rect.height r) (G.bin_h t.grid) in
         let demand = ew *. eh /. (ew +. eh) in
-        (* expand symmetrically around the original bbox center *)
-        let cx = 0.5 *. (r.Geometry.Rect.lx +. r.Geometry.Rect.hx) in
-        let cy = 0.5 *. (r.Geometry.Rect.ly +. r.Geometry.Rect.hy) in
+        (* expand symmetrically around the original bbox center, then
+           shift the box back inside the region so a net on its edge
+           keeps all its demand *)
+        let region = d.Netlist.region in
+        let shift c half lo hi =
+          if c -. half < lo then lo +. half
+          else if c +. half > hi then hi -. half
+          else c
+        in
+        let cx =
+          shift (0.5 *. (r.Geometry.Rect.lx +. r.Geometry.Rect.hx)) (0.5 *. ew)
+            region.Geometry.Rect.lx region.Geometry.Rect.hx
+        in
+        let cy =
+          shift (0.5 *. (r.Geometry.Rect.ly +. r.Geometry.Rect.hy)) (0.5 *. eh)
+            region.Geometry.Rect.ly region.Geometry.Rect.hy
+        in
         G.splat t.grid grid ~weight:(demand /. (ew *. eh))
           { Geometry.Rect.lx = cx -. (0.5 *. ew); hx = cx +. (0.5 *. ew);
             ly = cy -. (0.5 *. eh); hy = cy +. (0.5 *. eh) }

@@ -9,7 +9,9 @@
       demand map.  Each net contributes a total demand of
       [w*h / (w + h)] (its bbox dimensions, clamped below at one bin so
       flat nets still count) smeared uniformly over the bins its
-      bounding box overlaps, plus a fixed per-pin term splatted into
+      bounding box overlaps; a box the clamp pushed across the region's
+      edge is shifted back inside, so edge nets keep their whole
+      demand.  A fixed per-pin term is added, splatted into
       the pin's bin.  The map lives on the placement bin grid
       ([Density.Grid]: same sizing, bin lookup, rectangle splat and
       pooled chunk-order reduction as the density map), so it is

@@ -181,6 +181,28 @@ let test_pooled_bit_identity () =
       Alcotest.failf "pooled gradient differs at cell %d" i
   done
 
+(* psi is synthesised on the first penalty read after an update: a
+   second read returns the same bits, and after the cells move the next
+   read reflects the new placement exactly as a fresh system does. *)
+let test_penalty_never_stale () =
+  let d = design_with_cells 200 in
+  let rng = Workload.Rng.create 41 in
+  spread d rng;
+  let dens = Density.create ~bins:32 d in
+  Density.update dens;
+  let first = Density.penalty dens in
+  Alcotest.(check bool) "repeated read bit-identical" true
+    (bits first = bits (Density.penalty dens));
+  spread d rng;
+  Density.update dens;
+  let moved = Density.penalty dens in
+  let fresh = Density.create ~bins:32 d in
+  Density.update fresh;
+  Alcotest.(check bool) "placement moved the energy" true
+    (bits moved <> bits first);
+  Alcotest.(check bool) "after update = fresh system" true
+    (bits moved = bits (Density.penalty fresh))
+
 let test_gradient_matches_fd_pooled () =
   (* the analytic gradient interpolates the spectral field, so it agrees
      with finite differences of the potential energy only up to the
@@ -244,5 +266,7 @@ let suite =
     Alcotest.test_case "uniform density has no field" `Quick
       test_gradient_zero_when_uniform;
     Alcotest.test_case "pooled bit identity" `Quick test_pooled_bit_identity;
+    Alcotest.test_case "lazy penalty never stale" `Quick
+      test_penalty_never_stale;
     Alcotest.test_case "gradient matches fd under pool" `Quick
       test_gradient_matches_fd_pooled ]

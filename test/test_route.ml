@@ -79,8 +79,9 @@ let test_rudy_flat_net_counts () =
    computed here from the RUDY definition: a pin term in each pin's
    (edge-clamped) bin, and each net's demand spread over the overlap of
    its one-bin-expanded bbox with every bin.  Covers a pin on the
-   region's top-right corner, a net whose expanded box crosses the
-   region edge (the outside part is dropped), and enough nets for
+   region's top-right corner, nets whose expanded box would cross the
+   region edge (the box is shifted inside, so the net's whole demand
+   lands in the region), and enough nets for
    several reduction chunks, updated twice so reused chunk grids must
    come back zeroed. *)
 let test_rudy_matches_reference () =
@@ -142,7 +143,9 @@ let test_rudy_matches_reference () =
         let hi l = List.fold_left Float.max neg_infinity l in
         let w = Float.max (hi xs -. lo xs) bw in
         let h = Float.max (hi ys -. lo ys) bh in
-        let cx = 0.5 *. (lo xs +. hi xs) and cy = 0.5 *. (lo ys +. hi ys) in
+        let inside c half lo hi = Float.min (hi -. half) (Float.max (lo +. half) c) in
+        let cx = inside (0.5 *. (lo xs +. hi xs)) (0.5 *. w) lx hx in
+        let cy = inside (0.5 *. (lo ys +. hi ys)) (0.5 *. h) ly hy in
         let per_area = w *. h /. (w +. h) /. (w *. h) in
         for bx = 0 to n - 1 do
           for by = 0 to n - 1 do
@@ -169,6 +172,27 @@ let test_rudy_matches_reference () =
   in
   Alcotest.(check bool) "corner pins land in the top-right bin" true
     (reference.((n * n) - 1) >= 2.0 *. pin_weight);
+  (* without pin terms the map holds every net's full demand *)
+  let expected_total =
+    List.fold_left
+      (fun acc pts ->
+        if List.length pts < 2 then acc
+        else begin
+          let xs = List.map fst pts and ys = List.map snd pts in
+          let span l =
+            List.fold_left Float.max neg_infinity l
+            -. List.fold_left Float.min infinity l
+          in
+          let w = Float.max (span xs) bw and h = Float.max (span ys) bh in
+          acc +. (w *. h /. (w +. h))
+        end)
+      0.0 !nets
+  in
+  let wires = Route.Rudy.create ~bins:8 ~pin_weight:0.0 d in
+  Route.Rudy.update wires;
+  let total = Array.fold_left ( +. ) 0.0 (Route.Rudy.demand wires) in
+  if Float.abs (total -. expected_total) > 1e-9 *. expected_total then
+    Alcotest.failf "total demand %.12g, expected %.12g" total expected_total;
   Route.Rudy.update rudy;
   check "sequential";
   Test_parallel.with_pool (fun pool ->

@@ -67,34 +67,40 @@ let test_fft_parseval () =
   Alcotest.(check (float 1e-6)) "parseval" energy_time
     (!energy_freq /. float_of_int n)
 
-(* fast paths agree with the direct O(n^2) definitions *)
+(* fast paths agree with the direct O(n^2) definitions at every
+   power-of-two size from 1 to 128 *)
+let pow2_line =
+  QCheck2.Gen.(
+    pair (int_range 0 7) (list_size (return 128) (float_range (-1.0) 1.0)))
+
+let fast_matches_naive ~name fast naive =
+  QCheck2.Test.make ~name ~count:100 pow2_line (fun (log_n, vals) ->
+    let x = Array.sub (Array.of_list vals) 0 (1 lsl log_n) in
+    arrays_close ~eps:1e-8 (fast x) (naive x))
+
 let prop_dct_fast_matches_naive =
-  QCheck2.Test.make ~name:"dct fast = naive (pow2 sizes)" ~count:100
-    QCheck2.Gen.(
-      pair (int_range 0 3)
-        (list_size (return 16) (float_range (-1.0) 1.0)))
-    (fun (log_extra, vals) ->
-      let n = 16 lsl log_extra in
-      let x = Array.init n (fun i -> List.nth vals (i mod 16) +. float_of_int i /. float_of_int n) in
-      arrays_close ~eps:1e-8 (Transform.Dct.dct x) (Transform.Dct.dct_naive x))
+  fast_matches_naive ~name:"dct fast = naive (pow2 sizes)" Transform.Dct.dct
+    Transform.Dct.dct_naive
 
 let prop_cos_synth_fast_matches_naive =
-  QCheck2.Test.make ~name:"cos_synth fast = naive" ~count:100
-    QCheck2.Gen.(list_size (return 32) (float_range (-1.0) 1.0))
-    (fun vals ->
-      let c = Array.of_list vals in
-      arrays_close ~eps:1e-8
-        (Transform.Dct.cos_synth c)
-        (Transform.Dct.cos_synth_naive c))
+  fast_matches_naive ~name:"cos_synth fast = naive" Transform.Dct.cos_synth
+    Transform.Dct.cos_synth_naive
 
 let prop_sin_synth_fast_matches_naive =
-  QCheck2.Test.make ~name:"sin_synth fast = naive" ~count:100
-    QCheck2.Gen.(list_size (return 32) (float_range (-1.0) 1.0))
-    (fun vals ->
-      let c = Array.of_list vals in
-      arrays_close ~eps:1e-8
-        (Transform.Dct.sin_synth c)
-        (Transform.Dct.sin_synth_naive c))
+  fast_matches_naive ~name:"sin_synth fast = naive" Transform.Dct.sin_synth
+    Transform.Dct.sin_synth_naive
+
+(* a single sample is its own transform: cos 0 = 1, sin 0 = 0 *)
+let test_length_one () =
+  let one = [| 5.0 |] in
+  check_arrays "dct" one (Transform.Dct.dct one);
+  check_arrays "dct naive" one (Transform.Dct.dct_naive one);
+  check_arrays "cos_synth" one (Transform.Dct.cos_synth one);
+  check_arrays "cos_synth naive" one (Transform.Dct.cos_synth_naive one);
+  check_arrays "sin_synth" [| 0.0 |] (Transform.Dct.sin_synth one);
+  let g = [| 3.0 |] in
+  Transform.Grid.dct2 (Transform.Plan.create 1) g;
+  check_arrays "dct2" [| 3.0 |] g
 
 let test_non_pow2_fallback () =
   let rng = Workload.Rng.create 5 in
@@ -121,17 +127,23 @@ let test_grid_roundtrip () =
   let rng = Workload.Rng.create 7 in
   let n = 8 in
   let grid = rand_array rng (n * n) in
-  let c = Transform.Grid.dct2 n grid in
+  let plan = Transform.Plan.create n in
+  let c = Array.copy grid in
+  Transform.Grid.dct2 plan c;
   let scale k = if k = 0 then 1.0 /. float_of_int n else 2.0 /. float_of_int n in
   let scaled =
     Array.mapi (fun idx v -> v *. scale (idx / n) *. scale (idx mod n)) c
   in
-  check_arrays "2d roundtrip" grid (Transform.Grid.cos_cos_synth n scaled)
+  Transform.Grid.cos_cos_synth plan scaled;
+  check_arrays "2d roundtrip" grid scaled
 
 let test_grid_size_check () =
   Alcotest.check_raises "grid size"
     (Invalid_argument "Transform.Grid: size mismatch") (fun () ->
-      ignore (Transform.Grid.dct2 4 (Array.make 10 0.0)))
+      Transform.Grid.dct2 (Transform.Plan.create 4) (Array.make 10 0.0));
+  Alcotest.check_raises "plan size"
+    (Invalid_argument "Transform.Plan: length must be a power of two")
+    (fun () -> ignore (Transform.Plan.create 12))
 
 let test_grid_sin_axes () =
   (* sin along the row axis means row-constant input maps to zero only
@@ -141,7 +153,8 @@ let test_grid_sin_axes () =
   let n = 8 in
   let c = Array.make (n * n) 0.0 in
   c.(1 * n) <- 1.0;
-  let f = Transform.Grid.sin_cos_synth n c in
+  let f = Array.copy c in
+  Transform.Grid.sin_cos_synth (Transform.Plan.create n) f;
   let pi = 4.0 *. atan 1.0 in
   for r = 0 to n - 1 do
     let expect = sin (pi *. (float_of_int r +. 0.5) /. float_of_int n) in
@@ -149,6 +162,45 @@ let test_grid_sin_axes () =
       Alcotest.(check (float 1e-9)) "mode value" expect f.((r * n) + col)
     done
   done
+
+(* Each in-place 2-D pass equals its 1-D references applied along every
+   row, then every column, at sizes 1 to 32, sequentially and pooled. *)
+let grid_reference ~row ~col n g =
+  let out = Array.copy g in
+  for r = 0 to n - 1 do
+    Array.blit (row (Array.sub out (r * n) n)) 0 out (r * n) n
+  done;
+  for c = 0 to n - 1 do
+    let line = col (Array.init n (fun r -> out.((r * n) + c))) in
+    Array.iteri (fun r v -> out.((r * n) + c) <- v) line
+  done;
+  out
+
+let prop_grid_matches_naive =
+  QCheck2.Test.make ~name:"grid passes = naive rows then columns" ~count:20
+    QCheck2.Gen.(pair (int_range 0 5) (int_range 0 1_000_000))
+    (fun (log_n, seed) ->
+      let n = 1 lsl log_n in
+      let g = rand_array (Workload.Rng.create seed) (n * n) in
+      let plan = Transform.Plan.create n in
+      let open Transform.Dct in
+      Test_parallel.with_pool (fun pool ->
+        List.for_all
+          (fun (pass, row, col) ->
+            let expect = grid_reference ~row ~col n g in
+            let seq = Array.copy g and pooled = Array.copy g in
+            pass ?pool:None plan seq;
+            pass ?pool:(Some pool) plan pooled;
+            arrays_close ~eps:1e-8 seq expect
+            && Array.map Int64.bits_of_float pooled
+               = Array.map Int64.bits_of_float seq)
+          [ ((fun ?pool p a -> Transform.Grid.dct2 ?pool p a), dct_naive, dct_naive);
+            ((fun ?pool p a -> Transform.Grid.cos_cos_synth ?pool p a),
+             cos_synth_naive, cos_synth_naive);
+            ((fun ?pool p a -> Transform.Grid.sin_cos_synth ?pool p a),
+             cos_synth_naive, sin_synth_naive);
+            ((fun ?pool p a -> Transform.Grid.cos_sin_synth ?pool p a),
+             sin_synth_naive, cos_synth_naive) ]))
 
 let suite =
   [ Alcotest.test_case "fft impulse" `Quick test_fft_impulse;
@@ -158,9 +210,11 @@ let suite =
     Alcotest.test_case "fft parseval" `Quick test_fft_parseval;
     Alcotest.test_case "non-pow2 fallback" `Quick test_non_pow2_fallback;
     Alcotest.test_case "dct roundtrip" `Quick test_dct_roundtrip;
+    Alcotest.test_case "length-1 transforms" `Quick test_length_one;
     Alcotest.test_case "grid 2d roundtrip" `Quick test_grid_roundtrip;
     Alcotest.test_case "grid size check" `Quick test_grid_size_check;
     Alcotest.test_case "grid sin axis convention" `Quick test_grid_sin_axes;
     QCheck_alcotest.to_alcotest prop_dct_fast_matches_naive;
     QCheck_alcotest.to_alcotest prop_cos_synth_fast_matches_naive;
-    QCheck_alcotest.to_alcotest prop_sin_synth_fast_matches_naive ]
+    QCheck_alcotest.to_alcotest prop_sin_synth_fast_matches_naive;
+    QCheck_alcotest.to_alcotest prop_grid_matches_naive ]
