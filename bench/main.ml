@@ -6,9 +6,8 @@
    end-to-end runtime and quality are measured by perfbench/run.py.
 
    Usage:  dune exec bench/main.exe [-- <target> ...]
-   Targets: table1 table2 table3 figure8 kernels ablation-gamma
-            ablation-reuse ablation-extensions gradcheck paths parallel
-            all (default: all)
+   Targets: table1 table2 table3 figure8 ablation-gamma ablation-reuse
+            ablation-extensions paths parallel all (default: all)
    Options: --scale <f>       benchmark scale factor (default 0.01)
             --smoke           tiny paths/parallel run for CI
             --domains <n>     worker domains for every placement run
@@ -270,122 +269,6 @@ let figure8 () =
      WNS %.1f TNS %.1f HPWL %.3e\n"
     dp.o_wns dp.o_tns dp.o_hpwl ours.o_wns ours.o_tns ours.o_hpwl
 
-(* ---- kernel micro-benchmarks (Bechamel) ---- *)
-
-let kernels () =
-  section "Kernel micro-benchmarks (Bechamel; superblue4-mini)";
-  let spec =
-    match Workload.find_spec "superblue4-mini" with
-    | Some s -> { s with Workload.sp_cells =
-                    max 200 (int_of_float (795645.0 *. !scale)) }
-    | None -> failwith "missing superblue4-mini spec"
-  in
-  let design, graph = build_bench spec in
-  let dt = Difftimer.create ~gamma:20.0 graph in
-  let nets = Difftimer.nets dt in
-  Sta.Nets.rebuild nets;
-  ignore (Difftimer.forward dt);
-  let timer = Sta.Incremental.create graph in
-  let wl = Wirelength.create design in
-  let dens = Density.create design in
-  let ncells = Netlist.num_cells design in
-  let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
-  let open Bechamel in
-  let tests =
-    [ Test.make ~name:"steiner_rebuild(all nets)"
-        (Staged.stage (fun () -> Sta.Nets.rebuild nets));
-      Test.make ~name:"nets_refresh(provenance+rc)"
-        (Staged.stage (fun () -> Sta.Nets.refresh nets));
-      Test.make ~name:"diff_forward(smoothed STA)"
-        (Staged.stage (fun () -> ignore (Difftimer.forward dt)));
-      Test.make ~name:"diff_backward(full gradient)"
-        (Staged.stage (fun () ->
-          Array.fill gx 0 ncells 0.0;
-          Array.fill gy 0 ncells 0.0;
-          Difftimer.backward dt ~w_tns:1.0 ~w_wns:1.0 ~grad_x:gx ~grad_y:gy));
-      Test.make ~name:"exact_sta(report, reuse trees)"
-        (Staged.stage (fun () -> ignore (Sta.Timer.run ~rebuild_trees:false timer)));
-      (let movable = Array.of_list (Netlist.movable_cells design) in
-       let rng = Workload.Rng.create 7 in
-       Test.make ~name:"incremental_sta(1 cell moved)"
-         (Staged.stage (fun () ->
-           let c = design.Netlist.cells.(movable.(Workload.Rng.int rng
-                                                   (Array.length movable))) in
-           (* a 1 um step either way, clamped to the core region (a
-              one-way drift would walk cells off it) *)
-           let r = design.Netlist.region and hw = c.Netlist.width /. 2.0 in
-           let x =
-             c.Netlist.x +. if Workload.Rng.int rng 2 = 0 then 1.0 else -1.0
-           in
-           Sta.Incremental.move_cell timer c.Netlist.cell_id
-             ~x:(Float.max (r.Geometry.Rect.lx +. hw)
-                   (Float.min (r.Geometry.Rect.hx -. hw) x))
-             ~y:c.Netlist.y;
-           ignore (Sta.Incremental.update timer))));
-      Test.make ~name:"wirelength_grad(WA)"
-        (Staged.stage (fun () ->
-          Array.fill gx 0 ncells 0.0;
-          Array.fill gy 0 ncells 0.0;
-          ignore (Wirelength.evaluate wl ~grad_x:gx ~grad_y:gy ())));
-      Test.make ~name:"density_update(FFT Poisson)"
-        (Staged.stage (fun () -> Density.update dens)) ]
-  in
-  let benchmark test =
-    let instance = Toolkit.Instance.monotonic_clock in
-    let cfg = Benchmark.cfg ~limit:30 ~quota:(Time.second 1.0) () in
-    let results =
-      Benchmark.all cfg [ instance ] (Test.make_grouped ~name:"k" [ test ])
-    in
-    let ols =
-      Analyze.all
-        (Analyze.ols ~bootstrap:0 ~r_square:false
-           ~predictors:[| Measure.run |])
-        instance results
-    in
-    Hashtbl.iter
-      (fun name result ->
-        match Analyze.OLS.estimates result with
-        | Some [ est ] ->
-          Printf.printf "  %-32s %12.3f us/call\n" name (est /. 1000.0)
-        | Some _ | None -> Printf.printf "  %-32s (no estimate)\n" name)
-      ols
-  in
-  List.iter benchmark tests;
-  (* level-parallel forward scaling over worker domains (the "GPU
-     kernel" substitution: same level-synchronous structure, CPU lanes) *)
-  let cores = Domain.recommended_domain_count () in
-  if cores <= 1 then
-    Printf.printf
-      "\n  diff_forward domain scaling skipped: this machine exposes %d \
-       core(s).\n  (Correctness of the parallel kernels is covered by the \
-       test suite.)\n"
-      cores
-  else begin
-    Printf.printf "\n  diff_forward scaling over domains (%d cores):\n" cores;
-    let time_forward pool =
-      let iters = 20 in
-      let t0 = Obs.Clock.now () in
-      for _ = 1 to iters do
-        ignore (Difftimer.forward ?pool dt)
-      done;
-      (Obs.Clock.now () -. t0) /. float_of_int iters *. 1e6
-    in
-    let sequential_us = time_forward None in
-    Printf.printf "  %-32s %12.3f us/call\n" "domains=1" sequential_us;
-    List.iter
-      (fun domains ->
-        let pool = Parallel.create ~domains () in
-        let us =
-          Fun.protect
-            ~finally:(fun () -> Parallel.shutdown pool)
-            (fun () -> time_forward (Some pool))
-        in
-        Printf.printf "  %-32s %12.3f us/call (%.2fx)\n"
-          (Printf.sprintf "domains=%d" domains)
-          us (sequential_us /. us))
-      [ 2; min 4 (cores - 1) ]
-  end
-
 (* ---- ablations ---- *)
 
 let ablation_gamma () =
@@ -482,75 +365,6 @@ let ablation_extensions () =
     { Core.default_timing with
       Core.growth_policy = `Adaptive; grad_clip = Some 5.0 };
   print_string (Report.Table.render t)
-
-(* ---- gradient checks ---- *)
-
-let gradcheck () =
-  section "Ablation C: analytic gradients vs central finite differences";
-  let rng = Workload.Rng.create 2024 in
-  (* (a) LUT interpolation *)
-  let inv =
-    match Liberty.find_cell lib "INV_X1" with
-    | Some c -> c
-    | None -> failwith "INV_X1 missing"
-  in
-  let arc = inv.Liberty.lc_arcs.(0) in
-  let lut = arc.Liberty.cell_rise in
-  let worst = ref 0.0 in
-  for _ = 1 to 200 do
-    let x = Workload.Rng.float rng 180.0 and y = Workload.Rng.float rng 36.0 in
-    let _, dx, dy = Liberty.Lut.lookup_with_gradient lut x y in
-    let h = 1e-5 in
-    let fdx =
-      (Liberty.Lut.lookup lut (x +. h) y -. Liberty.Lut.lookup lut (x -. h) y)
-      /. (2.0 *. h)
-    and fdy =
-      (Liberty.Lut.lookup lut x (y +. h) -. Liberty.Lut.lookup lut x (y -. h))
-      /. (2.0 *. h)
-    in
-    worst := Float.max !worst (Float.abs (dx -. fdx));
-    worst := Float.max !worst (Float.abs (dy -. fdy))
-  done;
-  Printf.printf "  LUT query gradient:        max |analytic - FD| = %.3e\n" !worst;
-  (* (b) full differentiable-timer pipeline *)
-  let spec =
-    { Workload.default_spec with
-      Workload.sp_cells = 150; sp_inputs = 8; sp_outputs = 8; sp_depth = 6;
-      sp_clock_period = 520.0 }
-  in
-  let design, graph = build_bench spec in
-  let dt = Difftimer.create ~gamma:25.0 graph in
-  let nets = Difftimer.nets dt in
-  let objective () =
-    Sta.Nets.refresh nets;
-    let m = Difftimer.forward dt in
-    (0.7 *. -.m.Difftimer.tns_smooth) +. (0.4 *. -.m.Difftimer.wns_smooth)
-  in
-  ignore (objective ());
-  let ncells = Netlist.num_cells design in
-  let gx = Array.make ncells 0.0 and gy = Array.make ncells 0.0 in
-  Difftimer.backward dt ~w_tns:0.7 ~w_wns:0.4 ~grad_x:gx ~grad_y:gy;
-  let worst = ref 0.0 and h = 1e-4 in
-  for _ = 1 to 30 do
-    let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
-    if not c.Netlist.fixed then begin
-      let x0 = c.Netlist.x in
-      c.Netlist.x <- x0 +. h;
-      let fp = objective () in
-      c.Netlist.x <- x0 -. h;
-      let fm = objective () in
-      c.Netlist.x <- x0;
-      let fd = (fp -. fm) /. (2.0 *. h) in
-      if Float.abs fd > 1e-6 then
-        worst :=
-          Float.max !worst
-            (Float.abs (fd -. gx.(c.Netlist.cell_id)) /. Float.abs fd)
-    end
-  done;
-  Printf.printf
-    "  end-to-end TNS/WNS gradient: max relative error vs FD = %.3e\n" !worst;
-  Printf.printf "  (see test/ for the per-pass Elmore and Steiner checks)\n"
-
 
 let smoke = ref false
 
@@ -683,9 +497,9 @@ let bench_parallel () =
 
 let all_targets =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
-    ("figure8", figure8); ("kernels", kernels);
-    ("ablation-gamma", ablation_gamma); ("ablation-reuse", ablation_reuse);
-    ("ablation-extensions", ablation_extensions); ("gradcheck", gradcheck);
+    ("figure8", figure8); ("ablation-gamma", ablation_gamma);
+    ("ablation-reuse", ablation_reuse);
+    ("ablation-extensions", ablation_extensions);
     ("paths", bench_paths); ("parallel", bench_parallel) ]
 
 let () =

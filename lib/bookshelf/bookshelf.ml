@@ -88,6 +88,7 @@ let of_string ?file lib src =
          | other -> error lx (Printf.sprintf "unknown constraint %S" other)))
   in
   let parse_cell () =
+    let decl_line = line lx in
     let cname = string_ lx in
     let lib_cell = ref (-1) and w = ref 1.0 and h = ref 1.0 in
     let x = ref 0.0 and y = ref 0.0 and fixed = ref false in
@@ -104,7 +105,7 @@ let of_string ?file lib src =
        | "fixed" -> fixed := bool_ lx
        | other -> error lx (Printf.sprintf "unknown cell field %S" other));
       eat lx Tsemi "';'");
-    cells := (cname, !lib_cell, !w, !h, !x, !y, !fixed) :: !cells
+    cells := (cname, !lib_cell, !w, !h, !x, !y, !fixed, decl_line) :: !cells
   in
   let parse_pin () =
     let decl_line = line lx in
@@ -162,14 +163,17 @@ let of_string ?file lib src =
    | Teof -> ()
    | Tident _ | Tstring _ | Tnumber _ | Tlbrace | Trbrace | Tsemi | Tarrow ->
      error lx "trailing input after design");
-  (* rebuild through the validating builder *)
+  (* rebuild through the validating builder; a builder error is
+     reported at the declaration that caused it *)
   let b = Netlist.Builder.create ~region:!region ~row_height:!row_height name in
+  let at line f = try f () with Invalid_argument msg -> fail_at ?file ~line msg in
   let cell_ids = Hashtbl.create 1024 in
   List.iter
-    (fun (cname, lib_cell, w, h, x, y, fixed) ->
+    (fun (cname, lib_cell, w, h, x, y, fixed, decl_line) ->
       let id =
-        Netlist.Builder.add_cell b ~name:cname ~lib_cell ~width:w ~height:h
-          ~x ~y ~fixed ()
+        at decl_line (fun () ->
+          Netlist.Builder.add_cell b ~name:cname ~lib_cell ~width:w ~height:h
+            ~x ~y ~fixed ())
       in
       Hashtbl.replace cell_ids cname id)
     (List.rev !cells);
@@ -185,8 +189,9 @@ let of_string ?file lib src =
                cname)
       in
       let id =
-        Netlist.Builder.add_pin b ~cell ~name:pname ~direction:dir
-          ~offset_x:ox ~offset_y:oy ~lib_pin ()
+        at decl_line (fun () ->
+          Netlist.Builder.add_pin b ~cell ~name:pname ~direction:dir
+            ~offset_x:ox ~offset_y:oy ~lib_pin ())
       in
       Hashtbl.replace pin_ids pname id)
     (List.rev !pins);
@@ -203,7 +208,8 @@ let of_string ?file lib src =
                    nname pname))
           pin_names
       in
-      ignore (Netlist.Builder.add_net b ~name:nname ~pins:resolved))
+      at decl_line (fun () ->
+        ignore (Netlist.Builder.add_net b ~name:nname ~pins:resolved)))
     (List.rev !nets);
   (Netlist.Builder.freeze b, !cs)
 

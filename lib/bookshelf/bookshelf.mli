@@ -15,7 +15,8 @@ val of_string :
 (** @raise Failure with a uniformly positioned message
     (["WHERE:LINE:COL: parse error: ..."] for syntax,
     ["WHERE:LINE: ..."] for resolution failures such as unknown cells
-    or pins; [WHERE] is [file] when given). *)
+    or pins and for every {!Netlist.Builder} error, at the declaration
+    that caused it; [WHERE] is [file] when given). *)
 
 val save : string -> Netlist.t -> Sta.Constraints.t -> unit
 val load : Liberty.t -> string -> Netlist.t * Sta.Constraints.t

@@ -77,15 +77,6 @@ let ensure_slices t k =
           make_net_scratch ~ncells ~nodes:t.hint_nodes ~pins:t.hint_pins)
   end
 
-let lse ~gamma xs =
-  let m = Array.fold_left Float.max neg_infinity xs in
-  if m = neg_infinity then neg_infinity
-  else begin
-    let acc = ref 0.0 in
-    Array.iter (fun x -> acc := !acc +. exp ((x -. m) /. gamma)) xs;
-    m +. (gamma *. log !acc)
-  end
-
 let softmin0 ~gamma s =
   let r = -.s /. gamma in
   if r > 40.0 then s

@@ -82,9 +82,6 @@ val endpoint_slack : t -> int -> float
 (** Smoothed slack of an endpoint pin after {!forward}; [infinity] for
     non-endpoints or unreachable endpoints. *)
 
-val lse : gamma:float -> float array -> float
-(** Exposed for tests: max-shifted [gamma * log (sum exp (x_i / gamma))]. *)
-
 val softmin0 : gamma:float -> float -> float
 (** Exposed for tests: smoothed [min 0 s] (equals [-gamma * log (1 +
     exp (-s / gamma))]). *)

@@ -1,5 +1,4 @@
 let clamp ~lo ~hi v = if v < lo then lo else if v > hi then hi else v
-let lerp a b t = a +. (t *. (b -. a))
 
 let close ?(eps = 1e-9) a b =
   let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
@@ -13,13 +12,6 @@ module Point = struct
   let add a b = { x = a.x +. b.x; y = a.y +. b.y }
   let sub a b = { x = a.x -. b.x; y = a.y -. b.y }
   let scale k p = { x = k *. p.x; y = k *. p.y }
-  let midpoint a b = { x = 0.5 *. (a.x +. b.x); y = 0.5 *. (a.y +. b.y) }
-  let manhattan a b = Float.abs (a.x -. b.x) +. Float.abs (a.y -. b.y)
-
-  let euclidean a b =
-    let dx = a.x -. b.x and dy = a.y -. b.y in
-    Float.sqrt ((dx *. dx) +. (dy *. dy))
-
   let equal ?eps a b = close ?eps a.x b.x && close ?eps a.y b.y
   let pp ppf p = Format.fprintf ppf "(%g, %g)" p.x p.y
 end
@@ -52,21 +44,6 @@ module Rect = struct
     let hx = Float.min a.hx b.hx and hy = Float.min a.hy b.hy in
     if hx >= lx && hy >= ly then Some { lx; ly; hx; hy } else None
 
-  let overlap_area a b =
-    match intersect a b with None -> 0.0 | Some r -> area r
-
-  let union a b =
-    { lx = Float.min a.lx b.lx;
-      ly = Float.min a.ly b.ly;
-      hx = Float.max a.hx b.hx;
-      hy = Float.max a.hy b.hy }
-
-  let translate r ~dx ~dy =
-    { lx = r.lx +. dx; ly = r.ly +. dy; hx = r.hx +. dx; hy = r.hy +. dy }
-
-  let clamp_point r (p : Point.t) =
-    Point.make (clamp ~lo:r.lx ~hi:r.hx p.x) (clamp ~lo:r.ly ~hi:r.hy p.y)
-
   let half_perimeter r = width r +. height r
 
   let equal ?eps a b =
@@ -95,7 +72,6 @@ module Bbox = struct
             hy = Float.max r.hy y }
 
   let add t (p : Point.t) = add_xy t p.x p.y
-  let of_points points = List.fold_left add Empty points
   let to_rect = function Empty -> None | Box r -> Some r
 
   let half_perimeter = function

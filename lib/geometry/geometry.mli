@@ -12,12 +12,6 @@ module Point : sig
   val add : t -> t -> t
   val sub : t -> t -> t
   val scale : float -> t -> t
-  val midpoint : t -> t -> t
-
-  val manhattan : t -> t -> float
-  (** [manhattan a b] is the rectilinear (L1) distance between [a] and [b]. *)
-
-  val euclidean : t -> t -> float
   val equal : ?eps:float -> t -> t -> bool
   val pp : Format.formatter -> t -> unit
 end
@@ -37,12 +31,6 @@ module Rect : sig
   val center : t -> Point.t
   val contains : t -> Point.t -> bool
   val intersect : t -> t -> t option
-  val overlap_area : t -> t -> float
-  val union : t -> t -> t
-  val translate : t -> dx:float -> dy:float -> t
-  val clamp_point : t -> Point.t -> Point.t
-  (** [clamp_point r p] is the point of [r] closest to [p]. *)
-
   val half_perimeter : t -> float
   val equal : ?eps:float -> t -> t -> bool
   val pp : Format.formatter -> t -> unit
@@ -56,7 +44,6 @@ module Bbox : sig
   val is_empty : t -> bool
   val add : t -> Point.t -> t
   val add_xy : t -> float -> float -> t
-  val of_points : Point.t list -> t
   val to_rect : t -> Rect.t option
   val half_perimeter : t -> float
   (** Half-perimeter of the box; 0 when fewer than one point was added. *)
@@ -64,9 +51,6 @@ end
 
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi v] limits [v] to the interval [[lo, hi]]. *)
-
-val lerp : float -> float -> float -> float
-(** [lerp a b t] is [a +. t *. (b -. a)]. *)
 
 val close : ?eps:float -> float -> float -> bool
 (** Absolute/relative tolerance comparison (default [eps] 1e-9). *)

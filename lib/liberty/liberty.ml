@@ -20,8 +20,6 @@ module Lut = struct
       invalid_arg "Liberty.Lut: values size mismatch";
     { x_axis; y_axis; values }
 
-  let constant v = { x_axis = [| 0.0 |]; y_axis = [| 0.0 |]; values = [| v |] }
-
   let of_function ~x_axis ~y_axis f =
     let ny = Array.length y_axis in
     let values =
@@ -175,7 +173,6 @@ let pins_where pred cell =
 
 let output_pins = pins_where (fun p -> p.lp_direction = Lib_output)
 let input_pins = pins_where (fun p -> p.lp_direction = Lib_input)
-let clock_pins = pins_where (fun p -> p.lp_is_clock)
 
 module Synthetic = struct
   (* The analytic model sampled into the LUTs.  The cross term saturates

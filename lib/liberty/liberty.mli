@@ -24,9 +24,6 @@ module Lut : sig
   (** @raise Invalid_argument on empty or non-increasing axes or a value
       array whose length is not [nx * ny]. *)
 
-  val constant : float -> t
-  (** A 1x1 table: every query returns the value with zero gradient. *)
-
   val of_function : x_axis:float array -> y_axis:float array -> (float -> float -> float) -> t
 
   val lookup : t -> float -> float -> float
@@ -102,7 +99,6 @@ val cell_index : t -> string -> int option
 val pin_index : lib_cell -> string -> int option
 val output_pins : lib_cell -> int list
 val input_pins : lib_cell -> int list
-val clock_pins : lib_cell -> int list
 
 (** A deterministic synthetic standard-cell library in the spirit of a
     45nm educational PDK: inverters/buffers in several drive strengths,

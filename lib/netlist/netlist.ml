@@ -101,10 +101,6 @@ let movable_cells d =
   Array.to_list d.cells
   |> List.filter_map (fun c -> if c.fixed then None else Some c.cell_id)
 
-let fixed_cells d =
-  Array.to_list d.cells
-  |> List.filter_map (fun c -> if c.fixed then Some c.cell_id else None)
-
 let find_by_name arr name_of name =
   let n = Array.length arr in
   let rec loop i =
@@ -115,7 +111,6 @@ let find_by_name arr name_of name =
   loop 0
 
 let cell_by_name d name = find_by_name d.cells (fun c -> c.cell_name) name
-let net_by_name d name = find_by_name d.nets (fun n -> n.net_name) name
 let pin_by_name d name = find_by_name d.pins (fun p -> p.pin_name) name
 
 let reset_weights d = Array.iter (fun net -> net.weight <- 1.0) d.nets
@@ -138,8 +133,9 @@ module Builder = struct
     region : Geometry.Rect.t;
     row_height : float;
     mutable bcells : cell list;  (* reverse order *)
-    mutable bpins : pin list;
-    mutable bnets : (string * int list) list;
+    mutable bpins : pin array;  (* the first [npins] are live *)
+    mutable pin_net : int array;  (* net of each live pin, -1 if none *)
+    mutable bnets : (string * int array) list;  (* reverse order *)
     mutable ncells : int;
     mutable npins : int;
     mutable nnets : int;
@@ -155,7 +151,7 @@ module Builder = struct
       | None -> Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx:100.0 ~hy:100.0
     in
     { name; region; row_height;
-      bcells = []; bpins = []; bnets = [];
+      bcells = []; bpins = [||]; pin_net = [||]; bnets = [];
       ncells = 0; npins = 0; nnets = 0;
       cell_names = Hashtbl.create 64;
       pin_names = Hashtbl.create 256;
@@ -183,11 +179,19 @@ module Builder = struct
       invalid_arg (Printf.sprintf "Netlist.Builder: pin %S on unknown cell %d" name cell);
     check_fresh b.pin_names "pin" name;
     let id = b.npins in
-    b.npins <- id + 1;
-    b.bpins <-
+    let pin =
       { pin_id = id; pin_name = name; cell; offset_x; offset_y; direction;
         net = -1; lib_pin }
-      :: b.bpins;
+    in
+    if id = Array.length b.bpins then begin
+      let grow a fill =
+        Array.init (max 16 (2 * id)) (fun i -> if i < id then a.(i) else fill)
+      in
+      b.bpins <- grow b.bpins pin;
+      b.pin_net <- grow b.pin_net (-1)
+    end;
+    b.bpins.(id) <- pin;
+    b.npins <- id + 1;
     id
 
   let add_net b ~name ~pins =
@@ -197,39 +201,39 @@ module Builder = struct
         if p < 0 || p >= b.npins then
           invalid_arg (Printf.sprintf "Netlist.Builder: net %S uses unknown pin %d" name p))
       pins;
+    if pins = [] then
+      invalid_arg (Printf.sprintf "Netlist.Builder: net %S has no pins" name);
+    let drivers, sinks =
+      List.partition (fun p -> b.bpins.(p).direction = Output) pins
+    in
+    (match drivers with
+     | [] | [ _ ] -> ()
+     | _ ->
+       invalid_arg
+         (Printf.sprintf "Netlist.Builder: net %S has multiple drivers" name));
     let id = b.nnets in
+    let ordered = Array.of_list (drivers @ sinks) in
+    Array.iter
+      (fun p ->
+        if b.pin_net.(p) <> -1 then
+          invalid_arg
+            (Printf.sprintf "Netlist.Builder: pin %S on two nets"
+               b.bpins.(p).pin_name);
+        b.pin_net.(p) <- id)
+      ordered;
     b.nnets <- id + 1;
-    b.bnets <- (name, pins) :: b.bnets;
+    b.bnets <- (name, ordered) :: b.bnets;
     id
 
   let freeze b =
-    let pins = Array.of_list (List.rev b.bpins) in
-    let pin_net = Array.make (Array.length pins) (-1) in
-    let net_specs = Array.of_list (List.rev b.bnets) in
+    let pins =
+      Array.init b.npins (fun p -> { (b.bpins.(p)) with net = b.pin_net.(p) })
+    in
     let nets =
       Array.mapi
-        (fun id (name, pin_list) ->
-          if pin_list = [] then
-            invalid_arg (Printf.sprintf "Netlist.Builder: net %S has no pins" name);
-          let drivers, sinks =
-            List.partition (fun p -> pins.(p).direction = Output) pin_list
-          in
-          (match drivers with
-           | [] | [ _ ] -> ()
-           | _ ->
-             invalid_arg
-               (Printf.sprintf "Netlist.Builder: net %S has multiple drivers" name));
-          let ordered = Array.of_list (drivers @ sinks) in
-          Array.iter
-            (fun p ->
-              if pin_net.(p) <> -1 then
-                invalid_arg
-                  (Printf.sprintf "Netlist.Builder: pin %S on two nets"
-                     pins.(p).pin_name);
-              pin_net.(p) <- id)
-            ordered;
+        (fun id (name, ordered) ->
           { net_id = id; net_name = name; net_pins = ordered; weight = 1.0 })
-        net_specs
+        (Array.of_list (List.rev b.bnets))
     in
     (* Attach pins to their owning cells in pin-id order. *)
     let per_cell = Array.make b.ncells [] in
@@ -246,7 +250,7 @@ module Builder = struct
       region = b.region;
       row_height = b.row_height;
       cells;
-      pins = Array.map (fun p -> { p with net = pin_net.(p.pin_id) }) pins;
+      pins;
       nets }
 end
 

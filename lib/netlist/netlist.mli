@@ -82,10 +82,8 @@ val total_hpwl : ?weighted:bool -> t -> float
     scaled by its weight. *)
 
 val movable_cells : t -> int list
-val fixed_cells : t -> int list
 
 val cell_by_name : t -> string -> cell option
-val net_by_name : t -> string -> net option
 val pin_by_name : t -> string -> pin option
 
 val reset_weights : t -> unit
@@ -97,9 +95,11 @@ val copy_positions : t -> float array * float array
 val restore_positions : t -> float array * float array -> unit
 
 (** Incremental construction.  All [add_*] functions return dense ids in
-    insertion order.  [freeze] validates the design:
-    - every pin belongs to an existing cell and vice versa;
-    - every net has at most one driver and at least one pin;
+    insertion order and validate the object they add, so an error is
+    raised by the call that caused it:
+    - every pin belongs to an existing cell, every net pin exists;
+    - every net has at most one driver and at least one pin, and no
+      pin is on two nets;
     - names are unique per object class.
     @raise Invalid_argument on violation, with a message naming the
     offending object. *)
@@ -134,7 +134,7 @@ module Builder : sig
 
   val add_net : builder -> name:string -> pins:int list -> int
   (** Connect existing pins; the driver (if present) may appear anywhere,
-      it is moved to the front on [freeze]. *)
+      it is moved to the front. *)
 
   val freeze : builder -> t
   (** Build the design.  Its topology ([pin.net], [cell_pins],

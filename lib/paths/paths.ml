@@ -583,14 +583,3 @@ let net_criticality t paths =
         List.iter (fun n -> counts.(n) <- counts.(n) +. w) p.pt_nets)
     paths;
   counts
-
-let arc_criticality t paths =
-  let counts = Array.make (Sta.Graph.num_arcs t.graph) 0.0 in
-  let sev = severity paths in
-  List.iter
-    (fun p ->
-      let w = sev p in
-      if w > 0.0 then
-        List.iter (fun a -> counts.(a) <- counts.(a) +. w) p.pt_arcs)
-    paths;
-  counts

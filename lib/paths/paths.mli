@@ -103,7 +103,3 @@ val net_criticality : t -> path list -> float array
     its severity — [0] when its slack is non-negative, otherwise
     [min 1 (-slack / max 1 (-worst slack))] — to every net it crosses.
     Indexed by net id. *)
-
-val arc_criticality : t -> path list -> float array
-(** Same accumulation over the cell arcs of each path, indexed by the
-    timing graph's arc id. *)

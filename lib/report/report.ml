@@ -41,18 +41,6 @@ module Table = struct
     List.iter line (List.rev t.rows);
     Buffer.contents b
 
-  let render_markdown t =
-    let b = Buffer.create 1024 in
-    let line cells =
-      Buffer.add_string b "| ";
-      Buffer.add_string b (String.concat " | " cells);
-      Buffer.add_string b " |\n"
-    in
-    line t.headers;
-    line (List.map (fun _ -> "---") t.headers);
-    List.iter line (List.rev t.rows);
-    Buffer.contents b
-
   let render_csv t =
     let escape cell =
       if String.contains cell ',' || String.contains cell '"' then
@@ -74,12 +62,6 @@ let geometric_mean values =
     exp (log_sum /. float_of_int (List.length values))
 
 let ratio_string r = Printf.sprintf "%.3f" r
-
-let si ?(digits = 3) v =
-  if Float.is_nan v then "-"
-  else if Float.abs v >= 1e6 || (Float.abs v < 1e-3 && v <> 0.0) then
-    Printf.sprintf "%.*e" digits v
-  else Printf.sprintf "%.*f" digits v
 
 module Paper = struct
   type table3_row = {

@@ -4,7 +4,7 @@
     prints it next to the published values so the reproduction's *shape*
     (who wins, by roughly what factor) can be checked at a glance. *)
 
-(** Monospace/markdown table builder. *)
+(** Monospace/CSV table builder. *)
 module Table : sig
   type t
 
@@ -17,8 +17,6 @@ module Table : sig
   val render : t -> string
   (** Aligned plain-text rendering with a header rule. *)
 
-  val render_markdown : t -> string
-
   val render_csv : t -> string
 end
 
@@ -27,9 +25,6 @@ val geometric_mean : float list -> float
 
 val ratio_string : float -> string
 (** Format a ratio like ["1.282"]. *)
-
-val si : ?digits:int -> float -> string
-(** Compact numeric formatting for table cells. *)
 
 (** The published evaluation numbers (Table 2 and Table 3 of the paper),
     used as reference columns in bench output and EXPERIMENTS.md. *)

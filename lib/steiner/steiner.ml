@@ -9,7 +9,6 @@ type t = {
 }
 
 let node_count t = Array.length t.xs
-let is_steiner t v = v >= t.pin_count
 
 let edge_length t v =
   let p = t.parent.(v) in
@@ -130,10 +129,6 @@ let prim_edges xs ys k =
     done;
     (!edges, !total)
   end
-
-let mst_length ~xs ~ys =
-  let _, len = prim_edges xs ys (Array.length xs) in
-  len
 
 (* ---- greedy Steinerisation of a tree graph ----
 

@@ -38,7 +38,6 @@ type t = {
 }
 
 val node_count : t -> int
-val is_steiner : t -> int -> bool
 
 val edge_length : t -> int -> float
 (** [edge_length t v] is the rectilinear length of the edge
@@ -145,10 +144,6 @@ val accumulate_pin_gradient :
     zero them).  All four arrays may be longer than needed
     ([node_count] / [pin_count] entries are used), so callers can reuse
     one large buffer across nets without [Array.sub] copies. *)
-
-val mst_length : xs:float array -> ys:float array -> float
-(** Length of the rectilinear minimum spanning tree over the pins only
-    (upper bound reference for tests). *)
 
 val hpwl : xs:float array -> ys:float array -> float
 (** Net bounding-box half-perimeter (lower bound reference for tests). *)

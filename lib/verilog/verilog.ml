@@ -239,8 +239,9 @@ let eat lx expected what =
 
 type parsed = {
   p_module : string;
-  p_inputs : string list;
-  p_outputs : string list;
+  p_inputs : (string * int) list;
+  p_outputs : (string * int) list;
+      (* port name, declaration line *)
   p_instances : (string * string * (string * string) list * int) list;
       (* cell type, instance name, (pin, net), declaration line *)
   p_aliases : (string * string * int) list;
@@ -273,6 +274,10 @@ let parse ?file src =
     | Tid _ | Tlparen | Trparen | Tdot | Teof ->
       error lx "expected ',' or ';' in declaration"
   in
+  let ports () =
+    let decl_line = lx.line in
+    List.map (fun n -> (n, decl_line)) (names [])
+  in
   let parse_instance cell_type =
     let decl_line = lx.line in
     let inst = ident lx in
@@ -302,8 +307,8 @@ let parse ?file src =
   let rec body () =
     match ident lx with
     | "endmodule" -> ()
-    | "input" -> inputs := !inputs @ names []; body ()
-    | "output" -> outputs := !outputs @ names []; body ()
+    | "input" -> inputs := !inputs @ ports (); body ()
+    | "output" -> outputs := !outputs @ ports (); body ()
     | "assign" ->
       let decl_line = lx.line in
       let lhs = ident lx in
@@ -358,6 +363,10 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
   let side = Float.max 20.0 (Float.sqrt (total_area /. utilization)) in
   let region = Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx:side ~hy:side in
   let b = Netlist.Builder.create ~region ~row_height p.p_module in
+  (* a builder error is reported at the declaration that caused it *)
+  let at line f =
+    try f () with Invalid_argument msg -> Parsekit.fail_at ?file ~line msg
+  in
   (* pads on the periphery, in declaration order *)
   let nports = List.length p.p_inputs + List.length p.p_outputs in
   (* resolve assign-aliases to a canonical net name *)
@@ -376,7 +385,7 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
       | None -> n
   in
   let port_pins = Hashtbl.create 64 in
-  let add_port idx direction name =
+  let add_port idx direction (name, decl_line) =
     let t = (float_of_int idx +. 0.5) /. float_of_int (max 1 nports) in
     let s = t *. 4.0 in
     let x, y =
@@ -385,15 +394,16 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
       else if s < 3.0 then ((3.0 -. s) *. side, side)
       else (0.0, (4.0 -. s) *. side)
     in
-    let cell =
-      Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width:2.0 ~height:2.0
-        ~x ~y ~fixed:true ()
-    in
-    let pin =
-      Netlist.Builder.add_pin b ~cell ~name:(name ^ "/P") ~direction ()
-    in
-    (* the port name doubles as its net name *)
-    Hashtbl.replace port_pins name pin
+    at decl_line (fun () ->
+      let cell =
+        Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width:2.0 ~height:2.0
+          ~x ~y ~fixed:true ()
+      in
+      let pin =
+        Netlist.Builder.add_pin b ~cell ~name:(name ^ "/P") ~direction ()
+      in
+      (* the port name doubles as its net name *)
+      Hashtbl.replace port_pins name (pin, direction = Netlist.Output, decl_line))
   in
   List.iteri (fun i n -> add_port i Netlist.Output n) p.p_inputs;
   List.iteri
@@ -401,23 +411,26 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
     p.p_outputs;
   (* instances with invented deterministic geometry *)
   let net_members = Hashtbl.create 1024 in
-  let connect net pin is_clock =
+  let connect net member =
     let existing =
       Option.value ~default:[] (Hashtbl.find_opt net_members net)
     in
-    Hashtbl.replace net_members net ((pin, is_clock) :: existing)
+    Hashtbl.replace net_members net (member :: existing)
   in
-  Hashtbl.iter (fun net pin -> connect (canon net) pin false) port_pins;
+  Hashtbl.iter
+    (fun net (pin, drives, line) -> connect (canon net) (pin, false, drives, line))
+    port_pins;
   List.iteri
     (fun idx (kind, inst, conns, decl_line) ->
       let lc = lib.Liberty.lib_cells.(kind) in
       let margin = 3.0 in
       let cell =
-        Netlist.Builder.add_cell b ~name:inst ~lib_cell:kind
-          ~width:lc.Liberty.lc_width ~height:lc.Liberty.lc_height
-          ~x:(margin +. (hash01 idx 1 *. (side -. (2.0 *. margin))))
-          ~y:(margin +. (hash01 idx 2 *. (side -. (2.0 *. margin))))
-          ()
+        at decl_line (fun () ->
+          Netlist.Builder.add_cell b ~name:inst ~lib_cell:kind
+            ~width:lc.Liberty.lc_width ~height:lc.Liberty.lc_height
+            ~x:(margin +. (hash01 idx 1 *. (side -. (2.0 *. margin))))
+            ~y:(margin +. (hash01 idx 2 *. (side -. (2.0 *. margin))))
+            ())
       in
       (* every library pin exists on the instance; the named connections
          decide which of them join nets *)
@@ -439,17 +452,17 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
             if j land 1 = 0 then -.lc.Liberty.lc_height /. 8.0
             else lc.Liberty.lc_height /. 8.0
           in
+          let drives = lp.Liberty.lp_direction = Liberty.Lib_output in
           let pin =
-            Netlist.Builder.add_pin b ~cell
-              ~name:(Printf.sprintf "%s/%s" inst lp.Liberty.lp_name)
-              ~direction:
-                (match lp.Liberty.lp_direction with
-                 | Liberty.Lib_input -> Netlist.Input
-                 | Liberty.Lib_output -> Netlist.Output)
-              ~offset_x:ox ~offset_y:oy ~lib_pin:j ()
+            at decl_line (fun () ->
+              Netlist.Builder.add_pin b ~cell
+                ~name:(Printf.sprintf "%s/%s" inst lp.Liberty.lp_name)
+                ~direction:(if drives then Netlist.Output else Netlist.Input)
+                ~offset_x:ox ~offset_y:oy ~lib_pin:j ())
           in
           match List.assoc_opt lp.Liberty.lp_name conns with
-          | Some net -> connect (canon net) pin lp.Liberty.lp_is_clock
+          | Some net ->
+            connect (canon net) (pin, lp.Liberty.lp_is_clock, drives, decl_line)
           | None -> ())
         lc.Liberty.lc_pins)
     resolved;
@@ -460,11 +473,19 @@ let import ?file ?(utilization = 0.55) ?(row_height = 1.4) (lib : Liberty.t)
   in
   List.iter
     (fun (net, members) ->
-      let all_clock = List.for_all (fun (_, clk) -> clk) members in
+      let all_clock = List.for_all (fun (_, clk, _, _) -> clk) members in
+      (* the one builder error a net can raise here is a second driver:
+         report it at that driver's declaration *)
+      let line =
+        match List.filter (fun (_, _, drives, _) -> drives) (List.rev members) with
+        | _ :: (_, _, _, l) :: _ -> l
+        | [] | [ _ ] -> 0
+      in
       if not all_clock then
-        ignore
-          (Netlist.Builder.add_net b ~name:net
-             ~pins:(List.rev_map (fun (p, _) -> p) members)))
+        at line (fun () ->
+          ignore
+            (Netlist.Builder.add_net b ~name:net
+               ~pins:(List.rev_map (fun (p, _, _, _) -> p) members))))
     net_list;
   Netlist.Builder.freeze b
 

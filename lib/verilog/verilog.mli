@@ -38,8 +38,10 @@ val import :
     unconnected (ideal clock), matching the generator's convention.
     @raise Failure with a uniformly positioned message
     (["WHERE:LINE: parse error: ..."] for syntax, ["WHERE:LINE: ..."]
-    for unknown cells/pins and circular assigns; [WHERE] is [file] when
-    given, ["verilog"] otherwise). *)
+    for unknown cells/pins, circular assigns and every
+    {!Netlist.Builder} error, such as a duplicate name or a second
+    driver on a net, at the declaration that caused it; [WHERE] is
+    [file] when given, ["verilog"] otherwise). *)
 
 val save : string -> Netlist.t -> Liberty.t -> unit
 val load : ?utilization:float -> ?row_height:float -> Liberty.t -> string -> Netlist.t

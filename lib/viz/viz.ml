@@ -138,50 +138,3 @@ module Svg = struct
       ~finally:(fun () -> close_out oc)
       (fun () -> output_string oc (render ?options design))
 end
-
-module Ascii = struct
-  let density_map ?(columns = 48) (design : Netlist.t) =
-    let region = design.Netlist.region in
-    let w = Geometry.Rect.width region and h = Geometry.Rect.height region in
-    let cols = max 4 columns in
-    let rows = max 2 (int_of_float (Float.round (float_of_int cols *. h /. Float.max 1e-9 w /. 2.0))) in
-    (* /2 compensates terminal character aspect ratio *)
-    let movable = Array.make (rows * cols) 0.0 in
-    let fixed = Array.make (rows * cols) 0.0 in
-    let bin_w = w /. float_of_int cols and bin_h = h /. float_of_int rows in
-    Array.iter
-      (fun (c : Netlist.cell) ->
-        let cx =
-          Geometry.clamp ~lo:0.0 ~hi:(float_of_int cols -. 1.0)
-            ((c.Netlist.x -. region.Geometry.Rect.lx) /. bin_w)
-        in
-        let cy =
-          Geometry.clamp ~lo:0.0 ~hi:(float_of_int rows -. 1.0)
-            ((c.Netlist.y -. region.Geometry.Rect.ly) /. bin_h)
-        in
-        let idx = (int_of_float cy * cols) + int_of_float cx in
-        let area = c.Netlist.width *. c.Netlist.height in
-        if c.Netlist.fixed then fixed.(idx) <- fixed.(idx) +. area
-        else movable.(idx) <- movable.(idx) +. area)
-      design.Netlist.cells;
-    let bin_area = bin_w *. bin_h in
-    let b = Buffer.create (rows * (cols + 1)) in
-    for r = rows - 1 downto 0 do
-      for col = 0 to cols - 1 do
-        let idx = (r * cols) + col in
-        let d = movable.(idx) /. bin_area in
-        let ch =
-          if fixed.(idx) > movable.(idx) && fixed.(idx) > 0.0 then '@'
-          else if d <= 0.01 then '.'
-          else if d < 0.25 then ':'
-          else if d < 0.5 then '+'
-          else if d < 0.75 then 'o'
-          else if d < 1.0 then 'O'
-          else '#'
-        in
-        Buffer.add_char b ch
-      done;
-      Buffer.add_char b '\n'
-    done;
-    Buffer.contents b
-end

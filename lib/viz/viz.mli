@@ -1,4 +1,4 @@
-(** Placement visualisation: SVG plots and terminal density maps.
+(** Placement visualisation: SVG plots.
 
     A placement plot is the fastest way to sanity-check a run: cells as
     rectangles (pads dark, flip-flops tinted), optional net fly-lines and
@@ -30,12 +30,4 @@ module Svg : sig
   (** A standalone SVG document of the design at its current placement. *)
 
   val save : ?options:options -> string -> Netlist.t -> unit
-end
-
-(** Low-fi terminal rendering. *)
-module Ascii : sig
-  val density_map : ?columns:int -> Netlist.t -> string
-  (** A [columns]-wide (default 48) character map of cell-area density:
-      ['.'] empty through ['#'] overfull, ['@'] for bins dominated by
-      fixed cells. *)
 end

@@ -12,21 +12,6 @@ let small_design ?(cells = 150) ?(period = 520.0) seed =
   let design, cons = Workload.generate lib spec in
   (design, Sta.Graph.build design lib cons)
 
-let test_lse_basics () =
-  let xs = [| 1.0; 5.0; 3.0 |] in
-  let v = Difftimer.lse ~gamma:0.01 xs in
-  Alcotest.(check (float 1e-6)) "tiny gamma = max" 5.0 v;
-  let v2 = Difftimer.lse ~gamma:10.0 xs in
-  Alcotest.(check bool) "lse >= max" true (v2 >= 5.0);
-  (* shift invariance: lse(x + c) = lse(x) + c *)
-  let shifted = Array.map (fun x -> x +. 100.0) xs in
-  Alcotest.(check (float 1e-9)) "shift invariance"
-    (Difftimer.lse ~gamma:7.0 xs +. 100.0)
-    (Difftimer.lse ~gamma:7.0 shifted);
-  (* huge values do not overflow *)
-  let big = Difftimer.lse ~gamma:1.0 [| 1e8; 1e8 +. 1.0 |] in
-  Alcotest.(check bool) "no overflow" true (Float.is_finite big)
-
 let test_softmin0 () =
   Alcotest.(check (float 1e-9)) "very positive" 0.0
     (Difftimer.softmin0 ~gamma:10.0 1e6);
@@ -196,8 +181,7 @@ let test_tree_reuse_approximation () =
     m2.Difftimer.tns_smooth
 
 let suite =
-  [ Alcotest.test_case "lse basics" `Quick test_lse_basics;
-    Alcotest.test_case "softmin0" `Quick test_softmin0;
+  [ Alcotest.test_case "softmin0" `Quick test_softmin0;
     Alcotest.test_case "smoothed AT bounds exact AT" `Quick
       test_smoothed_at_bounds_exact;
     Alcotest.test_case "metric relations" `Quick test_metrics_relations;

@@ -174,6 +174,25 @@ let test_bookshelf_fuzz_never_crashes () =
     | exception Invalid_argument _ -> ()
   done
 
+let test_verilog_fuzz_never_crashes () =
+  (* the same contract for structural Verilog *)
+  let design, _ =
+    Workload.generate lib { Workload.default_spec with Workload.sp_cells = 40 }
+  in
+  let src = Verilog.export design lib in
+  let rng = Workload.Rng.create 77 in
+  for _ = 1 to 200 do
+    let b = Bytes.of_string src in
+    for _ = 0 to 4 do
+      let i = Workload.Rng.int rng (Bytes.length b) in
+      Bytes.set b i (Char.chr (32 + Workload.Rng.int rng 95))
+    done;
+    match Verilog.import lib (Bytes.to_string b) with
+    | _ -> ()
+    | exception Failure _ -> ()
+    | exception Invalid_argument _ -> ()
+  done
+
 let test_liberty_fuzz_never_crashes () =
   let src = Liberty.Io.to_string lib in
   let rng = Workload.Rng.create 123 in
@@ -204,5 +223,6 @@ let suite =
       test_coincident_cells_wirelength;
     Alcotest.test_case "zero-length net timing" `Quick test_zero_length_net_timing;
     Alcotest.test_case "bookshelf fuzz" `Quick test_bookshelf_fuzz_never_crashes;
+    Alcotest.test_case "verilog fuzz" `Quick test_verilog_fuzz_never_crashes;
     Alcotest.test_case "liberty fuzz" `Quick test_liberty_fuzz_never_crashes;
     Alcotest.test_case "empty design" `Quick test_empty_design_stats ]

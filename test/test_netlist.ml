@@ -62,11 +62,8 @@ let test_pin_positions () =
 
 let test_net_queries () =
   let d = build_sample () in
-  let n0 =
-    match Netlist.net_by_name d "n0" with
-    | Some n -> n.Netlist.net_id
-    | None -> Alcotest.fail "n0 missing"
-  in
+  let n0 = 0 in
+  Alcotest.(check string) "net 0" "n0" d.Netlist.nets.(n0).Netlist.net_name;
   (match Netlist.net_driver d n0 with
    | Some p ->
      Alcotest.(check string) "driver" "pi0/P" d.Netlist.pins.(p).Netlist.pin_name
@@ -92,7 +89,8 @@ let test_total_hpwl_weighted () =
 let test_movable_fixed () =
   let d = build_sample () in
   Alcotest.(check int) "movable" 2 (List.length (Netlist.movable_cells d));
-  Alcotest.(check int) "fixed" 1 (List.length (Netlist.fixed_cells d))
+  Alcotest.(check int) "fixed" 1
+    (Netlist.num_cells d - List.length (Netlist.movable_cells d))
 
 let test_positions_snapshot () =
   let d = build_sample () in

@@ -434,11 +434,11 @@ let test_pool_determinism () =
     let run pool =
       let view = Paths.analyze ?pool timer in
       let paths = Paths.enumerate ?pool ~k:40 view in
-      (paths, Paths.net_criticality view paths, Paths.arc_criticality view paths)
+      (paths, Paths.net_criticality view paths)
     in
-    let p1, nc1, ac1 = run None in
+    let p1, nc1 = run None in
     let pool = Parallel.create ~domains:4 () in
-    let p4, nc4, ac4 =
+    let p4, nc4 =
       Fun.protect
         ~finally:(fun () -> Parallel.shutdown pool)
         (fun () -> run (Some pool))
@@ -458,29 +458,19 @@ let test_pool_determinism () =
       (fun i v ->
         if bits v <> bits nc4.(i) then
           Alcotest.failf "net criticality differs at %d" i)
-      nc1;
-    Array.iteri
-      (fun i v ->
-        if bits v <> bits ac4.(i) then
-          Alcotest.failf "arc criticality differs at %d" i)
-      ac1)
+      nc1)
 
 let test_criticality_counts () =
   with_timer (List.hd specs_under_test) 3 (fun design _ timer ->
     let view = Paths.analyze timer in
     let paths = Paths.enumerate ~k:16 view in
     let nc = Paths.net_criticality view paths in
-    let ac = Paths.arc_criticality view paths in
     Alcotest.(check int) "net array size" (Netlist.num_nets design)
       (Array.length nc);
     Array.iter
       (fun v ->
         if v < 0.0 || Float.is_nan v then Alcotest.fail "bad net criticality")
       nc;
-    Array.iter
-      (fun v ->
-        if v < 0.0 || Float.is_nan v then Alcotest.fail "bad arc criticality")
-      ac;
     (* with violating paths present, some net must accumulate weight *)
     let violating =
       List.exists (fun (p : Paths.path) -> p.Paths.pt_slack < 0.0) paths

@@ -12,20 +12,6 @@ let random_design seed cells =
   let design, cons = Workload.generate lib spec in
   (design, Sta.Graph.build design lib cons)
 
-(* LSE dominates max and is monotone in gamma *)
-let prop_lse_envelope =
-  QCheck2.Test.make ~name:"lse >= max, monotone in gamma" ~count:300
-    QCheck2.Gen.(
-      pair
-        (list_size (int_range 1 6) (float_range (-50.0) 50.0))
-        (pair (float_range 0.5 10.0) (float_range 10.0 100.0)))
-    (fun (xs, (g1, g2)) ->
-      let xs = Array.of_list xs in
-      let m = Array.fold_left Float.max neg_infinity xs in
-      let l1 = Difftimer.lse ~gamma:g1 xs in
-      let l2 = Difftimer.lse ~gamma:g2 xs in
-      l1 >= m -. 1e-9 && l2 >= l1 -. 1e-9)
-
 (* the smoothed engine upper-bounds the exact engine on whole designs *)
 let prop_smoothed_bounds_exact =
   QCheck2.Test.make ~name:"smoothed AT >= exact AT (random designs)" ~count:8
@@ -185,8 +171,7 @@ let prop_tns_decomposition =
 
 let suite =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_lse_envelope;
-      prop_smoothed_bounds_exact;
+    [ prop_smoothed_bounds_exact;
       prop_elmore_linear_in_r;
       prop_period_shift;
       prop_legalize_sound;

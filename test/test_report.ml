@@ -28,15 +28,6 @@ let test_table_arity () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "expected arity check"
 
-let test_markdown () =
-  let t = Report.Table.create [ "h1"; "h2" ] in
-  Report.Table.add_row t [ "a"; "b" ];
-  let md = Report.Table.render_markdown t in
-  Alcotest.(check bool) "has separator" true
-    (String.length md > 0
-     && (let lines = String.split_on_char '\n' md in
-         List.exists (fun l -> l = "| --- | --- |") lines))
-
 let test_csv_escaping () =
   let t = Report.Table.create [ "name"; "value" ] in
   Report.Table.add_row t [ "with,comma"; "with\"quote" ];
@@ -54,12 +45,6 @@ let test_geometric_mean () =
   Alcotest.(check (float 1e-9)) "pair" 2.0 (Report.geometric_mean [ 1.0; 4.0 ]);
   Alcotest.(check (float 1e-6)) "triple" 2.0
     (Report.geometric_mean [ 1.0; 2.0; 4.0 ])
-
-let test_si () =
-  Alcotest.(check string) "nan" "-" (Report.si Float.nan);
-  Alcotest.(check string) "plain" "1.500" (Report.si 1.5);
-  Alcotest.(check bool) "large uses exponent" true
-    (String.contains (Report.si 1.23e9) 'e')
 
 let test_paper_tables () =
   Alcotest.(check int) "table3 rows" 8 (List.length Report.Paper.table3);
@@ -80,8 +65,6 @@ let test_paper_tables () =
 let suite =
   [ Alcotest.test_case "table render" `Quick test_table_render;
     Alcotest.test_case "table arity" `Quick test_table_arity;
-    Alcotest.test_case "markdown" `Quick test_markdown;
     Alcotest.test_case "csv escaping" `Quick test_csv_escaping;
     Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
-    Alcotest.test_case "si formatting" `Quick test_si;
     Alcotest.test_case "paper reference tables" `Quick test_paper_tables ]

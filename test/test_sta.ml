@@ -125,11 +125,7 @@ let test_chain_arrival_time () =
     (Sta.Timer.at_late timer (pin "pi0/P") Sta.Rise);
   (* compose the first net arc by hand via the shared Nets state *)
   let nets = Sta.Timer.nets timer in
-  let n_in =
-    match Netlist.net_by_name d "n_in" with
-    | Some n -> n.Netlist.net_id
-    | None -> Alcotest.fail "n_in"
-  in
+  let n_in = d.Netlist.pins.(pin "inv/A").Netlist.net in
   (match nets.Sta.Nets.trees.(n_in) with
    | None -> Alcotest.fail "no tree for n_in"
    | Some (_, rc) ->
@@ -146,11 +142,7 @@ let test_chain_arrival_time () =
     | None -> Alcotest.fail "INV_X1"
   in
   let arc = inv_cell.Liberty.lc_arcs.(0) in
-  let n_mid =
-    match Netlist.net_by_name d "n_mid" with
-    | Some n -> n.Netlist.net_id
-    | None -> Alcotest.fail "n_mid"
-  in
+  let n_mid = d.Netlist.pins.(pin "inv/Y").Netlist.net in
   (match nets.Sta.Nets.trees.(n_mid) with
    | None -> Alcotest.fail "no tree for n_mid"
    | Some (_, rc) ->

@@ -13,8 +13,7 @@ let test_two_pins () =
   let t = Steiner.build ~xs:[| 0.0; 3.0 |] ~ys:[| 0.0; 4.0 |] () in
   Alcotest.(check int) "nodes" 2 (Steiner.node_count t);
   Alcotest.(check (float 1e-12)) "length" 7.0 (Steiner.total_length t);
-  Alcotest.(check int) "root parent" (-1) t.Steiner.parent.(t.Steiner.order.(0));
-  Alcotest.(check bool) "pin not steiner" false (Steiner.is_steiner t 1)
+  Alcotest.(check int) "root parent" (-1) t.Steiner.parent.(t.Steiner.order.(0))
 
 let test_three_pins_optimal () =
   (* for 3 pins the optimal RSMT length equals the bbox half-perimeter *)
@@ -65,7 +64,7 @@ let prop_bounds =
       let xs, ys = rand_net rng n in
       let t = Steiner.build ~xs ~ys () in
       let len = Steiner.total_length t in
-      let mst = Steiner.mst_length ~xs ~ys in
+      let mst = Steiner_oracle.mst_length ~xs ~ys in
       let hp = Steiner.hpwl ~xs ~ys in
       hp -. 1e-9 <= len && len <= mst +. 1e-9 && tree_is_connected t)
 

@@ -55,38 +55,7 @@ let test_svg_save () =
       let content = In_channel.with_open_text path In_channel.input_all in
       Alcotest.(check bool) "saved" true (contains content "</svg>"))
 
-let test_ascii_density () =
-  let design, _ = sample () in
-  (* everything starts clustered: expect at least one dense glyph *)
-  Array.iter
-    (fun (c : Netlist.cell) ->
-      if not c.Netlist.fixed then begin
-        c.Netlist.x <- 50.0;
-        c.Netlist.y <- 50.0
-      end)
-    design.Netlist.cells;
-  let map = Viz.Ascii.density_map ~columns:24 design in
-  Alcotest.(check bool) "has overfull bin" true (contains map "#");
-  Alcotest.(check bool) "has empty bins" true (contains map ".");
-  (* every line is [columns] wide *)
-  String.split_on_char '\n' map
-  |> List.iter (fun line ->
-    if line <> "" then Alcotest.(check int) "width" 24 (String.length line))
-
-let test_ascii_fixed_marker () =
-  let region = Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx:40.0 ~hy:40.0 in
-  let b = Netlist.Builder.create ~region "blk" in
-  let _ =
-    Netlist.Builder.add_cell b ~name:"macro" ~lib_cell:(-1) ~width:10.0
-      ~height:10.0 ~x:20.0 ~y:20.0 ~fixed:true ()
-  in
-  let d = Netlist.Builder.freeze b in
-  let map = Viz.Ascii.density_map ~columns:8 d in
-  Alcotest.(check bool) "fixed marker" true (contains map "@")
-
 let suite =
   [ Alcotest.test_case "svg basics" `Quick test_svg_basics;
     Alcotest.test_case "svg nets and path" `Quick test_svg_nets_and_path;
-    Alcotest.test_case "svg save" `Quick test_svg_save;
-    Alcotest.test_case "ascii density" `Quick test_ascii_density;
-    Alcotest.test_case "ascii fixed marker" `Quick test_ascii_fixed_marker ]
+    Alcotest.test_case "svg save" `Quick test_svg_save ]
