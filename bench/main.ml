@@ -7,7 +7,7 @@
 
    Usage:  dune exec bench/main.exe [-- <target> ...]
    Targets: table1 table2 table3 figure8 ablation-gamma ablation-reuse
-            ablation-extensions paths parallel all (default: all)
+            paths parallel all (default: all)
    Options: --scale <f>       benchmark scale factor (default 0.01)
             --smoke           tiny paths/parallel run for CI
             --domains <n>     worker domains for every placement run
@@ -329,43 +329,6 @@ let ablation_reuse () =
     [ 1; 5; 10; 20 ];
   print_string (Report.Table.render t)
 
-let ablation_extensions () =
-  section
-    "Ablation D: future-work extensions (gradient preconditioning, dynamic \
-     weights)";
-  Printf.printf
-    "(the paper's conclusion lists dynamic timing-weight updating and \
-     gradient preconditioning as future work; both are implemented as \
-     options)\n\n";
-  let spec =
-    match Workload.find_spec "superblue4-mini" with
-    | Some s -> { s with Workload.sp_cells =
-                    max 200 (int_of_float (795645.0 *. !scale)) }
-    | None -> failwith "missing superblue4-mini spec"
-  in
-  let t =
-    Report.Table.create
-      [ "variant"; "WNS(ps)"; "TNS(ps)"; "HPWL(um)"; "Time(s)" ]
-  in
-  let run label tc =
-    let o = run_mode (Core.Differentiable_timing tc) spec in
-    Report.Table.add_row t
-      [ label;
-        Printf.sprintf "%.1f" o.o_wns;
-        Printf.sprintf "%.1f" o.o_tns;
-        Printf.sprintf "%.3e" o.o_hpwl;
-        Printf.sprintf "%.2f" o.o_runtime ]
-  in
-  run "paper schedule (fixed, no clip)" Core.default_timing;
-  run "clip 5x mean" { Core.default_timing with Core.grad_clip = Some 5.0 };
-  run "clip 2x mean" { Core.default_timing with Core.grad_clip = Some 2.0 };
-  run "adaptive weight growth"
-    { Core.default_timing with Core.growth_policy = `Adaptive };
-  run "adaptive + clip 5x"
-    { Core.default_timing with
-      Core.growth_policy = `Adaptive; grad_clip = Some 5.0 };
-  print_string (Report.Table.render t)
-
 let smoke = ref false
 
 (* ---- top-K path enumeration: lazy engine throughput vs K ---- *)
@@ -499,7 +462,6 @@ let all_targets =
   [ ("table1", table1); ("table2", table2); ("table3", table3);
     ("figure8", figure8); ("ablation-gamma", ablation_gamma);
     ("ablation-reuse", ablation_reuse);
-    ("ablation-extensions", ablation_extensions);
     ("paths", bench_paths); ("parallel", bench_parallel) ]
 
 let () =

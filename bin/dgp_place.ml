@@ -243,10 +243,15 @@ let run lib_file design_file bench cells seed clock hotspot hotspot_clusters
   (match pool with Some p -> Parallel.shutdown p | None -> ());
   Printf.printf "placement: %d iterations in %.2f s (overflow %.3f)\n"
     result.Core.res_iterations result.Core.res_runtime result.Core.res_overflow;
-  Option.iter
-    (Printf.printf "placement: non-finite gradient at iteration %d, stopped \
-                    on the last finite positions\n")
-    result.Core.res_diverged;
+  (match result.Core.res_stop with
+   | `Converged -> ()
+   | `Capped ->
+     Printf.printf "placement: stopped at the iteration cap with overflow \
+                    %.3f against a %.3f target\n"
+       result.Core.res_overflow stop_overflow
+   | `Diverged i ->
+     Printf.printf "placement: non-finite gradient at iteration %d, stopped \
+                    on the last finite positions\n" i);
   (match result.Core.res_route with
    | Some s ->
      Format.printf "congestion: %a (%d inflation rounds)@." Route.pp_summary s

@@ -1,14 +1,10 @@
-type growth_policy = [ `Fixed | `Adaptive ]
-
 type timing_config = {
   t1 : float;
   t2 : float;
-  growth_policy : growth_policy;
   gamma : float;
   activation_overflow : float;
   steiner_period : int;
   steiner_dirty : float option;
-  grad_clip : float option;
 }
 
 (* The paper sets t1 ~ 1e-2, t2 ~ 1e-4 and gamma ~ 100 ps for ~10 ns-scale
@@ -17,9 +13,8 @@ type timing_config = {
    the clock period and t1/t2 are calibrated so the timing gradient is a
    comparable fraction of the wirelength gradient (see EXPERIMENTS.md). *)
 let default_timing =
-  { t1 = 0.10; t2 = 0.10; growth_policy = `Fixed;
-    gamma = 20.0; activation_overflow = 0.45; steiner_period = 10;
-    steiner_dirty = Some 0.25; grad_clip = None }
+  { t1 = 0.10; t2 = 0.10; gamma = 20.0; activation_overflow = 0.45;
+    steiner_period = 10; steiner_dirty = Some 0.25 }
 
 type mode =
   | Wirelength_only
@@ -74,41 +69,13 @@ type result = {
   res_trace : trace_point list;
   res_route : Route.summary option;
   res_inflation_rounds : int;
-  res_diverged : int option;
+  res_stop : [ `Converged | `Capped | `Diverged of int ];
 }
 
 let l1_norm mask g =
   let acc = ref 0.0 in
   Array.iteri (fun i v -> if mask.(i) then acc := !acc +. Float.abs v) g;
   !acc
-
-(* Timing-gradient preconditioning: cap each cell's gradient vector at
-   [k] times the mean nonzero magnitude. *)
-let clip_gradients mask gx gy k =
-  let n = Array.length gx in
-  let total = ref 0.0 and count = ref 0 in
-  for i = 0 to n - 1 do
-    if mask.(i) then begin
-      let m = Float.hypot gx.(i) gy.(i) in
-      if m > 0.0 then begin
-        total := !total +. m;
-        incr count
-      end
-    end
-  done;
-  if !count > 0 then begin
-    let cap = k *. !total /. float_of_int !count in
-    for i = 0 to n - 1 do
-      if mask.(i) then begin
-        let m = Float.hypot gx.(i) gy.(i) in
-        if m > cap then begin
-          let s = cap /. m in
-          gx.(i) <- gx.(i) *. s;
-          gy.(i) <- gy.(i) *. s
-        end
-      end
-    done
-  end
 
 let init_positions design =
   let region = design.Netlist.region in
@@ -275,8 +242,7 @@ let placement_term level config design =
       Option.map
         (fun (rc : Route.config) ->
           ( rc, Route.Inflate.create design,
-            Route.Rudy.create ~capacity:rc.rt_capacity
-              ~pin_weight:rc.rt_pin_weight design ))
+            Route.Rudy.create ~capacity:rc.rt_capacity design ))
         config.routability }
 
 let density_norm mask p =
@@ -364,113 +330,94 @@ let placement_finish ?pool ~obs design p =
 
 (* ---- The timing term, by mode. ---- *)
 
-type smooth = {
-  tcfg : timing_config;
-  dt : Difftimer.t;
-  mutable active_at : int option;
-  mutable w_tns : float;
-  mutable w_wns : float;
-  mutable prev_tns_smooth : float;
-  tgx : float array;
-  tgy : float array;
+(* One iteration of the timing term: [step ~sample i overflow ~gx ~gy]
+   adds its gradient into [gx]/[gy] (after WL and lambda D) and returns
+   the (WNS, TNS) it measured, if any; [sample] marks a trace point.
+   [active_at] is the iteration the timing objective switched on. *)
+type timing_term = {
+  step :
+    sample:bool -> int -> float -> gx:float array -> gy:float array ->
+    (float * float) option;
+  active_at : unit -> int option;
 }
 
-(* [Exact]: an exact timer whose [update] runs when [due] — a
-   net-weighting update (criticality from one full STA run, folded into
-   the net weights the WL term reads), or wirelength-only mode's one
-   full run at iteration 0.  Trace points in between re-time the same
-   timer incrementally.  [Smooth]: the differentiable timer, whose
-   gradient of w_tns (-TNS_gamma) + w_wns (-WNS_gamma) lands in
-   [tgx]/[tgy]. *)
-type timing =
-  | No_timing
-  | Exact of {
-      due : int -> bool;
-      update : unit -> Sta.Timer.report;
-      timer : Sta.Timer.t;  (* the one [update] runs *)
-    }
-  | Smooth of smooth
+let no_timing =
+  { step = (fun ~sample:_ _ _ ~gx:_ ~gy:_ -> None);
+    active_at = (fun () -> None) }
+
+let measured (r : Sta.Timer.report) =
+  Some (r.Sta.Timer.setup_wns, r.Sta.Timer.setup_tns)
+
+(* An exact timer whose [update] runs when [due] — a net-weighting
+   update (criticality from one full STA run, folded into the net
+   weights the WL term reads), or wirelength-only mode's one full run
+   at iteration 0.  Trace points in between re-time the same timer on
+   its frozen Steiner topologies.  Adds no gradient. *)
+let exact ?pool ~obs timer due update =
+  let step ~sample i _ ~gx:_ ~gy:_ =
+    if due i then measured (update ())
+    else if sample then
+      measured (Sta.Timer.run ~rebuild_trees:false ?pool ~obs timer)
+    else None
+  in
+  { step; active_at = (fun () -> None) }
+
+(* The differentiable timer, active from the first iteration whose
+   overflow is below [activation_overflow] (timing means nothing before
+   cells spread).  Once active it adds the gradient of
+   w_tns (-TNS_gamma) + w_wns (-WNS_gamma), grows both weights by
+   [timing_growth] and returns the timer's (WNS, TNS). *)
+let smooth ?pool ~obs ~verbose c graph =
+  let dt = Difftimer.create ~gamma:c.gamma graph in
+  let n = Netlist.num_cells graph.Sta.Graph.design in
+  let tgx = Array.make n 0.0 and tgy = Array.make n 0.0 in
+  let active_at = ref None and w_tns = ref c.t1 and w_wns = ref c.t2 in
+  (* the dirty threshold scales with gamma: pin motion small relative
+     to the LSE smoothing width cannot change which topology matters *)
+  let dirty_threshold =
+    match c.steiner_dirty with
+    | Some g when g >= 0.0 -> Some (g *. c.gamma)
+    | _ -> None
+  in
+  let step ~sample:_ i overflow ~gx ~gy =
+    if !active_at = None && overflow < c.activation_overflow then begin
+      active_at := Some i;
+      if verbose then
+        Format.eprintf "[core] timing objective active at iteration %d@." i
+    end;
+    match !active_at with
+    | None -> None
+    | Some t0 ->
+      let nets = Difftimer.nets dt in
+      if (i - t0) mod max 1 c.steiner_period = 0 then
+        Sta.Nets.rebuild ?dirty_threshold ?pool ~obs nets
+      else Sta.Nets.refresh ?pool ~obs nets;
+      let m = Difftimer.forward ?pool ~obs dt in
+      Array.fill tgx 0 n 0.0;
+      Array.fill tgy 0 n 0.0;
+      Difftimer.backward ?pool ~obs dt ~w_tns:!w_tns ~w_wns:!w_wns
+        ~grad_x:tgx ~grad_y:tgy;
+      w_tns := !w_tns *. timing_growth;
+      w_wns := !w_wns *. timing_growth;
+      axpy 1.0 tgx gx;
+      axpy 1.0 tgy gy;
+      Some (m.Difftimer.wns, m.Difftimer.tns)
+  in
+  { step; active_at = (fun () -> !active_at) }
 
 let timing_term ?pool ~obs config graph =
-  let exact timer due update = Exact { due; update; timer } in
   match config.mode with
   | Net_weighting cfg ->
     let nw = Netweight.create ~config:cfg graph in
-    exact (Netweight.timer nw) (Netweight.should_update nw) (fun () ->
-      Netweight.update ?pool ~obs nw)
+    exact ?pool ~obs (Netweight.timer nw) (Netweight.should_update nw)
+      (fun () -> Netweight.update ?pool ~obs nw)
   | Wirelength_only when config.trace_timing_period > 0 ->
     let timer = Sta.Timer.create graph in
-    exact timer (fun i -> i = 0) (fun () -> Sta.Timer.run ?pool ~obs timer)
-  | Wirelength_only -> No_timing
-  | Differentiable_timing tcfg ->
-    let n = Netlist.num_cells graph.Sta.Graph.design in
-    Smooth
-      { tcfg; dt = Difftimer.create ~gamma:tcfg.gamma graph; active_at = None;
-        w_tns = tcfg.t1; w_wns = tcfg.t2; prev_tns_smooth = neg_infinity;
-        tgx = Array.make n 0.0; tgy = Array.make n 0.0 }
-
-(* Active from the first iteration whose overflow is below
-   [activation_overflow] (timing means nothing before cells spread).
-   Returns the timer's (WNS, TNS) once active. *)
-let smooth_step ?pool ~obs ~verbose mask s i overflow =
-  let c = s.tcfg in
-  if s.active_at = None && overflow < c.activation_overflow then begin
-    s.active_at <- Some i;
-    if verbose then
-      Format.eprintf "[core] timing objective active at iteration %d@." i
-  end;
-  match s.active_at with
-  | None -> None
-  | Some t0 ->
-    let nets = Difftimer.nets s.dt in
-    if (i - t0) mod max 1 c.steiner_period = 0 then begin
-      (* the dirty threshold scales with gamma: pin motion small
-         relative to the LSE smoothing width cannot change which
-         topology matters *)
-      let dirty_threshold =
-        match c.steiner_dirty with
-        | Some g when g >= 0.0 -> Some (g *. c.gamma)
-        | _ -> None
-      in
-      Sta.Nets.rebuild ?dirty_threshold ?pool ~obs nets
-    end
-    else Sta.Nets.refresh ?pool ~obs nets;
-    let m = Difftimer.forward ?pool ~obs s.dt in
-    let n = Array.length s.tgx in
-    Array.fill s.tgx 0 n 0.0;
-    Array.fill s.tgy 0 n 0.0;
-    Difftimer.backward ?pool ~obs s.dt ~w_tns:s.w_tns ~w_wns:s.w_wns
-      ~grad_x:s.tgx ~grad_y:s.tgy;
-    Option.iter (clip_gradients mask s.tgx s.tgy) c.grad_clip;
-    let grow =
-      match c.growth_policy with
-      | `Fixed -> true
-      | `Adaptive ->
-        (* add pressure only while timing is not improving *)
-        m.Difftimer.tns_smooth <= s.prev_tns_smooth
-    in
-    if grow then begin
-      s.w_tns <- s.w_tns *. timing_growth;
-      s.w_wns <- s.w_wns *. timing_growth
-    end;
-    s.prev_tns_smooth <- m.Difftimer.tns_smooth;
-    Some (m.Difftimer.wns, m.Difftimer.tns)
-
-(* The timing term at iteration [i]; [sample] marks a trace point.
-   Returns the (WNS, TNS) measured this iteration, if any. *)
-let timing_step ?pool ~obs ~verbose ~sample mask timing i overflow =
-  let measured (r : Sta.Timer.report) =
-    Some (r.Sta.Timer.setup_wns, r.Sta.Timer.setup_tns)
-  in
-  match timing with
-  | Exact e when e.due i -> measured (e.update ())
-  | Exact e when sample ->
-    Array.iteri
-      (fun c movable -> if movable then Sta.Incremental.touch_cell e.timer c)
-      mask;
-    measured (Sta.Incremental.update ~obs e.timer)
-  | Exact _ | No_timing -> None
-  | Smooth s -> smooth_step ?pool ~obs ~verbose mask s i overflow
+    exact ?pool ~obs timer (fun i -> i = 0) (fun () ->
+      Sta.Timer.run ?pool ~obs timer)
+  | Wirelength_only -> no_timing
+  | Differentiable_timing c ->
+    smooth ?pool ~obs ~verbose:config.verbose c graph
 
 (* ---- The driver. ---- *)
 
@@ -502,9 +449,9 @@ let run_level ?pool ~obs level config graph =
      between measurements repeat it; [None] until the first *)
   let last = ref None in
   let trace = ref [] in
-  (* Returns the iterations run and the iteration of a non-finite stop. *)
+  (* Returns the iterations run and why the run stopped. *)
   let rec iterate i =
-    if i >= config.max_iterations then (i, None)
+    if i >= config.max_iterations then (i, `Capped)
     else begin
       Obs.set_iteration obs i;
       let overflow, relaxed_norm =
@@ -528,20 +475,12 @@ let run_level ?pool ~obs level config graph =
       let sample =
         config.trace_timing_period > 0 && i mod config.trace_timing_period = 0
       in
-      let measured =
-        timing_step ?pool ~obs ~verbose:config.verbose ~sample mask timing i
-          overflow
-      in
+      let measured = timing.step ~sample i overflow ~gx ~gy in
       if measured <> None then last := measured;
-      (match timing with
-       | Smooth ({ active_at = Some _; _ } as s) ->
-         axpy 1.0 s.tgx gx;
-         axpy 1.0 s.tgy gy
-       | _ -> ());
       if not (all_finite mask gx gy) then begin
         if config.verbose then
           Format.eprintf "[core] it %4d  non-finite gradient: stopped@." i;
-        (i, Some i)
+        (i, `Diverged i)
       end
       else begin
         Obs.start obs k_step;
@@ -576,12 +515,12 @@ let run_level ?pool ~obs level config graph =
              | Some (wns, tns) -> Printf.sprintf "wns %.1f  tns %.1f" wns tns
              | None -> "wns -  tns -");
         if overflow <= config.stop_overflow && i >= config.min_iterations
-        then (i + 1, None)
+        then (i + 1, `Converged)
         else iterate (i + 1)
       end
     end
   in
-  let iterations, diverged = iterate 0 in
+  let iterations, stop = iterate 0 in
   let overflow, route, inflation_rounds =
     placement_finish ?pool ~obs design placement
   in
@@ -590,12 +529,11 @@ let run_level ?pool ~obs level config graph =
     res_overflow = overflow;
     res_iterations = iterations;
     res_runtime = Obs.Clock.now () -. start_time;
-    res_timing_active_at =
-      (match timing with Smooth s -> s.active_at | Exact _ | No_timing -> None);
+    res_timing_active_at = timing.active_at ();
     res_trace = List.rev !trace;
     res_route = route;
     res_inflation_rounds = inflation_rounds;
-    res_diverged = diverged }
+    res_stop = stop }
 
 let run ?pool ?(obs = Obs.disabled) config graph =
   run_level ?pool ~obs Flat config graph

@@ -23,6 +23,11 @@
       timing around iteration 100), with [t1], [t2] grown 1% per
       iteration and Steiner trees rebuilt every 10 iterations.
 
+    Each mode is one timing term that the driver adds after the
+    wirelength and lambda D gradients: nothing for wirelength-only, net
+    weights (and no gradient) for net weighting, and the smoothed
+    TNS/WNS gradient for the differentiable timer.
+
     Every mode steps the cell coordinates with {!Optim} (Adam) from an
     initial step of 1/350 of the region side, decayed by 0.999 per
     iteration, on a wirelength model smoothed at 1% of the region side.
@@ -31,18 +36,13 @@
     iteration while the overflow is above [stop_overflow]; a bin's
     capacity is its whole free area (target density 1.0). *)
 
-(** How the timing weights t1/t2 evolve after activation.  [`Fixed] is
-    the paper's published schedule (multiply by 1.01 every
-    iteration); [`Adaptive] implements the "dynamic updating strategies
-    for timing weights" called out as future work in the paper's
-    conclusion: weights only grow while the smoothed TNS is not
-    improving, so pressure is added exactly when progress stalls. *)
-type growth_policy = [ `Fixed | `Adaptive ]
-
+(** The differentiable timer's knobs.  Once active, the timing term
+    adds the gradient of [t1 (-TNS_gamma) + t2 (-WNS_gamma)] after the
+    wirelength and density gradients, then multiplies both weights by
+    1.01 (the paper's published schedule). *)
 type timing_config = {
   t1 : float;                   (** initial TNS weight (paper ~1e-2). *)
   t2 : float;                   (** initial WNS weight (paper ~1e-4). *)
-  growth_policy : growth_policy;
   gamma : float;                (** LSE smoothing width (paper ~100 ps). *)
   activation_overflow : float;  (** start timing once overflow drops below. *)
   steiner_period : int;         (** FLUTE call cadence (paper 10). *)
@@ -53,11 +53,6 @@ type timing_config = {
           topologisation are re-topologised; the rest take the O(1)
           provenance refresh.  [None] rebuilds every net each tick;
           [Some 0.] is bit-identical to [None] (pin-level tracking). *)
-  grad_clip : float option;
-      (** preconditioning for timing gradients (the paper's other listed
-          future work): when [Some k], each cell's timing gradient
-          magnitude is clipped at [k] times the mean nonzero magnitude,
-          taming the heavy-tailed pull of near-critical endpoints. *)
 }
 
 val default_timing : timing_config
@@ -81,10 +76,10 @@ type config = {
           never).  Net weighting measures with its own exact timer,
           fully run at every weight update; wirelength-only
           mode runs one full STA at iteration 0.  Trace points between
-          those full runs re-propagate the same timer through
-          [Sta.Incremental] (sparse cone updates on frozen Steiner
-          topologies).  Differentiable timing traces from its own
-          metrics.  Powers Figure 8's baseline curves. *)
+          those full runs re-time the same timer on its frozen Steiner
+          topologies ([Sta.Timer.run ~rebuild_trees:false]).
+          Differentiable timing traces from its own metrics.  Powers
+          Figure 8's baseline curves. *)
   routability : Route.config option;
       (** when set, run the RUDY + cell-inflation loop between
           placement rounds: once density overflow drops below
@@ -128,10 +123,13 @@ type result = {
   res_inflation_rounds : int;
       (** inflation rounds actually executed (0 when routability is
           off or the design never congested). *)
-  res_diverged : int option;
-      (** the iteration whose summed gradient went non-finite on a
-          movable cell; the run stopped there without stepping, leaving
-          the last finite positions.  [None] for a normal stop. *)
+  res_stop : [ `Converged | `Capped | `Diverged of int ];
+      (** why the run stopped: [`Converged] met [stop_overflow] after
+          [min_iterations]; [`Capped] ran [max_iterations] without
+          converging; [`Diverged i]: the summed gradient went non-finite
+          on a movable cell at iteration [i], and the run stopped there
+          without stepping, leaving the last finite positions.  A
+          V-cycle reports its finest level's reason. *)
 }
 
 val run : ?pool:Parallel.pool -> ?obs:Obs.t -> config -> Sta.Graph.t -> result

@@ -25,7 +25,7 @@ type net_scratch = {
 type t = {
   graph : Sta.Graph.t;
   fwd : Sta.Forward.t;  (* smoothed late state + LUT tape at [gamma_] *)
-  mutable gamma_ : float;
+  gamma_ : float;
   g_at : float array;
   g_slew : float array;
   ep_slack_tr : float array;  (* per transition endpoint slack *)
@@ -119,8 +119,6 @@ let create ?(gamma = 100.0) graph =
     hint_pins = !max_pins }
 
 let nets t = t.fwd.Sta.Forward.nets
-let gamma t = t.gamma_
-let set_gamma t g = t.gamma_ <- g
 
 let idx p tr = (2 * p) + Sta.transition_index tr
 let at t p tr = t.fwd.Sta.Forward.at.(idx p tr)

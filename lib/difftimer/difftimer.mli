@@ -46,9 +46,6 @@ val nets : t -> Sta.Nets.t
     call [Sta.Nets.rebuild] every k-th iteration and [Sta.Nets.refresh]
     otherwise, before {!forward}. *)
 
-val gamma : t -> float
-val set_gamma : t -> float -> unit
-
 val forward : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> metrics
 (** Propagate on the current RC state (callers must have refreshed
     {!nets} after moving cells).  [obs] records a [difftimer.fwd]

@@ -8,12 +8,6 @@ module Point : sig
   type t = { x : float; y : float }
 
   val make : float -> float -> t
-  val zero : t
-  val add : t -> t -> t
-  val sub : t -> t -> t
-  val scale : float -> t -> t
-  val equal : ?eps:float -> t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** An axis-aligned rectangle given by its lower-left and upper-right
@@ -29,11 +23,6 @@ module Rect : sig
   val height : t -> float
   val area : t -> float
   val center : t -> Point.t
-  val contains : t -> Point.t -> bool
-  val intersect : t -> t -> t option
-  val half_perimeter : t -> float
-  val equal : ?eps:float -> t -> t -> bool
-  val pp : Format.formatter -> t -> unit
 end
 
 (** Bounding box accumulation over point streams. *)
@@ -41,8 +30,6 @@ module Bbox : sig
   type t
 
   val empty : t
-  val is_empty : t -> bool
-  val add : t -> Point.t -> t
   val add_xy : t -> float -> float -> t
   val to_rect : t -> Rect.t option
   val half_perimeter : t -> float
@@ -51,6 +38,3 @@ end
 
 val clamp : lo:float -> hi:float -> float -> float
 (** [clamp ~lo ~hi v] limits [v] to the interval [[lo, hi]]. *)
-
-val close : ?eps:float -> float -> float -> bool
-(** Absolute/relative tolerance comparison (default [eps] 1e-9). *)

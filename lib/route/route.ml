@@ -3,7 +3,6 @@ type config = {
   rt_check_period : int;
   rt_target : float;
   rt_capacity : float;
-  rt_pin_weight : float;
   rt_inflation_coef : float;
   rt_max_ratio : float;
   rt_max_rounds : int;
@@ -14,7 +13,6 @@ let default_config =
     rt_check_period = 5;
     rt_target = 1.0;
     rt_capacity = 1.0;
-    rt_pin_weight = 0.05;
     rt_inflation_coef = 2.5;
     rt_max_ratio = 2.5;
     rt_max_rounds = 4 }
@@ -31,16 +29,13 @@ module Rudy = struct
     util : float array;  (* dem / (capacity * bin_area) *)
   }
 
-  let create ?bins ?capacity ?pin_weight design =
+  let create ?bins ?capacity ?(pin_weight = 0.05) design =
     let grid = G.create ?bins ~items:(Netlist.num_nets design) design in
     let n = G.n grid in
     { design; grid;
       capacity =
         (match capacity with Some c -> c | None -> default_config.rt_capacity);
-      pin_weight =
-        (match pin_weight with
-         | Some w -> w
-         | None -> default_config.rt_pin_weight);
+      pin_weight;
       dem = Array.make (n * n) 0.0;
       util = Array.make (n * n) 0.0 }
 

@@ -46,8 +46,6 @@ type config = {
       (** routing capacity per unit bin area; utilization is
           [demand / (rt_capacity * bin_area)], so the summary is
           invariant under grid-resolution changes. *)
-  rt_pin_weight : float;
-      (** demand added to a bin per pin it contains. *)
   rt_inflation_coef : float;
       (** area ratio exponent: a cell in a bin at utilization [u]
           bloats by [(u / rt_target) ** rt_inflation_coef]. *)
@@ -65,8 +63,9 @@ module Rudy : sig
 
   val create :
     ?bins:int -> ?capacity:float -> ?pin_weight:float -> Netlist.t -> t
-  (** [bins] is sized by [Density.Grid.side].  [capacity] /
-      [pin_weight] default to the {!default_config} values. *)
+  (** [bins] is sized by [Density.Grid.side].  [capacity] defaults to
+      the {!default_config} value; [pin_weight], the demand added to a
+      bin per pin it contains, to 0.05. *)
 
   val bins : t -> int
 

@@ -1043,13 +1043,6 @@ module Incremental = struct
       t.Timer.pending_nets <- net :: t.Timer.pending_nets
     end
 
-  let touch_cell (t : t) cell =
-    let design = t.Timer.graph.Graph.design in
-    let c = design.Netlist.cells.(cell) in
-    Array.iter
-      (fun p -> queue_net t design.Netlist.pins.(p).Netlist.net)
-      c.Netlist.cell_pins
-
   (* Mirror the legalizer's placement domain: a movable cell whose
      bounding box lies inside the core region.  Accepting anything else
      (a fixed pad, an off-core or non-finite coordinate) desynchronises
@@ -1088,10 +1081,13 @@ module Incremental = struct
 
   let move_cell (t : t) cell ~x ~y =
     validate_move t cell ~x ~y;
-    let c = t.Timer.graph.Graph.design.Netlist.cells.(cell) in
+    let design = t.Timer.graph.Graph.design in
+    let c = design.Netlist.cells.(cell) in
     c.Netlist.x <- x;
     c.Netlist.y <- y;
-    touch_cell t cell
+    Array.iter
+      (fun p -> queue_net t design.Netlist.pins.(p).Netlist.net)
+      c.Netlist.cell_pins
 
   (* Re-evaluate one pin from its fan-in state: the shared kernel at
      gamma 0, which also refreshes the pin's fan-in tape slots and its

@@ -242,8 +242,8 @@ module Timer : sig
   (** Full analysis on the current placement.  [rebuild_trees] (default
       true) reconstructs Steiner topologies first; pass false to reuse
       topologies and only refresh coordinates.  Moves queued by
-      {!Incremental.move_cell} or {!Incremental.touch_cell} are part of
-      the analysis and leave the queue.  [pool] parallelises the
+      {!Incremental.move_cell} are part of the analysis and leave the
+      queue.  [pool] parallelises the
       Steiner/RC construction over nets and the forward propagation over
       the pins of each level: {!Forward.pin} at [gamma = 0] computes the
       late max and the early (hold) min in one walk, reading only lower
@@ -335,11 +335,6 @@ module Incremental : sig
       @raise Invalid_argument on an out-of-range cell id, a fixed
       (pad/macro) cell, a non-finite coordinate, or a position whose
       bounding box leaves the core region. *)
-
-  val touch_cell : t -> int -> unit
-  (** Queue a cell's nets for RC refresh and re-propagation without
-      changing its coordinates — for callers (e.g. the placement loop)
-      that update positions directly in the design. *)
 
   val update : ?obs:Obs.t -> t -> Timer.report
   (** Propagate all pending moves and return the refreshed report —

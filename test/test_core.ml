@@ -142,27 +142,18 @@ let test_trace_timing_period () =
   Alcotest.(check bool) "between 2 and 3 measurement runs" true
     (runs >= 2 && runs <= 3)
 
-let test_grad_clip_and_adaptive_growth () =
-  (* the future-work extensions run end to end and still beat the
-     wirelength-only baseline on timing *)
-  let seed = 9 in
-  let _, graph_wl = setup ~seed () in
-  let _ = Core.run { quick_config with Core.mode = Core.Wirelength_only } graph_wl in
-  let wl_report, _ = Core.score graph_wl in
-  let variant tc =
-    let _, graph = setup ~seed () in
-    let r =
-      Core.run
-        { quick_config with Core.mode = Core.Differentiable_timing tc }
-        graph
-    in
-    Alcotest.(check bool) "activated" true (r.Core.res_timing_active_at <> None);
-    let report, _ = Core.score graph in
-    Alcotest.(check bool) "beats baseline tns" true
-      (report.Sta.Timer.setup_tns > wl_report.Sta.Timer.setup_tns)
+let test_iteration_cap_reported () =
+  (* a run that uses its whole iteration cap says so *)
+  let _, graph = setup ~seed:9 () in
+  let r =
+    Core.run
+      { quick_config with
+        Core.mode = Core.Wirelength_only; max_iterations = 5;
+        min_iterations = 0 }
+      graph
   in
-  variant { Core.default_timing with Core.grad_clip = Some 3.0 };
-  variant { Core.default_timing with Core.growth_policy = `Adaptive }
+  Alcotest.(check int) "ran to the cap" 5 r.Core.res_iterations;
+  Alcotest.(check bool) "stop is `Capped" true (r.Core.res_stop = `Capped)
 
 let test_score_consistency () =
   let design, graph = setup ~seed:7 () in
@@ -293,8 +284,8 @@ let suite =
       test_netweight_mode_updates_weights;
     Alcotest.test_case "keep init" `Quick test_keep_init;
     Alcotest.test_case "trace timing period" `Slow test_trace_timing_period;
-    Alcotest.test_case "grad clip and adaptive growth" `Slow
-      test_grad_clip_and_adaptive_growth;
+    Alcotest.test_case "iteration cap reported" `Quick
+      test_iteration_cap_reported;
     Alcotest.test_case "score consistency" `Quick test_score_consistency;
     Alcotest.test_case "deterministic runs" `Slow test_deterministic_runs ]
 
@@ -342,17 +333,17 @@ let test_schedule_pinned () =
 
 let test_config_options_smoke () =
   (* every option a caller sets, away from its default, in one run:
-     timing mode with adaptive growth, clipping, a shorter Steiner
-     period and no dirty-net filter, from the generated positions, with
-     a looser stop target and periodic trace STA *)
+     timing mode with its own weights, gamma and activation, a shorter
+     Steiner period and no dirty-net filter, from the generated
+     positions, with a looser stop target and periodic trace STA *)
   let _, graph = setup ~cells:200 ~seed:12 () in
   let cfg =
     { quick_config with
       Core.mode =
         Core.Differentiable_timing
-          { Core.t1 = 0.05; t2 = 0.2; growth_policy = `Adaptive;
-            gamma = 10.0; activation_overflow = 0.6; steiner_period = 5;
-            steiner_dirty = None; grad_clip = Some 2.0 };
+          { Core.t1 = 0.05; t2 = 0.2; gamma = 10.0;
+            activation_overflow = 0.6; steiner_period = 5;
+            steiner_dirty = None };
       init = `Keep; stop_overflow = 0.2; trace_timing_period = 15;
       max_iterations = 60; min_iterations = 10 }
   in
@@ -419,11 +410,11 @@ let test_non_finite_gradient_stops () =
             Core.t1 = Float.nan; activation_overflow = 10.0 } }
   in
   let r = Core.run cfg graph in
-  (match r.Core.res_diverged with
-   | Some i ->
+  (match r.Core.res_stop with
+   | `Diverged i ->
      Alcotest.(check int) "stopped at the diverged iteration" i
        r.Core.res_iterations
-   | None -> Alcotest.fail "non-finite gradient not reported");
+   | `Converged | `Capped -> Alcotest.fail "non-finite gradient not reported");
   Alcotest.(check bool) "finite hpwl" true (Float.is_finite r.Core.res_hpwl);
   Alcotest.(check bool) "finite overflow" true
     (Float.is_finite r.Core.res_overflow);
@@ -437,3 +428,49 @@ let suite =
   suite
   @ [ Alcotest.test_case "non-finite gradient stops the run" `Quick
         test_non_finite_gradient_stops ]
+
+let test_trace_samples_pinned () =
+  (* Between full STA runs, trace points re-time the exact timer on its
+     frozen Steiner topologies; these runs pin every sampled (WNS, TNS)
+     bit for bit, in net-weighting mode (updates every 3 iterations, so
+     7, 14, 28 and 35 are samples in between) and wirelength-only mode
+     (one full run at iteration 0). *)
+  let sampled mode =
+    let _, graph = setup ~cells:300 ~seed:19 () in
+    let r =
+      Core.run
+        { quick_config with
+          Core.mode; trace_timing_period = 7; max_iterations = 40;
+          min_iterations = 0; stop_overflow = 0.0 }
+        graph
+    in
+    List.filter_map
+      (fun (p : Core.trace_point) ->
+        match (p.Core.tp_wns, p.Core.tp_tns) with
+        | Some wns, Some tns when p.Core.tp_iteration mod 7 = 0 ->
+          Some
+            (Printf.sprintf "%d %h %h" p.Core.tp_iteration wns tns)
+        | _ -> None)
+      r.Core.res_trace
+  in
+  Alcotest.(check (list string)) "net weighting"
+    [ "0 -0x1.d4fe6fb771414p+7 -0x1.2073d4d2e7ce1p+12";
+      "7 -0x1.9e7f4493bfff8p+7 -0x1.98595f411d1dap+11";
+      "14 -0x1.7ab9659d33ee8p+7 -0x1.4ed289a46cc26p+11";
+      "21 -0x1.7246696f08f58p+7 -0x1.45287e3bcae9cp+11";
+      "28 -0x1.67e98d0e0fb1cp+7 -0x1.36fa370b27c76p+11";
+      "35 -0x1.5e13285ce789cp+7 -0x1.2762b02ba7846p+11" ]
+    (sampled (Core.Net_weighting Netweight.default_config));
+  Alcotest.(check (list string)) "wirelength only"
+    [ "0 -0x1.d4fe6fb771414p+7 -0x1.2073d4d2e7ce1p+12";
+      "7 -0x1.a8cd9b085f72cp+7 -0x1.ae759fc12ed32p+11";
+      "14 -0x1.a2f84e96711dcp+7 -0x1.9ac128e4ee63cp+11";
+      "21 -0x1.b5baa647152f4p+7 -0x1.b9ba049fb9d0ap+11";
+      "28 -0x1.bcfdf245c9b6cp+7 -0x1.d020c5a66842p+11";
+      "35 -0x1.b92952a3ee4a4p+7 -0x1.ce58c4f80ec2ap+11" ]
+    (sampled Core.Wirelength_only)
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "trace samples pinned" `Quick
+        test_trace_samples_pinned ]

@@ -43,7 +43,8 @@ let test_smoothed_at_bounds_exact () =
       Alcotest.failf "smoothed AT below exact at pin %d: %f < %f" p smooth exact
   done;
   (* shrink gamma: smoothed metrics approach the exact ones *)
-  Difftimer.set_gamma dt 0.5;
+  let dt = Difftimer.create ~gamma:0.5 graph in
+  Sta.Nets.rebuild (Difftimer.nets dt);
   let m = Difftimer.forward dt in
   let exact_report = Sta.Timer.run ~rebuild_trees:false timer in
   let rel a b = Float.abs (a -. b) /. Float.max 1.0 (Float.abs b) in

@@ -224,7 +224,9 @@ let test_jsonl_trace () =
   let _ = Paths.enumerate ~obs ~k:3 view in
   let _ = Legalize.legalize ~obs design in
   (* incremental STA on the same timer *)
-  Sta.Incremental.touch_cell timer (List.hd (Netlist.movable_cells design));
+  (let c = design.Netlist.cells.(List.hd (Netlist.movable_cells design)) in
+   Sta.Incremental.move_cell timer c.Netlist.cell_id ~x:c.Netlist.x
+     ~y:c.Netlist.y);
   let _ = Sta.Incremental.update ~obs timer in
   (* routability kernels: a real demand map, summary and inflation pass *)
   let rudy = Route.Rudy.create design in

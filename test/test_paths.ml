@@ -604,7 +604,7 @@ let test_pooled_enumerate_after_lazy_sweep () =
           incr moved;
           let x, y = Test_sta.random_legal_position rng design c in
           Sta.Incremental.move_cell pooled c.Netlist.cell_id ~x ~y;
-          Sta.Incremental.touch_cell seq c.Netlist.cell_id
+          Sta.Incremental.move_cell seq c.Netlist.cell_id ~x ~y
         end
       done;
       ignore (Sta.Incremental.update pooled);
