@@ -135,6 +135,7 @@ type ep_stats = {
   mutable es_tns : float;
   mutable es_smooth_tns : float;
   mutable es_max_neg : float;  (* running max of -slack for the WNS LSE *)
+  es_q : float array;  (* a setup-table query's value and partials *)
 }
 
 type fsum = { mutable fs : float }
@@ -164,13 +165,11 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
         let slack =
           match g.Sta.Graph.check_of_pin.(p) with
           | Some ck ->
-            let setup, dsu, _ =
-              Liberty.Lut.lookup_with_gradient
-                (check_setup_lut_i ck.Sta.Graph.ck_arc ti)
-                slew.(i) cs.Sta.Constraints.clock_slew
-            in
-            t.ep_dsetup.(i) <- dsu;
-            period -. setup -. at.(i)
+            Liberty.Lut.eval
+              (check_setup_lut_i ck.Sta.Graph.ck_arc ti)
+              slew.(i) cs.Sta.Constraints.clock_slew acc.es_q 0;
+            t.ep_dsetup.(i) <- acc.es_q.(1);
+            period -. acc.es_q.(0) -. at.(i)
           | None -> period -. cs.Sta.Constraints.output_delay -. at.(i)
         in
         t.ep_slack_tr.(i) <- slack;
@@ -200,7 +199,8 @@ let forward_run ?pool ?(obs = Obs.disabled) t =
     Parallel.parallel_for_reduce pool ~obs ~cost:8.0 nep
       ~init:(fun _ ->
         { es_count = 0; es_wns = infinity; es_tns = 0.0;
-          es_smooth_tns = 0.0; es_max_neg = neg_infinity })
+          es_smooth_tns = 0.0; es_max_neg = neg_infinity;
+          es_q = Array.create_float 3 })
       ~body:eval_endpoint
       ~merge:(fun a b ->
         a.es_count <- a.es_count + b.es_count;

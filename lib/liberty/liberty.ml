@@ -32,41 +32,58 @@ module Lut = struct
   (* Segment selection: the index [i] of the cell [axis.(i) .. axis.(i+1)]
      containing [v], clamped to boundary segments so that out-of-range
      queries extrapolate linearly.  A length-1 axis yields index -1,
-     meaning "no variation along this axis". *)
-  let segment axis v =
+     meaning "no variation along this axis".  [axis] is typed so that
+     the comparisons are float ones: a polymorphic compare boxes both
+     operands. *)
+  let segment (axis : float array) v =
     let n = Array.length axis in
     if n = 1 then -1
+    else if v <= axis.(0) then 0
+    else if v >= axis.(n - 1) then n - 2
     else begin
-      let rec bisect lo hi =
-        (* invariant: axis.(lo) <= v < axis.(hi) conceptually *)
-        if hi - lo <= 1 then lo
-        else begin
-          let mid = (lo + hi) / 2 in
-          if v < axis.(mid) then bisect lo mid else bisect mid hi
-        end
-      in
-      if v <= axis.(0) then 0
-      else if v >= axis.(n - 1) then n - 2
-      else bisect 0 (n - 1)
+      (* invariant: axis.(lo) <= v < axis.(hi) conceptually *)
+      let lo = ref 0 and hi = ref (n - 1) in
+      while !hi - !lo > 1 do
+        let mid = (!lo + !hi) / 2 in
+        if v < axis.(mid) then hi := mid else lo := mid
+      done;
+      !lo
     end
 
-  let lookup_with_gradient t x y =
-    let nx = Array.length t.x_axis and ny = Array.length t.y_axis in
-    let i = segment t.x_axis x and j = segment t.y_axis y in
-    match i, j with
-    | -1, -1 -> (t.values.(0), 0.0, 0.0)
-    | -1, j ->
+  (* The interpolation on segment [(i, j)], written to [out] at [o]: the
+     value alone, or with [grad] the value and both partials.  Keep the
+     order of the arithmetic: every timer's pinned output depends on
+     its bits. *)
+  let interp t i j x y ~grad out o =
+    let ny = Array.length t.y_axis in
+    if i < 0 && j < 0 then begin
+      out.(o) <- t.values.(0);
+      if grad then begin
+        out.(o + 1) <- 0.0;
+        out.(o + 2) <- 0.0
+      end
+    end
+    else if i < 0 then begin
       let y0 = t.y_axis.(j) and y1 = t.y_axis.(j + 1) in
       let v0 = t.values.(j) and v1 = t.values.(j + 1) in
       let slope = (v1 -. v0) /. (y1 -. y0) in
-      (v0 +. (slope *. (y -. y0)), 0.0, slope)
-    | i, -1 ->
+      out.(o) <- v0 +. (slope *. (y -. y0));
+      if grad then begin
+        out.(o + 1) <- 0.0;
+        out.(o + 2) <- slope
+      end
+    end
+    else if j < 0 then begin
       let x0 = t.x_axis.(i) and x1 = t.x_axis.(i + 1) in
       let v0 = t.values.(i * ny) and v1 = t.values.((i + 1) * ny) in
       let slope = (v1 -. v0) /. (x1 -. x0) in
-      (v0 +. (slope *. (x -. x0)), slope, 0.0)
-    | i, j ->
-      ignore nx;
+      out.(o) <- v0 +. (slope *. (x -. x0));
+      if grad then begin
+        out.(o + 1) <- slope;
+        out.(o + 2) <- 0.0
+      end
+    end
+    else begin
       let x0 = t.x_axis.(i) and x1 = t.x_axis.(i + 1) in
       let y0 = t.y_axis.(j) and y1 = t.y_axis.(j + 1) in
       let v00 = t.values.((i * ny) + j) in
@@ -75,27 +92,34 @@ module Lut = struct
       let v11 = t.values.(((i + 1) * ny) + j + 1) in
       let tx = (x -. x0) /. (x1 -. x0) in
       let ty = (y -. y0) /. (y1 -. y0) in
-      let v =
+      out.(o) <-
         (v00 *. (1.0 -. tx) *. (1.0 -. ty))
         +. (v10 *. tx *. (1.0 -. ty))
         +. (v01 *. (1.0 -. tx) *. ty)
-        +. (v11 *. tx *. ty)
-      in
-      let dx =
-        (((v10 -. v00) *. (1.0 -. ty)) +. ((v11 -. v01) *. ty)) /. (x1 -. x0)
-      in
-      let dy =
-        (((v01 -. v00) *. (1.0 -. tx)) +. ((v11 -. v10) *. tx)) /. (y1 -. y0)
-      in
-      (v, dx, dy)
+        +. (v11 *. tx *. ty);
+      if grad then begin
+        out.(o + 1) <-
+          (((v10 -. v00) *. (1.0 -. ty)) +. ((v11 -. v01) *. ty)) /. (x1 -. x0);
+        out.(o + 2) <-
+          (((v01 -. v00) *. (1.0 -. tx)) +. ((v11 -. v10) *. tx)) /. (y1 -. y0)
+      end
+    end
+
+  let eval t x y out o =
+    interp t (segment t.x_axis x) (segment t.y_axis y) x y ~grad:true out o
+
+  let eval_pair ~grad a b x y out o =
+    let ob = if grad then o + 3 else o + 1 in
+    let i = segment a.x_axis x and j = segment a.y_axis y in
+    interp a i j x y ~grad out o;
+    if a.x_axis == b.x_axis && a.y_axis == b.y_axis then
+      interp b i j x y ~grad out ob
+    else interp b (segment b.x_axis x) (segment b.y_axis y) x y ~grad out ob
 
   let lookup t x y =
-    let v, _, _ = lookup_with_gradient t x y in
-    v
-
-  let gradient t x y =
-    let _, dx, dy = lookup_with_gradient t x y in
-    (dx, dy)
+    let out = [| 0.0 |] in
+    interp t (segment t.x_axis x) (segment t.y_axis y) x y ~grad:false out 0;
+    out.(0)
 end
 
 type pin_direction = Lib_input | Lib_output
@@ -392,7 +416,19 @@ module Io = struct
 
   open Parsekit
 
-let parse_lut lx =
+  (* Equal axes become one array, so that a delay table and its slew
+     table take [Lut.eval_pair]'s one-search path as the synthetic
+     library's do.  Axes are compared bit for bit: interning must not
+     change the sign of a zero the arithmetic reads. *)
+  let axis_interner () =
+    let seen = Hashtbl.create 16 in
+    fun a ->
+      let key = Array.map Int64.bits_of_float a in
+      match Hashtbl.find_opt seen key with
+      | Some shared -> shared
+      | None -> Hashtbl.add seen key a; a
+
+  let parse_lut lx axis =
     eat lx Tlbrace "'{'";
     let x = ref [||] and y = ref [||] and v = ref [||] in
     let rec fields () =
@@ -400,8 +436,8 @@ let parse_lut lx =
       | Trbrace -> advance lx
       | Tident _ ->
         (match ident lx with
-         | "x" -> x := numbers_until_semi lx
-         | "y" -> y := numbers_until_semi lx
+         | "x" -> x := axis (numbers_until_semi lx)
+         | "y" -> y := axis (numbers_until_semi lx)
          | "values" -> v := numbers_until_semi lx
          | s -> error lx (Printf.sprintf "unknown lut field %S" s));
         fields ()
@@ -448,7 +484,7 @@ let parse_lut lx =
     | Some v -> v
     | None -> error lx (Printf.sprintf "missing %s" what)
 
-  let parse_arc lx pin_of =
+  let parse_arc lx axis pin_of =
     let from_name = string_ lx in
     eat lx Tarrow "'->'";
     let to_name = string_ lx in
@@ -461,10 +497,10 @@ let parse_lut lx =
       | Tident _ ->
         (match ident lx with
          | "sense" -> sense := parse_sense lx; eat lx Tsemi "';'"
-         | "cell_rise" -> cr := Some (parse_lut lx)
-         | "cell_fall" -> cf := Some (parse_lut lx)
-         | "rise_transition" -> rt := Some (parse_lut lx)
-         | "fall_transition" -> ft := Some (parse_lut lx)
+         | "cell_rise" -> cr := Some (parse_lut lx axis)
+         | "cell_fall" -> cf := Some (parse_lut lx axis)
+         | "rise_transition" -> rt := Some (parse_lut lx axis)
+         | "fall_transition" -> ft := Some (parse_lut lx axis)
          | s -> error lx (Printf.sprintf "unknown arc field %S" s));
         fields ()
       | Tstring _ | Tnumber _ | Tlbrace | Tsemi | Tarrow | Teof ->
@@ -479,7 +515,7 @@ let parse_lut lx =
       rise_transition = required lx "rise_transition" !rt;
       fall_transition = required lx "fall_transition" !ft }
 
-  let parse_check lx pin_of =
+  let parse_check lx axis pin_of =
     let data = string_ lx in
     (match ident lx with
      | "clocked_by" -> ()
@@ -492,10 +528,10 @@ let parse_lut lx =
       | Trbrace -> advance lx
       | Tident _ ->
         (match ident lx with
-         | "setup_rise" -> sr := Some (parse_lut lx)
-         | "setup_fall" -> sf := Some (parse_lut lx)
-         | "hold_rise" -> hr := Some (parse_lut lx)
-         | "hold_fall" -> hf := Some (parse_lut lx)
+         | "setup_rise" -> sr := Some (parse_lut lx axis)
+         | "setup_fall" -> sf := Some (parse_lut lx axis)
+         | "hold_rise" -> hr := Some (parse_lut lx axis)
+         | "hold_fall" -> hf := Some (parse_lut lx axis)
          | s -> error lx (Printf.sprintf "unknown check field %S" s));
         fields ()
       | Tstring _ | Tnumber _ | Tlbrace | Tsemi | Tarrow | Teof ->
@@ -509,7 +545,7 @@ let parse_lut lx =
       hold_rise = required lx "hold_rise" !hr;
       hold_fall = required lx "hold_fall" !hf }
 
-  let parse_cell lx =
+  let parse_cell lx axis =
     let name = string_ lx in
     eat lx Tlbrace "'{'";
     let area = ref 0.0 and width = ref 1.0 and height = ref 1.0 in
@@ -533,8 +569,8 @@ let parse_lut lx =
          | "height" -> height := number lx; eat lx Tsemi "';'"
          | "sequential" -> sequential := bool_ lx; eat lx Tsemi "';'"
          | "pin" -> pins := parse_pin lx :: !pins
-         | "arc" -> arcs := parse_arc lx pin_of :: !arcs
-         | "check" -> checks := parse_check lx pin_of :: !checks
+         | "arc" -> arcs := parse_arc lx axis pin_of :: !arcs
+         | "check" -> checks := parse_check lx axis pin_of :: !checks
          | s -> error lx (Printf.sprintf "unknown cell field %S" s));
         fields ()
       | Tstring _ | Tnumber _ | Tlbrace | Tsemi | Tarrow | Teof ->
@@ -555,7 +591,7 @@ let parse_lut lx =
     let name = string_ lx in
     eat lx Tlbrace "'{'";
     let r_unit = ref 0.02 and c_unit = ref 0.25 and default_slew = ref 15.0 in
-    let cells = ref [] in
+    let cells = ref [] and axis = axis_interner () in
     let rec fields () =
       match peek lx with
       | Trbrace -> advance lx
@@ -564,7 +600,7 @@ let parse_lut lx =
          | "r_unit" -> r_unit := number lx; eat lx Tsemi "';'"
          | "c_unit" -> c_unit := number lx; eat lx Tsemi "';'"
          | "default_slew" -> default_slew := number lx; eat lx Tsemi "';'"
-         | "cell" -> cells := parse_cell lx :: !cells
+         | "cell" -> cells := parse_cell lx axis :: !cells
          | s -> error lx (Printf.sprintf "unknown library field %S" s));
         fields ()
       | Tstring _ | Tnumber _ | Tlbrace | Tsemi | Tarrow | Teof ->

@@ -7,6 +7,17 @@
     respect to both query coordinates, which is what makes the timing
     engine differentiable end-to-end (paper §3.5.2, Fig. 6).
 
+    Every timer runs this query once per (arc, transition) pair, so it
+    allocates nothing: {!Lut.eval} and {!Lut.eval_pair} write into a
+    caller's float array, and the segment search is a loop, not a
+    closure.  A cell arc's delay and slew tables are read at the same
+    (slew, load) point; when the two share their axis arrays
+    physically, {!Lut.eval_pair} searches once for both.  The synthetic
+    library builds every table on two shared axes, and {!Io.of_string}
+    interns equal axes, so a parsed library shares them too; tables
+    whose axes differ take two searches.  The values are bit-identical
+    on either path.
+
     Units: time ps, capacitance fF, resistance kOhm, distance um
     (so kOhm x fF = ps exactly). *)
 
@@ -24,17 +35,21 @@ module Lut : sig
   (** @raise Invalid_argument on empty or non-increasing axes or a value
       array whose length is not [nx * ny]. *)
 
-  val of_function : x_axis:float array -> y_axis:float array -> (float -> float -> float) -> t
-
   val lookup : t -> float -> float -> float
   (** [lookup lut x y] bilinearly interpolates (or extrapolates) at [(x, y)]. *)
 
-  val gradient : t -> float -> float -> float * float
-  (** Partial derivatives [(d/dx, d/dy)] of [lookup] at the query point;
-      piecewise constant within a table cell. *)
+  val eval : t -> float -> float -> float array -> int -> unit
+  (** [eval lut x y out o] writes the value at [(x, y)] and its partials
+      d/dx, d/dy (piecewise constant within a table cell) to [out.(o)],
+      [out.(o + 1)], [out.(o + 2)]. *)
 
-  val lookup_with_gradient : t -> float -> float -> float * float * float
-  (** [(value, d/dx, d/dy)] in one pass. *)
+  val eval_pair :
+    grad:bool -> t -> t -> float -> float -> float array -> int -> unit
+  (** [eval_pair ~grad a b x y out o] evaluates two tables at one point:
+      with [grad], [a]'s value and partials at [o .. o + 2] and [b]'s at
+      [o + 3 .. o + 5], as {!eval} writes them; without, the two values
+      alone at [o] and [o + 1].  One segment search when [a] and [b]
+      share their axis arrays physically, two otherwise. *)
 end
 
 (** Direction of a library pin. *)

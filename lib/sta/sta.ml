@@ -639,6 +639,11 @@ module Forward = struct
     let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
     if hi > lo then begin
       let load = root_load t.nets v in
+      let grad = gamma > 0.0 in
+      (* one pair query's output: the delay, then the slew, each followed
+         by its two partials when [grad] *)
+      let q = [| 0.0; 0.0; 0.0; 0.0; 0.0; 0.0 |] in
+      let qs = if grad then 3 else 1 in
       for oi = 0 to 1 do
         let iv = (2 * v) + oi in
         let max_a = ref neg_infinity and max_s = ref neg_infinity in
@@ -646,34 +651,29 @@ module Forward = struct
           let a = g.Graph.fanin_arc.(k) in
           let u = g.Graph.arc_from.(a) in
           let arc = g.Graph.arc_table.(a) in
+          let dlut = delay_lut arc oi and slut = slew_lut arc oi in
           let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
           for ii = 0 to 1 do
             if sub land (1 lsl ii) <> 0 then begin
               let iu = (2 * u) + ii in
               if at.(iu) > neg_infinity then begin
                 let e = (4 * a) + (2 * oi) + ii in
-                let d, dd_ds, dd_dl =
-                  Liberty.Lut.lookup_with_gradient (delay_lut arc oi)
-                    slew.(iu) load
-                in
-                let s, ds_ds, ds_dl =
-                  Liberty.Lut.lookup_with_gradient (slew_lut arc oi)
-                    slew.(iu) load
-                in
+                Liberty.Lut.eval_pair ~grad dlut slut slew.(iu) load q 0;
+                let d = q.(0) and s = q.(qs) in
                 t.tape_d.(e) <- d;
-                if gamma > 0.0 then begin
-                  t.tape_dd_ds.(e) <- dd_ds;
-                  t.tape_dd_dl.(e) <- dd_dl;
+                if grad then begin
+                  t.tape_dd_ds.(e) <- q.(1);
+                  t.tape_dd_dl.(e) <- q.(2);
                   t.tape_s.(e) <- s;
-                  t.tape_ds_ds.(e) <- ds_ds;
-                  t.tape_ds_dl.(e) <- ds_dl
+                  t.tape_ds_ds.(e) <- q.(4);
+                  t.tape_ds_dl.(e) <- q.(5)
                 end;
                 if at.(iu) +. d > !max_a then max_a := at.(iu) +. d;
                 if s > !max_s then max_s := s
               end;
               if early && at_e.(iu) < infinity then begin
-                let d = Liberty.Lut.lookup (delay_lut arc oi) sl_e.(iu) load in
-                let s = Liberty.Lut.lookup (slew_lut arc oi) sl_e.(iu) load in
+                Liberty.Lut.eval_pair ~grad:false dlut slut sl_e.(iu) load q 0;
+                let d = q.(0) and s = q.(1) in
                 if at_e.(iu) +. d < at_e.(iv) then at_e.(iv) <- at_e.(iu) +. d;
                 if s < sl_e.(iv) then sl_e.(iv) <- s
               end
@@ -715,7 +715,9 @@ module Forward = struct
     let pool = match pool with Some p -> p | None -> Parallel.sequential_pool in
     Array.iter
       (fun level_pins ->
-        (* per-pin cost: a few LUT lookups + per-sink Elmore terms *)
+        (* per-pin cost: one LUT pair query per admitted (arc,
+           transition) pair, a second in the early lane, and the net
+           arc's Elmore terms *)
         Parallel.parallel_for pool ?obs ~cost:16.0 (Array.length level_pins)
           (fun k -> f level_pins.(k)))
       t.nets.Nets.graph.Graph.levels

@@ -20,8 +20,6 @@ val transition_index : transition -> int
 (** [Rise] is 0, [Fall] is 1; per-transition state is stored at
     [2 * pin + transition_index]. *)
 
-val pp_transition : Format.formatter -> transition -> unit
-
 (** Design constraints (SDC-lite): a single ideal clock, uniform IO
     timing. *)
 module Constraints : sig
@@ -164,13 +162,15 @@ end
     only when [tr_in] is reachable at [arc_from.(a)] and the arc admits
     the pair.  Every later reader of an arc delay (RAT sweep, path
     retrace, top-K paths, the difftimer's backward gather) replays the
-    tape instead of querying the LUTs again.
+    tape instead of querying the LUTs again.  Each slot costs one
+    {!Liberty.Lut.eval_pair}: the delay and slew tables share one
+    segment search, and at [gamma = 0] the query computes values only.
 
     An exact state (created without [smooth]) also carries the early
     (hold) lane [at_e]/[sl_e]: the same fan-in walk takes the hard min
     of the early arrivals and slews, with LUTs evaluated at the early
-    slew and not taped.  A smooth state has empty early arrays and never
-    enters the lane. *)
+    slew, values only, and not taped.  A smooth state has empty early
+    arrays and never enters the lane. *)
 module Forward : sig
   type t = {
     nets : Nets.t;

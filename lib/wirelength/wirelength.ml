@@ -13,7 +13,7 @@ type slice = {
 
 type t = {
   design : Netlist.t;
-  mutable gamma_ : float;
+  gamma_ : float;
   slices : slice array;
 }
 
@@ -52,8 +52,6 @@ let create ?(gamma = 4.0) design =
   { design; gamma_ = gamma;
     slices = Array.init nslices (fun _ -> make_slice ncells max_degree) }
 
-let gamma t = t.gamma_
-let set_gamma t g = t.gamma_ <- g
 let hpwl t = Netlist.total_hpwl t.design
 
 (* One axis of the WA model for one net.  Returns the smooth extent and

@@ -18,9 +18,6 @@ val create : ?gamma:float -> Netlist.t -> t
     sharper).  Scratch buffers are per worker slice, sized at creation
     for the design's largest net. *)
 
-val gamma : t -> float
-val set_gamma : t -> float -> unit
-
 val evaluate :
   t ->
   ?pool:Parallel.pool ->

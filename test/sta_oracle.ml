@@ -1,7 +1,8 @@
 (* Test-only oracle: the exact timer's forward and RAT sweeps as they
    were before the shared forward kernel ([Sta.Forward]), kept verbatim
-   (module paths qualified) so the kernel-based [Sta.Timer.run] can be
-   checked bit for bit against an independent implementation.  It reads
+   (module paths qualified, LUT queries through [Lut_oracle]) so the
+   kernel-based [Sta.Timer.run] can be checked bit for bit against an
+   independent implementation.  It reads
    the Steiner/RC state of a [Sta.Nets.t] as is and never rebuilds or
    refreshes trees. *)
 
@@ -93,10 +94,10 @@ let propagate_cell_arcs t v =
             let iu = (2 * u) + ii in
             if t.at_l.(iu) > neg_infinity then begin
               let d =
-                Liberty.Lut.lookup (delay_lut_i arc oi) t.sl_l.(iu) load
+                Lut_oracle.lookup (delay_lut_i arc oi) t.sl_l.(iu) load
               in
               let s =
-                Liberty.Lut.lookup (slew_lut_i arc oi) t.sl_l.(iu) load
+                Lut_oracle.lookup (slew_lut_i arc oi) t.sl_l.(iu) load
               in
               if t.at_l.(iu) +. d > t.at_l.(iv) then
                 t.at_l.(iv) <- t.at_l.(iu) +. d;
@@ -104,10 +105,10 @@ let propagate_cell_arcs t v =
             end;
             if t.at_e.(iu) < infinity then begin
               let d =
-                Liberty.Lut.lookup (delay_lut_i arc oi) t.sl_e.(iu) load
+                Lut_oracle.lookup (delay_lut_i arc oi) t.sl_e.(iu) load
               in
               let s =
-                Liberty.Lut.lookup (slew_lut_i arc oi) t.sl_e.(iu) load
+                Lut_oracle.lookup (slew_lut_i arc oi) t.sl_e.(iu) load
               in
               if t.at_e.(iu) +. d < t.at_e.(iv) then
                 t.at_e.(iv) <- t.at_e.(iu) +. d;
@@ -138,7 +139,7 @@ let endpoint_slack t p =
          if t.at_l.(i) > neg_infinity then begin
            reachable := true;
            let su =
-             Liberty.Lut.lookup
+             Lut_oracle.lookup
                (check_lut ck.Graph.ck_arc ~setup:true tr)
                t.sl_l.(i) cs.Constraints.clock_slew
            in
@@ -150,7 +151,7 @@ let endpoint_slack t p =
          if t.at_e.(i) < infinity then begin
            reachable := true;
            let ho =
-             Liberty.Lut.lookup
+             Lut_oracle.lookup
                (check_lut ck.Graph.ck_arc ~setup:false tr)
                t.sl_e.(i) cs.Constraints.clock_slew
            in
@@ -219,7 +220,7 @@ let propagate_rat t =
                     let iu = (2 * u) + ii in
                     if t.at_l.(iu) > neg_infinity then begin
                       let d =
-                        Liberty.Lut.lookup (delay_lut_i arc oi)
+                        Lut_oracle.lookup (delay_lut_i arc oi)
                           t.sl_l.(iu) load
                       in
                       let cand = t.rat_l.(iv) -. d in

@@ -54,7 +54,7 @@ let test_lut_constant () =
   (* a 1x1 table: every query returns the value with zero gradient *)
   let lut = Liberty.Lut.make ~x_axis:[| 0.0 |] ~y_axis:[| 0.0 |] ~values:[| 7.5 |] in
   Alcotest.(check (float 1e-12)) "value" 7.5 (Liberty.Lut.lookup lut 123.0 (-4.0));
-  let dx, dy = Liberty.Lut.gradient lut 3.0 3.0 in
+  let _, dx, dy = Lut_oracle.lookup_with_gradient lut 3.0 3.0 in
   Alcotest.(check (float 1e-12)) "dx" 0.0 dx;
   Alcotest.(check (float 1e-12)) "dy" 0.0 dy
 
@@ -63,7 +63,9 @@ let prop_lut_gradient_matches_fd =
     QCheck2.Gen.(pair (float_range 0.5 5.0) (float_range 5.0 25.0))
     (fun (x, y) ->
       let lut = sample_lut () in
-      let v, dx, dy = Liberty.Lut.lookup_with_gradient lut x y in
+      let q = Array.make 3 0.0 in
+      Liberty.Lut.eval lut x y q 0;
+      let v = q.(0) and dx = q.(1) and dy = q.(2) in
       let h = 1e-6 in
       let fdx =
         (Liberty.Lut.lookup lut (x +. h) y -. Liberty.Lut.lookup lut (x -. h) y)
@@ -83,6 +85,71 @@ let prop_lut_gradient_matches_fd =
       Float.is_finite v
       && (on_x_edge || Float.abs (dx -. fdx) < 1e-6)
       && (on_y_edge || Float.abs (dy -. fdy) < 1e-6))
+
+(* Table pairs for the query-vs-oracle property: shared axes (the
+   pair query's one search), load axes that differ (its two-search
+   fallback), length-1 axes, and a synthetic delay/slew pair. *)
+let oracle_pairs =
+  let mk x y v = Liberty.Lut.make ~x_axis:x ~y_axis:y ~values:v in
+  let x3 = [| 1.0; 2.0; 4.0 |] and y2 = [| 10.0; 20.0 |] in
+  let one = [| 0.0 |] and x1 = [| 3.0 |] and y1 = [| 15.0 |] in
+  let arc = (Option.get (Liberty.find_cell lib "NAND2_X1")).Liberty.lc_arcs.(1) in
+  [| (mk x3 y2 [| 1.0; 2.0; 3.0; 5.0; 4.0; 9.0 |],
+      mk x3 y2 [| 0.5; -1.0; 2.5; 7.0; 3.0; 3.25 |]);
+     (mk x3 y2 [| 1.0; 2.0; 3.0; 5.0; 4.0; 9.0 |],
+      mk x3 [| 5.0; 12.0; 30.0 |]
+        [| 2.0; 4.0; 8.0; 3.0; 3.5; 9.0; 1.0; 6.0; 11.0 |]);
+     (mk one one [| 7.5 |], mk one one [| -2.0 |]);
+     (mk x1 y2 [| 1.0; 4.0 |], mk x1 y2 [| 6.0; 2.0 |]);
+     (mk x3 y1 [| 1.0; 4.0; 2.0 |], mk x3 y1 [| 0.0; 1.0; 8.0 |]);
+     (mk one y2 [| 1.0; 4.0 |], mk x3 y1 [| 0.0; 1.0; 8.0 |]);
+     (arc.Liberty.cell_fall, arc.Liberty.fall_transition) |]
+
+(* [Lut.lookup], [Lut.eval] and [Lut.eval_pair] (with and without the
+   partials) equal the oracle bit for bit, at points inside and outside
+   the axes and on grid lines. *)
+let prop_queries_match_oracle =
+  QCheck2.Test.make ~name:"lut queries = oracle bitwise" ~count:2000
+    QCheck2.Gen.(
+      quad (int_bound (Array.length oracle_pairs - 1))
+        (float_range (-0.5) 1.5) (float_range (-0.5) 1.5) (int_bound 3))
+    (fun (k, u, w, snap) ->
+      let a, b = oracle_pairs.(k) in
+      (* [f] in [-0.5, 1.5] spans the axis and half its width either
+         side; [grid] moves the point onto the nearest axis value *)
+      let coord axis f grid =
+        let n = Array.length axis in
+        let lo = axis.(0) and hi = axis.(n - 1) in
+        let width = if n = 1 then 10.0 else hi -. lo in
+        let c = lo +. (f *. width) in
+        if not grid then c
+        else
+          Array.fold_left
+            (fun best g ->
+              if Float.abs (g -. c) < Float.abs (best -. c) then g else best)
+            axis.(0) axis
+      in
+      let x = coord a.Liberty.Lut.x_axis u (snap land 1 <> 0) in
+      let y = coord a.Liberty.Lut.y_axis w (snap land 2 <> 0) in
+      let h = Printf.sprintf "%h" in
+      let expect what want got =
+        if h want <> h got then
+          QCheck2.Test.fail_reportf "%s at (%h, %h): oracle %h, query %h" what
+            x y want got
+      in
+      let va, dxa, dya = Lut_oracle.lookup_with_gradient a x y in
+      let vb, dxb, dyb = Lut_oracle.lookup_with_gradient b x y in
+      expect "lookup" va (Liberty.Lut.lookup a x y);
+      let q = Array.make 7 Float.nan in
+      Liberty.Lut.eval a x y q 1;
+      List.iteri (fun i v -> expect "eval" v q.(1 + i)) [ va; dxa; dya ];
+      Liberty.Lut.eval_pair ~grad:true a b x y q 1;
+      List.iteri
+        (fun i v -> expect "eval_pair ~grad:true" v q.(1 + i))
+        [ va; dxa; dya; vb; dxb; dyb ];
+      Liberty.Lut.eval_pair ~grad:false a b x y q 0;
+      List.iteri (fun i v -> expect "eval_pair ~grad:false" v q.(i)) [ va; vb ];
+      true)
 
 let prop_synthetic_delay_monotone =
   QCheck2.Test.make ~name:"synthetic delay monotone in slew and load" ~count:200
@@ -200,6 +267,7 @@ let suite =
     Alcotest.test_case "io errors" `Quick test_io_errors;
     Alcotest.test_case "io minimal library" `Quick test_io_minimal;
     QCheck_alcotest.to_alcotest prop_lut_gradient_matches_fd;
+    QCheck_alcotest.to_alcotest prop_queries_match_oracle;
     QCheck_alcotest.to_alcotest prop_synthetic_delay_monotone ]
 
 let test_lookup_continuous_at_grid () =

@@ -1106,10 +1106,44 @@ let test_smooth_state_no_early_lane () =
       [ Sta.Rise; Sta.Fall ]
   done
 
+(* A library read back from Liberty-lite interns equal axes, so every
+   arc's delay and slew tables share their axis arrays physically and
+   take the pair query's one-search path, as the synthetic library's
+   do; the exact timer then reports the same bits under both. *)
+let test_parsed_library_bit_identical () =
+  let parsed = Liberty.Io.of_string (Liberty.Io.to_string lib) in
+  let shared (d : Liberty.Lut.t) (s : Liberty.Lut.t) =
+    d.Liberty.Lut.x_axis == s.Liberty.Lut.x_axis
+    && d.Liberty.Lut.y_axis == s.Liberty.Lut.y_axis
+  in
+  Array.iter
+    (fun c ->
+      Array.iter
+        (fun a ->
+          if not (shared a.Liberty.cell_rise a.Liberty.rise_transition
+                  && shared a.Liberty.cell_fall a.Liberty.fall_transition)
+          then Alcotest.failf "%s: an arc's tables do not share their axes"
+              c.Liberty.lc_name)
+        c.Liberty.lc_arcs)
+    parsed.Liberty.lib_cells;
+  let spec =
+    { Workload.default_spec with
+      Workload.sp_cells = 400; sp_clock_period = 700.0 }
+  in
+  let run l =
+    let design, cons = Workload.generate l spec in
+    let g = Sta.Graph.build design l cons in
+    Test_parallel.with_pool (fun pool ->
+      Sta.Timer.run ~pool (Sta.Timer.create g))
+  in
+  check_reports_bitwise "parsed vs synthetic library" (run lib) (run parsed)
+
 let suite =
   suite
   @ [ Alcotest.test_case "kernel timer bit-identical to oracle" `Quick
         test_kernel_matches_oracle;
+      Alcotest.test_case "parsed library times bit-identically" `Quick
+        test_parsed_library_bit_identical;
       Alcotest.test_case "pooled exact STA bit-identical" `Quick
         test_pooled_exact_sta;
       Alcotest.test_case "smooth state has no early lane" `Quick

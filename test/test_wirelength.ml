@@ -29,13 +29,6 @@ let test_wa_converges_to_hpwl () =
   Alcotest.(check bool) "relative gap < 1%" true
     (Float.abs (wa -. hp) /. hp < 0.01)
 
-let test_gamma_accessors () =
-  let design = sample_design 3 in
-  let wl = Wirelength.create ~gamma:5.0 design in
-  Alcotest.(check (float 1e-12)) "initial" 5.0 (Wirelength.gamma wl);
-  Wirelength.set_gamma wl 2.5;
-  Alcotest.(check (float 1e-12)) "updated" 2.5 (Wirelength.gamma wl)
-
 let test_weight_scaling () =
   let design = sample_design 4 in
   let wl = Wirelength.create ~gamma:2.0 design in
@@ -195,7 +188,6 @@ let test_weighted_gradient_matches_fd_pooled () =
 let suite =
   [ Alcotest.test_case "wa below hpwl" `Quick test_wa_below_hpwl;
     Alcotest.test_case "wa converges to hpwl" `Quick test_wa_converges_to_hpwl;
-    Alcotest.test_case "gamma accessors" `Quick test_gamma_accessors;
     Alcotest.test_case "weight scaling" `Quick test_weight_scaling;
     Alcotest.test_case "two-pin gradient signs" `Quick test_two_pin_gradient_signs;
     Alcotest.test_case "gradient matches fd" `Quick test_gradient_matches_fd;
