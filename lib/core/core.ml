@@ -449,6 +449,19 @@ let run_level ?pool ~obs level config graph =
      between measurements repeat it; [None] until the first *)
   let last = ref None in
   let trace = ref [] in
+  (* The newest trace point waits for its HPWL: the next iteration's WA
+     pass reads the very positions it was taken at (only [route_step]
+     runs in between, and it changes sizes only), and
+     [Wirelength.last_hpwl] is then the walk [Netlist.total_hpwl] would
+     make, bit for bit. *)
+  let pending = ref None in
+  let settle hpwl =
+    match !pending with
+    | Some p ->
+      trace := { p with tp_hpwl = hpwl () } :: !trace;
+      pending := None
+    | None -> ()
+  in
   (* Returns the iterations run and why the run stopped. *)
   let rec iterate i =
     if i >= config.max_iterations then (i, `Capped)
@@ -497,15 +510,15 @@ let run_level ?pool ~obs level config graph =
         if overflow > config.stop_overflow then
           lambda := !lambda *. lambda_step level;
         lr := !lr *. lr_decay;
-        (* The per-iteration HPWL exists only to feed the trace; skipping
-           it when the caller will discard the trace (coarse V-cycle
-           levels) removes a full sequential pass over every pin. *)
-        if not (coarse level) then
-          trace :=
-            { tp_iteration = i; tp_hpwl = Netlist.total_hpwl design;
-              tp_overflow = overflow; tp_wns = Option.map fst !last;
-              tp_tns = Option.map snd !last; tp_lambda = !lambda }
-            :: !trace;
+        (* coarse V-cycle levels keep no trace: the caller discards it *)
+        if not (coarse level) then begin
+          settle (fun () -> Wirelength.last_hpwl placement.wl);
+          pending :=
+            Some
+              { tp_iteration = i; tp_hpwl = Float.nan;
+                tp_overflow = overflow; tp_wns = Option.map fst !last;
+                tp_tns = Option.map snd !last; tp_lambda = !lambda }
+        end;
         Obs.stop obs;
         route_step ?pool ~obs config design placement i overflow;
         if config.verbose && i mod 50 = 0 then
@@ -525,7 +538,10 @@ let run_level ?pool ~obs level config graph =
     placement_finish ?pool ~obs design placement
   in
   Obs.stop obs;
-  { res_hpwl = Netlist.total_hpwl design;
+  (* the final positions: no WA pass read them unless the run diverged *)
+  let hpwl = Netlist.total_hpwl design in
+  settle (fun () -> hpwl);
+  { res_hpwl = hpwl;
     res_overflow = overflow;
     res_iterations = iterations;
     res_runtime = Obs.Clock.now () -. start_time;

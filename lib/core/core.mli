@@ -101,6 +101,11 @@ val default_config : config
 type trace_point = {
   tp_iteration : int;
   tp_hpwl : float;
+      (** exact HPWL ({!Netlist.total_hpwl}, bit for bit) at the
+          positions after this iteration's step.  It is read from the
+          next iteration's WA pass ({!Wirelength.last_hpwl}), which
+          evaluates those same positions; the last point shares the
+          final walk with [res_hpwl]. *)
   tp_overflow : float;
   tp_wns : float option;
       (** last measured WNS, carried forward between STA calls; [None]

@@ -1,4 +1,4 @@
-let clamp ~lo ~hi v = if v < lo then lo else if v > hi then hi else v
+let clamp ~lo ~hi (v : float) = if v < lo then lo else if v > hi then hi else v
 
 module Point = struct
   type t = { x : float; y : float }

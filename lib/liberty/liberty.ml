@@ -5,7 +5,7 @@ module Lut = struct
     values : float array;
   }
 
-  let check_axis name axis =
+  let check_axis name (axis : float array) =
     if Array.length axis = 0 then
       invalid_arg (Printf.sprintf "Liberty.Lut: empty %s axis" name);
     for i = 0 to Array.length axis - 2 do

@@ -366,7 +366,7 @@ module Nets = struct
      arrays, so adopting the new coordinates into the old tree is
      bitwise equal to installing the new tree *)
   let same_topology (a : Steiner.t) (b : Steiner.t) =
-    let eq_int xs ys =
+    let eq_int (xs : int array) (ys : int array) =
       let n = Array.length xs in
       Array.length ys = n
       &&

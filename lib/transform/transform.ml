@@ -162,35 +162,15 @@ module Fft = struct
 end
 
 module Dct = struct
-  let naive f x =
-    let n = Array.length x in
-    Array.init n (fun i ->
-      let acc = ref 0.0 in
-      for l = 0 to n - 1 do
-        acc := !acc +. f x i l n
-      done;
-      !acc)
+  (* a fresh plan's line kernel on a copy *)
+  let planned line x =
+    let y = Array.copy x in
+    line (Plan.create (Array.length x)) 0 y 0 1;
+    y
 
-  let basis k j n = pi *. float_of_int k *. (float_of_int j +. 0.5) /. float_of_int n
-
-  let dct_naive = naive (fun x k j n -> x.(j) *. cos (basis k j n))
-  let cos_synth_naive = naive (fun c j k n -> c.(k) *. cos (basis k j n))
-  let sin_synth_naive = naive (fun c j k n -> c.(k) *. sin (basis k j n))
-
-  (* power-of-two lengths run a fresh plan's kernel on a copy; any other
-     length falls back to the direct sums *)
-  let planned line reference x =
-    let n = Array.length x in
-    if is_power_of_two n then begin
-      let y = Array.copy x in
-      line (Plan.create n) 0 y 0 1;
-      y
-    end
-    else reference x
-
-  let dct = planned Plan.dct_line dct_naive
-  let cos_synth = planned Plan.cos_line cos_synth_naive
-  let sin_synth = planned Plan.sin_line sin_synth_naive
+  let dct = planned Plan.dct_line
+  let cos_synth = planned Plan.cos_line
+  let sin_synth = planned Plan.sin_line
 end
 
 module Grid = struct

@@ -39,17 +39,13 @@ module Fft : sig
       [x.(m) = sum_k X.(k) exp (+2 pi i k m / n)] (no 1/n factor). *)
 end
 
-(** One-dimensional transforms returning a fresh array. *)
+(** One-dimensional transforms returning a fresh array, each the line
+    kernel the grid passes run.
+    @raise Invalid_argument if the length is not a power of two. *)
 module Dct : sig
   val dct : float array -> float array
   val cos_synth : float array -> float array
   val sin_synth : float array -> float array
-
-  val dct_naive : float array -> float array
-  (** Direct O(n^2) references, exported for testing. *)
-
-  val cos_synth_naive : float array -> float array
-  val sin_synth_naive : float array -> float array
 end
 
 (** In-place transforms of a square [n] x [n] grid ([n] the plan's size)

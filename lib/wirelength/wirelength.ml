@@ -15,6 +15,9 @@ type t = {
   design : Netlist.t;
   gamma_ : float;
   slices : slice array;
+  px : float array;    (* pin coordinates of the current pass, by pin id *)
+  py : float array;
+  span : float array;  (* exact HPWL of each net at those coordinates *)
 }
 
 (* The net range is cut into slices as a pure function of the net and
@@ -49,10 +52,23 @@ let create ?(gamma = 4.0) design =
   in
   let ncells = Netlist.num_cells design in
   let nslices = net_slices ~ncells (Netlist.num_nets design) in
+  let npins = Netlist.num_pins design in
   { design; gamma_ = gamma;
-    slices = Array.init nslices (fun _ -> make_slice ncells max_degree) }
+    slices = Array.init nslices (fun _ -> make_slice ncells max_degree);
+    px = Array.make npins 0.0;
+    py = Array.make npins 0.0;
+    span = Array.make (Netlist.num_nets design) 0.0 }
 
-let hpwl t = Netlist.total_hpwl t.design
+(* The same sum [Netlist.pin_x] makes, once per pin per pass, so the WA
+   kernel reads plain float arrays instead of boxed results of a call. *)
+let fill_pin_coords t =
+  let cells = t.design.Netlist.cells and pins = t.design.Netlist.pins in
+  for p = 0 to Array.length pins - 1 do
+    let pin = pins.(p) in
+    let c = cells.(pin.Netlist.cell) in
+    t.px.(p) <- c.Netlist.x +. pin.Netlist.offset_x;
+    t.py.(p) <- c.Netlist.y +. pin.Netlist.offset_y
+  done
 
 (* One axis of the WA model for one net.  Returns the smooth extent and
    accumulates d(extent)/d(coord_i) into [out] at the pins' cells.
@@ -62,14 +78,18 @@ let hpwl t = Netlist.total_hpwl t.design
    and its partial derivative is
      dS+/dx_i = e_i (1 + (x_i - S+) / g) / sum e_i,
    symmetrically for the min-like part with negated exponents.  The
-   exponentials are computed once and replayed for the gradient pass. *)
-let axis_wa t sl (pins : int array) coord_of weight out =
+   exponentials are computed once and replayed for the gradient pass.
+   The exact extent [hi - lo] is stored as net [i]'s span (the x axis)
+   or added to it (the y axis).  On finite coordinates it is bit for
+   bit the extent [Netlist.net_hpwl] folds with [Float.min]/[max]: a
+   net of only zeros gives +0 either way. *)
+let axis_wa t sl (pins : int array) (coord : float array) weight out i ~add =
   let n = Array.length pins in
   let g = t.gamma_ in
   let xs = sl.sc_coords and eps = sl.sc_ep and ems = sl.sc_em in
   let lo = ref infinity and hi = ref neg_infinity in
   for k = 0 to n - 1 do
-    let v = coord_of pins.(k) in
+    let v = coord.(pins.(k)) in
     xs.(k) <- v;
     if v < !lo then lo := v;
     if v > !hi then hi := v
@@ -95,17 +115,29 @@ let axis_wa t sl (pins : int array) coord_of weight out =
     let cell = t.design.Netlist.pins.(pins.(k)).Netlist.cell in
     out.(cell) <- out.(cell) +. (weight *. (d_plus -. d_minus))
   done;
+  let e = !hi -. !lo in
+  t.span.(i) <- (if add then t.span.(i) +. e else e);
   s_plus -. s_minus
 
-let eval_net t sl ~weighted gx gy (net : Netlist.net) =
+let eval_net t sl ~weighted gx gy i (net : Netlist.net) =
   let pins = net.Netlist.net_pins in
-  if Array.length pins < 2 then 0.0
+  if Array.length pins < 2 then begin
+    t.span.(i) <- 0.0;
+    0.0
+  end
   else begin
     let w = if weighted then net.Netlist.weight else 1.0 in
-    let wx = axis_wa t sl pins (fun p -> Netlist.pin_x t.design p) w gx in
-    let wy = axis_wa t sl pins (fun p -> Netlist.pin_y t.design p) w gy in
+    let wx = axis_wa t sl pins t.px w gx i ~add:false in
+    let wy = axis_wa t sl pins t.py w gy i ~add:true in
     w *. (wx +. wy)
   end
+
+let last_hpwl t =
+  let acc = ref 0.0 in
+  for i = 0 to Array.length t.span - 1 do
+    acc := !acc +. t.span.(i)
+  done;
+  !acc
 
 let k_wirelength = Obs.kernel "wirelength"
 
@@ -115,6 +147,7 @@ let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
   if Array.length grad_x <> ncells || Array.length grad_y <> ncells then
     invalid_arg "Wirelength.evaluate: gradient size mismatch";
   Obs.start obs k_wirelength;
+  fill_pin_coords t;
   let nets = t.design.Netlist.nets in
   let nnets = Array.length nets in
   let nslices = Array.length t.slices in
@@ -123,7 +156,7 @@ let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
     let sl = t.slices.(0) in
     let total = ref 0.0 in
     for i = 0 to nnets - 1 do
-      total := !total +. eval_net t sl ~weighted grad_x grad_y nets.(i)
+      total := !total +. eval_net t sl ~weighted grad_x grad_y i nets.(i)
     done;
     !total
   end
@@ -134,12 +167,14 @@ let evaluate t ?pool ?(obs = Obs.disabled) ?(weighted = true) ~grad_x
       let sl = t.slices.(s) in
       Array.fill sl.sl_gx 0 ncells 0.0;
       Array.fill sl.sl_gy 0 ncells 0.0;
-      sl.sl_total <- 0.0;
       let lo = s * nnets / nslices and hi = (s + 1) * nnets / nslices in
+      (* a local sum: the record's float field would box every add *)
+      let total = ref 0.0 in
       for i = lo to hi - 1 do
-        sl.sl_total <-
-          sl.sl_total +. eval_net t sl ~weighted sl.sl_gx sl.sl_gy nets.(i)
-      done);
+        total :=
+          !total +. eval_net t sl ~weighted sl.sl_gx sl.sl_gy i nets.(i)
+      done;
+      sl.sl_total <- !total);
     (* merge in slice order: deterministic at every domain count *)
     let total = ref 0.0 in
     for s = 0 to nslices - 1 do

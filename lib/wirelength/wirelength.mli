@@ -9,7 +9,15 @@
 
     which tends to [max x - min x] as the smoothing width [g] goes to 0.
     Each net contributes [weight * (WA_x + WA_y)]; per-net weights are the
-    hook used by the net-weighting baseline (Eq. 4). *)
+    hook used by the net-weighting baseline (Eq. 4).
+
+    One {!evaluate} first reads every pin's coordinates into two
+    pin-indexed float arrays (cell center + offset, the sum
+    {!Netlist.pin_x} makes), then runs the WA kernel over plain float
+    reads.  While it finds each net's extent per axis it also keeps the
+    net's exact span [(hx - lx) + (hy - ly)]; {!last_hpwl} sums those, so
+    a caller gets the exact HPWL of the positions the pass read without
+    a second walk over the pins. *)
 
 type t
 
@@ -38,5 +46,9 @@ val evaluate :
     split depends only on the net count and partials merge in slice
     order, so pooled results are bit-identical to sequential ones. *)
 
-val hpwl : t -> float
-(** Exact (non-smooth, unweighted) HPWL for reporting. *)
+val last_hpwl : t -> float
+(** Exact (non-smooth, unweighted) HPWL at the positions the last
+    {!evaluate} read: the nets' spans summed in net order, the same adds
+    {!Netlist.total_hpwl} makes, so the two agree bit for bit on finite
+    coordinates, at any domain count.  [0.0] before the first
+    {!evaluate}. *)

@@ -474,3 +474,47 @@ let suite =
   suite
   @ [ Alcotest.test_case "trace samples pinned" `Quick
         test_trace_samples_pinned ]
+
+let test_trace_hpwl_pinned () =
+  (* Every trace point's HPWL, bit for bit: a flat timing-mode run and
+     the finest level of a 2-level V-cycle.  The points before the last
+     take their HPWL from the next iteration's WA pass, the last from a
+     walk over the final positions; both must read the exact sums
+     [Netlist.total_hpwl] makes.  The MD5 covers the "%d %h" line of
+     every point; the first and last points are spelled out. *)
+  let timing =
+    { quick_config with
+      Core.mode = Core.Differentiable_timing Core.default_timing }
+  in
+  let summary (r : Core.result) =
+    let lines =
+      List.map
+        (fun (p : Core.trace_point) ->
+          Printf.sprintf "%d %h" p.Core.tp_iteration p.Core.tp_hpwl)
+        r.Core.res_trace
+    in
+    let last = List.nth lines (List.length lines - 1) in
+    Alcotest.(check string) "last point = res_hpwl"
+      (Printf.sprintf "%h" r.Core.res_hpwl)
+      (List.nth (String.split_on_char ' ' last) 1);
+    [ List.hd lines; last;
+      Digest.to_hex (Digest.string (String.concat "\n" lines)) ]
+  in
+  let _, graph = setup ~cells:300 ~seed:20 () in
+  Alcotest.(check (list string)) "flat"
+    [ "0 0x1.42e3b8bf4936ap+12"; "139 0x1.06a49eaab92ccp+12";
+      "3ea6d92c637a9bdbedbf44bee21fd7ff" ]
+    (summary (Core.run timing graph));
+  let _, graph = setup ~cells:300 ~seed:17 () in
+  Alcotest.(check (list string)) "v-cycle"
+    [ "0 0x1.358f00dd083ddp+12"; "20 0x1.296b5dc2571fep+12";
+      "80eb6b3818cdf18c7969f43eb8c05cf9" ]
+    (summary
+       (Core.run_multilevel
+          ~ml:{ Core.default_multilevel with Core.ml_levels = 2;
+                                             ml_min_cells = 16 }
+          timing graph))
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "trace hpwl pinned" `Quick test_trace_hpwl_pinned ]

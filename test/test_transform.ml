@@ -80,36 +80,37 @@ let fast_matches_naive ~name fast naive =
 
 let prop_dct_fast_matches_naive =
   fast_matches_naive ~name:"dct fast = naive (pow2 sizes)" Transform.Dct.dct
-    Transform.Dct.dct_naive
+    Dct_oracle.dct
 
 let prop_cos_synth_fast_matches_naive =
   fast_matches_naive ~name:"cos_synth fast = naive" Transform.Dct.cos_synth
-    Transform.Dct.cos_synth_naive
+    Dct_oracle.cos_synth
 
 let prop_sin_synth_fast_matches_naive =
   fast_matches_naive ~name:"sin_synth fast = naive" Transform.Dct.sin_synth
-    Transform.Dct.sin_synth_naive
+    Dct_oracle.sin_synth
 
 (* a single sample is its own transform: cos 0 = 1, sin 0 = 0 *)
 let test_length_one () =
   let one = [| 5.0 |] in
   check_arrays "dct" one (Transform.Dct.dct one);
-  check_arrays "dct naive" one (Transform.Dct.dct_naive one);
+  check_arrays "dct naive" one (Dct_oracle.dct one);
   check_arrays "cos_synth" one (Transform.Dct.cos_synth one);
-  check_arrays "cos_synth naive" one (Transform.Dct.cos_synth_naive one);
+  check_arrays "cos_synth naive" one (Dct_oracle.cos_synth one);
   check_arrays "sin_synth" [| 0.0 |] (Transform.Dct.sin_synth one);
   let g = [| 3.0 |] in
   Transform.Grid.dct2 (Transform.Plan.create 1) g;
   check_arrays "dct2" [| 3.0 |] g
 
-let test_non_pow2_fallback () =
-  let rng = Workload.Rng.create 5 in
-  let x = rand_array rng 12 in
-  check_arrays "dct fallback" (Transform.Dct.dct x) (Transform.Dct.dct_naive x);
-  check_arrays "cos fallback" (Transform.Dct.cos_synth x)
-    (Transform.Dct.cos_synth_naive x);
-  check_arrays "sin fallback" (Transform.Dct.sin_synth x)
-    (Transform.Dct.sin_synth_naive x)
+let test_non_pow2_rejected () =
+  let x = rand_array (Workload.Rng.create 5) 12 in
+  List.iter
+    (fun (name, f) ->
+      match f x with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s accepted length 12" name)
+    [ ("dct", Transform.Dct.dct); ("cos_synth", Transform.Dct.cos_synth);
+      ("sin_synth", Transform.Dct.sin_synth) ]
 
 let test_dct_roundtrip () =
   let rng = Workload.Rng.create 6 in
@@ -183,7 +184,7 @@ let prop_grid_matches_naive =
       let n = 1 lsl log_n in
       let g = rand_array (Workload.Rng.create seed) (n * n) in
       let plan = Transform.Plan.create n in
-      let open Transform.Dct in
+      let open Dct_oracle in
       Test_parallel.with_pool (fun pool ->
         List.for_all
           (fun (pass, row, col) ->
@@ -194,13 +195,13 @@ let prop_grid_matches_naive =
             arrays_close ~eps:1e-8 seq expect
             && Array.map Int64.bits_of_float pooled
                = Array.map Int64.bits_of_float seq)
-          [ ((fun ?pool p a -> Transform.Grid.dct2 ?pool p a), dct_naive, dct_naive);
+          [ ((fun ?pool p a -> Transform.Grid.dct2 ?pool p a), dct, dct);
             ((fun ?pool p a -> Transform.Grid.cos_cos_synth ?pool p a),
-             cos_synth_naive, cos_synth_naive);
+             cos_synth, cos_synth);
             ((fun ?pool p a -> Transform.Grid.sin_cos_synth ?pool p a),
-             cos_synth_naive, sin_synth_naive);
+             cos_synth, sin_synth);
             ((fun ?pool p a -> Transform.Grid.cos_sin_synth ?pool p a),
-             sin_synth_naive, cos_synth_naive) ]))
+             sin_synth, cos_synth) ]))
 
 let suite =
   [ Alcotest.test_case "fft impulse" `Quick test_fft_impulse;
@@ -208,7 +209,7 @@ let suite =
     Alcotest.test_case "fft dc" `Quick test_fft_dc;
     Alcotest.test_case "fft invalid input" `Quick test_fft_invalid;
     Alcotest.test_case "fft parseval" `Quick test_fft_parseval;
-    Alcotest.test_case "non-pow2 fallback" `Quick test_non_pow2_fallback;
+    Alcotest.test_case "dct non-pow2 rejected" `Quick test_non_pow2_rejected;
     Alcotest.test_case "dct roundtrip" `Quick test_dct_roundtrip;
     Alcotest.test_case "length-1 transforms" `Quick test_length_one;
     Alcotest.test_case "grid 2d roundtrip" `Quick test_grid_roundtrip;

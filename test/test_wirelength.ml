@@ -15,7 +15,7 @@ let test_wa_below_hpwl () =
   let n = Netlist.num_cells design in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
   let wa = Wirelength.evaluate wl ~weighted:false ~grad_x:gx ~grad_y:gy () in
-  let hp = Wirelength.hpwl wl in
+  let hp = Netlist.total_hpwl design in
   Alcotest.(check bool) "wa <= hpwl" true (wa <= hp +. 1e-6);
   Alcotest.(check bool) "wa positive" true (wa > 0.0)
 
@@ -25,7 +25,7 @@ let test_wa_converges_to_hpwl () =
   let n = Netlist.num_cells design in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
   let wa = Wirelength.evaluate wl ~weighted:false ~grad_x:gx ~grad_y:gy () in
-  let hp = Wirelength.hpwl wl in
+  let hp = Netlist.total_hpwl design in
   Alcotest.(check bool) "relative gap < 1%" true
     (Float.abs (wa -. hp) /. hp < 0.01)
 
@@ -185,6 +185,91 @@ let test_weighted_gradient_matches_fd_pooled () =
     done);
   Netlist.reset_weights design
 
+(* One net over [pins], given as (cell x, cell y, offset x, offset y):
+   each pin sits on its own cell.  A design of one net sums one span. *)
+let one_net pins =
+  let region = Geometry.Rect.make ~lx:(-200.0) ~ly:(-200.0) ~hx:200.0 ~hy:200.0 in
+  let b = Netlist.Builder.create ~region "span" in
+  let ids =
+    List.mapi
+      (fun k (x, y, ox, oy) ->
+        let c =
+          Netlist.Builder.add_cell b ~name:(Printf.sprintf "c%d" k)
+            ~lib_cell:0 ~width:1.0 ~height:1.0 ~x ~y ()
+        in
+        Netlist.Builder.add_pin b ~cell:c ~name:(Printf.sprintf "c%d/A" k)
+          ~direction:(if k = 0 then Netlist.Output else Netlist.Input)
+          ~offset_x:ox ~offset_y:oy ())
+      pins
+  in
+  let _ = Netlist.Builder.add_net b ~name:"n" ~pins:ids in
+  Netlist.Builder.freeze b
+
+let span_of design =
+  let wl = Wirelength.create ~gamma:2.0 design in
+  let n = Netlist.num_cells design in
+  ignore
+    (Wirelength.evaluate wl ~grad_x:(Array.make n 0.0)
+       ~grad_y:(Array.make n 0.0) ());
+  Wirelength.last_hpwl wl
+
+let test_span_matches_net_hpwl () =
+  (* The WA pass finds each net's extent with [<]/[>] from +-infinity;
+     [Netlist.net_hpwl] folds with [Float.min]/[Float.max] from the first
+     pin.  The spans must agree bit for bit: random nets (with repeated
+     coordinates), a single-pin net, and pins at x = -0.0 and +0.0 in
+     both orders. *)
+  let check label design =
+    let span = span_of design and hp = Netlist.net_hpwl design 0 in
+    if bits span <> bits hp then
+      Alcotest.failf "%s: span %h, net_hpwl %h" label span hp
+  in
+  let rng = Workload.Rng.create 61 in
+  let coord () =
+    if Workload.Rng.bool rng 0.2 then 5.0
+    else Workload.Rng.float rng 300.0 -. 150.0
+  in
+  let offset () = Workload.Rng.float rng 2.0 -. 1.0 in
+  for t = 1 to 300 do
+    let k = 1 + Workload.Rng.int rng 12 in
+    check (Printf.sprintf "random net %d" t)
+      (one_net
+         (List.init k (fun _ -> (coord (), coord (), offset (), offset ()))))
+  done;
+  check "single pin" (one_net [ (17.25, -3.5, 0.5, 0.5) ]);
+  (* -0.0 +. -0.0 is -0.0, so a pin on a cell at -0.0 with offset -0.0
+     sits at -0.0 *)
+  let neg = (-0.0, -0.0, -0.0, -0.0) and pos = (0.0, 0.0, 0.0, 0.0) in
+  List.iter
+    (fun (label, pins) ->
+      let design = one_net pins in
+      check label design;
+      Alcotest.(check string) (label ^ ": +0") "0x0p+0"
+        (Printf.sprintf "%h" (span_of design)))
+    [ ("-0 then +0", [ neg; pos ]); ("+0 then -0", [ pos; neg ]);
+      ("-0 only", [ neg; neg; neg ]) ];
+  check "signed zeros among others" (one_net [ neg; (3.0, -2.0, 0.0, 0.0); pos ])
+
+let test_last_hpwl_matches_total () =
+  (* the span sum is [Netlist.total_hpwl] bit for bit on a design big
+     enough to split into slices, sequential and pooled *)
+  let spec =
+    { Workload.default_spec with Workload.sp_cells = 2500; sp_seed = 23 }
+  in
+  let design, _ = Workload.generate lib spec in
+  let wl = Wirelength.create ~gamma:2.0 design in
+  let n = Netlist.num_cells design in
+  let total = Netlist.total_hpwl design in
+  let eval ?pool () =
+    ignore
+      (Wirelength.evaluate wl ?pool ~grad_x:(Array.make n 0.0)
+         ~grad_y:(Array.make n 0.0) ());
+    Printf.sprintf "%h" (Wirelength.last_hpwl wl)
+  in
+  Alcotest.(check string) "sequential" (Printf.sprintf "%h" total) (eval ());
+  Alcotest.(check string) "pooled" (Printf.sprintf "%h" total)
+    (with_pool 4 (fun pool -> eval ~pool ()))
+
 let suite =
   [ Alcotest.test_case "wa below hpwl" `Quick test_wa_below_hpwl;
     Alcotest.test_case "wa converges to hpwl" `Quick test_wa_converges_to_hpwl;
@@ -194,4 +279,8 @@ let suite =
     Alcotest.test_case "size check" `Quick test_size_check;
     Alcotest.test_case "pooled bit identity" `Quick test_pooled_bit_identity;
     Alcotest.test_case "weighted fd under pool" `Quick
-      test_weighted_gradient_matches_fd_pooled ]
+      test_weighted_gradient_matches_fd_pooled;
+    Alcotest.test_case "wirelength span = net_hpwl" `Quick
+      test_span_matches_net_hpwl;
+    Alcotest.test_case "span sum = total_hpwl" `Quick
+      test_last_hpwl_matches_total ]
