@@ -362,8 +362,8 @@ let bench_paths () =
         "popped"; "pruned"; "chunks" ]
   in
   let measure domains pool =
-    let analyze_us = time_us (fun () -> Paths.analyze ?pool timer) in
-    let view = Paths.analyze ?pool timer in
+    let analyze_us = time_us (fun () -> Paths.analyze timer) in
+    let view = Paths.analyze timer in
     List.iteri
       (fun i k ->
         let enum_us = time_us (fun () -> Paths.enumerate ?pool ~k view) in

@@ -79,7 +79,7 @@ let path_view st =
   match st.view with
   | Some v -> v
   | None ->
-    let v = Paths.analyze ?pool:st.pool ~obs:st.obs st.timer in
+    let v = Paths.analyze ~obs:st.obs st.timer in
     st.view <- Some v;
     v
 

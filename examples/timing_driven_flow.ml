@@ -182,7 +182,7 @@ let () =
     after.Sta.Timer.endpoint_slacks;
 
   (* and the three worst paths, via the top-K enumeration engine *)
-  let view = Paths.analyze ?pool ~obs timer in
+  let view = Paths.analyze ~obs timer in
   let worst = Paths.enumerate ?pool ~obs ~k:3 view in
   Printf.printf "\n%d worst paths:\n" (List.length worst);
   List.iteri

@@ -39,12 +39,14 @@ let criticality ?pool ~obs t (report : Sta.Timer.report) =
   | Net_slack ->
     let wns = report.Sta.Timer.setup_wns in
     let denom = Float.max 1.0 (Float.abs (Float.min wns 0.0)) in
+    (* every net's slack is read: one backward pass *)
+    Sta.Timer.pull_all_rats t.timer_;
     fun n ->
       let slack = Sta.Timer.net_slack t.timer_ n in
       if slack >= 0.0 || slack = neg_infinity || slack = infinity then 0.0
       else Float.min 1.0 (-.slack /. denom)
   | Top_paths k ->
-    let view = Paths.analyze ?pool ~obs t.timer_ in
+    let view = Paths.analyze ~obs t.timer_ in
     (* only violating paths drive weights: slack_limit 0 prunes exactly *)
     let paths = Paths.enumerate ?pool ~obs ~slack_limit:0.0 ~k view in
     let crit = Paths.net_criticality view paths in

@@ -95,7 +95,9 @@ type t = {
   mutable mx : int array;
   mutable cnt : (string * float ref) list;  (* reversed insertion order *)
   mutable gg : (string * float ref) list;  (* reversed insertion order *)
-  gc0 : Gc.stat option;
+  (* [Gc.minor_words ()] and [Gc.quick_stat] at creation; the stat's
+     minor_words leaves out the current minor heap *)
+  gc0 : (float * Gc.stat) option;
 }
 
 let disabled =
@@ -123,7 +125,7 @@ let create ?(gc = false) () =
     mx = Array.make n 0;
     cnt = [];
     gg = [];
-    gc0 = (if gc then Some (Gc.quick_stat ()) else None) }
+    gc0 = (if gc then Some (Gc.minor_words (), Gc.quick_stat ()) else None) }
 
 let enabled t = t.enabled
 let set_iteration t i = if t.enabled then t.iter <- i
@@ -208,9 +210,10 @@ let gauge t name v =
 let gc_deltas t =
   match t.gc0 with
   | None -> []
-  | Some s0 ->
+  | Some (m0, s0) ->
+    let m1 = Gc.minor_words () in
     let s1 = Gc.quick_stat () in
-    [ ("gc.minor_words", s1.Gc.minor_words -. s0.Gc.minor_words);
+    [ ("gc.minor_words", m1 -. m0);
       ("gc.promoted_words", s1.Gc.promoted_words -. s0.Gc.promoted_words);
       ("gc.major_words", s1.Gc.major_words -. s0.Gc.major_words);
       ( "gc.minor_collections",

@@ -64,7 +64,8 @@ val create : ?gc:bool -> unit -> t
 (** A live recorder.  Spans are opened from the orchestrating domain
     only.  [gc] (default [false]) additionally samples
     [Gc.quick_stat] at creation and report time and emits the deltas as
-    gauges. *)
+    gauges; [gc.minor_words] comes from [Gc.minor_words ()], which
+    counts the current minor heap too. *)
 
 val enabled : t -> bool
 

@@ -3,10 +3,10 @@
    Timing nodes are (pin, transition) pairs at index
    [2 * pin + transition_index].  A node's in-edges are read in place
    from the timing graph's fan-in CSR, the net driver and the timer's
-   arc-delay tape ([iter_in]); [analyze] only picks one back-pointer per
-   node (the in-edge realising its arrival time), so the back-pointer
-   walk from any node is its arrival-time retrace, the critical path
-   into it.  Enumeration is per-endpoint
+   arc-delay tape ([iter_in]); [analyze] copies the back-pointer per
+   node that the timer's forward kernel recorded (the in-edge realising
+   its arrival time), so the back-pointer walk from any node is its
+   arrival-time retrace, the critical path into it.  Enumeration is per-endpoint
    deviation-based branch-and-bound: a candidate fixes a suffix of the
    path and lets the prefix follow back-pointers; its priority is the
    exact slack of the completed path (arrival times are exact max-prefix
@@ -102,36 +102,6 @@ let iter_in t node f =
     done
   done
 
-(* One back-pointer per node.  The net edge comes first and wins
-   outright when present (the timer's retrace tries it first);
-   otherwise the cell contribution minimising |at(u) + d - at(v)| wins,
-   first strict minimum in (arc, transition) order. *)
-let analyze_run ?pool ?obs timer =
-  let nets = Sta.Timer.nets timer in
-  let g = nets.Sta.Nets.graph in
-  let nnodes = 2 * Netlist.num_pins g.Sta.Graph.design in
-  let p = match pool with Some p -> p | None -> Parallel.sequential_pool in
-  let t =
-    { timer; graph = g; nets; pred = Array.make nnodes no_edge;
-      prescan = None }
-  in
-  Parallel.parallel_for p ?obs ~cost:16.0 nnodes (fun node ->
-      let av = at t node in
-      let best = ref no_edge and best_err = ref infinity in
-      iter_in t node (fun e u d ->
-          if e = net_edge then begin
-            best := e;
-            best_err := neg_infinity
-          end
-          else
-            let err = Float.abs (at t u +. d -. av) in
-            if err < !best_err then begin
-              best_err := err;
-              best := e
-            end);
-      t.pred.(node) <- !best);
-  t
-
 (* binary heap under [E.less]: the candidate queue and the k-th-best bound *)
 module MakeHeap (E : sig
   type elt
@@ -217,14 +187,19 @@ let materialize t ep rank ~head ~suffix ~slack =
 
 let k_analyze = Obs.kernel "paths.analyze"
 
-let analyze ?pool ?(obs = Obs.disabled) timer =
+let analyze ?(obs = Obs.disabled) timer =
   Obs.start obs k_analyze;
-  (* enumeration reads endpoint RATs from pool tasks: the first RAT
-     read, which runs the timer's backward sweep, happens here *)
-  let eps = (Sta.Timer.nets timer).Sta.Nets.graph.Sta.Graph.endpoints in
-  if Array.length eps > 0 then
-    ignore (Sta.Timer.rat_late timer eps.(0) Sta.Rise);
-  let view = analyze_run ?pool ~obs timer in
+  let nets = Sta.Timer.nets timer in
+  let graph = nets.Sta.Nets.graph in
+  (* enumeration reads endpoint RATs from pool tasks: every one is
+     pulled here, so the tasks only read *)
+  Array.iter
+    (fun ep -> ignore (Sta.Timer.rat_late timer ep Sta.Rise))
+    graph.Sta.Graph.endpoints;
+  let view =
+    { timer; graph; nets; pred = Sta.Timer.arrival_edges timer;
+      prescan = None }
+  in
   Obs.stop obs;
   view
 
@@ -421,7 +396,7 @@ module Maxq = MakeHeap (struct
   type elt = float
 
   let dummy = neg_infinity
-  let less x y = x > y
+  let less (x : float) y = x > y
 end)
 
 type gbound = {

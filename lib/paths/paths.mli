@@ -4,11 +4,12 @@
     timing nodes (a node is a [(pin, transition)] pair, stored at
     [2 * pin + transition_index]).  A node's in-edges are read in place
     from the timing graph's fan-in CSR, the net driver with its Elmore
-    delay, and the timer's arc-delay tape; the view adds one
-    back-pointer per node: the in-edge whose [at(source) + delay]
-    realises the node's arrival time (the net edge when present,
-    otherwise the first strict minimum of [|at(source) + delay - at|] in
-    (arc, transition) order).  The back-pointer tree is
+    delay, and the timer's arc-delay tape; the view holds one
+    back-pointer per node, recorded by the timer's forward kernel: the
+    in-edge whose [at(source) + delay] realises the node's arrival time
+    (the net edge when present, otherwise the first strict minimum of
+    [|at(source) + delay - at|] in (arc, transition) order, which is the
+    first maximal [at(source) + delay]).  The back-pointer tree is
     the "worst path" tree; the K worst paths per endpoint are then
     enumerated by deviation-based branch-and-bound (Yen/Eppstein
     adapted to the max-plus DAG).  Because the timer's arrival times are exact
@@ -44,11 +45,14 @@ type t
     it was built; rebuild after the next {!Sta.Timer.run} or
     {!Sta.Incremental.update}. *)
 
-val analyze : ?pool:Parallel.pool -> ?obs:Obs.t -> Sta.Timer.t -> t
-(** Pick the arrival back-pointers from the timer's current state (one
-    walk over every node's in-edges, node-parallel under [pool]) and
-    bring its required times current, so {!enumerate}'s pool tasks only
-    read them.  The timer must have been {!Sta.Timer.run} first. *)
+val analyze : ?obs:Obs.t -> Sta.Timer.t -> t
+(** A view of the timer's current state: a copy of the arrival
+    back-pointers its forward kernel recorded
+    ({!Sta.Timer.arrival_edges}), so the view's back-pointer tree stays
+    that of this placement, and every endpoint's required time pulled
+    current, so {!enumerate}'s pool tasks only read the timer.  Costs
+    one array copy plus the endpoints' RAT pull, no walk over the
+    in-edges.  The timer must have been {!Sta.Timer.run} first. *)
 
 val pred : t -> int -> int
 (** The in-edge realising timing node [n = 2 * v + tr_out]'s arrival

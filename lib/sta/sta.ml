@@ -1,7 +1,6 @@
 type transition = Rise | Fall
 
 let transition_index = function Rise -> 0 | Fall -> 1
-let both_transitions = [ Rise; Fall ]
 
 let pp_transition ppf = function
   | Rise -> Format.pp_print_string ppf "rise"
@@ -526,6 +525,17 @@ end
 (* The forward timing kernel shared by the exact and the differentiable
    timer; see the interface for the tape layout and the gamma contract. *)
 module Forward = struct
+  (* The exact lane's LUT pair cache, off-heap: one block per arc at
+     [pair_off.(a)], holding the root load of the arc's last query, its
+     late and its early input slew per input transition, then three
+     outputs (late slew, early delay, early slew) per admitted
+     [(tr_out, tr_in)] pair in mask-bit order.  The late delay is the
+     tape's. *)
+  type pairs = {
+    pair_off : int array;
+    pair_val : (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  }
+
   type t = {
     nets : Nets.t;
     at : float array;    (* 2 * pin + transition *)
@@ -540,7 +550,16 @@ module Forward = struct
     tape_s : float array;
     tape_ds_ds : float array;
     tape_ds_dl : float array;
+    pred : int array;    (* exact state only, empty when smooth *)
+    mutable pairs : pairs;
   }
+
+  let no_edge = -1
+  let net_edge = -2
+
+  let no_pairs =
+    { pair_off = [||];
+      pair_val = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout 0 }
 
   let create ?(smooth = false) nets =
     let g = nets.Nets.graph in
@@ -558,7 +577,34 @@ module Forward = struct
       tape_dd_dl = smooth_tape ();
       tape_s = smooth_tape ();
       tape_ds_ds = smooth_tape ();
-      tape_ds_dl = smooth_tape () }
+      tape_ds_dl = smooth_tape ();
+      pred = Array.make (if smooth then 0 else n) no_edge;
+      pairs = no_pairs }
+
+  (* the admitted pairs of [mask] below bit [bit]: an output's slot in
+     its arc's cache block *)
+  let rank mask bit =
+    let m = mask land ((1 lsl bit) - 1) in
+    (m land 1) + ((m lsr 1) land 1) + ((m lsr 2) land 1) + ((m lsr 3) land 1)
+
+  let cache_pairs t =
+    if Array.length t.pairs.pair_off = 0 && Array.length t.at_e > 0 then begin
+      let g = t.nets.Nets.graph in
+      let narcs = Graph.num_arcs g in
+      let off = Array.make (narcs + 1) 0 in
+      for a = 0 to narcs - 1 do
+        off.(a + 1) <- off.(a) + 5 + (3 * rank g.Graph.arc_mask.(a) 4)
+      done;
+      let v =
+        Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout off.(narcs)
+      in
+      (* a NaN key never matches, so every block starts empty *)
+      Bigarray.Array1.fill v Float.nan;
+      t.pairs <- { pair_off = off; pair_val = v }
+    end
+
+  (* equal bit patterns, for a finite or infinite [x]; false on NaN *)
+  let same_bits (x : float) y = x = y && (x <> 0.0 || 1.0 /. x = 1.0 /. y)
 
   (* LUT selection keyed by transition index (0 = rise, 1 = fall) *)
   let delay_lut (arc : Liberty.timing_arc) oi =
@@ -602,13 +648,13 @@ module Forward = struct
       (fun p clock -> if clock then start p 0.0 cs.Constraints.clock_slew)
       g.Graph.is_clock_pin
 
-  (* The kernel for one pin: reads strictly lower levels only, writes
-     only this pin's state and this pin's fan-in tape slots.  An exact
-     state takes the early lane's hard min in the same fan-in walk. *)
-  let pin t ~gamma v =
+  (* The smooth state's kernel: the max pass evaluates every admitted
+     (arc, transition) LUT pair exactly once into the tape; the hard max
+     is done there, the LSE (Eq. 11) adds the shifted-sum pass over the
+     taped values. *)
+  let pin_smooth t ~gamma v =
     let g = t.nets.Nets.graph in
-    let at = t.at and slew = t.slew and at_e = t.at_e and sl_e = t.sl_e in
-    let early = Array.length at_e > 0 in
+    let at = t.at and slew = t.slew in
     let pin = g.Graph.design.Netlist.pins.(v) in
     let net = pin.Netlist.net in
     (* net arc: at most one fan-in, no aggregation (Eq. 9, 10) *)
@@ -625,17 +671,9 @@ module Forward = struct
              if at.(iu) > neg_infinity then begin
                at.(iv) <- at.(iu) +. d;
                slew.(iv) <- sqrt ((slew.(iu) *. slew.(iu)) +. i2)
-             end;
-             if early && at_e.(iu) < infinity then begin
-               at_e.(iv) <- at_e.(iu) +. d;
-               sl_e.(iv) <- sqrt ((sl_e.(iu) *. sl_e.(iu)) +. i2)
              end
            done
          | None -> ());
-    (* cell arcs: the max pass evaluates every admitted (arc, transition)
-       LUT pair exactly once into the tape; the hard max is done there,
-       the LSE (Eq. 11) adds the shifted-sum pass over the taped values.
-       The early lane's min runs at the early slew, untaped. *)
     let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
     if hi > lo then begin
       let load = root_load t.nets v in
@@ -670,12 +708,6 @@ module Forward = struct
                 end;
                 if at.(iu) +. d > !max_a then max_a := at.(iu) +. d;
                 if s > !max_s then max_s := s
-              end;
-              if early && at_e.(iu) < infinity then begin
-                Liberty.Lut.eval_pair ~grad:false dlut slut sl_e.(iu) load q 0;
-                let d = q.(0) and s = q.(1) in
-                if at_e.(iu) +. d < at_e.(iv) then at_e.(iv) <- at_e.(iu) +. d;
-                if s < sl_e.(iv) then sl_e.(iv) <- s
               end
             end
           done
@@ -708,6 +740,168 @@ module Forward = struct
         end
       done
     end
+
+  (* A retrace's rule for a cell-arc node whose arrival [av] is not the
+     max of its fan-in (a startpoint's own): the first strict minimum of
+     [|at(u) + d - av|] in (arc, input transition) order. *)
+  let closest_edge t v oi av =
+    let g = t.nets.Nets.graph in
+    let best = ref no_edge and best_err = ref infinity in
+    for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1 do
+      let a = g.Graph.fanin_arc.(k) in
+      let u = g.Graph.arc_from.(a) in
+      let sub = (g.Graph.arc_mask.(a) lsr (2 * oi)) land 3 in
+      for ii = 0 to 1 do
+        let iu = (2 * u) + ii in
+        if sub land (1 lsl ii) <> 0 && t.at.(iu) > neg_infinity then begin
+          let e = (4 * a) + (2 * oi) + ii in
+          let err = Float.abs (t.at.(iu) +. t.tape_d.(e) -. av) in
+          if err < !best_err then begin
+            best_err := err;
+            best := e
+          end
+        end
+      done
+    done;
+    !best
+
+  (* The exact state's kernel: the late hard max and the early lane's
+     hard min in one fan-in walk, visited per (arc, input transition) so
+     that both output transitions share one cache key; per output
+     transition the candidates keep their (arc, input transition) order.
+     The node's back-pointer is the net edge when it has one, else the
+     first maximal [at(u) + d], which is the first strict minimum of
+     [|at(u) + d - at(v)|] when [at(v)] is that max and finite. *)
+  let pin_exact t v =
+    let g = t.nets.Nets.graph in
+    let at = t.at and slew = t.slew and at_e = t.at_e and sl_e = t.sl_e in
+    let pred = t.pred in
+    let iv0 = 2 * v in
+    pred.(iv0) <- no_edge;
+    pred.(iv0 + 1) <- no_edge;
+    let pin = g.Graph.design.Netlist.pins.(v) in
+    let net = pin.Netlist.net in
+    (if pin.Netlist.direction = Netlist.Input && net >= 0 then
+       let u = g.Graph.net_driver_of.(net) in
+       if u >= 0 && u <> v then
+         match t.nets.Nets.trees.(net) with
+         | Some (_, rc) ->
+           let node = t.nets.Nets.tree_index.(v) in
+           let d = Rc.sink_delay rc node in
+           let i2 = Rc.sink_impulse2 rc node in
+           for ti = 0 to 1 do
+             let iu = (2 * u) + ti and iv = iv0 + ti in
+             if at.(iu) > neg_infinity then begin
+               at.(iv) <- at.(iu) +. d;
+               slew.(iv) <- sqrt ((slew.(iu) *. slew.(iu)) +. i2);
+               pred.(iv) <- net_edge
+             end;
+             if at_e.(iu) < infinity then begin
+               at_e.(iv) <- at_e.(iu) +. d;
+               sl_e.(iv) <- sqrt ((sl_e.(iu) *. sl_e.(iu)) +. i2)
+             end
+           done
+         | None -> ());
+    let lo = g.Graph.fanin_off.(v) and hi = g.Graph.fanin_off.(v + 1) in
+    if hi > lo then begin
+      let load = root_load t.nets v in
+      let cache = t.pairs in
+      let cached = Array.length cache.pair_off > 0 in
+      let cv = cache.pair_val in
+      (* per task: one pair query's delay and slew, then the late max
+         of arrival and of slew per output transition *)
+      let q = [| 0.0; 0.0; neg_infinity; neg_infinity; neg_infinity;
+                 neg_infinity |] in
+      let best0 = ref no_edge and best1 = ref no_edge in
+      for k = lo to hi - 1 do
+        let a = g.Graph.fanin_arc.(k) in
+        let u = g.Graph.arc_from.(a) in
+        let arc = g.Graph.arc_table.(a) in
+        let mask = g.Graph.arc_mask.(a) in
+        let base = if cached then cache.pair_off.(a) else 0 in
+        if cached && not (same_bits cv.{base} load) then begin
+          cv.{base} <- load;
+          for j = 1 to 4 do cv.{base + j} <- Float.nan done
+        end;
+        for ii = 0 to 1 do
+          let iu = (2 * u) + ii in
+          if at.(iu) > neg_infinity then begin
+            let s_in = slew.(iu) in
+            let hit = cached && same_bits cv.{base + 1 + ii} s_in in
+            for oi = 0 to 1 do
+              let bit = (2 * oi) + ii in
+              if mask land (1 lsl bit) <> 0 then begin
+                let e = (4 * a) + bit in
+                let o = base + 5 + (3 * rank mask bit) in
+                if hit then begin
+                  q.(0) <- t.tape_d.(e);
+                  q.(1) <- cv.{o}
+                end
+                else begin
+                  Liberty.Lut.eval_pair ~grad:false (delay_lut arc oi)
+                    (slew_lut arc oi) s_in load q 0;
+                  t.tape_d.(e) <- q.(0);
+                  if cached then cv.{o} <- q.(1)
+                end;
+                let c = at.(iu) +. q.(0) in
+                if c > q.(2 + oi) then begin
+                  q.(2 + oi) <- c;
+                  if oi = 0 then best0 := e else best1 := e
+                end;
+                if q.(1) > q.(4 + oi) then q.(4 + oi) <- q.(1)
+              end
+            done;
+            if cached && not hit then cv.{base + 1 + ii} <- s_in
+          end;
+          if at_e.(iu) < infinity then begin
+            let s_in = sl_e.(iu) in
+            let hit = cached && same_bits cv.{base + 3 + ii} s_in in
+            for oi = 0 to 1 do
+              let bit = (2 * oi) + ii in
+              if mask land (1 lsl bit) <> 0 then begin
+                let iv = iv0 + oi in
+                let o = base + 6 + (3 * rank mask bit) in
+                if hit then begin
+                  q.(0) <- cv.{o};
+                  q.(1) <- cv.{o + 1}
+                end
+                else begin
+                  Liberty.Lut.eval_pair ~grad:false (delay_lut arc oi)
+                    (slew_lut arc oi) s_in load q 0;
+                  if cached then begin
+                    cv.{o} <- q.(0);
+                    cv.{o + 1} <- q.(1)
+                  end
+                end;
+                if at_e.(iu) +. q.(0) < at_e.(iv) then
+                  at_e.(iv) <- at_e.(iu) +. q.(0);
+                if q.(1) < sl_e.(iv) then sl_e.(iv) <- q.(1)
+              end
+            done;
+            if cached && not hit then cv.{base + 3 + ii} <- s_in
+          end
+        done
+      done;
+      for oi = 0 to 1 do
+        let iv = iv0 + oi in
+        let max_a = q.(2 + oi) in
+        if max_a > at.(iv) then at.(iv) <- max_a;
+        if q.(4 + oi) > slew.(iv) then slew.(iv) <- q.(4 + oi);
+        if pred.(iv) <> net_edge then begin
+          let av = at.(iv) in
+          pred.(iv) <-
+            (if not (Float.is_finite av) then no_edge
+             else if av = max_a then if oi = 0 then !best0 else !best1
+             else closest_edge t v oi av)
+        end
+      done
+    end
+
+  (* The kernel for one pin: reads strictly lower levels only, writes
+     only this pin's state, this pin's fan-in tape slots and (exact)
+     their cache blocks. *)
+  let pin t ~gamma v =
+    if Array.length t.at_e > 0 then pin_exact t v else pin_smooth t ~gamma v
 
   (* level-synchronous sweep: [f v] may read strictly lower levels only,
      so the pins of one level run data-parallel through [pool] *)
@@ -751,13 +945,29 @@ module Timer = struct
   type t = {
     graph : Graph.t;
     nets : Nets.t;
-    fwd : Forward.t;  (* late + early state, arc tape; the kernel at gamma 0 *)
+    fwd : Forward.t;  (* late + early state, arc tape, back-pointers *)
+    (* late RATs, pulled on demand: pin [p]'s pair is current when
+       [rat_mark.(p) = 2 * epoch + 1]; [2 * epoch] marks a pin whose
+       fan-out a pull has queued.  [run] and [update] end an epoch. *)
     rat_l : float array;
-    (* set by [run] and [Incremental.update]; the next RAT read re-runs
-       the backward sweep ([fresh_rats]) *)
-    mutable rats_stale : bool;
-    ep_setup : float array;        (* per endpoint pin; nan = unconstrained *)
+    rat_mark : int array;
+    mutable epoch : int;
+    mutable rat_stack : int array;
+    (* endpoint slacks by slot, the position in [graph.endpoints];
+       nan = unconstrained *)
+    ep_slot : int array;           (* per pin; -1 off the endpoints *)
+    ep_setup : float array;
     ep_hold : float array;
+    ep_rec : endpoint_slack array;
+    (* the report's order: constrained slots by setup slack under
+       [Float.compare], ties by descending slot *)
+    mutable order : int array;
+    mutable n_order : int;
+    mutable order_tmp : int array;
+    changed : int array;           (* slots whose slack bits changed *)
+    mutable n_changed : int;
+    moved : bool array;            (* per slot: listed in [changed] *)
+    mutable report : report;
     net_pending : bool array;      (* net queued for RC refresh *)
     mutable pending_nets : int list;
     dirty : bool array;            (* pin queued for re-evaluation *)
@@ -768,12 +978,29 @@ module Timer = struct
     let design = graph.Graph.design in
     let npins = Netlist.num_pins design in
     let nets = Nets.create graph in
+    let neps = Array.length graph.Graph.endpoints in
+    let ep_slot = Array.make npins (-1) in
+    Array.iteri (fun s p -> ep_slot.(p) <- s) graph.Graph.endpoints;
+    let none = { ep_pin = -1; ep_setup_slack = nan; ep_hold_slack = nan } in
     { graph; nets;
       fwd = Forward.create nets;
       rat_l = Array.make (2 * npins) infinity;
-      rats_stale = false;
-      ep_setup = Array.make npins Float.nan;
-      ep_hold = Array.make npins Float.nan;
+      rat_mark = Array.make npins 0;
+      epoch = 1;
+      rat_stack = Array.make 64 0;
+      ep_slot;
+      ep_setup = Array.make neps Float.nan;
+      ep_hold = Array.make neps Float.nan;
+      ep_rec = Array.make neps none;
+      order = Array.make neps 0;
+      n_order = 0;
+      order_tmp = Array.make neps 0;
+      changed = Array.make neps 0;
+      n_changed = 0;
+      moved = Array.make neps false;
+      report =
+        { setup_wns = 0.0; setup_tns = 0.0; hold_wns = 0.0; hold_tns = 0.0;
+          endpoint_slacks = [] };
       net_pending = Array.make (Netlist.num_nets design) false;
       pending_nets = [];
       dirty = Array.make npins false;
@@ -783,13 +1010,17 @@ module Timer = struct
 
   let nets t = t.nets
   let idx p tr = (2 * p) + transition_index tr
+  let tr_of ti = if ti = 0 then Rise else Fall
   let at_late t p tr = t.fwd.Forward.at.(idx p tr)
   let at_early t p tr = t.fwd.Forward.at_e.(idx p tr)
   let slew_late t p tr = t.fwd.Forward.slew.(idx p tr)
+  let slew_early t p tr = t.fwd.Forward.sl_e.(idx p tr)
 
   let arc_delay t a ~tr_out ~tr_in =
     t.fwd.Forward.tape_d.((4 * a) + (2 * transition_index tr_out)
                           + transition_index tr_in)
+
+  let arrival_edges t = Array.copy t.fwd.Forward.pred
 
   let check_lut (ck : Liberty.check_arc) ~setup = function
     | Rise -> if setup then ck.Liberty.setup_rise else ck.Liberty.hold_rise
@@ -808,161 +1039,267 @@ module Timer = struct
            t.fwd.Forward.slew.(idx p tr) cs.Constraints.clock_slew
     | None -> (* primary output *) period -. cs.Constraints.output_delay
 
-  (* An endpoint's (setup_slack, hold_slack), None when it is
-     unreachable. *)
-  let endpoint_slack t p =
+  (* Cache endpoint [p]'s (setup, hold) slack pair from the current
+     state, nan when it is unreachable, and list its slot when the bits
+     changed. *)
+  let store_endpoint t p =
     let cs = t.graph.Graph.constraints in
     let at_l = t.fwd.Forward.at in
     let at_e = t.fwd.Forward.at_e and sl_e = t.fwd.Forward.sl_e in
     let setup = ref infinity and hold = ref infinity in
     let reachable = ref false in
-    List.iter
-      (fun tr ->
-        let i = idx p tr in
-        if at_l.(i) > neg_infinity then begin
-          reachable := true;
-          let sl = required t p tr -. at_l.(i) in
-          if sl < !setup then setup := sl
-        end;
-        if at_e.(i) < infinity then begin
-          reachable := true;
-          let sl =
-            match t.graph.Graph.check_of_pin.(p) with
-            | Some ck ->
-              at_e.(i)
-              -. Liberty.Lut.lookup
-                   (check_lut ck.Graph.ck_arc ~setup:false tr)
-                   sl_e.(i) cs.Constraints.clock_slew
-            | None -> (* primary output: hold required time 0 *) at_e.(i)
-          in
-          if sl < !hold then hold := sl
-        end)
-      both_transitions;
-    if !reachable then Some (!setup, !hold) else None
+    for ti = 0 to 1 do
+      let tr = tr_of ti in
+      let i = (2 * p) + ti in
+      if at_l.(i) > neg_infinity then begin
+        reachable := true;
+        let sl = required t p tr -. at_l.(i) in
+        if sl < !setup then setup := sl
+      end;
+      if at_e.(i) < infinity then begin
+        reachable := true;
+        let sl =
+          match t.graph.Graph.check_of_pin.(p) with
+          | Some ck ->
+            at_e.(i)
+            -. Liberty.Lut.lookup
+                 (check_lut ck.Graph.ck_arc ~setup:false tr)
+                 sl_e.(i) cs.Constraints.clock_slew
+          | None -> (* primary output: hold required time 0 *) at_e.(i)
+        in
+        if sl < !hold then hold := sl
+      end
+    done;
+    let su = if !reachable then !setup else Float.nan in
+    let ho = if !reachable then !hold else Float.nan in
+    let s = t.ep_slot.(p) in
+    let same x y = Forward.same_bits x y || (Float.is_nan x && Float.is_nan y) in
+    if not (same t.ep_setup.(s) su && same t.ep_hold.(s) ho) then begin
+      t.ep_setup.(s) <- su;
+      t.ep_hold.(s) <- ho;
+      if !reachable then
+        t.ep_rec.(s) <- { ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho };
+      if not t.moved.(s) then begin
+        t.moved.(s) <- true;
+        t.changed.(t.n_changed) <- s;
+        t.n_changed <- t.n_changed + 1
+      end
+    end
 
-  (* cache an endpoint's slack pair from the current state *)
-  let store_endpoint t p =
-    match endpoint_slack t p with
-    | Some (setup, hold) ->
-      t.ep_setup.(p) <- setup;
-      t.ep_hold.(p) <- hold
-    | None ->
-      t.ep_setup.(p) <- Float.nan;
-      t.ep_hold.(p) <- Float.nan
-
-  (* The one backward sweep: endpoint required times, then late RATs
-     back through the taped cell-arc delays and the Elmore net delays. *)
-  let propagate_rat t =
+  (* Pin [v]'s late RAT pair from its endpoint check and its fan-out,
+     whose RATs are current: per fan-out edge, the fold the backward
+     sweep makes.  The strict [<] folds keep the min, whatever the
+     visit order, of every candidate but -0.0 against +0.0; a -0.0
+     candidate needs a -0.0 RAT above it (x - y is -0.0 only for
+     x = -0.0, y = +0.0), and so a -0.0 required time, which needs a
+     clock period of -0.0. *)
+  let rat_from_fanout t v =
     let g = t.graph in
-    let design = g.Graph.design in
-    let levels = g.Graph.levels in
+    let nets = t.nets in
     let at_l = t.fwd.Forward.at and tape_d = t.fwd.Forward.tape_d in
-    Array.fill t.rat_l 0 (Array.length t.rat_l) infinity;
-    Array.iter
-      (fun p ->
-        List.iter
-          (fun tr ->
-            let i = idx p tr in
-            if at_l.(i) > neg_infinity then begin
-              let rat = required t p tr in
-              if rat < t.rat_l.(i) then t.rat_l.(i) <- rat
-            end)
-          both_transitions)
-      g.Graph.endpoints;
-    for l = Array.length levels - 1 downto 0 do
-      Array.iter
-        (fun v ->
-          let pin = design.Netlist.pins.(v) in
-          let net = pin.Netlist.net in
-          (* push through the net arc into the driver *)
-          (if pin.Netlist.direction = Netlist.Input && net >= 0 then
-             let u = g.Graph.net_driver_of.(net) in
-             if u >= 0 && u <> v then
-               match t.nets.Nets.trees.(net) with
-               | Some (_, rc) ->
-                 let d = Rc.sink_delay rc t.nets.Nets.tree_index.(v) in
-                 for ti = 0 to 1 do
-                   let iv = (2 * v) + ti and iu = (2 * u) + ti in
-                   if t.rat_l.(iv) < infinity then begin
-                     let cand = t.rat_l.(iv) -. d in
-                     if cand < t.rat_l.(iu) then t.rat_l.(iu) <- cand
-                   end
-                 done
-               | None -> ());
-          (* push through cell arcs into the arc inputs *)
-          for k = g.Graph.fanin_off.(v) to g.Graph.fanin_off.(v + 1) - 1 do
-            let a = g.Graph.fanin_arc.(k) in
-            let u = g.Graph.arc_from.(a) in
-            let mask = g.Graph.arc_mask.(a) in
-            for oi = 0 to 1 do
-              let iv = (2 * v) + oi in
-              if t.rat_l.(iv) < infinity then begin
-                let sub = (mask lsr (2 * oi)) land 3 in
-                for ii = 0 to 1 do
-                  if sub land (1 lsl ii) <> 0 then begin
-                    let iu = (2 * u) + ii in
-                    if at_l.(iu) > neg_infinity then begin
-                      let d = tape_d.((4 * a) + (2 * oi) + ii) in
-                      let cand = t.rat_l.(iv) -. d in
-                      if cand < t.rat_l.(iu) then t.rat_l.(iu) <- cand
-                    end
-                  end
-                done
-              end
-            done
-          done)
-        levels.(l)
+    let rat = t.rat_l in
+    let i0 = 2 * v in
+    rat.(i0) <- infinity;
+    rat.(i0 + 1) <- infinity;
+    if g.Graph.is_endpoint.(v) then
+      for ti = 0 to 1 do
+        if at_l.(i0 + ti) > neg_infinity then begin
+          let r = required t v (tr_of ti) in
+          if r < rat.(i0 + ti) then rat.(i0 + ti) <- r
+        end
+      done;
+    (* net arcs into the sinks [v] drives *)
+    let net = g.Graph.design.Netlist.pins.(v).Netlist.net in
+    (if net >= 0 && g.Graph.net_driver_of.(net) = v then
+       match nets.Nets.trees.(net) with
+       | Some (_, rc) ->
+         for k = g.Graph.net_sink_off.(net) to g.Graph.net_sink_off.(net + 1) - 1
+         do
+           let w = g.Graph.net_sink.(k) in
+           if w <> v then begin
+             let d = Rc.sink_delay rc nets.Nets.tree_index.(w) in
+             for ti = 0 to 1 do
+               let iw = (2 * w) + ti in
+               if rat.(iw) < infinity then begin
+                 let cand = rat.(iw) -. d in
+                 if cand < rat.(i0 + ti) then rat.(i0 + ti) <- cand
+               end
+             done
+           end
+         done
+       | None -> ());
+    (* cell arcs out of [v] *)
+    for k = g.Graph.fanout_off.(v) to g.Graph.fanout_off.(v + 1) - 1 do
+      let a = g.Graph.fanout_arc.(k) in
+      let w = g.Graph.arc_to.(a) in
+      let mask = g.Graph.arc_mask.(a) in
+      for oi = 0 to 1 do
+        let iw = (2 * w) + oi in
+        if rat.(iw) < infinity then begin
+          let sub = (mask lsr (2 * oi)) land 3 in
+          for ii = 0 to 1 do
+            let iu = i0 + ii in
+            if sub land (1 lsl ii) <> 0 && at_l.(iu) > neg_infinity then begin
+              let cand = rat.(iw) -. tape_d.((4 * a) + (2 * oi) + ii) in
+              if cand < rat.(iu) then rat.(iu) <- cand
+            end
+          done
+        end
+      done
     done
 
-  (* run by the first RAT read after [run] or [Incremental.update] *)
-  let fresh_rats t =
-    if t.rats_stale then begin
-      propagate_rat t;
-      t.rats_stale <- false
+  let push_rat t sp w =
+    if sp = Array.length t.rat_stack then begin
+      let s = Array.make (2 * sp) 0 in
+      Array.blit t.rat_stack 0 s 0 sp;
+      t.rat_stack <- s
+    end;
+    t.rat_stack.(sp) <- w
+
+  (* Bring pin [p]'s RAT current: a depth-first walk of its fan-out
+     cone that computes each pin once its fan-out is current, and only
+     the pins this epoch has not computed yet. *)
+  let pull_rat t p =
+    let current = (2 * t.epoch) + 1 in
+    if t.rat_mark.(p) <> current then begin
+      let g = t.graph in
+      let mark = t.rat_mark in
+      let sp = ref 0 in
+      push_rat t 0 p;
+      sp := 1;
+      while !sp > 0 do
+        let v = t.rat_stack.(!sp - 1) in
+        if mark.(v) = current then decr sp
+        else if mark.(v) = current - 1 then begin
+          rat_from_fanout t v;
+          mark.(v) <- current;
+          decr sp
+        end
+        else begin
+          mark.(v) <- current - 1;
+          let net = g.Graph.design.Netlist.pins.(v).Netlist.net in
+          if net >= 0 && g.Graph.net_driver_of.(net) = v then
+            for k = g.Graph.net_sink_off.(net)
+                to g.Graph.net_sink_off.(net + 1) - 1 do
+              let w = g.Graph.net_sink.(k) in
+              if w <> v && mark.(w) <> current then begin
+                push_rat t !sp w;
+                incr sp
+              end
+            done;
+          for k = g.Graph.fanout_off.(v) to g.Graph.fanout_off.(v + 1) - 1 do
+            let w = g.Graph.arc_to.(g.Graph.fanout_arc.(k)) in
+            if mark.(w) <> current then begin
+              push_rat t !sp w;
+              incr sp
+            end
+          done
+        end
+      done
     end
 
   let rat_late t p tr =
-    fresh_rats t;
+    pull_rat t p;
     t.rat_l.(idx p tr)
 
-  (* The report over the endpoints, in endpoint order; [slack_of p] is
-     the endpoint's (setup, hold) slack pair, None when unconstrained. *)
-  let report_of g slack_of =
-    let slacks = ref [] in
+  (* every pin at once: the same per-pin gather, in descending level
+     order, so each pin's fan-out is current when it is reached *)
+  let pull_all_rats t =
+    let current = (2 * t.epoch) + 1 in
+    let levels = t.graph.Graph.levels in
+    for l = Array.length levels - 1 downto 0 do
+      Array.iter
+        (fun v ->
+          if t.rat_mark.(v) <> current then begin
+            rat_from_fanout t v;
+            t.rat_mark.(v) <- current
+          end)
+        levels.(l)
+    done
+
+  let compare_slots t a b =
+    let c = Float.compare t.ep_setup.(a) t.ep_setup.(b) in
+    if c <> 0 then c else Int.compare b a
+
+  (* Re-place the changed slots: drop them from the order, then merge
+     the constrained ones back in, sorted. *)
+  let reorder t =
+    let kept = ref 0 in
+    for i = 0 to t.n_order - 1 do
+      let s = t.order.(i) in
+      if not t.moved.(s) then begin
+        t.order.(!kept) <- s;
+        incr kept
+      end
+    done;
+    let n_in = ref 0 in
+    for i = 0 to t.n_changed - 1 do
+      let s = t.changed.(i) in
+      t.moved.(s) <- false;
+      if not (Float.is_nan t.ep_setup.(s)) then begin
+        t.changed.(!n_in) <- s;
+        incr n_in
+      end
+    done;
+    t.n_changed <- 0;
+    let ins = Array.sub t.changed 0 !n_in in
+    Array.sort (compare_slots t) ins;
+    let out = t.order_tmp in
+    let i = ref 0 and j = ref 0 in
+    for o = 0 to !kept + !n_in - 1 do
+      if !j >= !n_in
+         || (!i < !kept && compare_slots t t.order.(!i) ins.(!j) < 0)
+      then begin
+        out.(o) <- t.order.(!i);
+        incr i
+      end
+      else begin
+        out.(o) <- ins.(!j);
+        incr j
+      end
+    done;
+    t.order_tmp <- t.order;
+    t.order <- out;
+    t.n_order <- !kept + !n_in
+
+  (* WNS/TNS over the slots in endpoint order, the list in report
+     order *)
+  let make_report t =
     let setup_wns = ref infinity and setup_tns = ref 0.0 in
     let hold_wns = ref infinity and hold_tns = ref 0.0 in
-    Array.iter
-      (fun p ->
-        match slack_of p with
-        | None -> ()
-        | Some (su, ho) ->
-          slacks := { ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho }
-                    :: !slacks;
-          if su < !setup_wns then setup_wns := su;
-          if su < 0.0 then setup_tns := !setup_tns +. su;
-          if ho < !hold_wns then hold_wns := ho;
-          if ho < 0.0 then hold_tns := !hold_tns +. ho)
-      g.Graph.endpoints;
+    for s = 0 to Array.length t.ep_setup - 1 do
+      let su = t.ep_setup.(s) in
+      if not (Float.is_nan su) then begin
+        let ho = t.ep_hold.(s) in
+        if su < !setup_wns then setup_wns := su;
+        if su < 0.0 then setup_tns := !setup_tns +. su;
+        if ho < !hold_wns then hold_wns := ho;
+        if ho < 0.0 then hold_tns := !hold_tns +. ho
+      end
+    done;
+    let slacks = ref [] in
+    for i = t.n_order - 1 downto 0 do
+      slacks := t.ep_rec.(t.order.(i)) :: !slacks
+    done;
     { setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
       setup_tns = !setup_tns;
       hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
       hold_tns = !hold_tns;
-      endpoint_slacks =
-        List.sort
-          (fun a b -> Float.compare a.ep_setup_slack b.ep_setup_slack)
-          !slacks }
+      endpoint_slacks = !slacks }
 
   (* The shared ending of [run] and [Incremental.update], once the
      endpoints they re-timed are in the cache: the propagation has seen
-     every queued move, the report aggregates the cache, and per-pin
-     RATs wait for their first read. *)
+     every queued move, the report re-places the endpoints whose slacks
+     changed, and per-pin RATs wait for their first read. *)
   let settle t =
     List.iter (fun net -> t.net_pending.(net) <- false) t.pending_nets;
     t.pending_nets <- [];
-    t.rats_stale <- true;
-    report_of t.graph (fun p ->
-      let su = t.ep_setup.(p) in
-      if Float.is_nan su then None else Some (su, t.ep_hold.(p)))
+    t.epoch <- t.epoch + 1;
+    if t.n_changed > 0 then begin
+      reorder t;
+      t.report <- make_report t
+    end;
+    t.report
 
   let k_exact = Obs.kernel "sta.exact"
 
@@ -978,17 +1315,15 @@ module Timer = struct
     report
 
   let pin_slack_late t p =
-    fresh_rats t;
+    pull_rat t p;
     let at_l = t.fwd.Forward.at in
     let best = ref infinity in
-    List.iter
-      (fun tr ->
-        let i = idx p tr in
-        if at_l.(i) > neg_infinity && t.rat_l.(i) < infinity then begin
-          let s = t.rat_l.(i) -. at_l.(i) in
-          if s < !best then best := s
-        end)
-      both_transitions;
+    for i = 2 * p to (2 * p) + 1 do
+      if at_l.(i) > neg_infinity && t.rat_l.(i) < infinity then begin
+        let s = t.rat_l.(i) -. at_l.(i) in
+        if s < !best then best := s
+      end
+    done;
     !best
 
   let net_slack t n =
@@ -1036,6 +1371,7 @@ module Incremental = struct
 
   let create graph =
     let t = Timer.create graph in
+    Forward.cache_pairs t.Timer.fwd;
     ignore (Timer.run t);
     t
 
@@ -1128,6 +1464,7 @@ module Incremental = struct
 
   let update ?(obs = Obs.disabled) (t : t) =
     Obs.start obs k_incremental;
+    Forward.cache_pairs t.Timer.fwd;
     let g = t.Timer.graph in
     let design = g.Graph.design in
     let nlevels = Array.length g.Graph.levels in

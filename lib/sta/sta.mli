@@ -160,18 +160,32 @@ end
     slew and load, which only the LSE pass and the difftimer's backward
     gather read, are written at [gamma > 0] only.  A slot is meaningful
     only when [tr_in] is reachable at [arc_from.(a)] and the arc admits
-    the pair.  Every later reader of an arc delay (RAT sweep, path
-    retrace, top-K paths, the difftimer's backward gather) replays the
-    tape instead of querying the LUTs again.  Each slot costs one
+    the pair.  Every later reader of an arc delay (RAT pull, top-K
+    paths, the difftimer's backward gather) replays the tape instead of
+    querying the LUTs again.  Each slot costs one
     {!Liberty.Lut.eval_pair}: the delay and slew tables share one
     segment search, and at [gamma = 0] the query computes values only.
 
     An exact state (created without [smooth]) also carries the early
-    (hold) lane [at_e]/[sl_e]: the same fan-in walk takes the hard min
-    of the early arrivals and slews, with LUTs evaluated at the early
-    slew, values only, and not taped.  A smooth state has empty early
-    arrays and never enters the lane. *)
+    (hold) lane [at_e]/[sl_e] and the back-pointers [pred].  Its kernel
+    walks the fan-in per (arc, input transition) and, in the same walk,
+    takes the hard min of the early arrivals and slews (LUTs evaluated
+    at the early slew, values only, not taped) and records each node's
+    arrival back-pointer.  Once {!cache_pairs} has run, it also keeps
+    every pair query's inputs and outputs, off-heap, in one block per
+    arc: the root load of the arc's last query, its late and its early
+    input slew per input transition, then per admitted
+    [(tr_out, tr_in)] the late slew, the early delay and the early slew
+    (the late delay is [tape_d]).  A query whose input slew and load
+    have the bit patterns of the last one reuses its outputs; a load
+    change empties the arc's block.  A block is written only by the
+    kernel of the arc's output pin, as its tape slots are.  A smooth
+    state has empty early and back-pointer arrays, never enters the
+    lane and has no cache. *)
 module Forward : sig
+  type pairs
+  (** The exact lane's LUT pair cache. *)
+
   type t = {
     nets : Nets.t;
     at : float array;          (** late arrival, [2 * pin + transition]. *)
@@ -184,14 +198,29 @@ module Forward : sig
     tape_s : float array;      (** output slew LUT value. *)
     tape_ds_ds : float array;
     tape_ds_dl : float array;
+    pred : int array;
+    (** per node, the in-edge realising its late arrival: [-2] for the
+        net arc, else the tape slot [4 * a + 2 * tr_out + tr_in] of the
+        first maximal [at(u) + d] in (arc, input transition) order, [-1]
+        when there is none or the arrival is not finite; empty when
+        smooth. *)
+    mutable pairs : pairs;
   }
 
   val create : ?smooth:bool -> Nets.t -> t
   (** [smooth] (default false) allocates the slew and partial tapes that
-      {!pin} writes at [gamma > 0] and leaves the early lane empty;
-      without it the state carries the early lane, its smooth tapes are
-      empty and it supports [gamma = 0] only (the exact timer's, a sixth
-      of the tape memory). *)
+      {!pin} writes at [gamma > 0] and leaves the early lane and the
+      back-pointers empty; without it the state carries both, its
+      smooth tapes are empty and it supports [gamma = 0] only (the exact
+      timer's, a sixth of the tape memory).  No state starts with a
+      pair cache. *)
+
+  val cache_pairs : t -> unit
+  (** Give an exact state its LUT pair cache (a no-op on a smooth state
+      or one that has it).  The cache starts empty and fills as {!pin}
+      runs; its outputs are bit-identical to uncached queries.  The
+      incremental timer turns it on; a state that only runs full
+      analyses never pays for it. *)
 
   val reset : t -> unit
   (** Every pin unreached ([at = neg_infinity], [slew = 0]; early lane
@@ -202,8 +231,9 @@ module Forward : sig
   val pin : t -> gamma:float -> int -> unit
   (** Propagate into one pin from its net-arc and cell-arc fan-in,
       refreshing the pin's fan-in tape slots (and, in an exact state,
-      its early lane, in the same walk).  Reads strictly lower levels
-      only and writes only this pin's state and slots. *)
+      its early lane, back-pointers and cache blocks, in the same walk).
+      Reads strictly lower levels only and writes only this pin's state,
+      slots and blocks. *)
 
   val sweep : ?pool:Parallel.pool -> ?obs:Obs.t -> t -> (int -> unit) -> unit
   (** [sweep t f] calls [f] on every pin, level by level; the pins of one
@@ -212,10 +242,14 @@ module Forward : sig
 end
 
 (** Exact timer: one state, analysed in full by {!run} and in part by
-    {!Incremental.update}.  Per-pin required times come from one
-    backward sweep, run by the first {!rat_late}, {!pin_slack_late} or
-    {!net_slack} after either, so no read is stale;
-    that first read must not come from concurrent pool tasks. *)
+    {!Incremental.update}.  Per-pin required times are pulled on
+    demand: {!rat_late}, {!pin_slack_late} and {!net_slack} compute the
+    read pin's RAT over its fan-out cone, each pin of the cone once
+    after a {!run} or an {!Incremental.update}, with the folds a full
+    backward sweep makes, so no read is stale and every read equals
+    the sweep's value bit for bit.  A pull writes the timer, so reads
+    must not come from concurrent pool tasks until every pin they read
+    has been pulled. *)
 module Timer : sig
   type endpoint_slack = {
     ep_pin : int;
@@ -229,7 +263,10 @@ module Timer : sig
     hold_wns : float;
     hold_tns : float;
     endpoint_slacks : endpoint_slack list;
-    (** one entry per constrained endpoint, worst setup first. *)
+    (** one entry per constrained endpoint, by setup slack under
+        [Float.compare], ties by descending position in
+        [Graph.endpoints].  WNS/TNS aggregate the endpoints in
+        [Graph.endpoints] order. *)
   }
 
   type t
@@ -262,8 +299,24 @@ module Timer : sig
       the pin is unreachable. *)
 
   val slew_late : t -> int -> transition -> float
+  val slew_early : t -> int -> transition -> float
+  (** Earliest slew (the {!Forward} early lane), [infinity] when the pin
+      is unreachable. *)
+
   val rat_late : t -> int -> transition -> float
   (** Required arrival time (late/setup), [infinity] if unconstrained. *)
+
+  val pull_all_rats : t -> unit
+  (** Bring every pin's required time current in one backward pass over
+      the levels, with the values the per-pin reads would pull; for a
+      caller about to read most pins (a pin-by-pin pull walks each cone
+      depth-first and costs about twice as much over the whole
+      design). *)
+
+  val arrival_edges : t -> int array
+  (** A copy of the back-pointers of the last propagation
+      ({!Forward.t.pred}): per timing node, the in-edge realising its
+      late arrival. *)
 
   val arc_delay : t -> int -> tr_out:transition -> tr_in:transition -> float
   (** [arc_delay t a ~tr_out ~tr_in] is the late delay of cell arc [a]

@@ -19,7 +19,8 @@ design and asserts that:
   * `exit` is not a command: with or without arguments it answers as
     an unknown command;
   * the JSONL profiling trace contains the per-request serve.parse /
-    serve.update / serve.query spans.
+    serve.update / serve.query spans;
+  * the same session at `--domains 2` answers byte for byte the same.
 
 Usage: scripts/serve_smoke.py [--keep]
 Must run from the repo root (uses `dune exec`).  Exits non-zero with a
@@ -82,16 +83,26 @@ def main():
             "quit",
         ]
     ) + "\n"
-    serve = run(
-        ["dune", "exec", "bin/dgp_serve.exe", "--"]
-        + WORKLOAD
-        + ["--trace-out", trace],
-        input=session,
-    )
-    if serve.returncode != 0:
+    def serve_session(extra):
+        serve = run(
+            ["dune", "exec", "bin/dgp_serve.exe", "--"] + WORKLOAD + extra,
+            input=session,
+        )
+        if serve.returncode != 0:
+            fail(
+                f"dgp_serve {' '.join(extra)} exited {serve.returncode}:\n"
+                f"stdout:\n{serve.stdout}\nstderr:\n{serve.stderr}"
+            )
+        return serve
+
+    serve = serve_session(["--trace-out", trace])
+    # the same session on a 2-domain pool (pooled full STA, placement and
+    # `paths` enumeration) must answer byte for byte the same
+    pooled = serve_session(["--domains", "2"])
+    if pooled.stdout != serve.stdout:
         fail(
-            f"dgp_serve exited {serve.returncode}:\n"
-            f"stdout:\n{serve.stdout}\nstderr:\n{serve.stderr}"
+            "replies at --domains 2 differ from the sequential session:\n"
+            f"{pooled.stdout}\n--- vs ---\n{serve.stdout}"
         )
     lines = [l for l in serve.stdout.splitlines() if l.strip()]
     responses = [l for l in lines if not l.startswith("path ")]

@@ -1,8 +1,9 @@
 (* Test-only oracle: the original eager top-K path enumeration, the
-   bit-identity reference for the lazy [Paths] engine.  It reads a
-   [Paths.t] view only through [Paths.pred] and the exact timer's public
-   accessors, so it shares no code with the engine under test beyond the
-   back-pointers themselves.
+   bit-identity reference for the lazy [Paths] engine, and the
+   back-pointer rule ([analyze]) the timer's forward kernel records.
+   The enumeration reads a [Paths.t] view only through [Paths.pred] and
+   the exact timer's public accessors, so it shares no code with the
+   engine under test beyond the back-pointers themselves.
 
    A candidate path fixes a suffix of (in-edge, node) pairs and lets the
    prefix follow back-pointers from its head; its priority is the exact
@@ -64,6 +65,29 @@ let iter_in timer node f =
         f e ((2 * u) + ii) (delay_of timer node e)
     done
   done
+
+(* The back-pointers as a retrace picks them, the rule the forward
+   kernel's must reproduce: per node, the net edge wins outright when
+   present; otherwise the cell contribution minimising
+   |at(u) + d - at(v)| wins, first strict minimum in (arc, transition)
+   order.  One walk over every node's in-edges. *)
+let analyze timer =
+  let nnodes = 2 * Netlist.num_pins (graph timer).Sta.Graph.design in
+  Array.init nnodes (fun node ->
+      let av = at timer node in
+      let best = ref no_edge and best_err = ref infinity in
+      iter_in timer node (fun e u d ->
+          if e = net_edge then begin
+            best := e;
+            best_err := neg_infinity
+          end
+          else
+            let err = Float.abs (at timer u +. d -. av) in
+            if err < !best_err then begin
+              best_err := err;
+              best := e
+            end);
+      !best)
 
 let materialize timer view ep rank ~head ~suffix ~slack =
   let rec walk acc node =

@@ -235,6 +235,38 @@ let propagate_rat t =
       levels.(l)
   done
 
+(* The report as the timer built it before it kept its endpoint order
+   across updates: over the endpoints, in endpoint order; [slack_of p]
+   is the endpoint's (setup, hold) slack pair, None when unconstrained.
+   The list is a stable sort of the reversed endpoint order, so setup
+   slack ties list the later endpoint first. *)
+let report_of (g : Graph.t) slack_of =
+  let slacks = ref [] in
+  let setup_wns = ref infinity and setup_tns = ref 0.0 in
+  let hold_wns = ref infinity and hold_tns = ref 0.0 in
+  Array.iter
+    (fun p ->
+      match slack_of p with
+      | None -> ()
+      | Some (su, ho) ->
+        slacks :=
+          { Timer.ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho }
+          :: !slacks;
+        if su < !setup_wns then setup_wns := su;
+        if su < 0.0 then setup_tns := !setup_tns +. su;
+        if ho < !hold_wns then hold_wns := ho;
+        if ho < 0.0 then hold_tns := !hold_tns +. ho)
+    g.Graph.endpoints;
+  { Timer.setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
+    setup_tns = !setup_tns;
+    hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
+    hold_tns = !hold_tns;
+    endpoint_slacks =
+      List.sort
+        (fun (a : Timer.endpoint_slack) b ->
+          Float.compare a.Timer.ep_setup_slack b.Timer.ep_setup_slack)
+        !slacks }
+
 (* [Sta.Timer.run] minus the tree maintenance: propagate on the Nets
    state as it stands. *)
 let run t =
@@ -277,34 +309,9 @@ let run t =
           propagate_cell_arcs t v)
         level_pins)
     g.Graph.levels;
-  let slacks = ref [] in
-  let setup_wns = ref infinity and setup_tns = ref 0.0 in
-  let hold_wns = ref infinity and hold_tns = ref 0.0 in
-  Array.iter
-    (fun p ->
-      match endpoint_slack t p with
-      | None -> ()
-      | Some (su, ho) ->
-        slacks :=
-          { Timer.ep_pin = p; ep_setup_slack = su; ep_hold_slack = ho }
-          :: !slacks;
-        if su < !setup_wns then setup_wns := su;
-        if su < 0.0 then setup_tns := !setup_tns +. su;
-        if ho < !hold_wns then hold_wns := ho;
-        if ho < 0.0 then hold_tns := !hold_tns +. ho)
-    g.Graph.endpoints;
+  let report = report_of g (endpoint_slack t) in
   propagate_rat t;
-  let sorted =
-    List.sort
-      (fun (a : Timer.endpoint_slack) b ->
-        Float.compare a.Timer.ep_setup_slack b.Timer.ep_setup_slack)
-      !slacks
-  in
-  { Timer.setup_wns = (if !setup_wns = infinity then 0.0 else !setup_wns);
-    setup_tns = !setup_tns;
-    hold_wns = (if !hold_wns = infinity then 0.0 else !hold_wns);
-    hold_tns = !hold_tns;
-    endpoint_slacks = sorted }
+  report
 
 (* The exact timer's arrival-time retrace as it was before top-K path
    enumeration ([Paths]) became the only path search in the library,

@@ -196,6 +196,21 @@ let field line name =
       Some (String.sub line i (!j - i))
     end
 
+(* [gc.minor_words] counts the words a span allocates even when no
+   minor collection ends inside it: 1000 list cells are 3000 words. *)
+let test_gc_minor_words_counts_current_heap () =
+  let k = Obs.kernel "test.alloc" in
+  let obs = Obs.create ~gc:true () in
+  Obs.start obs k;
+  let l = Sys.opaque_identity (List.init 1000 Fun.id) in
+  Obs.stop obs;
+  ignore (Sys.opaque_identity l);
+  match List.assoc_opt "gc.minor_words" (Obs.counters obs) with
+  | None -> Alcotest.fail "no gc.minor_words gauge"
+  | Some w ->
+    if w < 3000.0 then
+      Alcotest.failf "gc.minor_words read %.0f for a 3000-word span" w
+
 let test_jsonl_trace () =
   (* exercise every instrumented kernel against one recorder *)
   let obs = Obs.create ~gc:true () in
@@ -493,6 +508,8 @@ let suite =
     Alcotest.test_case "profiling does not perturb Core.run" `Slow
       test_run_not_perturbed;
     Alcotest.test_case "jsonl trace" `Quick test_jsonl_trace;
+    Alcotest.test_case "gc minor words count the current minor heap" `Quick
+      test_gc_minor_words_counts_current_heap;
     Alcotest.test_case "coverage is core.run's (cum - self) / cum" `Quick
       test_coverage_is_ledger;
     Alcotest.test_case "ledger instrumentation names" `Quick

@@ -432,7 +432,7 @@ let test_pool_determinism () =
   in
   with_timer spec 14 (fun _ _ timer ->
     let run pool =
-      let view = Paths.analyze ?pool timer in
+      let view = Paths.analyze timer in
       let paths = Paths.enumerate ?pool ~k:40 view in
       (paths, Paths.net_criticality view paths)
     in
@@ -572,8 +572,8 @@ let test_tape_fresh_after_incremental () =
     done
   done
 
-(* [enumerate] reads endpoint RATs from pool tasks, so [analyze] runs
-   the timer's lazy backward sweep before any task starts: straight
+(* [enumerate] reads endpoint RATs from pool tasks, so [analyze] pulls
+   every endpoint's RAT before any task starts: straight
    after a run and after an update, with no RAT read in between, pooled
    enumeration (the lazy engine and the eager reference) equals a
    sequential timer's bit for bit. *)
@@ -586,7 +586,7 @@ let test_pooled_enumerate_after_lazy_sweep () =
     ignore (Sta.Timer.run ~pool pooled);
     ignore (Sta.Timer.run seq);
     let compare label =
-      let vp = Paths.analyze ~pool pooled and vs = Paths.analyze seq in
+      let vp = Paths.analyze pooled and vs = Paths.analyze seq in
       check_paths_equal (label ^ ", reference")
         (Paths_oracle.enumerate ~pool ~k:32 pooled vp)
         (Paths_oracle.enumerate ~k:32 seq vs);
@@ -611,6 +611,49 @@ let test_pooled_enumerate_after_lazy_sweep () =
       ignore (Sta.Incremental.update seq);
       compare (Printf.sprintf "after update %d" round)
     done)
+
+(* The forward kernel's back-pointers are the retrace rule's
+   ([Paths_oracle.analyze]) at every node: after a full run and after
+   incremental updates, at 1 domain and at the suite's domain count. *)
+let test_kernel_back_pointers () =
+  List.iter
+    (fun domains ->
+      let pool = Parallel.create ~domains ~oversubscribe:true () in
+      Fun.protect ~finally:(fun () -> Parallel.shutdown pool) @@ fun () ->
+      let spec = { (List.hd specs_under_test) with Workload.sp_seed = 9 } in
+      let design, cons = Workload.generate lib spec in
+      let graph = Sta.Graph.build design lib cons in
+      let timer = Sta.Timer.create graph in
+      let check label =
+        let label = Printf.sprintf "%s @%dd" label domains in
+        let view = Paths.analyze timer in
+        let rule = Paths_oracle.analyze timer in
+        Array.iteri
+          (fun n e ->
+            if Paths.pred view n <> e then
+              Alcotest.failf "%s: back-pointer of node %d is %d, rule says %d"
+                label n (Paths.pred view n) e)
+          rule
+      in
+      ignore (Sta.Timer.run ~pool timer);
+      check "run";
+      let rng = Workload.Rng.create (40 + domains) in
+      let ncells = Netlist.num_cells design in
+      for round = 1 to 4 do
+        let moved = ref 0 in
+        while !moved < 5 do
+          let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+          if not c.Netlist.fixed then begin
+            incr moved;
+            let x, y = Test_sta.random_legal_position rng design c in
+            Sta.Incremental.move_cell timer c.Netlist.cell_id ~x ~y
+          end
+        done;
+        if round = 3 then ignore (Sta.Timer.run ~rebuild_trees:false ~pool timer)
+        else ignore (Sta.Incremental.update timer);
+        check (Printf.sprintf "round %d" round)
+      done)
+    [ 1; Test_parallel.env_domains () ]
 
 let suite =
   [ Alcotest.test_case "top-1 bit-matches critical_path (3 specs x 2 seeds)"
@@ -637,4 +680,6 @@ let suite =
     Alcotest.test_case "arc-delay tape fresh after incremental updates"
       `Quick test_tape_fresh_after_incremental;
     Alcotest.test_case "pooled enumerate after lazy RAT sweep" `Quick
-      test_pooled_enumerate_after_lazy_sweep ]
+      test_pooled_enumerate_after_lazy_sweep;
+    Alcotest.test_case "kernel back-pointers = analyze rule" `Quick
+      test_kernel_back_pointers ]

@@ -647,8 +647,8 @@ let test_incremental_randomized_equivalence () =
 (* One timer state: after [run] and after [update], every per-pin RAT
    and slack read on the timer itself is bitwise equal to a full
    analysis of the same placement on an independent timer, and an
-   endpoint's pin slack is its report slack (the first read runs the
-   backward sweep, so no read is stale); a run over queued moves
+   endpoint's pin slack is its report slack (a read pulls what the
+   last change left stale, so no read is stale); a run over queued moves
    consumes them. *)
 let test_incremental_fresh_rat_reads () =
   let design, cons = Workload.generate lib
@@ -1093,6 +1093,8 @@ let test_smooth_state_no_early_lane () =
   let fwd = Sta.Forward.create ~smooth:true (Sta.Timer.nets tm) in
   Alcotest.(check int) "no early arrival" 0 (Array.length fwd.Sta.Forward.at_e);
   Alcotest.(check int) "no early slew" 0 (Array.length fwd.Sta.Forward.sl_e);
+  Alcotest.(check int) "no back-pointers" 0
+    (Array.length fwd.Sta.Forward.pred);
   Sta.Forward.reset fwd;
   Sta.Forward.sweep fwd (Sta.Forward.pin fwd ~gamma:0.0);
   for p = 0 to Netlist.num_pins design - 1 do
@@ -1150,3 +1152,408 @@ let suite =
         test_smooth_state_no_early_lane;
       Alcotest.test_case "incremental sparse and bitwise at 5k cells" `Slow
         test_incremental_sparse_at_5k ]
+
+(* --- incremental timing: the pair cache, the RAT pull, report order --- *)
+
+let both = [ Sta.Rise; Sta.Fall ]
+
+(* every pin's eight lane values and every reached, admitted arc delay
+   of [tm] against [reference], bit for bit *)
+let check_lanes_bitwise label tm reference =
+  let g = (Sta.Timer.nets tm).Sta.Nets.graph in
+  for p = 0 to Netlist.num_pins g.Sta.Graph.design - 1 do
+    List.iter
+      (fun tr ->
+        List.iter
+          (fun (what, read) ->
+            if bits (read tm p tr) <> bits (read reference p tr) then
+              Alcotest.failf "%s: %s differs at pin %d" label what p)
+          [ ("at_late", Sta.Timer.at_late); ("at_early", Sta.Timer.at_early);
+            ("slew_late", Sta.Timer.slew_late);
+            ("slew_early", Sta.Timer.slew_early) ])
+      both
+  done;
+  for a = 0 to Sta.Graph.num_arcs g - 1 do
+    let u = g.Sta.Graph.arc_from.(a) in
+    List.iter
+      (fun tr_out ->
+        List.iter
+          (fun tr_in ->
+            if Sta.Graph.arc_admits g a ~tr_out ~tr_in
+               && Sta.Timer.at_late reference u tr_in > neg_infinity
+               && bits (Sta.Timer.arc_delay tm a ~tr_out ~tr_in)
+                  <> bits (Sta.Timer.arc_delay reference a ~tr_out ~tr_in)
+            then Alcotest.failf "%s: delay of arc %d differs" label a)
+          both)
+      both
+  done
+
+let random_movable rng design =
+  let ncells = Netlist.num_cells design in
+  let rec pick () =
+    let c = design.Netlist.cells.(Workload.Rng.int rng ncells) in
+    if c.Netlist.fixed then pick () else c
+  in
+  pick ()
+
+(* A cell [c] on the net driven by output pin [v] of another cell
+   [d], such that moving [c] changes [v]'s load but not the slews at
+   [d]'s inputs: the pair cache must re-query on the load alone. *)
+let load_only_move label tm rng =
+  let g = (Sta.Timer.nets tm).Sta.Nets.graph in
+  let design = g.Sta.Graph.design in
+  let nets = Sta.Timer.nets tm in
+  let root_load net =
+    match nets.Sta.Nets.trees.(net) with
+    | Some (_, rc) -> Rc.root_load rc
+    | None -> nan
+  in
+  let input_slews d =
+    List.concat_map
+      (fun p ->
+        if design.Netlist.pins.(p).Netlist.direction = Netlist.Input then
+          List.map (fun tr -> bits (Sta.Timer.slew_late tm p tr)) both
+        else [])
+      (Array.to_list design.Netlist.cells.(d).Netlist.cell_pins)
+  in
+  let found = ref false and tries = ref 0 in
+  while (not !found) && !tries < 200 do
+    incr tries;
+    let c = random_movable rng design in
+    (* a net on [c] driven by another cell's output with cell arcs *)
+    Array.iter
+      (fun p ->
+        let net = design.Netlist.pins.(p).Netlist.net in
+        if (not !found) && net >= 0 then begin
+          let v = g.Sta.Graph.net_driver_of.(net) in
+          if v >= 0 && v <> p
+             && g.Sta.Graph.fanin_off.(v + 1) > g.Sta.Graph.fanin_off.(v)
+          then begin
+            let d = design.Netlist.pins.(v).Netlist.cell in
+            let slews = input_slews d and load = bits (root_load net) in
+            let x0 = c.Netlist.x and y0 = c.Netlist.y in
+            let x, y = random_legal_position rng design c in
+            Sta.Incremental.move_cell tm c.Netlist.cell_id ~x ~y;
+            ignore (Sta.Incremental.update tm);
+            if d <> c.Netlist.cell_id && input_slews d = slews
+               && bits (root_load net) <> load
+            then found := true
+            else begin
+              Sta.Incremental.move_cell tm c.Netlist.cell_id ~x:x0 ~y:y0;
+              ignore (Sta.Incremental.update tm)
+            end
+          end
+        end)
+      c.Netlist.cell_pins
+  done;
+  if not !found then Alcotest.failf "%s: no load-only move found" label
+
+(* At input slew -0.0 a delay row that starts at -0.0 on a slew axis
+   from 0 reads -0.0, and at +0.0 it reads +0.0: a cache keyed on [=]
+   would replay the one for the other.  Driven on the kernel directly,
+   since no placement gives an arc input a signed zero slew. *)
+let check_signed_zero_key () =
+  let zero_row =
+    Liberty.Lut.make ~x_axis:[| 0.0; 100.0 |] ~y_axis:[| 0.0; 1e6 |]
+      ~values:[| -0.0; -0.0; 50.0; 50.0 |]
+  in
+  let zlib =
+    { lib with
+      Liberty.lib_cells =
+        Array.map
+          (fun (c : Liberty.lib_cell) ->
+            { c with
+              Liberty.lc_arcs =
+                Array.map
+                  (fun (a : Liberty.timing_arc) ->
+                    { a with Liberty.cell_rise = zero_row; cell_fall = zero_row })
+                  c.Liberty.lc_arcs })
+          lib.Liberty.lib_cells }
+  in
+  let design, cons =
+    Workload.generate zlib
+      { Workload.default_spec with Workload.sp_cells = 120; sp_seed = 4 }
+  in
+  let g = Sta.Graph.build design zlib cons in
+  let nets = Sta.Nets.create g in
+  let cached = Sta.Forward.create nets and plain = Sta.Forward.create nets in
+  Sta.Forward.cache_pairs cached;
+  List.iter
+    (fun f ->
+      Sta.Forward.reset f;
+      Sta.Forward.sweep f (Sta.Forward.pin f ~gamma:0.0))
+    [ cached; plain ];
+  let a =
+    let rec find a =
+      if a >= Sta.Graph.num_arcs g then Alcotest.fail "no reached arc"
+      else if plain.Sta.Forward.at.(2 * g.Sta.Graph.arc_from.(a)) > neg_infinity
+              && Sta.Graph.arc_admits g a ~tr_out:Sta.Rise ~tr_in:Sta.Rise
+      then a
+      else find (a + 1)
+    in
+    find 0
+  in
+  let iu = 2 * g.Sta.Graph.arc_from.(a) and v = g.Sta.Graph.arc_to.(a) in
+  let e = 4 * a in
+  let delays =
+    List.map
+      (fun s ->
+        List.iter
+          (fun f ->
+            f.Sta.Forward.slew.(iu) <- s;
+            Sta.Forward.pin f ~gamma:0.0 v)
+          [ cached; plain ];
+        let d = plain.Sta.Forward.tape_d.(e) in
+        if bits cached.Sta.Forward.tape_d.(e) <> bits d then
+          Alcotest.failf "cached delay at input slew %h differs" s;
+        bits d)
+      [ -0.0; 0.0; -0.0 ]
+  in
+  if List.nth delays 0 = List.nth delays 1 then
+    Alcotest.fail "the signed-zero LUT does not tell -0.0 from +0.0"
+
+(* The exact lane's LUT pair cache is invisible: random multi-round
+   move batches, a move and its exact undo, and a load change at
+   unchanged input slews, on two designs (one with the library read
+   back from Liberty-lite); after each round every pin's lanes, every
+   reached arc delay and the report equal a full analysis on an
+   independent timer bit for bit. *)
+let test_incremental_cache_bitwise () =
+  let parsed = Liberty.Io.of_string (Liberty.Io.to_string lib) in
+  List.iter
+    (fun (name, l, cells, seed) ->
+      let design, cons =
+        Workload.generate l
+          { Workload.default_spec with
+            Workload.sp_cells = cells; sp_seed = seed;
+            sp_clock_period = 700.0 }
+      in
+      let g = Sta.Graph.build design l cons in
+      let inc = Sta.Incremental.create g in
+      let reference = Sta.Timer.create g in
+      ignore (Sta.Timer.run reference);
+      let rng = Workload.Rng.create seed in
+      let check label r =
+        let label = Printf.sprintf "%s %s" name label in
+        check_reports_bitwise label r
+          (Sta.Timer.run ~rebuild_trees:false reference);
+        check_lanes_bitwise label inc reference
+      in
+      for round = 1 to 5 do
+        for _ = 1 to 6 do
+          let c = random_movable rng design in
+          let x, y = random_legal_position rng design c in
+          Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y
+        done;
+        check (Printf.sprintf "round %d" round) (Sta.Incremental.update inc);
+        let c = random_movable rng design in
+        let x0 = c.Netlist.x and y0 = c.Netlist.y in
+        let x, y = random_legal_position rng design c in
+        Sta.Incremental.move_cell inc c.Netlist.cell_id ~x ~y;
+        check (Printf.sprintf "round %d move" round)
+          (Sta.Incremental.update inc);
+        Sta.Incremental.move_cell inc c.Netlist.cell_id ~x:x0 ~y:y0;
+        check (Printf.sprintf "round %d undo" round)
+          (Sta.Incremental.update inc)
+      done;
+      load_only_move name inc rng;
+      check "load-only move" (Sta.Incremental.update inc))
+    [ ("synthetic", lib, 600, 21); ("parsed", parsed, 400, 22) ];
+  check_signed_zero_key ()
+
+(* RATs pulled on demand, in random read orders interleaved with
+   updates and with the whole-design pass, equal the oracle's full
+   backward sweep bit for bit; and
+   pooled path enumeration straight after an update (its view pulls
+   every endpoint first) equals the sequential one. *)
+let test_rat_on_demand_matches_sweep () =
+  let design, cons =
+    Workload.generate lib
+      { Workload.default_spec with
+        Workload.sp_cells = 500; sp_seed = 8; sp_clock_period = 650.0 }
+  in
+  let g = Sta.Graph.build design lib cons in
+  let tm = Sta.Incremental.create g in
+  let rng = Workload.Rng.create 88 in
+  let npins = Netlist.num_pins design in
+  Test_parallel.with_pool (fun pool ->
+    for round = 1 to 6 do
+      for _ = 1 to 4 do
+        let c = random_movable rng design in
+        let x, y = random_legal_position rng design c in
+        Sta.Incremental.move_cell tm c.Netlist.cell_id ~x ~y
+      done;
+      ignore (Sta.Incremental.update tm);
+      if round mod 2 = 0 then begin
+        let label = Printf.sprintf "round %d" round in
+        let pooled = Paths.enumerate ~pool ~k:24 (Paths.analyze tm) in
+        let seq = Paths.enumerate ~k:24 (Paths.analyze tm) in
+        Alcotest.(check int) (label ^ ": path count") (List.length seq)
+          (List.length pooled);
+        List.iter2
+          (fun (a : Paths.path) (b : Paths.path) ->
+            if a.Paths.pt_endpoint <> b.Paths.pt_endpoint
+               || bits a.Paths.pt_slack <> bits b.Paths.pt_slack
+               || a.Paths.pt_arcs <> b.Paths.pt_arcs
+            then Alcotest.failf "%s: pooled paths differ" label)
+          pooled seq
+      end;
+      let o = Sta_oracle.create (Sta.Timer.nets tm) in
+      ignore (Sta_oracle.run o);
+      (* a random half of the pins in random order, then all of them *)
+      let perm = Array.init npins Fun.id in
+      for i = npins - 1 downto 1 do
+        let j = Workload.Rng.int rng (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      let check i =
+        let p = perm.(i) in
+        List.iter
+          (fun tr ->
+            let r = Sta.Timer.rat_late tm p tr in
+            if bits r <> bits o.Sta_oracle.rat_l.(Sta_oracle.idx p tr) then
+              Alcotest.failf "round %d: rat_late differs at pin %d" round p)
+          (if Workload.Rng.int rng 2 = 0 then [ Sta.Rise; Sta.Fall ]
+           else [ Sta.Fall; Sta.Rise ])
+      in
+      let reads = if round mod 3 = 0 then npins else npins / 2 in
+      for i = 0 to reads - 1 do check i done;
+      (* the whole-design pass over what the reads left *)
+      if round mod 3 = 1 then begin
+        Sta.Timer.pull_all_rats tm;
+        for i = 0 to npins - 1 do check i done
+      end
+    done)
+
+(* A hand-built design whose report has setup slack ties and an
+   endpoint that drops out and comes back: DFF Q pins drive two pairs
+   of output pads, each pair at one spot (equal wire delays, so equal
+   slacks).  With an infinite wire resistance every wire of non-zero
+   length delays by infinity (slack -inf ties) and a zero-length one by
+   nan, which leaves its sinks unreachable. *)
+let tie_design l =
+  let region = Geometry.Rect.make ~lx:0.0 ~ly:0.0 ~hx:100.0 ~hy:100.0 in
+  let b = Netlist.Builder.create ~region ~row_height:1.4 "ties" in
+  let kind name =
+    match Liberty.cell_index l name with
+    | Some i -> i
+    | None -> Alcotest.failf "missing lib cell %s" name
+  in
+  let add_instance name k x y =
+    let lc = l.Liberty.lib_cells.(k) in
+    let cell =
+      Netlist.Builder.add_cell b ~name ~lib_cell:k ~width:lc.Liberty.lc_width
+        ~height:lc.Liberty.lc_height ~x ~y ()
+    in
+    ( cell,
+      Array.mapi
+        (fun j (lp : Liberty.lib_pin) ->
+          Netlist.Builder.add_pin b ~cell
+            ~name:(Printf.sprintf "%s/%s" name lp.Liberty.lp_name)
+            ~direction:
+              (match lp.Liberty.lp_direction with
+               | Liberty.Lib_input -> Netlist.Input
+               | Liberty.Lib_output -> Netlist.Output)
+            ~lib_pin:j ())
+        lc.Liberty.lc_pins )
+  in
+  let pad name x y direction =
+    let cell =
+      Netlist.Builder.add_cell b ~name ~lib_cell:(-1) ~width:2.0 ~height:2.0
+        ~x ~y ~fixed:true ()
+    in
+    Netlist.Builder.add_pin b ~cell ~name:(name ^ "/P") ~direction ()
+  in
+  let pi = pad "pi0" 0.0 50.0 Netlist.Output in
+  let _, inv = add_instance "inv" (kind "INV_X1") 30.0 50.0 in
+  let dffs =
+    List.map
+      (fun (i, y) ->
+        let name = Printf.sprintf "dff%d" i in
+        let cell, pins = add_instance name (kind "DFF_X1") 50.0 y in
+        let poa = pad (Printf.sprintf "po%da" i) 80.0 y Netlist.Input in
+        let pob = pad (Printf.sprintf "po%db" i) 80.0 y Netlist.Input in
+        (* DFF pins: D=0 CK=1 Q=2 *)
+        ignore
+          (Netlist.Builder.add_net b ~name:(name ^ "_q")
+             ~pins:[ pins.(2); poa; pob ]);
+        (cell, pins.(0)))
+      [ (0, 30.0); (1, 70.0) ]
+  in
+  ignore (Netlist.Builder.add_net b ~name:"n_in" ~pins:[ pi; inv.(0) ]);
+  ignore
+    (Netlist.Builder.add_net b ~name:"n_mid"
+       ~pins:(inv.(1) :: List.map snd dffs));
+  (Netlist.Builder.freeze b, List.map fst dffs)
+
+let has_tie (r : Sta.Timer.report) =
+  let rec go = function
+    | (a : Sta.Timer.endpoint_slack) :: (b :: _ as rest) ->
+      Float.compare a.Sta.Timer.ep_setup_slack b.Sta.Timer.ep_setup_slack = 0
+      || go rest
+    | _ -> false
+  in
+  go r.Sta.Timer.endpoint_slacks
+
+(* The report kept in order across updates equals the one the old
+   [report_of] sorts from scratch ([Sta_oracle.run]), bit for bit and
+   entry for entry: on random move batches (and an empty update), and
+   on the tie design, through setup slack ties and an endpoint that
+   becomes unreachable and then reachable again. *)
+let test_report_order_kept () =
+  let against_oracle label tm r =
+    let o = Sta_oracle.create (Sta.Timer.nets tm) in
+    check_reports_bitwise label r (Sta_oracle.run o)
+  in
+  let design, cons =
+    Workload.generate lib
+      { Workload.default_spec with
+        Workload.sp_cells = 500; sp_seed = 31; sp_clock_period = 600.0 }
+  in
+  let g = Sta.Graph.build design lib cons in
+  let tm = Sta.Incremental.create g in
+  let rng = Workload.Rng.create 31 in
+  for round = 1 to 8 do
+    for _ = 1 to round mod 4 do
+      let c = random_movable rng design in
+      let x, y = random_legal_position rng design c in
+      Sta.Incremental.move_cell tm c.Netlist.cell_id ~x ~y
+    done;
+    against_oracle (Printf.sprintf "round %d" round) tm
+      (Sta.Incremental.update tm)
+  done;
+  List.iter
+    (fun (name, l, expect_gap) ->
+      let design, dffs = tie_design l in
+      let g = Sta.Graph.build design l constraints in
+      let tm = Sta.Incremental.create g in
+      let r0 = Sta.Incremental.update tm in
+      against_oracle (name ^ " start") tm r0;
+      if not (has_tie r0) then Alcotest.failf "%s: no setup slack tie" name;
+      (* dff0's Q pin onto its pads: a zero-length output net *)
+      let dff0 = design.Netlist.cells.(List.hd dffs) in
+      let x0 = dff0.Netlist.x in
+      Sta.Incremental.move_cell tm dff0.Netlist.cell_id ~x:80.0
+        ~y:dff0.Netlist.y;
+      let r1 = Sta.Incremental.update tm in
+      against_oracle (name ^ " on the pads") tm r1;
+      let n r = List.length r.Sta.Timer.endpoint_slacks in
+      if expect_gap && n r1 >= n r0 then
+        Alcotest.failf "%s: no endpoint became unreachable" name;
+      Sta.Incremental.move_cell tm dff0.Netlist.cell_id ~x:x0 ~y:dff0.Netlist.y;
+      let r2 = Sta.Incremental.update tm in
+      against_oracle (name ^ " back") tm r2;
+      check_reports_bitwise (name ^ " back = start") r2 r0)
+    [ ("finite wires", lib, false);
+      ("infinite wire resistance",
+       { lib with Liberty.r_unit = infinity }, true) ]
+
+let suite =
+  suite
+  @ [ Alcotest.test_case "incremental cache bitwise" `Quick
+        test_incremental_cache_bitwise;
+      Alcotest.test_case "rat on demand = sweep" `Quick
+        test_rat_on_demand_matches_sweep;
+      Alcotest.test_case "report order kept" `Quick test_report_order_kept ]
